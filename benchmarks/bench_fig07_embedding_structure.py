@@ -41,7 +41,7 @@ def test_fig07_embedding_structure(benchmark, bench_data):
         # descriptive: radius by category depth in the hyperbolic subspace
         graph = bench_data.train_graph
         active = graph.degree(NodeType.QUERY) > 0
-        embeddings = model.embed_all(NodeType.QUERY)
+        embeddings = model.encode_all(NodeType.QUERY)
         radii = np.linalg.norm(embeddings[hyper], axis=-1)
         depths = np.array([bench_data.universe.category_tree.depth[c]
                            for c in bench_data.universe.queries.category],

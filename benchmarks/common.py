@@ -12,13 +12,19 @@ one convention via this module:
 - ``--scale X`` — multiplies workload sizes, mirroring the
   ``REPRO_BENCH_SCALE`` convention of the pytest benches (CI runs tiny
   scales; the trajectory numbers use the default 1.0).
+
+Figures are absolute (rates, seconds, counts); every payload carries
+the host fingerprint they were taken under, so two files are only
+compared when their hosts match.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import platform
 
 import numpy as np
 
@@ -74,8 +80,24 @@ def bench_parser(name: str, description: str) -> argparse.ArgumentParser:
     return parser
 
 
+def host_fingerprint() -> dict:
+    """The host facts a reader needs before comparing two BENCH files."""
+    from repro.geometry import kernels
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "cpu_count": os.cpu_count(),
+        "blas": "%s %s" % (blas.get("name"), blas.get("version")),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numba": kernels.NUMBA_VERSION,
+        "kernels": kernels.resolve_mode("auto"),
+    }
+
+
 def write_json_out(path, payload) -> pathlib.Path:
-    """Write one bench's JSON payload and echo where it went."""
+    """Write one bench's JSON payload (plus the host fingerprint)."""
+    payload = dict(payload, host=host_fingerprint())
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

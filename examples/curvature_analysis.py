@@ -47,7 +47,7 @@ def main():
     # radial hierarchy in the most hyperbolic query subspace
     kappas = model.node_manifolds[NodeType.QUERY].kappas()
     hyper = int(np.argmin(kappas))
-    embeddings = model.embed_all(NodeType.QUERY)
+    embeddings = model.encode_all(NodeType.QUERY)
     radii = np.linalg.norm(embeddings[hyper], axis=-1)
     tree = simulator.universe.category_tree
     depths = np.array([tree.depth[c]

@@ -35,7 +35,7 @@ Three families live here:
    (``NodeEncoder.encode_from_plan_numpy``) where no gradient will
    ever be requested and even tape-free ``Tensor`` wrapping is pure
    overhead.  Because they mirror the tensor forwards operation by
-   operation, the offline ``embed_all``/index-build embeddings are
+   operation, the offline ``encode_all``/index-build embeddings are
    bit-comparable to what the training-side encoder produces on the
    same :class:`~repro.models.plan.EncodePlan`.
 
@@ -148,29 +148,6 @@ def rowwise_dist(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
 # derivative arithmetic never runs at all.
 
 
-def _tan_k_vjp(r: np.ndarray, kappa: float):
-    """``tan_κ(r)`` with ∂/∂r and ∂/∂κ, mirroring ``stereographic.tan_k``.
-
-    Compatibility wrapper over the split fwd/bwd helpers in
-    :mod:`repro.geometry.kernels`; the fused tape ops call those
-    directly so the forward trig value is computed once and cached.
-    """
-    f, aux = _kernels.tan_k_fwd_numpy(r, kappa)
-    df_dr, df_dk = _kernels.tan_k_bwd_numpy(r, aux, kappa)
-    return f, df_dr, df_dk
-
-
-def _artan_k_vjp(r: np.ndarray, kappa: float):
-    """``tan⁻¹_κ(r)`` with ∂/∂r and ∂/∂κ, mirroring ``stereographic.artan_k``.
-
-    Compatibility wrapper over the split fwd/bwd helpers in
-    :mod:`repro.geometry.kernels`.
-    """
-    f, aux = _kernels.artan_k_fwd_numpy(r, kappa)
-    df_dr, df_dk = _kernels.artan_k_bwd_numpy(r, aux, kappa)
-    return f, df_dr, df_dk
-
-
 def _radial_map(v, kappa, kind) -> Tensor:
     """Shared fused body of ``expmap0``/``logmap0``: ``f(‖v‖)·v/‖v‖``.
 
@@ -249,16 +226,6 @@ def fused_dist(x, y, kappa) -> Tensor:
 # path on float64.  The encoder-plane tests hold them to exact parity.
 # expmap0/logmap0 share the tensor path's ``radial_fwd`` kernel, so the
 # mirrors track whatever implementation the kernel mode selects.
-
-
-def _tan_k_forward(r: np.ndarray, kappa: float) -> np.ndarray:
-    """Forward half of :func:`_tan_k_vjp` (``tan_κ`` with fused ε/clips)."""
-    return _kernels.tan_k_fwd_numpy(r, kappa)[0]
-
-
-def _artan_k_forward(r: np.ndarray, kappa: float) -> np.ndarray:
-    """Forward half of :func:`_artan_k_vjp` (``tan⁻¹_κ`` with fused ε/clips)."""
-    return _kernels.artan_k_fwd_numpy(r, kappa)[0]
 
 
 def expmap0_numpy(v: np.ndarray, kappa: float) -> np.ndarray:

@@ -22,8 +22,7 @@ dispatch registry in front of them: per primitive it holds
 Selection is gated on import: numba absent → numpy silently; numba
 present → compiled unless overridden.  The resolved three-valued dial
 (``"auto"``/``"numpy"``/``"compiled"``) is exposed as the validated
-``model.kernels`` config key, mirroring the ``compute_plane`` /
-``data_plane`` dial pattern.
+``model.kernels`` config key.
 
 Branch structure is shared with the numpy path bit for bit: the three
 curvature regimes split on the same ``_KAPPA_ZERO_TOL`` threshold, the

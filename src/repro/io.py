@@ -63,7 +63,10 @@ def load_model(path: PathLike, graph: HetGraph) -> AMCAD:
         if header["format_version"] != _FORMAT_VERSION:
             raise ValueError("unsupported checkpoint version %r"
                              % header["format_version"])
-        config = AMCADConfig(**header["config"])
+        # checkpoints published before the encoder planes were retired
+        # carry the surviving plane by name (lazy: pipeline imports io)
+        from repro.pipeline.config import drop_retired_planes
+        config = AMCADConfig(**drop_retired_planes("model", header["config"]))
         model = AMCAD(graph, config)
         params = list(model.parameters())
         if len(params) != header["num_parameters"]:

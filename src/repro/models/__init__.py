@@ -14,7 +14,7 @@ Metapath2Vec) are a separate skip-gram family in
 """
 
 from repro.models.features import FeatureEmbedding, LRUFeatureRegistry
-from repro.models.encoder import COMPUTE_PLANES, NodeEncoder
+from repro.models.encoder import NodeEncoder
 from repro.models.plan import (
     EncodePlan,
     NeighborDrawCache,
@@ -40,7 +40,6 @@ __all__ = [
     "FeatureEmbedding",
     "LRUFeatureRegistry",
     "NodeEncoder",
-    "COMPUTE_PLANES",
     "EncodePlan",
     "NeighborDrawCache",
     "build_encode_plan",

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.tensor import Parameter, Tensor, no_grad
+from repro.autodiff.tensor import Parameter, Tensor
 from repro.geometry import kernels as geometry_kernels
 from repro.geometry.manifold import UnifiedManifold
 from repro.geometry.product import ProductManifold
@@ -33,7 +33,7 @@ from repro.geometry.stereographic import fermi_dirac
 from repro.graph.hetgraph import HetGraph
 from repro.graph.sampling import SampleBatch, TrainingSample, as_sample_batches
 from repro.graph.schema import NodeType, Relation
-from repro.models.encoder import COMPUTE_PLANES, NodeEncoder
+from repro.models.encoder import NodeEncoder
 from repro.models.plan import (
     EncodePlan,
     NeighborDrawCache,
@@ -74,9 +74,6 @@ class AMCADConfig:
     feature_dim: int = 8
     gcn_layers: int = 1
     neighbor_samples: int = 4
-    #: context-encoder compute plane: ``"frontier"`` (dedup-encode-gather,
-    #: default) or ``"recursive"`` (the parity reference)
-    compute_plane: str = "frontier"
     #: geometry kernel implementations: ``"auto"`` (compiled when numba
     #: is importable, numpy otherwise), ``"numpy"``, or ``"compiled"``
     #: (requires the ``[compiled]`` extra) — see
@@ -157,8 +154,7 @@ class AMCAD:
         self.encoder = NodeEncoder(
             graph, self.node_manifolds, feature_dim=cfg.feature_dim,
             gcn_layers=cfg.gcn_layers, neighbor_samples=cfg.neighbor_samples,
-            use_fusion=cfg.use_fusion, compute_plane=cfg.compute_plane,
-            rng=rng)
+            use_fusion=cfg.use_fusion, rng=rng)
         adaptive_edges = cfg.adaptive_edge_curvature and cfg.space in (
             "adaptive", "unified")
         self.scorer = EdgeScorer(
@@ -199,11 +195,11 @@ class AMCAD:
     def _resolve_plan(plans, role: str, node_type: NodeType):
         """Look up a pre-built plan for one endpoint role of a group.
 
-        ``plans`` may be keyed by :class:`NodeType` (the encoder-plane
+        ``plans`` may be keyed by :class:`NodeType` (the recursive-oracle
         parity hook) or by role — ``"source"`` / ``"target"`` — which is
         what the prefetching producer emits: same-type relations need
         *distinct* plans per role (shared draws are the common-random-
-        numbers pathology described in ``_encode_group_frontier``), so a
+        numbers pathology described in ``_encode_group``), so a
         type-keyed dict cannot express them.
         """
         if not plans:
@@ -213,29 +209,9 @@ class AMCAD:
             return plan
         return plans.get(node_type)
 
-    def _encode_group_recursive(self, group: SampleBatch,
-                                rng: np.random.Generator,
-                                plans) -> Tuple[List[Tensor], List[Tensor],
-                                                List[Tensor]]:
-        """Reference encoding: source set and target set, no dedup."""
-        relation = group.relation
-        batch = group.src_idx.size
-        plan = self._resolve_plan(plans, "source", relation.source_type)
-        src_points = self.encode(relation.source_type, group.src_idx, rng,
-                                 plan=plan)
-        # positives and negatives share a type: one batched encode
-        tgt_idx = np.concatenate([group.pos_idx, group.neg_idx.ravel()])
-        plan = self._resolve_plan(plans, "target", relation.target_type)
-        tgt_points = self.encode(relation.target_type, tgt_idx, rng,
-                                 plan=plan)
-        pos_points = [p[:batch] for p in tgt_points]
-        neg_points = [p[batch:] for p in tgt_points]
-        return src_points, pos_points, neg_points
-
-    def _encode_group_frontier(self, group: SampleBatch,
-                               rng: np.random.Generator,
-                               plans) -> Tuple[List[Tensor], List[Tensor],
-                                               List[Tensor]]:
+    def _encode_group(self, group: SampleBatch, rng: np.random.Generator,
+                      plans) -> Tuple[List[Tensor], List[Tensor],
+                                      List[Tensor]]:
         """Dedup encoding: one unique encode per endpoint role, gathered.
 
         The flattened ``(B, K)`` negative block overlaps heavily with the
@@ -277,16 +253,14 @@ class AMCAD:
 
         Accepts a :class:`SampleBatch` from the array-native sampling
         plane directly, or a sequence of :class:`TrainingSample` from
-        the looped reference path (grouped per relation as before).  On
-        the frontier compute plane, ``src``/``pos``/``neg`` index sets
-        are merged into one deduplicated encode per node type and the
-        rows are gathered back out; the recursive plane keeps the
-        original two-encode structure as the parity reference.  ``plans``
-        optionally supplies pre-built
+        the per-pair graph API (grouped per relation).  The
+        ``src``/``pos``/``neg`` index sets are merged into one
+        deduplicated encode per endpoint role and the rows are gathered
+        back out.  ``plans`` optionally supplies pre-built
         :class:`~repro.models.plan.EncodePlan` objects whose captured
-        neighbour draws both planes then share, keyed either by
-        :class:`NodeType` (the parity hook used by the encoder-plane
-        tests) or by endpoint role — ``"source"`` / ``"target"`` — the
+        neighbour draws the encodes replay, keyed either by
+        :class:`NodeType` (the hook the recursive-oracle parity tests
+        use) or by endpoint role — ``"source"`` / ``"target"`` — the
         prefetching producer's contract (role keys win, and are the
         only way to give the two endpoints of a same-type relation
         distinct draws).
@@ -303,12 +277,8 @@ class AMCAD:
             neg_idx = group.neg_idx
             batch, k = neg_idx.shape
 
-            if self.encoder.compute_plane == "frontier":
-                src_points, pos_points, neg_points = \
-                    self._encode_group_frontier(group, rng, plans)
-            else:
-                src_points, pos_points, neg_points = \
-                    self._encode_group_recursive(group, rng, plans)
+            src_points, pos_points, neg_points = self._encode_group(
+                group, rng, plans)
 
             # repeat source points K times to align with flattened negatives
             rep = np.repeat(np.arange(batch), k)
@@ -395,52 +365,6 @@ class AMCAD:
             return points    # full-graph plan: already vocabulary order
         return [p[out_map] for p in points]
 
-    def embed_all(self, node_type: NodeType, batch_size: int = 256,
-                  rng: Optional[np.random.Generator] = None,
-                  method: str = "plan",
-                  plan: Optional[EncodePlan] = None) -> List[np.ndarray]:
-        """Materialise subspace embeddings for every node of a type.
-
-        Returns M arrays of shape ``(N, d_m)``, ``d_m`` taken from the
-        node type's manifold factors.
-
-        ``method`` selects the compute path:
-
-        - ``"plan"`` (default) — one full-graph
-          :class:`~repro.models.plan.EncodePlan` + the no-tape numpy
-          compute phase (:meth:`encode_all`);
-        - ``"batch"`` — the per-batch reference: ``batch_size`` nodes at
-          a time through :meth:`encode` under ``no_grad``.
-
-        Seed policy: both paths default to a fresh
-        ``default_rng(12345)``, but their *draw sequences* differ (one
-        plan vs. many), so outputs only match when they share draws —
-        pass the same full-graph ``plan`` to both and the two paths are
-        bit-identical (the numpy compute phase mirrors the tensor ops
-        exactly; tolerance 0, asserted in tests/test_inference_plane.py).
-        """
-        if method == "plan":
-            return self.encode_all(node_type, rng=rng, plan=plan)
-        if method != "batch":
-            raise ValueError("embed_all method must be 'plan' or 'batch', "
-                             "got %r" % (method,))
-        rng = rng or np.random.default_rng(12345)
-        n = self.graph.num_nodes[node_type]
-        manifold = self.node_manifolds[node_type]
-        chunks: List[List[np.ndarray]] = [[] for _ in range(len(manifold))]
-        with no_grad():
-            for start in range(0, n, batch_size):
-                indices = np.arange(start, min(start + batch_size, n))
-                points = self.encode(node_type, indices, rng, plan=plan)
-                for m, point in enumerate(points):
-                    chunks[m].append(point.data)
-        # empty vocabularies still get correctly-shaped outputs; the dim
-        # comes from the manifold factor, not config.subspace_dim, which
-        # can go stale (factors are the authority on per-subspace width)
-        return [np.concatenate(chunk, axis=0) if chunk else
-                np.zeros((0, factor.dim))
-                for chunk, factor in zip(chunks, manifold.factors)]
-
     def parameters(self) -> Iterable[Parameter]:
         yield from self.encoder.parameters()
         yield from self.scorer.parameters()
@@ -485,14 +409,10 @@ def make_model(name: str, graph: HetGraph, *, num_subspaces: int = 2,
     - ablations: ``amcad-mixed``, ``amcad-curv``, ``amcad-fusion``,
       ``amcad-proj``, ``amcad-comb`` (Table VII rows).
 
-    Every variant additionally accepts ``compute_plane="frontier"``
-    (default; dedup-encode-gather context encoding) or ``"recursive"``
-    (the original per-layer recursion, kept as the parity reference)
-    through ``overrides`` — see :data:`repro.models.encoder.COMPUTE_PLANES` —
-    and ``kernels="auto"`` / ``"numpy"`` / ``"compiled"`` selecting the
-    geometry kernel implementations (compiled requires the
-    ``[compiled]`` numba extra) — see
-    :data:`repro.geometry.kernels.KERNEL_MODES`.
+    Every variant additionally accepts ``kernels="auto"`` / ``"numpy"`` /
+    ``"compiled"`` through ``overrides``, selecting the geometry kernel
+    implementations (compiled requires the ``[compiled]`` numba extra) —
+    see :data:`repro.geometry.kernels.KERNEL_MODES`.
     """
     key = name.lower()
     base = dict(num_subspaces=num_subspaces, subspace_dim=subspace_dim,

@@ -19,19 +19,18 @@ Each node type owns its own product manifold, i.e. its own set of
 curvatures ``κ_{m,t}`` — queries can become hyperbolic while ads go
 spherical, which is exactly the heterogeneity argument of the paper.
 
-Compute planes.  The context encoder runs on one of two planes
-(``compute_plane``), mirroring the trainer's ``data_plane`` switch:
-
-- ``"frontier"`` (default) — a two-phase dedup-encode-gather design.
-  A pure-numpy sampling phase builds an
-  :class:`~repro.models.plan.EncodePlan` (per-level frontiers of unique
-  nodes + captured neighbour draws + gather maps); the compute phase
-  then encodes each unique frontier **once**, bottom-up, and routes
-  rows through ``ops.gather``.  Cost grows with the number of *unique*
-  nodes in the receptive field instead of ``(k·|types|)^L``.
-- ``"recursive"`` — the original per-layer recursion, kept as the
-  parity reference.  When handed a plan it replays the captured draws,
-  which makes the two planes bit-comparable on the same batch.
+Context encoding is a two-phase dedup-encode-gather design.  A
+pure-numpy sampling phase builds an
+:class:`~repro.models.plan.EncodePlan` (per-level frontiers of unique
+nodes + captured neighbour draws + gather maps); the compute phase then
+encodes each unique frontier **once**, bottom-up, and routes rows
+through ``ops.gather``.  Cost grows with the number of *unique* nodes
+in the receptive field instead of ``(k·|types|)^L``.  The per-layer
+recursion this replaced lives on as the parity oracle in
+``tests/reference/encoder.py``, built from the public stage methods
+(:meth:`NodeEncoder.inductive`, :meth:`~NodeEncoder.pool`,
+:meth:`~NodeEncoder.gcn_update`, :meth:`~NodeEncoder.fuse`) and
+replaying a plan's captured draws.
 
 Implementation note — Möbius biases.  Every curved linear stage here is
 ``W ⊗κ x ⊕κ exp^κ_0(b)`` rather than the bias-free ``W ⊗κ x`` of the
@@ -59,10 +58,6 @@ from repro.graph.schema import NodeType
 from repro.models.features import FeatureEmbedding, glorot
 from repro.models.plan import EncodePlan, NeighborDrawCache, build_encode_plan
 
-#: Registered context-encoder compute planes (see module docstring).
-COMPUTE_PLANES = ("frontier", "recursive")
-
-
 class NodeEncoder:
     """Maps typed node indices to points in per-type mixed-curvature spaces.
 
@@ -80,35 +75,27 @@ class NodeEncoder:
         Neighbours sampled per (node, neighbour-type) during aggregation.
     use_fusion:
         Enable the space-fusion stage (ablation ``- fusion``).
-    compute_plane:
-        ``"frontier"`` (dedup-encode-gather, default) or
-        ``"recursive"`` (per-layer recursion, the parity reference).
     """
 
     def __init__(self, graph: HetGraph,
                  manifolds: Dict[NodeType, ProductManifold],
                  feature_dim: int = 8, gcn_layers: int = 1,
                  neighbor_samples: int = 4, use_fusion: bool = True,
-                 compute_plane: str = "frontier",
                  rng: Optional[np.random.Generator] = None):
-        if compute_plane not in COMPUTE_PLANES:
-            raise ValueError("compute_plane must be one of %s, got %r"
-                             % (", ".join(COMPUTE_PLANES), compute_plane))
         self.graph = graph
         self.manifolds = manifolds
         self.gcn_layers = int(gcn_layers)
         self.neighbor_samples = int(neighbor_samples)
         self.use_fusion = bool(use_fusion)
-        self.compute_plane = compute_plane
         #: optional :class:`NeighborDrawCache` shared across plans —
         #: attached by the trainer when ``plan_refresh > 1``
         self.draw_cache: Optional[NeighborDrawCache] = None
-        #: truncated-backward dial (frontier plane only): 0 = full
-        #: backward; ``n >= 1`` keeps only the top ``n`` GCN rounds on
-        #: the tape — lower levels run the bit-exact no-tape numpy
-        #: mirror, so the *forward* values are unchanged while the
-        #: backward (and the tape it walks) stops at the boundary.  Set
-        #: by the trainer from ``TrainerConfig.backward_depth``.
+        #: truncated-backward dial: 0 = full backward; ``n >= 1`` keeps
+        #: only the top ``n`` GCN rounds on the tape — lower levels run
+        #: the bit-exact no-tape numpy mirror, so the *forward* values
+        #: are unchanged while the backward (and the tape it walks)
+        #: stops at the boundary.  Set by the trainer from
+        #: ``TrainerConfig.backward_depth``.
         self.backward_depth: int = 0
         rng = rng or np.random.default_rng(0)
         self._rng = rng
@@ -186,12 +173,10 @@ class NodeEncoder:
 
     # -- stage 2: context encoding (Eq. 5-6) -------------------------------------
     #
-    # The Eq. 5-6 math is shared by both compute planes: `_pool` turns one
-    # neighbour block into per-subspace masked-mean tangents, `_gcn_update`
-    # applies the curved linear round.  The planes differ only in *what*
-    # they feed in: the recursive plane re-encodes (duplicated) neighbour
-    # sets depth-first, the frontier plane gathers rows from the unique
-    # frontier encoded one level below.
+    # `pool` turns one neighbour block into per-subspace masked-mean
+    # tangents, `gcn_update` applies the curved linear round; the compute
+    # phase feeds them rows gathered from the unique frontier encoded one
+    # level below.
 
     @staticmethod
     def _accumulate(neighbor_sums: List[Optional[Tensor]],
@@ -203,8 +188,8 @@ class NodeEncoder:
             else:
                 neighbor_sums[m] = neighbor_sums[m] + term
 
-    def _pool(self, other_type: NodeType, neigh_points: List[Tensor],
-              mask: np.ndarray, batch: int) -> List[Tensor]:
+    def pool(self, other_type: NodeType, neigh_points: List[Tensor],
+             mask: np.ndarray, batch: int) -> List[Tensor]:
         """Masked-mean tangent pooling of one ``(B, k)`` neighbour block."""
         k = self.neighbor_samples
         other_manifold = self.manifolds[other_type]
@@ -217,10 +202,10 @@ class NodeEncoder:
             pooled.append(ops.sum(tangent * mask_t, axis=1) / denom)
         return pooled
 
-    def _gcn_update(self, node_type: NodeType, layer: int,
-                    self_points: List[Tensor],
-                    neighbor_sums: List[Optional[Tensor]],
-                    batch: int) -> List[Tensor]:
+    def gcn_update(self, node_type: NodeType, layer: int,
+                   self_points: List[Tensor],
+                   neighbor_sums: List[Optional[Tensor]],
+                   batch: int) -> List[Tensor]:
         """One GCN round (Eq. 5-6) given pooled neighbour tangent sums."""
         updated: List[Tensor] = []
         for m in range(self.num_subspaces):
@@ -240,41 +225,6 @@ class NodeEncoder:
             updated.append(factor.project(point))
         return updated
 
-    def _aggregate(self, node_type: NodeType, indices: np.ndarray,
-                   layer: int, rng: np.random.Generator,
-                   plan: Optional[EncodePlan] = None) -> List[Tensor]:
-        """One recursive GCN round; with ``plan``, replays captured draws."""
-        self_points = self._encode_layer(node_type, indices, layer, rng, plan)
-        batch = len(indices)
-        k = self.neighbor_samples
-
-        # tangent aggregation per subspace, summed over neighbour types
-        neighbor_sums: List[Optional[Tensor]] = [None] * self.num_subspaces
-        for other_type in NodeType:
-            if self.graph.num_nodes[other_type] == 0:
-                continue
-            if plan is not None:
-                neigh_ids, mask = plan.lookup(layer, node_type, indices,
-                                              other_type)
-            else:
-                neigh_ids, mask = self.graph.sample_neighbors(
-                    rng, node_type, indices, other_type, k)
-            if mask.sum() == 0:
-                continue
-            neigh_points = self._encode_layer(
-                other_type, neigh_ids.ravel(), layer, rng, plan)
-            self._accumulate(neighbor_sums,
-                             self._pool(other_type, neigh_points, mask, batch))
-        return self._gcn_update(node_type, layer, self_points, neighbor_sums,
-                                batch)
-
-    def _encode_layer(self, node_type: NodeType, indices: np.ndarray,
-                      layer: int, rng: np.random.Generator,
-                      plan: Optional[EncodePlan] = None) -> List[Tensor]:
-        if layer == 0:
-            return self.inductive(node_type, indices)
-        return self._aggregate(node_type, indices, layer - 1, rng, plan)
-
     # -- frontier compute phase ---------------------------------------------------
 
     def build_plan(self, node_type: NodeType, indices: np.ndarray,
@@ -284,8 +234,8 @@ class NodeEncoder:
 
         Pure numpy — no tape.  The resulting plan can be fed back to
         :meth:`encode` (any requested indices must be covered by its top
-        frontier), shared between the two planes for parity testing, and
-        reused across steps via the attached :attr:`draw_cache`.
+        frontier), shared with the recursive oracle for parity testing,
+        and reused across steps via the attached :attr:`draw_cache`.
         ``use_draw_cache=False`` forces fresh draws even when a cache is
         attached — the loss uses this for the source role so cached
         draws never couple the two endpoints of a same-type relation.
@@ -344,17 +294,17 @@ class NodeEncoder:
                     below = reps[(l - 1, block.dst_type)]
                     neigh_points = [ops.gather(p, block.gather) for p in below]
                     self._accumulate(neighbor_sums,
-                                     self._pool(block.dst_type, neigh_points,
-                                                block.mask, uniq.size))
-                reps[(l, t)] = self._gcn_update(t, l - 1, self_points,
-                                                neighbor_sums, uniq.size)
+                                     self.pool(block.dst_type, neigh_points,
+                                               block.mask, uniq.size))
+                reps[(l, t)] = self.gcn_update(t, l - 1, self_points,
+                                               neighbor_sums, uniq.size)
         return reps[(plan.layers, plan.node_type)]
 
     # -- no-tape numpy compute phase (offline inference) -----------------------
     #
     # Bit-exact mirrors of the tensor compute phase built from the
     # forward-only kernels in :mod:`repro.geometry.fast`.  The offline
-    # path (``embed_all``, index builds) never calls ``backward``, so
+    # path (``encode_all``, index builds) never calls ``backward``, so
     # even value-only Tensor wrapping is overhead; these run the same
     # float64 operations in the same order on plain arrays, which keeps
     # the offline embeddings bit-comparable to the training-side
@@ -485,7 +435,7 @@ class NodeEncoder:
         Structure mirrors :meth:`_encode_from_plan` exactly (each unique
         frontier encoded once, bottom-up, rows gathered by indexing) but
         never constructs a tensor, so a full-graph plan turns
-        ``embed_all`` into ``layers + 1`` fused vocabulary passes.
+        ``encode_all`` into ``layers + 1`` fused vocabulary passes.
         Output: one ``(top_frontier, subspace_dim)`` array per subspace,
         in top-frontier (sorted-unique) order, with fusion applied when
         the encoder uses it.
@@ -504,7 +454,7 @@ class NodeEncoder:
 
     # -- stage 3: space fusion (Eq. 7-8) --------------------------------------------
 
-    def _fuse(self, node_type: NodeType, points: List[Tensor]) -> List[Tensor]:
+    def fuse(self, node_type: NodeType, points: List[Tensor]) -> List[Tensor]:
         manifold = self.manifolds[node_type]
         tangents = [factor.logmap0(point)
                     for factor, point in zip(manifold.factors, points)]
@@ -527,30 +477,21 @@ class NodeEncoder:
         """Full node representation: one point tensor per subspace.
 
         Output: list of M tensors shaped ``(len(indices), subspace_dim)``.
-        On the frontier plane a fresh :class:`EncodePlan` is built unless
-        one is supplied; on the recursive plane a supplied plan replays
-        its captured neighbour draws (the parity hook) instead of
-        sampling from ``rng``.
+        A fresh :class:`EncodePlan` is built unless one is supplied.
         """
         rng = rng or self._rng
         indices = np.asarray(indices, dtype=np.int64)
-        if self.compute_plane == "frontier":
-            if plan is None:
-                plan = self.build_plan(node_type, indices, rng,
-                                       use_draw_cache=use_draw_cache)
-            points = self._encode_from_plan(plan)
-            if self.use_fusion:
-                points = self._fuse(node_type, points)
-            out_map = plan.output_map(indices)
-            if (out_map.size == points[0].shape[0]
-                    and np.array_equal(out_map, np.arange(out_map.size))):
-                return points    # already unique and in frontier order
-            return [ops.gather(p, out_map) for p in points]
-        points = self._encode_layer(node_type, indices, self.gcn_layers, rng,
-                                    plan)
+        if plan is None:
+            plan = self.build_plan(node_type, indices, rng,
+                                   use_draw_cache=use_draw_cache)
+        points = self._encode_from_plan(plan)
         if self.use_fusion:
-            points = self._fuse(node_type, points)
-        return points
+            points = self.fuse(node_type, points)
+        out_map = plan.output_map(indices)
+        if (out_map.size == points[0].shape[0]
+                and np.array_equal(out_map, np.arange(out_map.size))):
+            return points    # already unique and in frontier order
+        return [ops.gather(p, out_map) for p in points]
 
     def parameters(self) -> Iterable[Parameter]:
         for embedding in self.embeddings.values():

@@ -1,4 +1,4 @@
-"""Frontier-based encode planning — the sampling phase of the compute plane.
+"""Frontier-based encode planning — the sampling phase of the encoder.
 
 The recursive context encoder (paper §IV-B-2) re-encodes every sampled
 neighbour from scratch, so one batch costs ``(k·|types|)^L`` encoder
@@ -15,9 +15,9 @@ neighbours each node aggregates at each GCN round — from the
   once, bottom-up, routing representations through ``ops.gather``
   (``take`` forward, ``np.add.at`` scatter-add backward);
 - because the plan *captures* the neighbour draws, the recursive
-  reference plane can replay the exact same draws
-  (:meth:`EncodePlan.lookup`), which is what makes loss/gradient parity
-  between the planes testable to machine precision.
+  oracle (``tests/reference/encoder.py``) can replay the exact same
+  draws (:meth:`EncodePlan.lookup`), which is what makes loss/gradient
+  parity with it testable to machine precision.
 
 ``EncodePlan`` is deliberately dumb data — arrays only, no tensors — so
 it is the natural contract for future multi-process samplers (a worker
@@ -56,7 +56,7 @@ class NeighborBlock:
     frontier; ``gather`` holds the flattened positions of ``neigh_ids``
     inside the *level-below* frontier of ``dst_type`` (``None`` when the
     mask is entirely empty and the block is skipped, mirroring the
-    recursive plane's behaviour).
+    recursive oracle's behaviour).
     """
 
     src_type: NodeType
@@ -126,7 +126,7 @@ class EncodePlan:
     def lookup(self, layer: int, src_type: NodeType, indices: np.ndarray,
                dst_type: NodeType) -> Tuple[np.ndarray, np.ndarray]:
         """Replay the captured draws for arbitrary (possibly duplicated)
-        ``indices`` — the recursive plane's parity hook.
+        ``indices`` — the recursive oracle's parity hook.
 
         ``layer`` is the 0-based GCN round, matching the ``layer``
         argument of the encoder's aggregation step.
@@ -156,7 +156,7 @@ class NeighborDrawCache:
     role, so the loss builds its source-role plans with the cache
     bypassed (``use_draw_cache=False``) — otherwise both endpoints of a
     same-type relation would share draws, the common-random-numbers
-    pathology described in ``AMCAD._encode_group_frontier``.
+    pathology described in ``AMCAD._encode_group``.
     """
 
     def __init__(self):
@@ -194,7 +194,7 @@ def build_full_graph_plan(graph: HetGraph, node_type: NodeType,
                           ) -> EncodePlan:
     """One :class:`EncodePlan` covering *every* node of ``node_type``.
 
-    The offline half of the system (``embed_all``, index builds) needs
+    The offline half of the system (``encode_all``, index builds) needs
     representations for the whole vocabulary, not a mini-batch; walking
     it in per-batch plans re-samples and re-encodes the shared
     receptive field thousands of times.  A full-graph plan is built
@@ -228,7 +228,7 @@ def build_encode_plan(graph: HetGraph, node_type: NodeType,
     draws ``neighbor_samples`` typed neighbours per unique frontier node
     per round, then resolves every gather map against the deduplicated
     level-below frontiers.  Neighbour-type iteration follows the
-    :class:`NodeType` declaration order, matching the recursive plane.
+    :class:`NodeType` declaration order, matching the recursive oracle.
     """
     indices = np.asarray(indices, dtype=np.int64)
     layers = int(layers)

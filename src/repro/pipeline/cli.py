@@ -316,9 +316,6 @@ def _cmd_models(_args) -> int:
         print(name)
     print("product:<SIG>   (any signature over E/H/S/U, e.g. product:HS)")
     print()
-    print("every variant runs on an encoder compute plane: "
-          "model.compute_plane = 'frontier' (dedup-encode-gather, default) "
-          "or 'recursive' (parity reference)")
     print("geometry kernels are selected by model.kernels = 'auto' "
           "(compiled when numba is installed, numpy otherwise, default), "
           "'numpy', or 'compiled' (requires the [compiled] extra)")

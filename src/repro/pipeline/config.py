@@ -24,10 +24,9 @@ from repro.data.synthetic import SimulatorConfig
 from repro.graph.schema import Relation
 from repro.models.amcad import AMCADConfig, list_models
 from repro.geometry.kernels import KERNEL_MODES
-from repro.models.encoder import COMPUTE_PLANES
 from repro.retrieval.backend import BACKENDS
 from repro.testing.faults import FaultSpec
-from repro.training.trainer import DATA_PLANES, TrainerConfig
+from repro.training.trainer import TrainerConfig
 
 
 def _known_fields(cls) -> List[str]:
@@ -99,9 +98,6 @@ class ModelConfig:
     num_subspaces: int = 2
     subspace_dim: int = 4
     seed: int = 0
-    #: context-encoder compute plane: ``"frontier"`` (dedup-encode-gather)
-    #: or ``"recursive"`` (the parity reference)
-    compute_plane: str = "frontier"
     #: geometry kernel implementations: ``"auto"`` (compiled when numba
     #: is importable, numpy otherwise), ``"numpy"``, or ``"compiled"``
     #: (requires the ``[compiled]`` extra)
@@ -126,14 +122,10 @@ class ModelConfig:
             raise ValueError("model geometry must be positive, got "
                              "num_subspaces=%d subspace_dim=%d"
                              % (self.num_subspaces, self.subspace_dim))
-        if self.compute_plane not in COMPUTE_PLANES:
-            raise ValueError("model.compute_plane must be one of %s, got %r"
-                             % (", ".join(COMPUTE_PLANES), self.compute_plane))
         if self.kernels not in KERNEL_MODES:
             raise ValueError("model.kernels must be one of %s, got %r"
                              % (", ".join(KERNEL_MODES), self.kernels))
-        reserved = {"num_subspaces", "subspace_dim", "seed", "compute_plane",
-                    "kernels"}
+        reserved = {"num_subspaces", "subspace_dim", "seed", "kernels"}
         if reserved & set(self.overrides):
             raise ValueError("set model.%s directly, not via model.overrides"
                              % "/".join(sorted(reserved & set(self.overrides))))
@@ -141,87 +133,12 @@ class ModelConfig:
 
 
 @dataclasses.dataclass
-class TrainingConfig:
-    """Training-loop hyper-parameters (mirrors :class:`TrainerConfig`)."""
+class TrainingConfig(TrainerConfig):
+    """The ``training`` section: :class:`TrainerConfig` — its options,
+    documentation and validation — under the pipeline's two defaults."""
 
     steps: int = 200
-    batch_size: int = 64
-    num_negatives: int = 6
-    easy_ratio: float = 2.0 / 3.0
     learning_rate: float = 0.05
-    warmup_steps: int = 10
-    clip_norm: float = 5.0
-    seed: int = 0
-    #: sampling implementation: ``"batched"`` (array-native meta-path
-    #: walks + negative draws) or ``"looped"`` (per-pair reference)
-    data_plane: str = "batched"
-    #: frontier-plane neighbour-draw reuse window in steps (1 = resample
-    #: every step; see ``TrainerConfig.plan_refresh``)
-    plan_refresh: int = 1
-    #: sampling-phase producer processes (0 = synchronous reference
-    #: path; see ``TrainerConfig.prefetch_workers``)
-    prefetch_workers: int = 0
-    #: payload-queue depth when prefetching (double-buffering bound)
-    prefetch_depth: int = 2
-    #: micro-batches per optimiser step (loss scaled 1/K; gradients
-    #: equal one K·batch_size batch)
-    accumulate_steps: int = 1
-    #: GCN rounds kept on the tape, counted from the top (0 = full
-    #: backward; frontier compute plane only)
-    backward_depth: int = 0
-    #: optimiser steps between resume checkpoints (0 disables; resumed
-    #: runs produce bit-identical losses to uninterrupted ones)
-    checkpoint_every: int = 0
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("training.steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("training.batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("training.learning_rate must be > 0")
-        if self.data_plane not in DATA_PLANES:
-            raise ValueError("training.data_plane must be one of %s, got %r"
-                             % (", ".join(DATA_PLANES), self.data_plane))
-        if self.plan_refresh < 1:
-            raise ValueError("training.plan_refresh must be >= 1, got %d"
-                             % self.plan_refresh)
-        if self.prefetch_workers < 0:
-            raise ValueError("training.prefetch_workers must be >= 0, got %d"
-                             % self.prefetch_workers)
-        if self.prefetch_depth < 1:
-            raise ValueError("training.prefetch_depth must be >= 1, got %d"
-                             % self.prefetch_depth)
-        if self.accumulate_steps < 1:
-            raise ValueError("training.accumulate_steps must be >= 1, got %d"
-                             % self.accumulate_steps)
-        if self.backward_depth < 0:
-            raise ValueError("training.backward_depth must be >= 0, got %d"
-                             % self.backward_depth)
-        if self.prefetch_workers > 0 and self.data_plane != "batched":
-            raise ValueError(
-                "training.prefetch_workers > 0 requires "
-                "training.data_plane='batched', got %r" % self.data_plane)
-        if (self.plan_refresh > 1 and self.prefetch_workers >= 1
-                and self.plan_refresh <= self.prefetch_workers):
-            raise ValueError(
-                "training.plan_refresh=%d with prefetch_workers=%d would "
-                "silently miss the per-worker draw cache on every plan; "
-                "use plan_refresh > prefetch_workers"
-                % (self.plan_refresh, self.prefetch_workers))
-        if self.checkpoint_every < 0:
-            raise ValueError("training.checkpoint_every must be >= 0, got %d"
-                             % self.checkpoint_every)
-        if (self.checkpoint_every > 0 and self.plan_refresh > 1
-                and (self.checkpoint_every * self.accumulate_steps)
-                % self.plan_refresh != 0):
-            raise ValueError(
-                "training.checkpoint_every=%d with accumulate_steps=%d must "
-                "checkpoint on a plan_refresh=%d boundary (checkpoint_every "
-                "* accumulate_steps divisible by plan_refresh), or a resumed "
-                "run would regenerate plans from a different window"
-                % (self.checkpoint_every, self.accumulate_steps,
-                   self.plan_refresh))
 
     def trainer_config(self) -> TrainerConfig:
         return TrainerConfig(**dataclasses.asdict(self))
@@ -532,6 +449,32 @@ class FaultsConfig:
         return [FaultSpec.from_dict(spec) for spec in self.specs]
 
 
+#: ``section -> (key, value)``: the pair every ``config.json`` (and,
+#: for the model section, every ``model.npz`` header) published before
+#: the sampling/encoder planes were retired carries.  Exactly these are
+#: accepted and dropped on load, so old artifact stores keep opening;
+#: the retired alternatives are rejected by name.
+_RETIRED_PLANES = {
+    "training": ("data_plane", "batched"),
+    "model": ("compute_plane", "frontier"),
+}
+
+
+def drop_retired_planes(section: str, given: Dict[str, Any]) -> Dict[str, Any]:
+    """``given`` without the retired plane key of ``section``."""
+    key, survivor = _RETIRED_PLANES.get(section, (None, None))
+    if key not in given:
+        return given
+    given = dict(given)
+    value = given.pop(key)
+    if value != survivor:
+        raise ValueError(
+            "%s.%s=%r: that plane was retired — %r is the only "
+            "implementation left and the key no longer exists; remove "
+            "it from the config" % (section, key, value, survivor))
+    return given
+
+
 _SECTIONS = {
     "data": DataConfig,
     "graph": GraphConfig,
@@ -580,6 +523,7 @@ class PipelineConfig:
             if not isinstance(value, dict):
                 raise ValueError("section %r must be an object, got %r"
                                  % (key, type(value).__name__))
+            value = drop_retired_planes(key, value)
             _reject_unknown(key, value, section_cls)
             kwargs[key] = section_cls(**value)
         return cls(**kwargs)

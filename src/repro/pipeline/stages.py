@@ -225,8 +225,7 @@ class TrainStage(Stage):
         model = make_model(name, ctx.train_graph,
                            num_subspaces=cfg.model.num_subspaces,
                            subspace_dim=cfg.model.subspace_dim,
-                           seed=seed, compute_plane=cfg.model.compute_plane,
-                           kernels=cfg.model.kernels,
+                           seed=seed, kernels=cfg.model.kernels,
                            **cfg.model.overrides)
         trainer = Trainer(model, cfg.training.trainer_config(),
                           checkpoint_path=checkpoint_path)

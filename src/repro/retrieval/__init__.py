@@ -28,8 +28,7 @@ Reproduces the deployment half of AMCAD (paper §IV-C, Fig. 6):
   is the vectorised ``retrieve_batch``.
 
 The online serving pieces (micro-batching engine, Erlang-C simulator)
-live in :mod:`repro.serving`; ``repro.retrieval.serving`` remains as a
-compatibility shim.
+live in :mod:`repro.serving`.
 """
 
 from repro.retrieval.backend import (

@@ -19,9 +19,9 @@ The hot path is fully vectorised: :meth:`TwoLayerRetriever.retrieve_batch`
 serves a whole micro-batch of requests through flattened
 ``(request, key, score)`` / ``(request, ad, score)`` triples aggregated
 with ``np.unique`` + ``np.bincount``, and :meth:`~TwoLayerRetriever.retrieve`
-is a thin single-request wrapper over it.  The original per-key dict
-accumulation survives as :meth:`~TwoLayerRetriever.retrieve_looped`, the
-reference implementation the batch path is tested against.
+and :meth:`~TwoLayerRetriever.expand_keys` are thin single-request
+wrappers over it.  The original per-key dict accumulation is the oracle
+the batch path is tested against (``tests/reference/retrieval.py``).
 """
 
 from __future__ import annotations
@@ -125,39 +125,14 @@ class TwoLayerRetriever:
 
     def expand_keys(self, query: int, preclick_items: Sequence[int]
                     ) -> Tuple[Dict[int, float], Dict[int, float]]:
-        """Expanded (query-key, item-key) score maps (looped reference)."""
-        query_keys: Dict[int, float] = {}
-        item_keys: Dict[int, float] = {}
-        if self.keep_original_query:
-            query_keys[query] = 1.0
-
-        def absorb(keys: Dict[int, float], ids: np.ndarray,
-                   dists: np.ndarray, base: float) -> None:
-            scores = base * _fermi(dists, self.radius, self.temperature)
-            for node, score in zip(ids, scores):
-                node = int(node)
-                keys[node] = max(keys.get(node, 0.0), float(score))
-
-        if Relation.Q2Q in self.indices:
-            ids, dists = self.indices[Relation.Q2Q].lookup(query,
-                                                           self.expansion_k)
-            absorb(query_keys, ids, dists, 1.0)
-        if Relation.Q2I in self.indices:
-            ids, dists = self.indices[Relation.Q2I].lookup(query,
-                                                           self.expansion_k)
-            absorb(item_keys, ids, dists, 1.0)
-        for item in preclick_items:
-            item = int(item)
-            item_keys[item] = max(item_keys.get(item, 0.0), 1.0)
-            if Relation.I2Q in self.indices:
-                ids, dists = self.indices[Relation.I2Q].lookup(
-                    item, self.expansion_k)
-                absorb(query_keys, ids, dists, 1.0)
-            if Relation.I2I in self.indices:
-                ids, dists = self.indices[Relation.I2I].lookup(
-                    item, self.expansion_k)
-                absorb(item_keys, ids, dists, 1.0)
-        return query_keys, item_keys
+        """Expanded (query-key, item-key) score maps for one request
+        (wrapper over :meth:`expand_keys_batch`)."""
+        expansion = self.expand_keys_batch(np.array([query]),
+                                           [preclick_items])[0]
+        return (dict(zip(expansion.query_keys.tolist(),
+                         expansion.query_scores.tolist())),
+                dict(zip(expansion.item_keys.tolist(),
+                         expansion.item_scores.tolist())))
 
     def expand_keys_batch(self, queries: np.ndarray,
                           preclicks: Sequence[Sequence[int]]
@@ -303,46 +278,6 @@ class TwoLayerRetriever:
         """Top-``k`` ads for one request (wrapper over the batch path)."""
         return self.retrieve_batch(np.array([query]), [preclick_items],
                                    k=k)[0]
-
-    def retrieve_looped(self, query: int, preclick_items: Sequence[int] = (),
-                        k: int = 20) -> RetrievalResult:
-        """Reference single-request path with per-key dict accumulation.
-
-        Kept as the semantic baseline the vectorised
-        :meth:`retrieve_batch` is asserted against (tests and
-        ``benchmarks/bench_serving_batch.py``).
-        """
-        query_keys, item_keys = self.expand_keys(query, preclick_items)
-        ad_scores: Dict[int, float] = {}
-
-        def gather(index_relation: Relation, keys: Dict[int, float]) -> None:
-            if index_relation not in self.indices or not keys:
-                return
-            index = self.indices[index_relation]
-            key_ids = np.fromiter(keys, dtype=np.int64, count=len(keys))
-            key_scores = np.fromiter(keys.values(), dtype=np.float64,
-                                     count=len(keys))
-            ids, dists = index.lookup_batch(key_ids, self.ads_per_key)
-            hop = _fermi(dists, self.radius, self.temperature)
-            path_scores = key_scores[:, None] * hop
-            for row in range(ids.shape[0]):
-                for ad, score in zip(ids[row], path_scores[row]):
-                    ad = int(ad)
-                    ad_scores[ad] = ad_scores.get(ad, 0.0) + float(score)
-
-        gather(Relation.Q2A, query_keys)
-        gather(Relation.I2A, item_keys)
-
-        if not ad_scores:
-            return RetrievalResult(ads=np.empty(0, dtype=np.int64),
-                                   scores=np.empty(0),
-                                   num_keys=len(query_keys) + len(item_keys))
-        ads = np.fromiter(ad_scores, dtype=np.int64, count=len(ad_scores))
-        scores = np.fromiter(ad_scores.values(), dtype=np.float64,
-                             count=len(ad_scores))
-        order = np.argsort(-scores)[:k]
-        return RetrievalResult(ads=ads[order], scores=scores[order],
-                               num_keys=len(query_keys) + len(item_keys))
 
     def retrieve_items(self, query: int, k: int = 100) -> np.ndarray:
         """Direct Q2I retrieval (used by the offline ranking metrics)."""

@@ -54,7 +54,7 @@ from repro.testing import faults as fault_harness
 from repro.testing.faults import fault_point
 
 #: per-payload refill rounds before settling for the fullest buffer
-#: (mirrors the trainer's batched plane, which keeps refilling across
+#: (mirrors the trainer's synchronous loop, which keeps refilling across
 #: steps; a stateless payload has to bound the search per step)
 MAX_REFILL_ROUNDS = 64
 
@@ -126,7 +126,7 @@ def _sample_step_batch(state: ProducerState,
                        rng: np.random.Generator) -> SampleBatch:
     """One relation-homogeneous batch, built statelessly from ``rng``.
 
-    The trainer's batched plane keeps per-relation buffers alive across
+    The trainer's synchronous loop keeps per-relation buffers alive across
     steps and serves whichever relation fills first, so relations train
     at a rate proportional to their pair-production rate.  A stateless
     payload restarts from empty, where "first to fill" would degenerate
@@ -177,7 +177,7 @@ def build_step_payload(state: ProducerState, step: int) -> StepPayload:
     cache (when ``plan_refresh > 1``), cleared whenever the step enters
     a new refresh window; the source-role plan always draws fresh so
     cached draws never couple the two endpoints of a same-type relation
-    (see ``AMCAD._encode_group_frontier``).
+    (see ``AMCAD._encode_group``).
     """
     cache = state.draw_cache
     if cache is not None:

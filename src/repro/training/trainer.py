@@ -6,19 +6,14 @@ negatives, computes the triplet loss over all relation types jointly,
 and applies an (asynchronous in the paper, synchronous here) AdaGrad
 update.  Curvatures are clamped after every step.
 
-Two data planes feed the loop.  The default ``"batched"`` plane walks
-meta-paths in blocks (one alias draw per level for every walk at once)
-and attaches negatives with array-native draws, handing the loss a
-:class:`~repro.graph.sampling.SampleBatch`.  The ``"looped"`` plane is
-the original one-pair-at-a-time reference implementation, kept for
-parity testing and as documentation of the semantics.
-
-The forward/backward itself runs on the model's encoder *compute
-plane* (``AMCADConfig.compute_plane``): ``"frontier"`` dedups the GCN
-receptive field into per-level unique frontiers before touching the
-tape, ``"recursive"`` is the reference recursion.
-``TrainerConfig.plan_refresh`` adds cross-step reuse of the frontier
-plane's captured neighbour draws.
+The sampling phase is array-native: meta-path walks advance in blocks
+(one alias draw per level for every walk at once), negatives attach
+with vectorised draws, and the loss receives a
+:class:`~repro.graph.sampling.SampleBatch`.  The forward dedups the GCN
+receptive field into per-level unique frontiers
+(:class:`~repro.models.plan.EncodePlan`) before touching the tape;
+``TrainerConfig.plan_refresh`` adds cross-step reuse of the captured
+neighbour draws.
 
 Three throughput knobs stack on top (all default off; the synchronous
 single-process loop remains the parity reference):
@@ -29,8 +24,8 @@ single-process loop remains the parity reference):
   step N's forward/backward runs;
 - ``accumulate_steps`` — K micro-batches per optimiser step,
   loss-scaled by 1/K so the update equals one K-times-larger batch;
-- ``backward_depth`` — truncate the backward below a GCN level on the
-  frontier plane (full forward, bounded tape).
+- ``backward_depth`` — truncate the backward below a GCN level (full
+  forward, bounded tape).
 """
 
 from __future__ import annotations
@@ -53,20 +48,19 @@ from repro.models.plan import NeighborDrawCache
 from repro.training.optim import AdaGrad
 from repro.training.prefetch import PlanProducer
 
-DATA_PLANES = ("batched", "looped")
-
 
 @dataclasses.dataclass
 class TrainerConfig:
     """Loop hyper-parameters (paper §VI-A-3 scaled down).
 
     The paper uses batch 1024, K=6 negatives, lr=1e-2; defaults here
-    keep those ratios at laptop scale.  ``data_plane`` selects the
-    sampling implementation: ``"batched"`` (array-native, default) or
-    ``"looped"`` (the per-pair reference path).
+    keep those ratios at laptop scale.  Every value is validated on
+    construction, so an invalid option is rejected where the config is
+    built (``TrainerConfig(...)``, ``PipelineConfig.from_dict``), not
+    where it is first used.
 
-    ``plan_refresh`` controls encode-plan reuse across steps on the
-    frontier compute plane: with a value N > 1, ``train()`` attaches a
+    ``plan_refresh`` controls encode-plan reuse across steps: with a
+    value N > 1, ``train()`` attaches a
     :class:`~repro.models.plan.NeighborDrawCache` to the encoder for
     the duration of the loop, so a node revisited within an N-step
     window reuses its captured neighbour draws (plans are cheaper to
@@ -80,19 +74,19 @@ class TrainerConfig:
     :class:`~repro.training.prefetch.PlanProducer` pool of that many
     spawn-context processes (0 = the synchronous reference path);
     ``prefetch_depth`` bounds the payload queue (double-buffering).
-    Requires ``data_plane="batched"``; combined with
-    ``plan_refresh > 1`` the producer owns the draw cache (one per
-    worker) and demands ``plan_refresh > prefetch_workers`` — a
-    shorter window can never hit a worker's cache.
+    Combined with ``plan_refresh > 1`` the producer owns the draw
+    cache (one per worker) and demands ``plan_refresh >
+    prefetch_workers`` — a shorter window can never hit a worker's
+    cache.
 
     ``accumulate_steps`` runs K micro-batches per optimiser step with
     the loss scaled by 1/K, so gradients match one K·batch_size batch
     exactly (the loss is mean-normalised; asserted in tests).
 
-    ``backward_depth`` keeps only the top N GCN rounds on the tape
-    (frontier plane only): the forward is bit-identical — lower levels
-    run the no-tape numpy mirror — while the backward stops at the
-    boundary.  0 = full backward.
+    ``backward_depth`` keeps only the top N GCN rounds on the tape: the
+    forward is bit-identical — lower levels run the no-tape numpy
+    mirror — while the backward stops at the boundary.  0 = full
+    backward.
     """
 
     steps: int = 60
@@ -103,7 +97,6 @@ class TrainerConfig:
     warmup_steps: int = 10
     clip_norm: float = 5.0
     seed: int = 0
-    data_plane: str = "batched"
     plan_refresh: int = 1
     prefetch_workers: int = 0
     prefetch_depth: int = 2
@@ -115,6 +108,34 @@ class TrainerConfig:
     #: ``(seed, step)``, so a run resumed from a checkpoint produces
     #: losses bit-identical to the uninterrupted run.
     checkpoint_every: int = 0
+
+    def __post_init__(self):
+        for key, minimum in (("steps", 1), ("batch_size", 1),
+                             ("plan_refresh", 1), ("prefetch_workers", 0),
+                             ("prefetch_depth", 1), ("accumulate_steps", 1),
+                             ("backward_depth", 0), ("checkpoint_every", 0)):
+            if getattr(self, key) < minimum:
+                raise ValueError("training.%s must be >= %d, got %r"
+                                 % (key, minimum, getattr(self, key)))
+        if self.learning_rate <= 0:
+            raise ValueError("training.learning_rate must be > 0, got %r"
+                             % self.learning_rate)
+        if 1 < self.plan_refresh <= self.prefetch_workers:
+            raise ValueError(
+                "training.plan_refresh=%d with prefetch_workers=%d would "
+                "silently miss the draw cache on every plan (each worker "
+                "produces every %d-th step); use plan_refresh > "
+                "prefetch_workers" % (self.plan_refresh, self.prefetch_workers,
+                                      self.prefetch_workers))
+        if (self.checkpoint_every > 0 and self.plan_refresh > 1
+                and (self.checkpoint_every * self.accumulate_steps)
+                % self.plan_refresh != 0):
+            raise ValueError(
+                "training.checkpoint_every=%d (x%d micro-steps) must land on "
+                "a plan_refresh=%d window boundary, or a resumed run would "
+                "rebuild plans from a different draw window"
+                % (self.checkpoint_every, self.accumulate_steps,
+                   self.plan_refresh))
 
 
 @dataclasses.dataclass
@@ -174,67 +195,6 @@ class Trainer:
         self.config = config or TrainerConfig()
         self.checkpoint_path = checkpoint_path
         cfg = self.config
-        if cfg.data_plane not in DATA_PLANES:
-            raise ValueError("data_plane must be one of %s, got %r"
-                             % (", ".join(DATA_PLANES), cfg.data_plane))
-        if cfg.plan_refresh < 1:
-            raise ValueError("plan_refresh must be >= 1, got %d"
-                             % cfg.plan_refresh)
-        if cfg.plan_refresh > 1 and model.encoder.compute_plane != "frontier":
-            raise ValueError(
-                "plan_refresh > 1 reuses frontier-plane encode plans; it has "
-                "no effect on compute_plane=%r — set the model's "
-                "compute_plane to 'frontier' or leave plan_refresh at 1"
-                % model.encoder.compute_plane)
-        if cfg.prefetch_workers < 0:
-            raise ValueError("prefetch_workers must be >= 0, got %d"
-                             % cfg.prefetch_workers)
-        if cfg.prefetch_depth < 1:
-            raise ValueError("prefetch_depth must be >= 1, got %d"
-                             % cfg.prefetch_depth)
-        if cfg.accumulate_steps < 1:
-            raise ValueError("accumulate_steps must be >= 1, got %d"
-                             % cfg.accumulate_steps)
-        if cfg.backward_depth < 0:
-            raise ValueError("backward_depth must be >= 0, got %d"
-                             % cfg.backward_depth)
-        if cfg.prefetch_workers > 0 and cfg.data_plane != "batched":
-            raise ValueError(
-                "prefetch_workers > 0 produces SampleBatch payloads out of "
-                "process, which only the 'batched' data plane consumes; "
-                "data_plane=%r cannot prefetch" % cfg.data_plane)
-        if cfg.backward_depth > 0 and model.encoder.compute_plane != "frontier":
-            raise ValueError(
-                "backward_depth truncates the frontier plane's tape; it has "
-                "no meaning on compute_plane=%r — set the model's "
-                "compute_plane to 'frontier' or leave backward_depth at 0"
-                % model.encoder.compute_plane)
-        if (cfg.plan_refresh > 1 and cfg.prefetch_workers >= 1
-                and cfg.plan_refresh <= cfg.prefetch_workers):
-            raise ValueError(
-                "plan_refresh=%d with prefetch_workers=%d would silently "
-                "miss the draw cache on every plan (each worker produces "
-                "every %d-th step); use plan_refresh > prefetch_workers"
-                % (cfg.plan_refresh, cfg.prefetch_workers,
-                   cfg.prefetch_workers))
-        if cfg.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0, got %d"
-                             % cfg.checkpoint_every)
-        if cfg.checkpoint_every > 0 and cfg.data_plane != "batched":
-            raise ValueError(
-                "checkpoint_every > 0 resumes through the (seed, step)-pure "
-                "producer payload stream, which only the 'batched' data "
-                "plane provides; data_plane=%r cannot checkpoint"
-                % cfg.data_plane)
-        if (cfg.checkpoint_every > 0 and cfg.plan_refresh > 1
-                and (cfg.checkpoint_every * cfg.accumulate_steps)
-                % cfg.plan_refresh != 0):
-            raise ValueError(
-                "checkpoint_every=%d (x%d micro-steps) must land on a "
-                "plan_refresh=%d window boundary, or a resumed run would "
-                "rebuild plans from a different draw window"
-                % (cfg.checkpoint_every, cfg.accumulate_steps,
-                   cfg.plan_refresh))
         # drop any stale cache a previous trainer left on the encoder;
         # train() attaches a fresh one for the duration of the loop only
         model.encoder.draw_cache = None
@@ -249,53 +209,25 @@ class Trainer:
                                  learning_rate=cfg.learning_rate,
                                  warmup_steps=cfg.warmup_steps,
                                  clip_norm=cfg.clip_norm)
-        self._pair_stream = self.walker.iter_pairs(self.rng)
         #: losses across the whole trainer lifetime (survives resume —
         #: restored from the checkpoint, appended to by every run)
         self.loss_history: List[float] = []
-        self._buffers: dict = {}
-        # batched plane: per-relation (src, pos) array chunks, and how
-        # many walks each refill round advances together
+        # per-relation (src, pos) array chunks, and how many walks each
+        # refill round advances together
         self._array_buffers: Dict[Relation, List[Tuple[np.ndarray,
                                                        np.ndarray]]] = {}
         self._walks_per_round = max(len(self.walker.meta_paths),
                                     3 * cfg.batch_size)
 
-    def _next_batch(self):
-        """A relation-homogeneous batch from the configured data plane."""
-        if self.config.data_plane == "looped":
-            return self._next_batch_looped()
-        return self._next_batch_batched()
-
-    def _next_batch_looped(self):
-        """The reference path: pairs stream in one at a time.
+    def _next_batch(self) -> SampleBatch:
+        """A relation-homogeneous batch: walks advance in blocks.
 
         Pairs arrive in mixed relation order; buffering until one
         relation fills a batch keeps every training step a single large
         batched encode instead of six small ones (≈6× fewer python-op
-        dispatches — all relations still train jointly over steps).
-        """
-        target = self.config.batch_size
-        while True:
-            try:
-                pair = next(self._pair_stream)
-            except StopIteration:  # pragma: no cover - stream is endless
-                break
-            bucket = self._buffers.setdefault(pair.relation, [])
-            bucket.append(pair)
-            if len(bucket) >= target:
-                self._buffers[pair.relation] = []
-                return self.negative_sampler.sample_batch(self.rng, bucket)
-        merged = [p for bucket in self._buffers.values() for p in bucket]
-        self._buffers.clear()
-        return self.negative_sampler.sample_batch(self.rng, merged[:target])
-
-    def _next_batch_batched(self) -> SampleBatch:
-        """The array plane: walks advance in blocks, buffers hold arrays.
-
-        Same relation-homogeneous buffering policy as the looped path,
-        but a refill advances ``_walks_per_round`` walks per meta-path
-        level with batched alias draws, and the returned batch is a
+        dispatches — all relations still train jointly over steps).  A
+        refill advances ``_walks_per_round`` walks per meta-path level
+        with batched alias draws, and the returned batch is a
         :class:`SampleBatch` ready for the vectorised negative sampler
         and loss.
         """
@@ -450,6 +382,14 @@ class Trainer:
               log_every: int = 0) -> TrainingReport:
         """Run the loop; returns losses and wall-clock time.
 
+        ``steps`` (default ``config.steps``) is the *lifetime total* of
+        optimiser steps this trainer should have taken when the call
+        returns, not an increment: a fresh trainer runs ``steps`` of
+        them, a trainer restored from a checkpoint at step ``s`` (or
+        one that already trained ``s`` steps) runs the remaining
+        ``steps - s``.  A call with nothing left to do raises
+        ``ValueError``.
+
         The ``plan_refresh`` draw cache lives only for the duration of
         the loop — it is detached before returning so post-training
         inference (index builds, evaluation) never reuses frozen
@@ -459,6 +399,11 @@ class Trainer:
         """
         steps = steps if steps is not None else self.config.steps
         cfg = self.config
+        if self._steps_done >= steps:
+            raise ValueError(
+                "train(steps=%d) has nothing left to do: this trainer has "
+                "already taken %d optimiser steps, and steps is the lifetime "
+                "total, not an increment" % (steps, self._steps_done))
         if (cfg.prefetch_workers > 0 or cfg.checkpoint_every > 0
                 or self._steps_done > 0):
             # checkpointed (and resumed) runs must consume the
@@ -521,10 +466,6 @@ class Trainer:
         """
         cfg = self.config
         start_opt = self._steps_done
-        if start_opt >= steps:
-            return TrainingReport(
-                losses=[], wall_seconds=0.0, steps=0, samples_seen=0,
-                resumed_from_step=start_opt)
         losses: List[float] = []
         checkpoints_written = 0
         producer = self.make_producer(steps)

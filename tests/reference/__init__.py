@@ -1,0 +1,9 @@
+"""Parity oracles: the slow, obviously-correct implementations the
+product paths are tested against.
+
+Nothing here ships in ``src/`` or is selectable by a config key; each
+oracle is built from the public stage methods of the object it mirrors
+(``NodeEncoder.inductive``/``pool``/``gcn_update``/``fuse``,
+``InvertedIndex.lookup``/``lookup_batch``), so it keeps computing the
+reference answer however the product path is reorganised.
+"""

@@ -1,10 +1,10 @@
-"""The batched training data plane: parity with the looped reference.
+"""The array-native sampling phase: parity with the per-pair graph API.
 
 Covers the §IV-A-2 / §V-A sampling pipeline end to end — batched
 meta-path walks, vectorised same-category masks, array-native negative
-draws, ``SampleBatch`` consumption by the loss — against the looped
-implementations kept as the behavioural reference, plus determinism of
-both planes.
+draws, ``SampleBatch`` consumption by the loss — against the per-pair
+``walk``/``sample_pairs``/``sample`` implementations kept as the
+behavioural reference, plus determinism of the trainer's batch stream.
 """
 
 import collections
@@ -322,13 +322,11 @@ class TestSampleBatchPlane:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("plane", ["batched", "looped"])
-    def test_same_seed_same_losses(self, train_graph, plane):
+    def test_same_seed_same_losses(self, train_graph):
         def run():
             model = make_model("amcad_e", train_graph, num_subspaces=1,
                                subspace_dim=4, seed=0)
-            config = TrainerConfig(steps=6, batch_size=16, seed=3,
-                                   data_plane=plane)
+            config = TrainerConfig(steps=6, batch_size=16, seed=3)
             return Trainer(model, config).train().losses
 
         assert run() == run()
@@ -356,12 +354,6 @@ class TestDeterminism:
         batch = trainer._next_batch()
         assert isinstance(batch, SampleBatch)
         assert len(batch) == 16
-
-    def test_unknown_data_plane_rejected(self, train_graph):
-        model = make_model("amcad_e", train_graph, num_subspaces=1,
-                           subspace_dim=4, seed=0)
-        with pytest.raises(ValueError, match="data_plane"):
-            Trainer(model, TrainerConfig(data_plane="quantum"))
 
 
 class TestNode2VecRejection:

@@ -1,7 +1,8 @@
-"""Frontier vs recursive encoder compute plane: parity, plans, kernels.
+"""Frontier encoder vs the recursive oracle: parity, plans, kernels.
 
-The frontier plane must compute *exactly* the same function as the
-recursive reference when both replay the neighbour draws captured in an
+The frontier encoder must compute *exactly* the same function as the
+recursive oracle (``tests/reference/encoder.py``) when both replay the
+neighbour draws captured in an
 :class:`~repro.models.plan.EncodePlan` — identical loss, gradients equal
 on every parameter — while recording a strictly smaller tape.  The
 fused geometry kernels are gradchecked term-by-term against the
@@ -18,19 +19,20 @@ from repro.geometry import stereographic as st
 from repro.graph.sampling import SampleBatch
 from repro.graph.schema import NodeType, Relation
 from repro.models import make_model
-from repro.models.encoder import COMPUTE_PLANES, NodeEncoder
+from repro.models.encoder import NodeEncoder
 from repro.models.plan import NeighborDrawCache, build_encode_plan
 from repro.pipeline.config import PipelineConfig
 from repro.training import Trainer, TrainerConfig
 
+from reference.encoder import RecursiveAMCAD
+
 
 def _models_pair(graph, **overrides):
-    """The same model twice, one per compute plane (identical seeds)."""
+    """The model and its recursive oracle (same config, identical seeds)."""
     kwargs = dict(num_subspaces=2, subspace_dim=4, seed=0, gcn_layers=2)
     kwargs.update(overrides)
-    frontier = make_model("amcad", graph, compute_plane="frontier", **kwargs)
-    recursive = make_model("amcad", graph, compute_plane="recursive", **kwargs)
-    return frontier, recursive
+    frontier = make_model("amcad", graph, **kwargs)
+    return frontier, RecursiveAMCAD(graph, frontier.config)
 
 
 def _shared_plans(model, batch):
@@ -175,7 +177,7 @@ class TestEncodePlan:
         assert np.array_equal(mask, block.mask[rows])
 
     def test_num_encoded_below_recursive_blowup(self, train_graph, plan):
-        # the recursive plane touches (1 + |types|·k)^L per node; the
+        # the recursive oracle touches (1 + |types|·k)^L per node; the
         # dedup frontier must stay below that on a multi-layer plan
         per_node = (1 + 3 * plan.neighbor_samples) ** plan.layers
         assert plan.num_encoded() < 3 * per_node
@@ -217,13 +219,6 @@ class TestDrawCache:
                            subspace_dim=4, seed=0)
         with pytest.raises(ValueError, match="plan_refresh"):
             Trainer(model, TrainerConfig(plan_refresh=0))
-
-    def test_plan_refresh_rejected_on_recursive_plane(self, train_graph):
-        model = make_model("amcad", train_graph, num_subspaces=1,
-                           subspace_dim=4, seed=0,
-                           compute_plane="recursive")
-        with pytest.raises(ValueError, match="frontier"):
-            Trainer(model, TrainerConfig(plan_refresh=2))
 
     def test_trainer_detaches_stale_cache(self, train_graph):
         model = make_model("amcad", train_graph, num_subspaces=1,
@@ -404,11 +399,6 @@ class TestFusedKernelGradcheck:
 
 
 class TestValidationAndConfig:
-    def test_unknown_compute_plane_rejected(self, train_graph):
-        with pytest.raises(ValueError, match="compute_plane"):
-            make_model("amcad", train_graph, num_subspaces=1, subspace_dim=4,
-                       compute_plane="quantum")
-
     def test_vocab_sizes_rejects_empty_feature(self, train_graph):
         class Stub:
             features = {NodeType.AD: {"brand": np.empty((0,), dtype=np.int64)}}
@@ -416,27 +406,9 @@ class TestValidationAndConfig:
         with pytest.raises(ValueError, match="brand.*ad|ad.*brand"):
             NodeEncoder._vocab_sizes(Stub())
 
-    def test_model_compute_plane_round_trips_and_overrides(self):
-        config = PipelineConfig()
-        assert config.model.compute_plane == "frontier"
-        rebuilt = PipelineConfig.from_json(config.to_json())
-        assert rebuilt.model.compute_plane == "frontier"
-        flipped = config.with_overrides(["model.compute_plane=recursive",
-                                         "training.plan_refresh=4"])
-        assert flipped.model.compute_plane == "recursive"
+    def test_plan_refresh_override_forwarded_and_validated(self):
+        flipped = PipelineConfig().with_overrides(["training.plan_refresh=4"])
         assert flipped.training.plan_refresh == 4
         assert flipped.training.trainer_config().plan_refresh == 4
-
-    def test_model_compute_plane_validated(self):
-        with pytest.raises(ValueError, match="compute_plane"):
-            PipelineConfig().with_overrides(["model.compute_plane=warp"])
         with pytest.raises(ValueError, match="plan_refresh"):
             PipelineConfig().with_overrides(["training.plan_refresh=0"])
-
-    def test_compute_plane_reserved_in_overrides(self):
-        with pytest.raises(ValueError, match="compute_plane"):
-            PipelineConfig.from_dict(
-                {"model": {"overrides": {"compute_plane": "recursive"}}})
-
-    def test_planes_registry(self):
-        assert COMPUTE_PLANES == ("frontier", "recursive")

@@ -354,10 +354,6 @@ class TestCheckpointResume:
         resumed = self._trainer(train_graph, ckpt, prefetch_workers=2)
         assert resumed.restore_checkpoint() == 2
 
-    def test_checkpoint_requires_batched_plane(self, train_graph):
-        with pytest.raises(ValueError, match="batched"):
-            self._trainer(train_graph, data_plane="looped")
-
     def test_checkpoint_must_align_with_plan_refresh(self, train_graph):
         with pytest.raises(ValueError, match="plan_refresh"):
             self._trainer(train_graph, checkpoint_every=3, plan_refresh=2)

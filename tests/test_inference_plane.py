@@ -7,7 +7,7 @@ Covers the offline half of the system rebuilt in this PR:
 - ``NodeEncoder.encode_from_plan_numpy`` held to *bit* parity with the
   tensor compute phase (the documented tolerance of the plan path is
   zero: same float64 ops, same order);
-- ``AMCAD.embed_all`` plan/batch equivalence on a shared plan, the
+- ``AMCAD.encode_all`` row order on full and partial plans, the
   NeighborDrawCache refresh policy, and the empty-vocabulary shape
   regression (dims must come from the manifold factors, not the config).
 """
@@ -40,7 +40,7 @@ class TestFullGraphPlan:
     def test_zero_layers_plan(self, train_graph):
         shallow = make_model("amcad", train_graph, num_subspaces=2,
                              subspace_dim=4, seed=5, gcn_layers=0)
-        arrays = shallow.embed_all(NodeType.AD)
+        arrays = shallow.encode_all(NodeType.AD)
         n = train_graph.num_nodes[NodeType.AD]
         assert all(a.shape == (n, 4) for a in arrays)
 
@@ -73,14 +73,6 @@ class TestNumpyComputeParity:
         for a, b in zip(via_numpy, via_tensor):
             assert np.array_equal(a, b.data)
 
-    def test_embed_all_plan_vs_batch_bit_equal(self, model):
-        plan = model.build_full_plan(NodeType.ITEM)
-        via_plan = model.embed_all(NodeType.ITEM, method="plan", plan=plan)
-        via_batch = model.embed_all(NodeType.ITEM, method="batch",
-                                    batch_size=100, plan=plan)
-        for a, b in zip(via_plan, via_batch):
-            assert np.array_equal(a, b)
-
     def test_parity_without_fusion(self, train_graph):
         lean = make_model("amcad-fusion", train_graph, num_subspaces=2,
                           subspace_dim=4, seed=5, gcn_layers=1)
@@ -101,16 +93,12 @@ class TestNumpyComputeParity:
             assert np.array_equal(a, b.data)
 
 
-class TestEmbedAll:
-    def test_default_is_plan_path(self, model, train_graph):
-        arrays = model.embed_all(NodeType.QUERY)
+class TestEncodeAll:
+    def test_whole_vocabulary_in_order(self, model, train_graph):
+        arrays = model.encode_all(NodeType.QUERY)
         n = train_graph.num_nodes[NodeType.QUERY]
         assert all(a.shape == (n, 4) for a in arrays)
         assert all(np.isfinite(a).all() for a in arrays)
-
-    def test_unknown_method_raises(self, model):
-        with pytest.raises(ValueError, match="plan.*batch"):
-            model.embed_all(NodeType.QUERY, method="recursive")
 
     def test_partial_plan_rows_follow_plan_indices(self, model):
         """encode_all on a partial plan honours the request order/dupes
@@ -127,7 +115,7 @@ class TestEmbedAll:
         assert np.array_equal(points[0][1], points[0][2])
 
     def test_empty_vocabulary_dims_come_from_factors(self, model):
-        """Regression: the old batch path padded empty chunks with
+        """Regression: an empty vocabulary once came back padded with
         ``config.subspace_dim`` columns for every subspace — wrong
         whenever the config value goes stale relative to the manifold
         factors, which are the authority on per-subspace width."""
@@ -137,9 +125,8 @@ class TestEmbedAll:
         hollow.graph.num_nodes[NodeType.AD] = 0
         hollow.config = copy.copy(model.config)
         hollow.config.subspace_dim = 999   # stale — must not leak out
-        for method in ("plan", "batch"):
-            arrays = hollow.embed_all(NodeType.AD, method=method)
-            assert [a.shape for a in arrays] == [(0, 4), (0, 4)]
+        arrays = hollow.encode_all(NodeType.AD)
+        assert [a.shape for a in arrays] == [(0, 4), (0, 4)]
 
 
 class TestProjectAllPlanPath:

@@ -1,5 +1,7 @@
 """Tests for model / index persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,25 @@ class TestModelCheckpoint:
         path = save_model(trained, tmp_path / "model.npz")
         restored = load_model(path, train_graph)
         assert restored.config == trained.config
+
+    def test_checkpoint_with_retired_plane_key_loads(self, trained,
+                                                     train_graph, tmp_path):
+        """Every ``model.npz`` published before the encoder planes were
+        retired names the surviving plane in its header."""
+        def rewritten(plane):
+            with np.load(save_model(trained, tmp_path / "model.npz")) as npz:
+                arrays = dict(npz)
+            header = json.loads(bytes(arrays["header"]).decode("utf-8"))
+            header["config"]["compute_plane"] = plane
+            arrays["header"] = np.frombuffer(
+                json.dumps(header).encode("utf-8"), dtype=np.uint8)
+            np.savez(tmp_path / "old.npz", **arrays)
+            return tmp_path / "old.npz"
+
+        restored = load_model(rewritten("frontier"), train_graph)
+        assert restored.config == trained.config
+        with pytest.raises(ValueError, match=r"model\.compute_plane.*retired"):
+            load_model(rewritten("recursive"), train_graph)
 
     def test_wrong_universe_rejected(self, trained, tmp_path):
         from repro.data import SimulatorConfig, SponsoredSearchSimulator

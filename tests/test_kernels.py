@@ -316,25 +316,6 @@ class TestForwardCaching:
             out.backward(rng.normal(size=(6, 1)))
         assert calls["n"] == 1
 
-    def test_compat_vjp_wrappers_match_split_helpers(self):
-        r = np.linspace(0.05, 1.2, 9)
-        for kappa in KAPPAS:
-            for vjp, fwd, bwd in [
-                    (fast._tan_k_vjp, kernels.tan_k_fwd_numpy,
-                     kernels.tan_k_bwd_numpy),
-                    (fast._artan_k_vjp, kernels.artan_k_fwd_numpy,
-                     kernels.artan_k_bwd_numpy)]:
-                f, df_dr, df_dk = vjp(r, kappa)
-                f2, aux = fwd(r, kappa)
-                df_dr2, df_dk2 = bwd(r, aux, kappa)
-                np.testing.assert_array_equal(f, f2)
-                np.testing.assert_array_equal(
-                    np.broadcast_to(df_dr, r.shape),
-                    np.broadcast_to(df_dr2, r.shape))
-                np.testing.assert_array_equal(
-                    np.broadcast_to(df_dk, r.shape),
-                    np.broadcast_to(df_dk2, r.shape))
-
 
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
 class TestCompiledOnly:

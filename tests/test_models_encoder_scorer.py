@@ -186,14 +186,14 @@ class TestGradientFlow:
         assert loss.item() == 0.0
 
 
-class TestEmbedAll:
-    def test_embed_all_shapes(self, model):
-        arrays = model.embed_all(NodeType.AD, batch_size=32)
+class TestEncodeAll:
+    def test_encode_all_shapes(self, model):
+        arrays = model.encode_all(NodeType.AD)
         assert len(arrays) == 2
         n = model.graph.num_nodes[NodeType.AD]
         assert all(a.shape == (n, 4) for a in arrays)
 
-    def test_embed_all_no_tape(self, model):
+    def test_encode_all_no_tape(self, model):
         with no_grad():
-            arrays = model.embed_all(NodeType.AD, batch_size=64)
+            arrays = model.encode_all(NodeType.AD)
         assert all(np.isfinite(a).all() for a in arrays)

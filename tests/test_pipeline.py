@@ -4,6 +4,7 @@ artifact reload parity, and the satellite helpers."""
 import dataclasses
 import importlib
 import json
+import shutil
 import warnings
 
 import numpy as np
@@ -129,13 +130,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="train_days"):
             PipelineConfig.from_dict({"data": {"days": 2, "train_days": 3}})
 
-    def test_data_plane_validated_and_forwarded(self):
-        with pytest.raises(ValueError, match="data_plane"):
-            PipelineConfig.from_dict({"training": {"data_plane": "async"}})
+    def test_retired_plane_keys_dropped_on_load(self):
+        """Configs published before the planes were retired keep loading."""
         config = PipelineConfig.from_dict(
-            {"training": {"data_plane": "looped"}})
-        assert config.training.trainer_config().data_plane == "looped"
-        assert PipelineConfig().training.data_plane == "batched"
+            {"training": {"data_plane": "batched", "steps": 7},
+             "model": {"compute_plane": "frontier"}})
+        assert config.training.steps == 7
+        dumped = config.to_dict()
+        assert "data_plane" not in dumped["training"]
+        assert "compute_plane" not in dumped["model"]
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("training", "data_plane", "looped"),
+        ("model", "compute_plane", "recursive"),
+    ])
+    def test_retired_plane_values_rejected_by_name(self, section, key, value):
+        with pytest.raises(ValueError,
+                           match=r"%s\.%s.*retired" % (section, key)):
+            PipelineConfig.from_dict({section: {key: value}})
 
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError, match="relation"):
@@ -281,6 +293,30 @@ class TestFromArtifacts:
         with pytest.raises(FileNotFoundError):
             Pipeline.from_artifacts(tmp_path / "nope")
 
+    def test_generation_published_with_retired_plane_keys_loads(
+            self, run_pipeline, tmp_path):
+        """An immutable generation whose ``config.json`` predates the
+        plane removal still verifies, loads and serves."""
+        old = ArtifactStore(shutil.copytree(run_pipeline.store.root,
+                                            tmp_path / "old"))
+        payload = json.loads(old.path(ArtifactStore.CONFIG).read_text())
+        payload["training"]["data_plane"] = "batched"
+        payload["model"]["compute_plane"] = "frontier"
+        old.path(ArtifactStore.CONFIG).write_text(json.dumps(payload))
+        generation = old.publish_generation()
+        served = Pipeline.from_artifacts(old.root)
+        assert served.serving_generation == generation
+        assert served.config.training == run_pipeline.config.training
+        assert served.config.model == run_pipeline.config.model
+        fresh = run_pipeline.retriever.retrieve_batch([3, 14], [[2], []], k=5)
+        for a, b in zip(fresh, served.serve([3, 14], [[2], []], k=5)):
+            np.testing.assert_array_equal(a.ads, b.ads)
+        payload["training"]["data_plane"] = "looped"
+        old.path(ArtifactStore.CONFIG).write_text(json.dumps(payload))
+        old.publish_generation()
+        with pytest.raises(ValueError, match=r"training\.data_plane.*retired"):
+            Pipeline.from_artifacts(old.root)
+
     def test_ab_eval_without_control_artifacts_raises(self, run_pipeline):
         # the artifacts were produced without a control channel, so an
         # eval-time A/B request must fail loudly, not silently skip
@@ -404,19 +440,6 @@ class TestSatellites:
             sim.size_fleet(1000, target_utilisation=0.0)
         with pytest.raises(ValueError):
             sim.size_fleet(-5)
-
-    def test_retrieval_serving_shim(self):
-        import repro.retrieval.serving as shim
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.reload(shim)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught), "shim import must warn"
-        from repro.serving import ServingSimulator as canonical
-        assert shim.ServingSimulator is canonical
-        for name in ("ServingSimulator", "ServingStats", "erlang_b",
-                     "erlang_c_wait"):
-            assert hasattr(shim, name), name
 
     def test_importing_retrieval_package_does_not_warn(self):
         import repro.retrieval

@@ -322,11 +322,3 @@ class TestSimulatorWithEngine:
         sim = ServingSimulator()
         with pytest.raises(RuntimeError):
             sim.measure_service_time([0], [[1]])
-
-    def test_legacy_import_path_still_works(self):
-        from repro.retrieval.serving import (
-            ServingSimulator as LegacySimulator,
-            erlang_c_wait as legacy_wait,
-        )
-        assert LegacySimulator is ServingSimulator
-        assert legacy_wait is erlang_c_wait

@@ -88,7 +88,7 @@ class TestTrainingStability:
         Trainer(model, TrainerConfig(steps=25, batch_size=32,
                                      learning_rate=0.1, seed=2)).train()
         from repro.graph.schema import NodeType
-        arrays = model.embed_all(NodeType.QUERY)
+        arrays = model.encode_all(NodeType.QUERY)
         norms = np.concatenate([np.linalg.norm(a, axis=-1) for a in arrays])
         assert np.isfinite(norms).all()
         assert norms.mean() < 2.0

@@ -92,7 +92,45 @@ class TestAdaGrad:
         assert opt.num_parameters == 10
 
 
+@pytest.mark.parametrize("key,kwargs", [
+    ("steps", dict(steps=0)),
+    ("batch_size", dict(batch_size=0)),
+    ("learning_rate", dict(learning_rate=0.0)),
+    ("plan_refresh", dict(plan_refresh=0)),
+    ("prefetch_workers", dict(prefetch_workers=-1)),
+    ("prefetch_depth", dict(prefetch_depth=0)),
+    ("accumulate_steps", dict(accumulate_steps=0)),
+    ("backward_depth", dict(backward_depth=-1)),
+    ("checkpoint_every", dict(checkpoint_every=-1)),
+    # a refresh window no longer than the worker count never hits a cache
+    ("plan_refresh", dict(prefetch_workers=2, plan_refresh=2)),
+    # checkpoints must land on a refresh-window boundary
+    ("checkpoint_every", dict(checkpoint_every=3, plan_refresh=2)),
+    ("checkpoint_every", dict(checkpoint_every=2, accumulate_steps=3,
+                              plan_refresh=4)),
+])
+def test_trainer_config_rejects_invalid_values(key, kwargs):
+    """The one validator every route to a trainer goes through."""
+    with pytest.raises(ValueError, match=r"training\.%s" % key):
+        TrainerConfig(**kwargs)
+
+
 class TestTrainer:
+    def test_train_steps_is_the_lifetime_total(self, train_graph):
+        """Regression: a second ``train(5)`` used to return an empty
+        report (the first call counted "5 more", the second "5 in
+        total"), and ``train(8)`` then trained 3 steps."""
+        model = make_model("amcad_e", train_graph, num_subspaces=1,
+                           subspace_dim=4, seed=0)
+        trainer = Trainer(model, TrainerConfig(batch_size=16))
+        assert trainer.train(5).steps == 5
+        with pytest.raises(ValueError, match=r"steps=5\b.*\b5 optimiser"):
+            trainer.train(5)
+        report = trainer.train(8)
+        assert (report.steps, len(report.losses)) == (3, 3)
+        assert report.resumed_from_step == 5
+        assert len(trainer.loss_history) == 8
+
     def test_loss_decreases(self, train_graph):
         model = make_model("amcad_e", train_graph, num_subspaces=2,
                            subspace_dim=4, seed=0)

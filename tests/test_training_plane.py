@@ -224,12 +224,6 @@ class TestPrefetchedTrainer:
         assert 0.0 <= pre.overlap_fraction <= 1.0
         assert pre.samples_seen == sync.samples_seen == 4 * 16
 
-    def test_prefetch_requires_batched_plane(self, train_graph):
-        model = make_model("amcad", train_graph, subspace_dim=4, gcn_layers=0)
-        with pytest.raises(ValueError, match="data_plane"):
-            Trainer(model, TrainerConfig(prefetch_workers=2,
-                                         data_plane="looped"))
-
     def test_trainer_rejects_short_refresh_window(self, train_graph):
         model = make_model("amcad", train_graph, subspace_dim=4, gcn_layers=1)
         with pytest.raises(ValueError, match="plan_refresh"):
@@ -358,12 +352,6 @@ class TestBackwardDepth:
                 assert deep[key] is None
             else:
                 np.testing.assert_array_equal(grad, deep[key])
-
-    def test_backward_depth_requires_frontier_plane(self, train_graph):
-        model = make_model("amcad", train_graph, subspace_dim=4, gcn_layers=1,
-                           compute_plane="recursive")
-        with pytest.raises(ValueError, match="backward_depth"):
-            Trainer(model, TrainerConfig(backward_depth=1))
 
     def test_trainer_sets_dial_on_encoder(self, train_graph):
         model = make_model("amcad", train_graph, subspace_dim=4, gcn_layers=2)

@@ -12,6 +12,8 @@ from repro.retrieval.index import InvertedIndex
 from repro.retrieval.two_layer import KeyExpansion, _fermi
 from repro.training import Trainer, TrainerConfig
 
+from reference.retrieval import expand_keys_looped, retrieve_looped
+
 
 @pytest.fixture(scope="module")
 def retriever(train_graph):
@@ -80,7 +82,7 @@ class TestBatchParity:
         batch = retriever.retrieve_batch(queries, preclicks, k=10)
         assert len(batch) == len(queries)
         for query, items, result in zip(queries, preclicks, batch):
-            reference = retriever.retrieve_looped(int(query), items, k=10)
+            reference = retrieve_looped(retriever, int(query), items, k=10)
             _assert_same_topk(result, reference)
             assert result.num_keys == reference.num_keys
 
@@ -96,7 +98,8 @@ class TestBatchParity:
         expansions = retriever.expand_keys_batch(queries[:8], preclicks[:8])
         for query, items, expansion in zip(queries[:8], preclicks[:8],
                                            expansions):
-            query_keys, item_keys = retriever.expand_keys(int(query), items)
+            query_keys, item_keys = expand_keys_looped(retriever,
+                                                       int(query), items)
             assert set(expansion.query_keys.tolist()) == set(query_keys)
             assert set(expansion.item_keys.tolist()) == set(item_keys)
             for key, score in zip(expansion.query_keys,
