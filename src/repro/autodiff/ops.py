@@ -161,6 +161,23 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
+def masked_mean(a, mask: np.ndarray) -> Tensor:
+    """Mean of ``a (B, k, d)`` over the slots where ``mask (B, k)`` is 1.
+
+    One tape node for the ``mul → sum → div`` chain of masked pooling;
+    an all-masked row yields zeros (its denominator is clamped to 1).
+    """
+    a = ensure_tensor(a)
+    mask_t = mask[..., None]
+    denom = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+    out_data = np.sum(a.data * mask_t, axis=1) / denom
+
+    def backward(grad):
+        return ((grad / denom)[:, None, :] * mask_t,)
+
+    return Tensor._make(out_data, (a,), backward)
+
+
 # -- elementwise nonlinearities -------------------------------------------
 
 
@@ -346,20 +363,37 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
 # -- indexing / shape plumbing ---------------------------------------------
 
 
+def _scatter_add(shape: tuple, key, grad: np.ndarray) -> np.ndarray:
+    """``zeros(shape)`` with ``grad`` added at ``[key]``, repeats summed.
+
+    An integer-array row index into a 2-D table — every gather of the
+    encode plane — is one ``np.bincount`` over the flattened
+    ``row·d + col`` positions, several times faster than the buffered
+    ``np.add.at``; any other key keeps ``np.add.at``.
+    """
+    if (len(shape) == 2 and isinstance(key, np.ndarray)
+            and key.dtype.kind in "iu"):
+        rows, cols = shape
+        flat = (key.reshape(-1, 1) % rows) * cols + np.arange(cols)
+        return np.bincount(flat.ravel(), weights=grad.ravel(),
+                           minlength=rows * cols).reshape(shape)
+    out = np.zeros(shape)
+    np.add.at(out, key, grad)
+    return out
+
+
 def gather(table, index) -> Tensor:
     """Row lookup ``table[index]`` with scatter-add backward.
 
     This is the embedding-lookup primitive: gradients of repeated rows
-    are accumulated with ``np.add.at``.
+    are accumulated (see :func:`_scatter_add`).
     """
     table = ensure_tensor(table)
     index = np.asarray(index)
     out_data = table.data[index]
 
     def backward(grad):
-        gtable = np.zeros_like(table.data)
-        np.add.at(gtable, index, grad)
-        return (gtable,)
+        return (_scatter_add(table.shape, index, grad),)
 
     return Tensor._make(out_data, (table,), backward)
 
@@ -369,9 +403,7 @@ def getitem(a, key) -> Tensor:
     out_data = a.data[key]
 
     def backward(grad):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, key, grad)
-        return (ga,)
+        return (_scatter_add(a.shape, key, grad),)
 
     return Tensor._make(out_data, (a,), backward)
 

@@ -13,18 +13,20 @@ Three families live here:
    the data-parallel half lives in :mod:`repro.retrieval.mnn`.
 
 2. **Fused differentiable kernels** (:func:`fused_expmap0`,
-   :func:`fused_logmap0`, :func:`fused_dist`).  The training-side
-   counterpart of the same idea: each evaluates a whole Table II
-   operation chain (norm → curvature trig → scaling, or Möbius-add →
-   norm → ``tan⁻¹_κ``) as **one tape node** with a hand-derived
-   vector-Jacobian backward, instead of the ~10 micro-ops the composed
+   :func:`fused_logmap0`, :func:`fused_dist`,
+   :func:`fused_mobius_add`, :func:`fused_project`).  The
+   training-side counterpart of the same idea: each evaluates a whole
+   Table II operation chain (norm → curvature trig → scaling, Möbius-add
+   → norm → ``tan⁻¹_κ``, the Möbius sum itself, the boundary clip) as
+   **one tape node** with a hand-derived vector-Jacobian backward,
+   instead of the 10–27 micro-ops the composed
    :mod:`repro.geometry.stereographic` versions record.  Forward values
    and gradients — including the gradient with respect to a trainable
    κ, and every numerical guard (norm ε, clip masks, arctanh/denominator
    clamps) — replicate the composed chain exactly, which the
    encoder-plane tests verify term by term.  The composed micro-op
    versions remain in :mod:`repro.geometry.stereographic` as the
-   reference implementation.
+   gradcheck reference; nothing in ``src/`` calls them.
 
 3. **No-tape forward mirrors** (:func:`expmap0_numpy`,
    :func:`logmap0_numpy`, :func:`mobius_add_numpy`,
@@ -58,21 +60,11 @@ from repro.autodiff.tensor import Tensor, ensure_tensor
 from repro.geometry import kernels as _kernels
 from repro.geometry.kernels import KIND_ARTAN, KIND_TAN
 
-# The clamp/ε constants are shared with the composed reference: the fused
-# backward closures replicate its gradients only while they stay identical.
-from repro.geometry.stereographic import (
-    _ARTANH_ARG_MAX,
-    _EPS,
-    _KAPPA_ZERO_TOL,
-    _TAN_ARG_MAX,
-    _TANH_ARG_MAX,
-)
-
 __all__ = [
     "artan_k_numpy", "tan_k_numpy", "pairwise_mobius_norm",
     "pairwise_dist", "rowwise_dist", "fused_expmap0", "fused_logmap0",
-    "fused_dist", "expmap0_numpy", "logmap0_numpy", "mobius_add_numpy",
-    "project_numpy", "matvec_numpy",
+    "fused_dist", "fused_mobius_add", "fused_project", "expmap0_numpy",
+    "logmap0_numpy", "mobius_add_numpy", "project_numpy", "matvec_numpy",
 ]
 
 
@@ -142,7 +134,8 @@ def rowwise_dist(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
 #
 # Tape wiring only: the forward/backward array math lives behind the
 # kernel registry (``radial_fwd``/``radial_bwd``, ``dist_fwd``/
-# ``dist_bwd``).  The forward caches the per-row trig value and every
+# ``dist_bwd``, ``mobius_add_fwd``/``mobius_add_bwd``, ``project_fwd``/
+# ``project_bwd``).  The forward caches the per-row trig value and every
 # intermediate the hand-derived VJP needs, so the backward closure
 # re-evaluates no tanh/tan/arctanh/arctan — and under ``no_grad`` the
 # derivative arithmetic never runs at all.
@@ -217,15 +210,58 @@ def fused_dist(x, y, kappa) -> Tensor:
     return Tensor._make(out_data, (x, y, kappa), backward)
 
 
+def fused_mobius_add(x, y, kappa) -> Tensor:
+    """Fused Möbius addition ``x ⊕κ y`` as a single tape node.
+
+    Replaces the ~27 micro-ops of ``stereographic.mobius_add`` with one
+    node whose backward covers ``x``, ``y`` (summed back to its shape
+    when it broadcast — the ``(d,)`` Möbius bias) and the curvature.
+    """
+    x = ensure_tensor(x)
+    y = ensure_tensor(y)
+    kappa = ensure_tensor(kappa)
+    kval = float(kappa.data)
+    fwd = _kernels.impl("mobius_add_fwd")(x.data, y.data, kval)
+
+    def backward(grad):
+        g_x, g_y, grad_k = _kernels.impl("mobius_add_bwd")(
+            grad, x.data, y.data, *fwd, kval)
+        return (_unbroadcast(g_x, x.shape), _unbroadcast(g_y, y.shape),
+                np.asarray(grad_k).reshape(kappa.shape))
+
+    return Tensor._make(fwd[0], (x, y, kappa), backward)
+
+
+def fused_project(x, kappa, boundary_eps: float = 4e-3) -> Tensor:
+    """Fused boundary clip of ``stereographic.project`` as one tape node.
+
+    Returns ``x`` itself — no node at all — when κ is not hyperbolic or
+    no row lies over the boundary: the composed ``where`` chain is the
+    identity there, in value and in gradient.
+    """
+    x = ensure_tensor(x)
+    kappa = ensure_tensor(kappa)
+    kval = float(kappa.data)
+    out, over, x_norm, max_norm = _kernels.impl("project_fwd")(
+        x.data, kval, boundary_eps)
+    if over is None:
+        return x
+
+    def backward(grad):
+        g_x, grad_k = _kernels.impl("project_bwd")(
+            grad, x.data, over, x_norm, max_norm, kval)
+        return g_x, np.asarray(grad_k).reshape(kappa.shape)
+
+    return Tensor._make(out, (x, kappa), backward)
+
+
 # -- no-tape forward mirrors of the encoder chain ---------------------------
 #
-# Each helper replicates the *forward* computation of its tensor twin
-# (`fused_expmap0`/`fused_logmap0`, `stereographic.mobius_add`/`project`)
-# operation by operation — identical ε constants, identical clip masks,
-# identical evaluation order — so outputs are bit-equal to the tensor
-# path on float64.  The encoder-plane tests hold them to exact parity.
-# expmap0/logmap0 share the tensor path's ``radial_fwd`` kernel, so the
-# mirrors track whatever implementation the kernel mode selects.
+# Each helper calls the *same forward kernel* as its tensor twin
+# (`fused_expmap0`/`fused_logmap0`/`fused_mobius_add`/`fused_project`),
+# so outputs are bit-equal to the tensor path on float64 and track
+# whatever implementation the kernel mode selects.  The encoder-plane
+# tests hold them to exact parity.
 
 
 def expmap0_numpy(v: np.ndarray, kappa: float) -> np.ndarray:
@@ -244,31 +280,17 @@ def logmap0_numpy(x: np.ndarray, kappa: float) -> np.ndarray:
 
 def mobius_add_numpy(x: np.ndarray, y: np.ndarray,
                      kappa: float) -> np.ndarray:
-    """No-tape mirror of ``stereographic.mobius_add`` (same ε guard)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    xy = np.sum(x * y, axis=-1, keepdims=True)
-    x2 = np.sum(x * x, axis=-1, keepdims=True)
-    y2 = np.sum(y * y, axis=-1, keepdims=True)
-    numerator = ((1.0 - 2.0 * kappa * xy - kappa * y2) * x
-                 + (1.0 + kappa * x2) * y)
-    denominator = 1.0 - 2.0 * kappa * xy + kappa * kappa * x2 * y2
-    safe = np.where(np.abs(denominator) < _EPS, denominator + _EPS,
-                    denominator)
-    return numerator / safe
+    """No-tape mirror of :func:`fused_mobius_add`."""
+    return _kernels.impl("mobius_add_fwd")(
+        np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64),
+        float(kappa))[0]
 
 
 def project_numpy(x: np.ndarray, kappa: float,
                   boundary_eps: float = 4e-3) -> np.ndarray:
-    """No-tape mirror of ``stereographic.project`` (hyperbolic clip)."""
-    x = np.asarray(x, dtype=np.float64)
-    if not kappa < -_KAPPA_ZERO_TOL:
-        return x
-    scale = np.sqrt(abs(kappa) + _EPS)
-    max_norm = (1.0 - boundary_eps) / scale
-    x_norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + _EPS)
-    over = x_norm > max_norm
-    return np.where(over, x * (max_norm / x_norm), x)
+    """No-tape mirror of :func:`fused_project` (hyperbolic clip)."""
+    return _kernels.impl("project_fwd")(
+        np.asarray(x, dtype=np.float64), float(kappa), boundary_eps)[0]
 
 
 def matvec_numpy(weight: np.ndarray, x: np.ndarray,

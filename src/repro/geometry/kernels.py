@@ -19,6 +19,9 @@ dispatch registry in front of them: per primitive it holds
   1e-8 of numpy, re-rank distances within 1e-6) relies on IEEE
   ordering of the guard arithmetic.
 
+The Möbius-add and project kernels are registered **numpy-only** (no
+loop twin): they dispatch to numpy in every mode.
+
 Selection is gated on import: numba absent → numpy silently; numba
 present → compiled unless overridden.  The resolved three-valued dial
 (``"auto"``/``"numpy"``/``"compiled"``) is exposed as the validated
@@ -180,6 +183,14 @@ def artan_k_bwd_numpy(r: np.ndarray, aux: np.ndarray, kappa: float):
 #                         aux, safe, p, alpha, beta, ca, cb)``
 # - dist_bwd:             ``(grad (n,), a, b, <caches>, κ) ->
 #                         (g_a (n,d), g_b (n,d), grad_κ float)``
+# - mobius_add_fwd:       ``(x (..,d), y (..,d)|(d,), κ) -> (out, <caches>)``
+# - mobius_add_bwd:       ``(grad, x, y, out, <caches>, κ) ->
+#                         (g_x, g_y, grad_κ float)``  (g_y not yet unbroadcast)
+# - project_fwd:          ``(x (..,d), κ, boundary_eps) -> (out, over,
+#                         x_norm, max_norm)``; ``(x, None, None, None)``
+#                         when nothing is clipped
+# - project_bwd:          ``(grad, x, over, x_norm, max_norm, κ) ->
+#                         (g_x, grad_κ float)``
 
 
 def _np_tan_k(x, kappa):
@@ -297,6 +308,55 @@ def _np_dist_bwd(grad, a, b, diff, r, f, aux, safe, p, alpha, beta,
     g_a = g_a + g_p[:, None] * b + 2.0 * g_alpha[:, None] * a
     g_b = g_b + g_p[:, None] * a + 2.0 * g_beta[:, None] * b
     return g_a, g_b, float(grad_k)
+
+
+def _np_mobius_add_fwd(x, y, kappa):
+    xy = np.sum(x * y, axis=-1, keepdims=True)
+    x2 = np.sum(x * x, axis=-1, keepdims=True)
+    y2 = np.sum(y * y, axis=-1, keepdims=True)
+    ca = 1.0 - 2.0 * kappa * xy - kappa * y2
+    cb = 1.0 + kappa * x2
+    denominator = 1.0 - 2.0 * kappa * xy + kappa * kappa * x2 * y2
+    safe = np.where(np.abs(denominator) < _EPS, denominator + _EPS,
+                    denominator)
+    return (ca * x + cb * y) / safe, xy, x2, y2, ca, cb, safe
+
+
+def _np_mobius_add_bwd(grad, x, y, out, xy, x2, y2, ca, cb, safe, kappa):
+    g_num = grad / safe
+    g_den = -np.sum(grad * out, axis=-1, keepdims=True) / safe
+    g_ca = np.sum(g_num * x, axis=-1, keepdims=True)
+    g_cb = np.sum(g_num * y, axis=-1, keepdims=True)
+    g_xy = -2.0 * kappa * (g_ca + g_den)
+    g_x2 = kappa * g_cb + kappa * kappa * y2 * g_den
+    g_y2 = kappa * kappa * x2 * g_den - kappa * g_ca
+    grad_k = np.sum(g_ca * (-2.0 * xy - y2) + g_cb * x2
+                    + g_den * (-2.0 * xy + 2.0 * kappa * x2 * y2))
+    g_x = ca * g_num + g_xy * y + 2.0 * g_x2 * x
+    g_y = cb * g_num + g_xy * x + 2.0 * g_y2 * y
+    return g_x, g_y, float(grad_k)
+
+
+def _np_project_fwd(x, kappa, boundary_eps):
+    # only hyperbolic space has a boundary; a batch with no row over it
+    # is returned as the same object so callers can skip the tape node
+    if not kappa < -_KAPPA_ZERO_TOL:
+        return x, None, None, None
+    max_norm = (1.0 - boundary_eps) / np.sqrt(abs(kappa) + _EPS)
+    x_norm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True) + _EPS)
+    over = x_norm > max_norm
+    if not over.any():
+        return x, None, None, None
+    return np.where(over, x * (max_norm / x_norm), x), over, x_norm, max_norm
+
+
+def _np_project_bwd(grad, x, over, x_norm, max_norm, kappa):
+    inner = np.sum(grad * x, axis=-1, keepdims=True) * over
+    g_x = np.where(over, grad * (max_norm / x_norm)
+                   - x * (inner * max_norm / x_norm ** 3), grad)
+    # max_norm ∝ (|κ| + ε)^-½ with κ < 0, so ∂max_norm/∂κ = max_norm / 2(|κ| + ε)
+    grad_k = np.sum(inner / x_norm) * 0.5 * max_norm / (abs(kappa) + _EPS)
+    return g_x, float(grad_k)
 
 
 # -- loop kernel implementations --------------------------------------------
@@ -770,15 +830,21 @@ _ACTIVE_MODE = "numpy"
 _DISPATCH: Dict[str, Callable] = {}
 
 
+def _target(kern: Kernel, resolved: str) -> Callable:
+    """Dispatch target under a resolved mode; numpy-only kernels stay numpy."""
+    if resolved == "compiled" and kern.compiled is not None:
+        return kern.compiled
+    return kern.numpy
+
+
 def register(name: str, numpy_impl: Callable,
              loop_impl: Optional[Callable] = None) -> None:
     """Register a primitive; jit-wrap its loop impl when numba exists."""
     compiled = None
     if HAVE_NUMBA and loop_impl is not None:
         compiled = _numba.njit(cache=True, fastmath=False)(loop_impl)
-    REGISTRY[name] = Kernel(name, numpy_impl, loop_impl, compiled)
-    _DISPATCH[name] = compiled if (_ACTIVE_MODE == "compiled"
-                                   and compiled is not None) else numpy_impl
+    REGISTRY[name] = kern = Kernel(name, numpy_impl, loop_impl, compiled)
+    _DISPATCH[name] = _target(kern, _ACTIVE_MODE)
 
 
 def resolve_mode(mode: str = "auto") -> str:
@@ -802,8 +868,7 @@ def set_mode(mode: str = "auto") -> str:
     resolved = resolve_mode(mode)
     _ACTIVE_MODE = resolved
     for name, kern in REGISTRY.items():
-        _DISPATCH[name] = (kern.compiled if resolved == "compiled"
-                           else kern.numpy)
+        _DISPATCH[name] = _target(kern, resolved)
     return resolved
 
 
@@ -867,5 +932,9 @@ register("pairwise_dist", _np_pairwise_dist, _loop_pairwise_dist)
 register("rowwise_dist", _np_rowwise_dist, _loop_rowwise_dist)
 register("dist_fwd", _np_dist_fwd, _loop_dist_fwd)
 register("dist_bwd", _np_dist_bwd, _loop_dist_bwd)
+register("mobius_add_fwd", _np_mobius_add_fwd)
+register("mobius_add_bwd", _np_mobius_add_bwd)
+register("project_fwd", _np_project_fwd)
+register("project_bwd", _np_project_bwd)
 
 set_mode("auto")

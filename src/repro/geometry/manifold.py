@@ -14,11 +14,12 @@ is a scalar :class:`~repro.autodiff.tensor.Parameter` updated by the
 same optimiser as the rest of the model and clamped to a stable range
 after each step (:meth:`UnifiedManifold.constrain`).
 
-The hot operations — ``expmap0``, ``logmap0`` and ``dist`` — dispatch to
-the fused single-tape-node kernels of :mod:`repro.geometry.fast`; the
+Every operation — ``expmap0``, ``logmap0``, ``dist``, ``mobius_add`` and
+``project`` (``matvec``/``activation`` compose them) — dispatches to the
+fused single-tape-node kernels of :mod:`repro.geometry.fast`; the
 composed micro-op chains in :mod:`repro.geometry.stereographic` remain
-the reference implementation (same values and gradients, an order of
-magnitude more tape nodes) and still back ``mobius_add``/``matvec``.
+the gradcheck reference (same values and gradients, an order of
+magnitude more tape nodes) and back nothing here.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class UnifiedManifold:
         return fast.fused_logmap0(x, self.kappa)
 
     def mobius_add(self, x, y) -> Tensor:
-        return st.mobius_add(x, y, self.kappa)
+        return fast.fused_mobius_add(x, y, self.kappa)
 
     def matvec(self, weight, x) -> Tensor:
         """Möbius matrix multiplication ``W ⊗κ x`` (fused exp/log maps)."""
@@ -102,7 +103,7 @@ class UnifiedManifold:
         return fast.fused_dist(x, y, self.kappa)
 
     def project(self, x) -> Tensor:
-        return st.project(x, self.kappa)
+        return fast.fused_project(x, self.kappa)
 
     def activation(self, x, fn, target: "UnifiedManifold" = None) -> Tensor:
         """Curved activation ``σ_{κ1→κ2}(x) = exp^{κ2}_0(σ(log^{κ1}_0 x))``.

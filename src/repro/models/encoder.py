@@ -173,48 +173,45 @@ class NodeEncoder:
 
     # -- stage 2: context encoding (Eq. 5-6) -------------------------------------
     #
-    # `pool` turns one neighbour block into per-subspace masked-mean
-    # tangents, `gcn_update` applies the curved linear round; the compute
-    # phase feeds them rows gathered from the unique frontier encoded one
-    # level below.
+    # `pool` turns one block of neighbour tangents into per-subspace
+    # masked means, `gcn_update` applies the curved linear round; the
+    # compute phase feeds them rows gathered from the tangents of the
+    # unique frontier encoded one level below (``logmap0`` is row-wise,
+    # so it runs once per frontier, not once per gathered block).
 
     @staticmethod
-    def _accumulate(neighbor_sums: List[Optional[Tensor]],
-                    pooled: List[Tensor]) -> None:
-        """Add one neighbour type's pooled tangents into the running sums."""
+    def _accumulate(neighbor_sums: list, pooled: list) -> None:
+        """Add one neighbour type's pooled tangents (tensors or arrays)
+        into the running sums."""
         for m, term in enumerate(pooled):
             if neighbor_sums[m] is None:
                 neighbor_sums[m] = term
             else:
                 neighbor_sums[m] = neighbor_sums[m] + term
 
-    def pool(self, other_type: NodeType, neigh_points: List[Tensor],
-             mask: np.ndarray, batch: int) -> List[Tensor]:
-        """Masked-mean tangent pooling of one ``(B, k)`` neighbour block."""
-        k = self.neighbor_samples
-        other_manifold = self.manifolds[other_type]
-        mask_t = Tensor(mask[..., None])                    # (B, k, 1)
-        denom = Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0))
-        pooled: List[Tensor] = []
-        for m in range(self.num_subspaces):
-            tangent = other_manifold.factors[m].logmap0(neigh_points[m])
-            tangent = tangent.reshape(batch, k, self.subspace_dim)
-            pooled.append(ops.sum(tangent * mask_t, axis=1) / denom)
-        return pooled
+    def tangents(self, node_type: NodeType,
+                 points: List[Tensor]) -> List[Tensor]:
+        """Per-subspace ``log_0`` of points of one node type."""
+        return [factor.logmap0(point) for factor, point in
+                zip(self.manifolds[node_type].factors, points)]
+
+    @staticmethod
+    def pool(neigh_tangents: List[Tensor], mask: np.ndarray) -> List[Tensor]:
+        """Masked-mean pooling of pre-gathered ``(B, k, d)`` tangent blocks."""
+        return [ops.masked_mean(tangent, mask) for tangent in neigh_tangents]
 
     def gcn_update(self, node_type: NodeType, layer: int,
-                   self_points: List[Tensor],
+                   self_tangents: List[Tensor],
                    neighbor_sums: List[Optional[Tensor]],
                    batch: int) -> List[Tensor]:
         """One GCN round (Eq. 5-6) given pooled neighbour tangent sums."""
         updated: List[Tensor] = []
         for m in range(self.num_subspaces):
             factor = self.manifolds[node_type].factors[m]
-            self_tangent = factor.logmap0(self_points[m])
             agg = neighbor_sums[m]
             if agg is None:
                 agg = Tensor(np.zeros((batch, self.subspace_dim)))
-            combined = ops.concatenate([agg, self_tangent], axis=-1)  # Eq. 5
+            combined = ops.concatenate([agg, self_tangents[m]], axis=-1)  # Eq. 5
             weight = self.gcn_weights[(node_type, layer, m)]
             # Eq. 6: exp -> Mobius matvec (+ Mobius bias) -> curved activation
             point = factor.expmap0(combined)
@@ -250,8 +247,9 @@ class NodeEncoder:
         """Compute phase: encode unique frontiers bottom-up, gather rows.
 
         Every node appears exactly once per level; upper levels address
-        the level below through ``ops.gather``, whose scatter-add
-        backward accumulates gradients of repeated rows.
+        the tangents of the level below through ``ops.gather``, whose
+        scatter-add backward accumulates gradients of repeated rows.
+        Same structure as :meth:`_plan_levels_numpy`.
 
         With :attr:`backward_depth` ``n`` in ``[1, layers]`` the levels
         below ``layers - n`` are computed by the no-tape numpy mirror
@@ -267,6 +265,13 @@ class NodeEncoder:
         depth = int(self.backward_depth or 0)
         cut = plan.layers - depth if 0 < depth <= plan.layers else -1
         reps: Dict[tuple, List[Tensor]] = {}
+        tangents: Dict[tuple, List[Tensor]] = {}
+
+        def tangents_of(l: int, t: NodeType) -> List[Tensor]:
+            if (l, t) not in tangents:
+                tangents[(l, t)] = self.tangents(t, reps[(l, t)])
+            return tangents[(l, t)]
+
         if cut >= 0:
             frozen = self._plan_levels_numpy(plan, upto=cut)
             for t in NodeType:
@@ -284,19 +289,18 @@ class NodeEncoder:
                 uniq = level.frontiers.get(t)
                 if uniq is None:
                     continue
-                self_points = [ops.gather(p, level.self_maps[t])
-                               for p in reps[(l - 1, t)]]
+                self_tangents = [ops.gather(tan, level.self_maps[t])
+                                 for tan in tangents_of(l - 1, t)]
                 neighbor_sums: List[Optional[Tensor]] = \
                     [None] * self.num_subspaces
                 for block in level.blocks[t]:
                     if block.gather is None:    # all-masked: contributes 0
                         continue
-                    below = reps[(l - 1, block.dst_type)]
-                    neigh_points = [ops.gather(p, block.gather) for p in below]
-                    self._accumulate(neighbor_sums,
-                                     self.pool(block.dst_type, neigh_points,
-                                               block.mask, uniq.size))
-                reps[(l, t)] = self.gcn_update(t, l - 1, self_points,
+                    below = tangents_of(l - 1, block.dst_type)
+                    rows = block.gather.reshape(block.mask.shape)
+                    self._accumulate(neighbor_sums, self.pool(
+                        [ops.gather(tan, rows) for tan in below], block.mask))
+                reps[(l, t)] = self.gcn_update(t, l - 1, self_tangents,
                                                neighbor_sums, uniq.size)
         return reps[(plan.layers, plan.node_type)]
 
@@ -325,17 +329,14 @@ class NodeEncoder:
                 fast.mobius_add_numpy(point, bias_point, kappa), kappa))
         return out
 
-    def _pool_numpy(self, neigh_tangents: List[np.ndarray], mask: np.ndarray,
-                    batch: int) -> List[np.ndarray]:
-        """Masked-mean pooling of pre-gathered ``(U·k, d)`` tangent rows."""
-        k = self.neighbor_samples
+    @staticmethod
+    def _pool_numpy(neigh_tangents: List[np.ndarray],
+                    mask: np.ndarray) -> List[np.ndarray]:
+        """Masked-mean pooling of pre-gathered ``(U, k, d)`` tangent blocks."""
         mask_t = mask[..., None]
         denom = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-        pooled: List[np.ndarray] = []
-        for m in range(self.num_subspaces):
-            tangent = neigh_tangents[m].reshape(batch, k, self.subspace_dim)
-            pooled.append(np.sum(tangent * mask_t, axis=1) / denom)
-        return pooled
+        return [np.sum(tangent * mask_t, axis=1) / denom
+                for tangent in neigh_tangents]
 
     def _gcn_update_numpy(self, node_type: NodeType, layer: int,
                           self_tangents: List[np.ndarray],
@@ -416,14 +417,9 @@ class NodeEncoder:
                     if block.gather is None:    # all-masked: contributes 0
                         continue
                     below = tangents_of(l - 1, block.dst_type)
-                    pooled = self._pool_numpy(
-                        [tan[block.gather] for tan in below], block.mask,
-                        uniq.size)
-                    for m, term in enumerate(pooled):
-                        if neighbor_sums[m] is None:
-                            neighbor_sums[m] = term
-                        else:
-                            neighbor_sums[m] = neighbor_sums[m] + term
+                    rows = block.gather.reshape(block.mask.shape)
+                    self._accumulate(neighbor_sums, self._pool_numpy(
+                        [tan[rows] for tan in below], block.mask))
                 reps[(l, t)] = self._gcn_update_numpy(t, l - 1, self_tangents,
                                                       neighbor_sums,
                                                       uniq.size)
@@ -456,8 +452,7 @@ class NodeEncoder:
 
     def fuse(self, node_type: NodeType, points: List[Tensor]) -> List[Tensor]:
         manifold = self.manifolds[node_type]
-        tangents = [factor.logmap0(point)
-                    for factor, point in zip(manifold.factors, points)]
+        tangents = self.tangents(node_type, points)
         stacked = ops.stack(tangents, axis=0)
         fused = ops.mean(stacked, axis=0)                     # Eq. 7
         out: List[Tensor] = []

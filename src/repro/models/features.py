@@ -83,9 +83,7 @@ class FeatureEmbedding:
         mask = (values != PAD).astype(np.float64)
         safe = np.where(values == PAD, 0, values)
         embedded = ops.gather(table, safe)            # (batch, slots, dim)
-        mask_t = Tensor(mask[..., None])
-        denom = Tensor(np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)[..., None])
-        return ops.sum(embedded * mask_t, axis=1) / denom[:, 0]
+        return ops.masked_mean(embedded, mask)
 
     def forward(self, features: Dict[str, np.ndarray],
                 indices: np.ndarray) -> List[Tensor]:

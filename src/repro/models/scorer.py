@@ -29,7 +29,6 @@ import numpy as np
 from repro.autodiff import ops
 from repro.autodiff.tensor import Parameter, Tensor
 from repro.geometry.product import ProductManifold
-from repro.geometry import stereographic as st
 from repro.graph.schema import NodeType, Relation
 from repro.models.features import glorot
 

@@ -42,12 +42,17 @@ def _aggregate(encoder: NodeEncoder, node_type: NodeType,
             continue
         neigh_points = _encode_layer(encoder, other_type, neigh_ids.ravel(),
                                      layer, rng, plan)
-        pooled = encoder.pool(other_type, neigh_points, mask, batch)
+        # log-map every gathered point (the product encoder maps each
+        # unique frontier once and gathers the tangents instead)
+        pooled = encoder.pool(
+            [t.reshape(mask.shape + (-1,))
+             for t in encoder.tangents(other_type, neigh_points)], mask)
         for m, term in enumerate(pooled):
             neighbor_sums[m] = (term if neighbor_sums[m] is None
                                 else neighbor_sums[m] + term)
-    return encoder.gcn_update(node_type, layer, self_points, neighbor_sums,
-                              batch)
+    return encoder.gcn_update(node_type, layer,
+                              encoder.tangents(node_type, self_points),
+                              neighbor_sums, batch)
 
 
 def _encode_layer(encoder: NodeEncoder, node_type: NodeType,

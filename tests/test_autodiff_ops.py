@@ -98,6 +98,24 @@ class TestReductionGradients:
         a = Parameter(rng.normal(size=(5,)))
         finite_difference_check(lambda: ops.mean(a), [a])
 
+    def test_masked_mean_matches_composed_chain(self, rng):
+        data = rng.normal(size=(4, 3, 2))
+        mask = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 0], [1, 1, 1]],
+                        dtype=np.float64)              # row 2: all masked
+        upstream = rng.normal(size=(4, 2))
+        fused_in, composed_in = Parameter(data.copy()), Parameter(data.copy())
+        fused = ops.masked_mean(fused_in, mask)
+        denom = Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0))
+        composed = ops.sum(composed_in * Tensor(mask[..., None]),
+                           axis=1) / denom
+        np.testing.assert_array_equal(fused.data, composed.data)
+        np.testing.assert_array_equal(fused.data[2], 0.0)
+        assert fused.graph_size() == 2 < composed.graph_size()
+        fused.backward(upstream)
+        composed.backward(upstream)
+        np.testing.assert_array_equal(fused_in.grad, composed_in.grad)
+        np.testing.assert_array_equal(fused_in.grad[2], 0.0)
+
 
 class TestNonlinearityGradients:
     @pytest.mark.parametrize("op", [ops.exp, ops.tanh, ops.sigmoid, ops.arctan])

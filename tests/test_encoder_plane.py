@@ -16,6 +16,7 @@ from repro.autodiff import ops
 from repro.autodiff.tensor import Parameter, Tensor
 from repro.geometry import fast, kernels
 from repro.geometry import stereographic as st
+from repro.geometry.manifold import UnifiedManifold
 from repro.graph.sampling import SampleBatch
 from repro.graph.schema import NodeType, Relation
 from repro.models import make_model
@@ -107,6 +108,45 @@ class TestPlaneParity:
         loss_r = recursive.loss(batch, rng=np.random.default_rng(1),
                                 plans=plans)
         assert loss_f.graph_size() < loss_r.graph_size()
+
+    def test_tape_budget_against_composed_mobius_project(self, train_graph,
+                                                         monkeypatch):
+        """Host-independent tape gate: the train_deep loss shape (64 x 6,
+        two GCN rounds) must stay under 0.55x the tape it records with
+        the composed Möbius-add / project chains, at equal loss and
+        gradients."""
+        model = make_model("amcad", train_graph, num_subspaces=2,
+                           subspace_dim=4, seed=0, gcn_layers=2)
+        batch = _batch(Relation.Q2A, np.random.default_rng(3),
+                       train_graph.num_nodes[NodeType.QUERY],
+                       train_graph.num_nodes[NodeType.AD], batch=64, k=6)
+        plans = _shared_plans(model, batch)
+        params = list(model.parameters())
+
+        def run():
+            for param in params:
+                param.zero_grad()
+            loss = model.loss(batch, rng=np.random.default_rng(9),
+                              plans=plans)
+            loss.backward()
+            return loss.item(), loss.graph_size(), [
+                None if p.grad is None else p.grad.copy() for p in params]
+
+        loss_f, nodes_f, grads_f = run()
+        monkeypatch.setattr(
+            UnifiedManifold, "mobius_add",
+            lambda self, x, y: st.mobius_add(x, y, self.kappa))
+        monkeypatch.setattr(
+            UnifiedManifold, "project",
+            lambda self, x: st.project(x, self.kappa))
+        loss_c, nodes_c, grads_c = run()
+
+        assert loss_f == pytest.approx(loss_c, abs=1e-12)
+        assert nodes_f <= 0.55 * nodes_c
+        for got, want in zip(grads_f, grads_c):
+            assert (got is None) == (want is None)
+            if got is not None:
+                np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_frontier_plane_is_deterministic(self, train_graph):
         def run():
@@ -273,7 +313,43 @@ class TestGatherGradcheck:
                                       [[0, 0], [3, 3], [0, 0]])
 
 
+    @pytest.mark.parametrize("index_shape", [(7,), (4, 3), (0,)])
+    @pytest.mark.parametrize("op", [ops.gather, ops.getitem])
+    def test_bincount_scatter_matches_add_at(self, op, index_shape):
+        rng = np.random.default_rng(1)
+        index = rng.integers(-5, 5, size=index_shape)   # repeats, negatives
+        upstream = rng.normal(size=index_shape + (3,))
+        param = Parameter(rng.normal(size=(5, 3)))
+        op(param, index).backward(upstream)
+        want = np.zeros((5, 3))
+        np.add.at(want, index, upstream)
+        np.testing.assert_allclose(param.grad, want, atol=1e-15)
+
+    def test_other_keys_keep_add_at(self):
+        rng = np.random.default_rng(2)
+        for shape, key in (((4, 3), (slice(1, 3), 0)),       # basic index
+                           ((4, 3), np.array([True, False, True, True])),
+                           ((6,), np.array([1, 1, 4])),       # 1-D table
+                           ((3, 2, 2), np.array([2, 0, 2]))):  # 3-D table
+            param = Parameter(rng.normal(size=shape))
+            out = ops.getitem(param, key)
+            upstream = rng.normal(size=out.shape)
+            out.backward(upstream)
+            want = np.zeros(shape)
+            np.add.at(want, key, upstream)
+            np.testing.assert_array_equal(param.grad, want)
+
+
 KAPPAS = (-1.3, -0.4, 0.0, 1e-6, 0.7, 2.0)
+#: the κ grid of the Möbius-add / project parity tests: both regimes and
+#: both sides of zero inside the Taylor tolerance
+FUSED_KAPPAS = (-1.0, -0.4, -1e-6, 0.0, 1e-6, 0.7)
+
+
+def _backward_grads(out, upstream, *params):
+    """Gradients of ``params`` after ``out.backward``; untouched ones as 0."""
+    out.backward(upstream)
+    return [np.zeros(p.shape) if p.grad is None else p.grad for p in params]
 
 
 class TestFusedKernelGradcheck:
@@ -377,6 +453,72 @@ class TestFusedKernelGradcheck:
         np.testing.assert_allclose(xa.grad, xb.grad, atol=1e-9)
         np.testing.assert_allclose(ya.grad, yb.grad, atol=1e-9)
         np.testing.assert_allclose(ka.grad, kb.grad, atol=1e-9)
+
+    @pytest.mark.parametrize("kappa", FUSED_KAPPAS)
+    @pytest.mark.parametrize("y_shape", [(6, 4), (4,), (1, 4)])
+    def test_mobius_add(self, kappa, y_shape):
+        rng = np.random.default_rng(41)
+        x = rng.normal(scale=0.3, size=(6, 4))
+        x[2] = 0.0                                   # a zero row
+        y = rng.normal(scale=0.3, size=y_shape)
+        if y.ndim == 2 and y.shape[0] > 1:
+            y[2] = 0.0                               # 0 ⊕ 0
+            y[4] = 0.0                               # x ⊕ 0
+        upstream = rng.normal(size=(6, 4))
+        xa, ya, ka = (Parameter(x.copy()), Parameter(y.copy()),
+                      Parameter(np.asarray(kappa)))
+        xb, yb, kb = (Parameter(x.copy()), Parameter(y.copy()),
+                      Parameter(np.asarray(kappa)))
+        out_f = fast.fused_mobius_add(xa, ya, ka)
+        out_c = st.mobius_add(xb, yb, kb)
+        np.testing.assert_array_equal(out_f.data, out_c.data)
+        np.testing.assert_array_equal(
+            fast.mobius_add_numpy(x, y, kappa), out_c.data)
+        assert out_f.graph_size() == 4               # x, y, κ, one node
+        assert out_c.graph_size() > 20
+        for got, want in zip(_backward_grads(out_f, upstream, xa, ya, ka),
+                             _backward_grads(out_c, upstream, xb, yb, kb)):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_mobius_add_empty_batch(self):
+        xa, ka = Parameter(np.zeros((0, 4))), Parameter(np.asarray(-1.0))
+        bias = Parameter(np.full(4, 0.1))
+        out = fast.fused_mobius_add(xa, bias, ka)
+        assert out.shape == (0, 4)
+        out.backward(np.zeros((0, 4)))
+        np.testing.assert_array_equal(bias.grad, np.zeros(4))
+        assert ka.grad == 0.0
+
+    @pytest.mark.parametrize("kappa", FUSED_KAPPAS)
+    @pytest.mark.parametrize("rows", ["inside", "some_over", "all_over"])
+    def test_project(self, kappa, rows):
+        rng = np.random.default_rng(43)
+        raw = rng.normal(size=(6, 4))
+        unit = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        radius = 1.0 / np.sqrt(max(-kappa, 1e-3))    # the ball's, if any
+        norms = {"inside": np.full(6, 0.5),
+                 "some_over": np.array([0.5, 0.999, 1.5, 0.0, 0.9961, 0.99]),
+                 "all_over": np.linspace(0.997, 3.0, 6)}[rows] * radius
+        x = unit * norms[:, None]
+        upstream = rng.normal(size=(6, 4))
+        xa, ka = Parameter(x.copy()), Parameter(np.asarray(kappa))
+        xb, kb = Parameter(x.copy()), Parameter(np.asarray(kappa))
+        out_f = fast.fused_project(xa, ka)
+        out_c = st.project(xb, kb)
+        np.testing.assert_array_equal(out_f.data, out_c.data)
+        np.testing.assert_array_equal(fast.project_numpy(x, kappa),
+                                      out_c.data)
+        clipped = kappa < -1e-5 and rows != "inside"
+        if clipped:
+            assert not np.array_equal(out_f.data, x)
+            assert out_f.graph_size() == 3           # x, κ, one node
+        else:
+            assert out_f is xa                       # identity: no node
+        for got, want in zip(_backward_grads(out_f, upstream, xa, ka),
+                             _backward_grads(out_c, upstream, xb, kb)):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+        if clipped:
+            assert ka.grad != 0.0
 
     def test_dist_broadcasts_origin(self):
         # the Eq. 16 regulariser measures distance to a same-shape zero

@@ -1,8 +1,10 @@
 """Parity suite for the geometry kernel dispatch layer.
 
-Every registered primitive in :mod:`repro.geometry.kernels` carries a
+The nine PR 10 primitives in :mod:`repro.geometry.kernels` carry a
 pure-numpy reference and a loop implementation (njit-wrapped into the
-``compiled`` target when numba is importable).  The contract is parity:
+``compiled`` target when numba is importable); the Möbius-add/project
+kernels are numpy-only and dispatch to numpy in every mode.  The
+contract is parity:
 forward values and hand-derived VJP outputs agree across
 implementations well within the 1e-8 loss/grad budget, over all three
 curvature regimes including the κ≈0 branch boundary, for empty,
@@ -36,11 +38,17 @@ KAPPAS = (
     0.7, 2.0,
 )
 
-EXPECTED_KERNELS = {
+LOOP_KERNELS = {
     "tan_k", "artan_k", "radial_fwd", "radial_bwd",
     "pairwise_mobius_norm", "pairwise_dist", "rowwise_dist",
     "dist_fwd", "dist_bwd",
 }
+NUMPY_ONLY_KERNELS = {
+    "mobius_add_fwd", "mobius_add_bwd", "project_fwd", "project_bwd",
+}
+EXPECTED_KERNELS = LOOP_KERNELS | NUMPY_ONLY_KERNELS
+#: every mode this host can activate
+MODES = ("auto", "numpy") + (("compiled",) if kernels.HAVE_NUMBA else ())
 
 
 def _variants(name):
@@ -63,9 +71,37 @@ def _check(got, want):
 class TestRegistryAndModes:
     def test_registry_covers_expected_kernels(self):
         assert set(kernels.REGISTRY) == EXPECTED_KERNELS
-        for kern in kernels.REGISTRY.values():
+        for name in LOOP_KERNELS:
+            kern = kernels.REGISTRY[name]
             assert kern.loop is not None
             assert (kern.compiled is not None) == kernels.HAVE_NUMBA
+        for name in NUMPY_ONLY_KERNELS:
+            kern = kernels.REGISTRY[name]
+            assert kern.loop is None and kern.compiled is None
+            for mode in MODES:
+                with kernels.use(mode):
+                    assert kernels.impl(name) is kern.numpy
+
+    def test_numpy_only_kernel_dispatches_in_every_mode(self):
+        """``set_mode`` used to install ``None`` for a loop-less kernel."""
+        def double(x):
+            return 2.0 * x
+
+        try:
+            for outer in MODES:
+                with kernels.use(outer):      # register() under each mode
+                    kernels.register("_test_numpy_only", double)
+                    assert kernels.impl("_test_numpy_only") is double
+                    # the fallback itself, checkable without numba
+                    kern = kernels.REGISTRY["_test_numpy_only"]
+                    assert kernels._target(kern, "compiled") is double
+                    for inner in MODES:       # then set_mode() to each
+                        with kernels.use(inner):
+                            assert kernels.impl("_test_numpy_only")(
+                                np.ones(2)).tolist() == [2.0, 2.0]
+        finally:
+            kernels.REGISTRY.pop("_test_numpy_only", None)
+            kernels._DISPATCH.pop("_test_numpy_only", None)
 
     def test_auto_resolution_matches_environment(self):
         expected = "compiled" if kernels.HAVE_NUMBA else "numpy"
