@@ -84,11 +84,15 @@ def atomic_write_text(path: PathLike, text: str,
     return atomic_write_bytes(path, text.encode(encoding))
 
 
-def atomic_savez(path: PathLike, arrays: dict,
-                 compressed: bool = True) -> pathlib.Path:
-    """``np.savez(_compressed)`` through the atomic writer."""
+def atomic_savez(path: PathLike, arrays: dict) -> pathlib.Path:
+    """``np.savez`` through the atomic writer — stored, never deflated.
+
+    zlib shrinks a model to 0.95, a checkpoint to ~0.85 and an index
+    set to 0.58 of its size for 10–30x the write time; ``np.load``
+    reads the deflated archives already published unchanged.
+    """
     with atomic_writer(path, "wb") as handle:
-        (np.savez_compressed if compressed else np.savez)(handle, **arrays)
+        np.savez(handle, **arrays)
     return pathlib.Path(path)
 
 

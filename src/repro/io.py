@@ -13,7 +13,11 @@ graph (the entity universe defines the table shapes):
 
 Index sets serialise each relation's key→results arrays and reload
 into a lightweight read-only object that serves the two-layer
-retriever without the model.
+retriever without the model.  Ids go to disk in the narrowest unsigned
+dtype that holds them and are widened back to ``int64`` on load; every
+archive is stored, not deflated (:func:`repro.common.atomic_savez`
+says why).  Files published before either change (deflated, ``int64``
+ids) load through the same ``np.load``.
 """
 
 from __future__ import annotations
@@ -84,8 +88,15 @@ def load_model(path: PathLike, graph: HetGraph) -> AMCAD:
     return model
 
 
+def _narrow_ids(ids: np.ndarray) -> np.ndarray:
+    """``ids`` in the smallest unsigned dtype that holds every value."""
+    if ids.size == 0 or int(ids.min()) < 0:
+        return ids
+    return ids.astype(np.min_scalar_type(int(ids.max())))
+
+
 def save_index_set(index_set: IndexSet, path: PathLike) -> pathlib.Path:
-    """Write all built inverted indices to one ``.npz`` file.
+    """Write all built inverted indices to one stored ``.npz`` file.
 
     Shard-aware: the backend registry name and per-relation target
     shard bounds (sharded backends) ride along in the JSON header, so a
@@ -98,7 +109,7 @@ def save_index_set(index_set: IndexSet, path: PathLike) -> pathlib.Path:
     for relation, index in index_set.indices.items():
         key = relation.value
         relations.append(key)
-        arrays["ids_%s" % key] = index.ids
+        arrays["ids_%s" % key] = _narrow_ids(index.ids)
         arrays["dists_%s" % key] = index.distances
     header = {"format_version": _FORMAT_VERSION, "relations": relations}
     backend_name = getattr(index_set, "backend_name", None)
@@ -157,7 +168,7 @@ def load_index_set(path: PathLike) -> StoredIndexSet:
             relation = Relation(key)
             indices[relation] = InvertedIndex(
                 relation=relation,
-                ids=archive["ids_%s" % key],
+                ids=archive["ids_%s" % key].astype(np.int64, copy=False),
                 distances=archive["dists_%s" % key],
                 build_seconds=0.0)
     shard_bounds = {Relation(key): [(int(a), int(b)) for a, b in bounds]

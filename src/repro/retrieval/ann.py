@@ -108,8 +108,8 @@ def candidate_dist(space: RelationSpace, src_indices: np.ndarray,
         y = space.dst_embeddings[m][safe]                  # (B, R, d)
         # pairwise_mobius_norm expansion on aligned rows
         inner = -np.einsum("bd,brd->br", x, y)
-        x2 = np.sum(x * x, axis=1)[:, None]
-        y2 = np.sum(y * y, axis=2)
+        x2 = space.src_norm2[m][src_indices][:, None]
+        y2 = space.dst_norm2[m][safe]
         coeff_a = 1.0 - 2.0 * kappa * inner - kappa * y2
         coeff_b = 1.0 + kappa * x2
         denom = 1.0 - 2.0 * kappa * inner + kappa * kappa * x2 * y2
@@ -124,17 +124,16 @@ def candidate_dist(space: RelationSpace, src_indices: np.ndarray,
 
 
 def _rank_candidates(space: RelationSpace, src_indices: np.ndarray,
-                     cand: np.ndarray, valid: np.ndarray,
-                     tangent_d2: np.ndarray, k: int, same: bool,
-                     rerank_k: int, manifold_rerank: bool
+                     cand: np.ndarray, tangent_d2: np.ndarray, k: int,
+                     same: bool, rerank_k: int, manifold_rerank: bool
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Shared tail of both backends: prune → re-rank → top-k.
 
-    ``cand``/``valid``/``tangent_d2`` are the ``(B, R)`` candidate pool
-    a coarse stage produced (``tangent_d2`` already ``+inf`` on invalid
-    entries).  ``rerank_k > 0`` keeps only the tangent-nearest
-    ``max(rerank_k, k + 1)`` candidates before the manifold re-rank; 0
-    re-ranks the whole pool.
+    ``cand``/``tangent_d2`` are the ``(B, R)`` candidate pool a coarse
+    stage produced; an entry is padding exactly where ``tangent_d2`` is
+    ``+inf`` (its id is then any in-range value).  ``rerank_k > 0``
+    keeps only the tangent-nearest ``max(rerank_k, k + 1)`` candidates
+    before the manifold re-rank; 0 re-ranks the whole pool.
     """
     fetch = min(k + 1, space.num_targets) if same else k
     pool = cand.shape[1]
@@ -143,11 +142,12 @@ def _rank_candidates(space: RelationSpace, src_indices: np.ndarray,
         if keep_n < pool:
             keep = np.argpartition(tangent_d2, kth=keep_n - 1,
                                    axis=1)[:, :keep_n]
-            cand = np.take_along_axis(cand, keep, axis=1)
-            valid = np.take_along_axis(valid, keep, axis=1)
-            tangent_d2 = np.take_along_axis(tangent_d2, keep, axis=1)
+            keep = keep + np.arange(0, cand.size, pool)[:, None]  # flat
+            cand = np.take(cand, keep)
+            tangent_d2 = np.take(tangent_d2, keep)
     if manifold_rerank:
-        scores = candidate_dist(space, src_indices, cand, valid,
+        scores = candidate_dist(space, src_indices, cand,
+                                tangent_d2 < np.inf,
                                 block_rows=_RERANK_BLOCK_ROWS)
     else:
         scores = tangent_d2
@@ -205,6 +205,7 @@ class IVFBackend(SearchBackend):
         self.space: Optional[RelationSpace] = None
         self.resolved_lists = 0
         self._centroids: Optional[np.ndarray] = None
+        self._centroid_norm2: Optional[np.ndarray] = None
         self._list_sizes: Optional[np.ndarray] = None
         self._offsets: Optional[np.ndarray] = None
         self._grouped_ids: Optional[np.ndarray] = None
@@ -228,6 +229,7 @@ class IVFBackend(SearchBackend):
         rng = np.random.default_rng(self.seed)
         self._centroids = _kmeans(rng, self._dst_tangent, min(lists, n),
                                   iterations=self.kmeans_iters)
+        self._centroid_norm2 = np.sum(self._centroids ** 2, axis=1)
         self.resolved_lists = self._centroids.shape[0]
         assign = assign_to_centroids(self._dst_tangent, self._centroids)
         counts = np.bincount(assign, minlength=self.resolved_lists)
@@ -273,8 +275,7 @@ class IVFBackend(SearchBackend):
         b = src_indices.size
         q = self._src_tangent[src_indices]                 # (B, D)
         q_norm2 = np.sum(q * q, axis=1)
-        cdist = (q_norm2[:, None]
-                 + np.sum(self._centroids ** 2, axis=1)[None, :]
+        cdist = (q_norm2[:, None] + self._centroid_norm2[None, :]
                  - 2.0 * q @ self._centroids.T)            # (B, L)
         probe_order = np.argsort(cdist, axis=1, kind="stable")
         cum = np.cumsum(self._list_sizes[probe_order], axis=1)
@@ -287,26 +288,31 @@ class IVFBackend(SearchBackend):
         ranks = np.empty((b, lists), dtype=np.int64)
         ranks[rows[:, None], probe_order] = np.arange(lists)[None, :]
         probed = ranks < probes[:, None]                   # (B, L)
-        total = cum[rows, probes - 1]
-        width = max(int(total.max()), 1)
+        # a row holds its probed lists back to back, in list order
+        sizes = np.where(probed, self._list_sizes[None, :], 0)
+        ends = np.cumsum(sizes, axis=1)
+        width = max(int(ends[:, -1].max()), 1)
         cand = np.zeros((b, width), dtype=np.int64)
         tangent_d2 = np.full((b, width), np.inf)
-        fill = np.zeros(b, dtype=np.int64)
+        cand_flat, d2_flat = cand.ravel(), tangent_d2.ravel()   # views
+        # flat position where each (query row, list) block starts
+        starts = ends - sizes + (rows * width)[:, None]
+        q_m2 = -2.0 * q
+        within = np.arange(int(self._list_sizes.max()))
         # list-major scan: one contiguous-block BLAS matmul per probed
         # list, scattered into each probing query's candidate row
+        # through one flat index shared by both pools
         for l in range(lists):
             rr = np.nonzero(probed[:, l])[0]
             lo, hi = self._offsets[l], self._offsets[l + 1]
             if rr.size == 0 or hi == lo:
                 continue
-            block = (q_norm2[rr, None] + self._grouped_norm2[lo:hi][None, :]
-                     - 2.0 * q[rr] @ self._grouped_tangent[lo:hi].T)
-            cols = fill[rr][:, None] + np.arange(hi - lo)[None, :]
-            cand[rr[:, None], cols] = self._grouped_ids[lo:hi][None, :]
-            tangent_d2[rr[:, None], cols] = block
-            fill[rr] += hi - lo
-        valid = np.arange(width)[None, :] < fill[:, None]
-        return _rank_candidates(space, src_indices, cand, valid, tangent_d2,
+            flat = starts[rr, l][:, None] + within[:hi - lo]
+            cand_flat[flat] = self._grouped_ids[lo:hi]
+            block = q_m2[rr] @ self._grouped_tangent[lo:hi].T
+            block += q_norm2[rr, None] + self._grouped_norm2[lo:hi]
+            d2_flat[flat] = block
+        return _rank_candidates(space, src_indices, cand, tangent_d2,
                                 k, same, self.rerank_k, self.manifold_rerank)
 
 
@@ -623,14 +629,13 @@ class NSWBackend(SearchBackend):
         cand = np.where(valid, cand, 0)
         tangent_d2 = np.where(valid, tangent_d2, np.inf)
         if self.rerank_k > 0 and self.expand_hops > 0:
-            cand, valid, tangent_d2 = self._widen(
-                q, cand, valid, tangent_d2, fetch)
-        return _rank_candidates(space, src_indices, cand, valid, tangent_d2,
+            cand, tangent_d2 = self._widen(q, cand, valid, tangent_d2, fetch)
+        return _rank_candidates(space, src_indices, cand, tangent_d2,
                                 k, same, self.rerank_k, self.manifold_rerank)
 
     def _widen(self, q: np.ndarray, cand: np.ndarray, valid: np.ndarray,
                tangent_d2: np.ndarray, fetch: int
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ) -> Tuple[np.ndarray, np.ndarray]:
         """Neighbourhood widening of the beam (class docstring).
 
         Each hop gathers the graph neighbours of the current pool,
@@ -678,7 +683,7 @@ class NSWBackend(SearchBackend):
                 cand = np.take_along_axis(cand, kp, axis=1)
                 valid = np.take_along_axis(valid, kp, axis=1)
                 tangent_d2 = np.take_along_axis(tangent_d2, kp, axis=1)
-        return cand, valid, tangent_d2
+        return cand, tangent_d2
 
 
 BACKENDS["ivf"] = IVFBackend

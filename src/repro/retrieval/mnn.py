@@ -20,6 +20,7 @@ curvatures, extracted from a trained model under ``no_grad``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
@@ -64,6 +65,16 @@ class RelationSpace:
     @property
     def num_targets(self) -> int:
         return self.dst_embeddings[0].shape[0]
+
+    @functools.cached_property
+    def src_norm2(self) -> List[np.ndarray]:
+        """``‖x‖²`` per subspace, M arrays of ``(N,)`` — the re-rank
+        gathers these instead of re-reducing every gathered block."""
+        return [np.sum(e * e, axis=1) for e in self.src_embeddings]
+
+    @functools.cached_property
+    def dst_norm2(self) -> List[np.ndarray]:
+        return [np.sum(e * e, axis=1) for e in self.dst_embeddings]
 
     @classmethod
     def from_model(cls, model, relation: Relation,

@@ -23,54 +23,60 @@ from typing import Optional, Tuple
 import numpy as np
 
 
-#: float64 elements allowed in one ``(rows, k, dim)`` assignment block —
-#: bounds the peak memory of :func:`assign_to_centroids` at ~32 MB
+#: float64 elements allowed in one ``(rows, k)`` distance block — bounds
+#: the peak memory of :func:`assign_to_centroids` at ~32 MB
 _ASSIGN_BLOCK_ELEMENTS = 2 ** 22
 
 
 def assign_to_centroids(data: np.ndarray, centroids: np.ndarray,
                         block_rows: Optional[int] = None) -> np.ndarray:
-    """Nearest-centroid assignment without the full ``(n, k, dim)`` tensor.
+    """Nearest-centroid assignment by squared Euclidean distance.
 
-    The naive broadcast ``((data[:, None, :] - centroids) ** 2).sum(-1)``
-    materialises ``n * k * dim`` floats at once — a memory blowup when a
-    coarse quantiser trains over a scaled-up catalog.  This computes the
-    same squared-Euclidean ``argmin`` one block of rows at a time, so
-    peak memory is bounded by ``block_rows * k * dim`` regardless of
-    ``n``.  Each row's distance vector is produced by the exact same
-    elementwise expression, so assignments are bit-identical to the
-    unblocked version.
+    ``argmin_j ‖x - c_j‖²`` is ``argmin_j (‖c_j‖² - 2 x·c_j)`` — the
+    ``‖x‖²`` term is constant along a row — so one block of rows costs
+    one BLAS matmul and its ``(rows, k)`` product is the only temporary:
+    no ``(rows, k, dim)`` broadcast exists at any catalog size.  The
+    product of a row does not depend on which block the row falls in,
+    so every ``block_rows`` gives the same assignments; against the
+    elementwise ``((x - c) ** 2).sum()`` they can differ only between
+    centroids whose distances agree to rounding.
     """
     n = data.shape[0]
-    k, dim = centroids.shape
+    k = centroids.shape[0]
     if block_rows is None:
-        block_rows = max(1, _ASSIGN_BLOCK_ELEMENTS // max(k * dim, 1))
+        block_rows = max(1, _ASSIGN_BLOCK_ELEMENTS // max(k, 1))
+    minus_2ct = -2.0 * centroids.T
+    c_norm2 = np.sum(centroids * centroids, axis=1)
     assign = np.empty(n, dtype=np.int64)
+    buffer = np.empty((min(block_rows, n), k))
     for start in range(0, n, block_rows):
         chunk = data[start:start + block_rows]
-        d2 = ((chunk[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-        assign[start:start + block_rows] = np.argmin(d2, axis=1)
+        scores = np.matmul(chunk, minus_2ct, out=buffer[:chunk.shape[0]])
+        scores += c_norm2
+        assign[start:start + block_rows] = np.argmin(scores, axis=1)
     return assign
 
 
 def _kmeans(rng: np.random.Generator, data: np.ndarray, k: int,
             iterations: int = 12) -> np.ndarray:
     """Lightweight Lloyd's k-means returning ``(k, dim)`` centroids."""
-    n = data.shape[0]
+    n, dim = data.shape
     k = min(k, n)
     picks = rng.choice(n, size=k, replace=False)
     centroids = data[picks].copy()
     for _ in range(iterations):
-        # blocked assignment by squared Euclidean distance: memory stays
-        # bounded at scaled catalogs (IVF coarse training), assignments
-        # bit-identical to the full-broadcast version
         assign = assign_to_centroids(data, centroids)
-        for j in range(k):
-            members = data[assign == j]
-            if members.shape[0]:
-                centroids[j] = members.mean(axis=0)
-            else:  # re-seed empty clusters
-                centroids[j] = data[int(rng.integers(n))]
+        counts = np.bincount(assign, minlength=k)
+        # per-dimension weighted bincount: one pass over the rows per
+        # dimension instead of one boolean mask over them per cluster
+        sums = np.stack([np.bincount(assign, weights=data[:, d], minlength=k)
+                         for d in range(dim)], axis=1)
+        filled = counts > 0
+        centroids[filled] = sums[filled] / counts[filled, None]
+        # re-seed empty clusters, drawing in cluster order so the build
+        # stays a function of the rng state
+        for j in np.nonzero(~filled)[0]:
+            centroids[j] = data[int(rng.integers(n))]
     return centroids
 
 

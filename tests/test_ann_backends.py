@@ -25,6 +25,8 @@ from repro.retrieval.mnn import RelationSpace
 from repro.retrieval.quantization import recall_at_k
 from repro.testing.faults import FaultSpec, install, reset
 
+from reference.ivf import ivf_search_looped
+
 
 @pytest.fixture(autouse=True)
 def clean_injector():
@@ -125,6 +127,22 @@ class TestIVFBackend:
         ids_b, dists_b = exact.search(SRC, k=12)
         assert np.array_equal(ids_a, ids_b)
         assert np.array_equal(dists_a, dists_b)
+
+    @pytest.mark.parametrize("nprobe, rerank_k", [(4, 0), (8, 60), (1, 25)])
+    def test_pruned_scan_matches_per_query_loop(self, space, same_type_space,
+                                                nprobe, rerank_k):
+        """The list-major scan and its flat-index scatter fill each
+        query's pool with exactly its probed lists' members."""
+        for sp, exclude in ((space, False), (same_type_space, True)):
+            backend = IVFBackend(num_lists=12, nprobe=nprobe,
+                                 rerank_k=rerank_k).build(sp)
+            assert not backend.is_exact_dial
+            src = np.arange(sp.num_sources)
+            ids, dists = backend.search(src, k=15, exclude_self=exclude)
+            ref_ids, ref_dists = ivf_search_looped(backend, src, k=15,
+                                                   exclude_self=exclude)
+            assert np.array_equal(ids, ref_ids)
+            assert np.allclose(dists, ref_dists, rtol=1e-9, atol=1e-12)
 
     def test_nprobe_expands_until_k_candidates(self, space):
         """A starved nprobe still returns a full, finite top-k."""

@@ -159,6 +159,20 @@ class TestAtomicWrites:
             np.testing.assert_array_equal(data["a"], np.arange(5))
             np.testing.assert_array_equal(data["b"], np.eye(2))
 
+    def test_savez_stores_and_deflated_archives_still_load(self, tmp_path):
+        """Models, checkpoints and index sets are stored, not deflated;
+        the deflated ones already published read back the same way."""
+        arrays = {"a": np.arange(5), "b": np.eye(2)}
+        stored = atomic_savez(tmp_path / "stored.npz", arrays)
+        np.savez_compressed(tmp_path / "deflated.npz", **arrays)
+        with np.load(stored) as new, \
+                np.load(tmp_path / "deflated.npz") as old:
+            assert all(i.compress_type == 0 for i in new.zip.infolist())
+            assert all(i.compress_type != 0 for i in old.zip.infolist())
+            for name, array in arrays.items():
+                np.testing.assert_array_equal(new[name], array)
+                np.testing.assert_array_equal(old[name], array)
+
     def test_no_temp_files_left(self, tmp_path):
         path = tmp_path / "out.bin"
         atomic_write_bytes(path, b"x" * 1024)

@@ -117,3 +117,86 @@ class TestIndexPersistence:
             ids_b, dists_b = via_method[relation].lookup(2)
             assert np.array_equal(ids_a, ids_b)
             assert np.allclose(dists_a, dists_b)
+
+
+def _save_as_published_before_stored_ids(index_set, path):
+    """``indices.npz`` as every generation up to PR 16 wrote it:
+    ``np.savez_compressed``, ``int64`` ids, the same JSON header."""
+    with np.load(save_index_set(index_set, path)) as archive:
+        arrays = {name: archive[name].astype(np.int64)
+                  if name.startswith("ids_") else archive[name]
+                  for name in archive.files}
+    np.savez_compressed(path, **arrays)
+    return path
+
+
+class TestPublishedGenerationsKeepLoading:
+    """Loaders owe published generations: deflated ``int64``-id files
+    and today's stored narrow-id files are the same index set."""
+
+    @pytest.fixture(scope="class")
+    def built(self, trained):
+        return IndexSet(trained, top_k=10, backend="sharded",
+                        backend_kwargs={"num_shards": 3}).build()
+
+    @pytest.fixture
+    def files(self, built, tmp_path):
+        return {"old": _save_as_published_before_stored_ids(
+                    built, tmp_path / "old.npz"),
+                "new": built.save(tmp_path / "new.npz")}
+
+    def test_on_disk_layouts_differ_as_described(self, built, files):
+        with np.load(files["old"]) as old, np.load(files["new"]) as new:
+            assert old.zip.infolist()[0].compress_type != 0     # deflated
+            assert all(info.compress_type == 0               # ZIP_STORED
+                       for info in new.zip.infolist())
+            for relation, index in built.indices.items():
+                name = "ids_%s" % relation.value
+                assert old[name].dtype == np.int64
+                assert new[name].dtype == np.min_scalar_type(
+                    int(index.ids.max()))
+                assert new[name].dtype.kind == "u"
+
+    def test_both_load_to_the_built_arrays(self, built, files):
+        for path in files.values():
+            loaded = IndexSet.load(path)
+            assert set(loaded.indices) == set(built.indices)
+            for relation, index in built.indices.items():
+                assert loaded[relation].ids.dtype == np.int64
+                assert np.array_equal(loaded[relation].ids, index.ids)
+                assert np.array_equal(loaded[relation].distances,
+                                      index.distances)
+
+    def test_both_serve_identical_ads(self, built, files):
+        served = []
+        for source in (built, IndexSet.load(files["old"]),
+                       IndexSet.load(files["new"])):
+            retriever = TwoLayerRetriever(source, expansion_k=3,
+                                          ads_per_key=3)
+            served.append(retriever.retrieve_batch([0, 2, 7],
+                                                   [[5], [], [1, 3]], k=8))
+        for other in served[1:]:
+            for a, b in zip(served[0], other):
+                assert np.array_equal(a.ads, b.ads)
+                assert np.array_equal(a.scores, b.scores)
+
+    def test_sharded_header_survives_both_writers(self, built, files):
+        assert built.backend_params == {"num_shards": 3,
+                                        "inner_kwargs": {"num_workers": 1}}
+        for path in files.values():
+            loaded = IndexSet.load(path)
+            assert loaded.backend_name == "sharded"
+            assert loaded.backend_params == built.backend_params
+            assert loaded.shard_bounds == built.shard_bounds
+            assert all(len(b) == 3 for b in loaded.shard_bounds.values())
+
+    def test_negative_or_empty_ids_are_stored_as_given(self):
+        """Narrowing is for what the builders emit (ids >= 0); anything
+        else goes to disk untouched rather than wrapped."""
+        from repro.io import _narrow_ids
+        assert _narrow_ids(np.array([[3, -1]])).dtype == np.int64
+        assert _narrow_ids(np.zeros((0, 4), dtype=np.int64)).dtype == np.int64
+        assert _narrow_ids(np.array([[255]])).dtype == np.uint8
+        assert _narrow_ids(np.array([[256]])).dtype == np.uint16
+        assert _narrow_ids(np.array([[70_000]])).dtype == np.uint32
+

@@ -1,32 +1,54 @@
 """Tests for the product-quantization ANN baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.retrieval.quantization import (PQIndex, assign_to_centroids,
-                                          recall_at_k, _kmeans)
+from repro.retrieval.quantization import (_ASSIGN_BLOCK_ELEMENTS, PQIndex,
+                                          _kmeans, assign_to_centroids,
+                                          recall_at_k)
 
 
 class TestAssignToCentroids:
-    def test_blocked_matches_full_broadcast(self):
-        """Any block size gives bit-identical assignments to the naive
-        full ``(n, k, dim)`` broadcast it replaces."""
+    def test_every_block_size_picks_a_nearest_centroid(self):
+        """The contract, not the arithmetic: every ``block_rows`` gives
+        the same assignments, and each chosen centroid is a nearest one
+        under the naive ``(n, k, dim)`` broadcast up to rounding."""
         rng = np.random.default_rng(3)
         data = rng.normal(size=(257, 6))
         centroids = rng.normal(size=(9, 6))
         d2 = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(-1)
-        full = np.argmin(d2, axis=1)
-        for block_rows in (1, 7, 64, 257, 10_000):
-            blocked = assign_to_centroids(data, centroids,
-                                          block_rows=block_rows)
-            assert np.array_equal(blocked, full)
+        first = assign_to_centroids(data, centroids, block_rows=1)
+        for block_rows in (7, 64, 257, 10_000, None):
+            assert np.array_equal(
+                assign_to_centroids(data, centroids, block_rows=block_rows),
+                first)
+        chosen = d2[np.arange(data.shape[0]), first]
+        assert np.all(chosen <= d2.min(axis=1) * (1 + 1e-12))
 
-    def test_default_block_bounds_memory(self):
-        """The default block size caps the per-block tensor elements."""
-        from repro.retrieval.quantization import _ASSIGN_BLOCK_ELEMENTS
-        k, dim = 64, 16
-        block_rows = max(1, _ASSIGN_BLOCK_ELEMENTS // (k * dim))
-        assert block_rows * k * dim <= _ASSIGN_BLOCK_ELEMENTS
+    @pytest.mark.parametrize("n, budget", [
+        # one block: today's (n, k, dim) broadcast peaks at ~2 * dim
+        # score blocks, i.e. 16 * n * k * 8 bytes here
+        (4096, 6 * 4096 * 64 * 8),
+        # 2.5 default blocks: the block, not n, bounds the peak
+        (5 * _ASSIGN_BLOCK_ELEMENTS // 128, 1.5 * _ASSIGN_BLOCK_ELEMENTS * 8),
+    ])
+    def test_peak_memory_is_one_score_block(self, n, budget):
+        """Host-independent gate: the only temporary is one ``(rows, k)``
+        score block, so neither an ``(n, k, dim)`` broadcast nor a
+        second live block can come back unnoticed."""
+        k, dim = 64, 8
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(n, dim))
+        centroids = rng.normal(size=(k, dim))
+        tracemalloc.start()
+        try:
+            assign_to_centroids(data, centroids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
 
 class TestKMeans:
@@ -49,6 +71,36 @@ class TestKMeans:
         centroids = _kmeans(rng, np.vstack([a, b]), k=2)
         norms = np.linalg.norm(centroids, axis=1)
         assert min(norms) < 1.0 and max(norms) > 13.0
+
+    def test_same_rng_state_same_centroids(self):
+        data = np.random.default_rng(4).normal(size=(300, 5))
+        first = _kmeans(np.random.default_rng(9), data, k=12)
+        again = _kmeans(np.random.default_rng(9), data, k=12)
+        assert np.array_equal(first, again)
+
+    def test_centroids_are_member_means(self):
+        """One Lloyd step from the returned centroids' own assignment
+        reproduces them (to summation-order rounding) once converged."""
+        rng = np.random.default_rng(1)
+        data = np.vstack([rng.normal(loc=c, scale=0.05, size=(40, 3))
+                          for c in (0.0, 5.0, 10.0)])
+        centroids = _kmeans(rng, data, k=3, iterations=20)
+        assign = assign_to_centroids(data, centroids)
+        means = np.stack([data[assign == j].mean(axis=0) for j in range(3)])
+        assert np.allclose(centroids, means, rtol=0, atol=1e-12)
+
+    def test_more_clusters_than_distinct_points(self):
+        """Empty clusters are re-seeded from the data: ``k`` finite rows,
+        each one of the points, and still a function of the rng state."""
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
+        data = np.repeat(points, 10, axis=0)
+        centroids = _kmeans(np.random.default_rng(2), data, k=8)
+        assert centroids.shape == (8, 2)
+        assert np.all(np.isfinite(centroids))
+        assert all(np.any(np.all(np.isclose(points, row), axis=1))
+                   for row in centroids)
+        assert np.array_equal(
+            centroids, _kmeans(np.random.default_rng(2), data, k=8))
 
 
 class TestPQIndex:
