@@ -38,7 +38,7 @@ def test_fig09_qps_latency(benchmark, bench_data):
 
         rng = np.random.default_rng(0)
         queries = rng.integers(bench_data.train_graph.num_nodes[
-            list(bench_data.train_graph.num_nodes)[0]], size=60)
+            list(bench_data.train_graph.num_nodes)[0]], size=120)
         preclicks = [list(rng.integers(100, size=2)) for _ in queries]
 
         # size the fleet so the sweep's top load reaches ~80% utilisation,
@@ -46,14 +46,14 @@ def test_fig09_qps_latency(benchmark, bench_data):
         engine = ServingEngine(retriever, max_batch_size=16, cache_size=256)
         sim = ServingSimulator(retriever, num_workers=1)
         service = sim.measure_batched_service_time(engine, queries,
-                                                   preclicks, repeats=2)
+                                                   preclicks)
         workers = sim.size_fleet(max(QPS_SWEEP), target_utilisation=0.8)
 
         stats = sim.sweep(QPS_SWEEP)
         lines = ["batched service time: %.3f ms/request, fleet: %d workers"
                  % (1000 * service, workers),
                  "engine: %d requests in %d micro-batches, "
-                 "expansion-cache hit rate %.0f%%"
+                 "result-cache hit rate %.0f%%"
                  % (engine.stats.requests, engine.stats.batches,
                     100 * engine.stats.cache_hit_rate),
                  "%-10s %16s %12s" % ("QPS", "response (ms)", "utilisation")]

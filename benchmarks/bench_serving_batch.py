@@ -1,88 +1,132 @@
-"""Batched serving throughput.
+"""Micro-batched serving throughput with the result cache off, natural and full.
 
-The deployed system never serves one request at a time: lookups are
-batched inside the engine, which is where most of its tens-of-thousands
-QPS headroom comes from.  This bench records the reproduction's
-analogue on a 64-request stream over the default synthetic universe:
+``serve_zipf`` in ``benchmarks/e2e`` measures the engine at its
+stream's natural hit ratio (~0.88), where seven requests in eight never
+reach the retriever, so it cannot say what a *miss* costs.  This bench
+replays one seeded Zipf stream over the default synthetic universe, in
+32-request batches through ``ServingEngine.serve_batch``, at three
+cache states:
 
-- **batched**  — the vectorised ``retrieve_batch`` over the 64 requests
-  in one call;
-- **engine**   — the micro-batching ``ServingEngine`` with a warm LRU
-  expansion cache (the repeat-traffic upper bound).
+- **cache_off**  — ``cache_size=0``: every request runs both retrieval
+  layers (the miss path on its own);
+- **natural**    — the default 1024-entry LRU, warmed by one pass, at
+  whatever hit ratio the stream gives it (reported);
+- **all_hits**   — an LRU that holds every distinct signature of the
+  stream, warmed by one pass: the engine's fixed cost per request.
 
-Emits both a text report and a JSON result
-(``benchmarks/results/serving_batch.json``), absolute figures only.
+Each figure is the median over ``PASSES`` whole passes of the stream,
+in requests per second.  Run directly (``PYTHONPATH=src python
+benchmarks/bench_serving_batch.py [--scale X] [--out PATH]``); results
+land in ``BENCH_serving_batch.json`` at the repo root with the host
+fingerprint attached.
 """
 
+from __future__ import annotations
+
+import statistics
+import sys
 import time
 
 import numpy as np
-import pytest
 
-from repro.bench import scaled_steps, write_json_report, write_report
+sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
+from common import bench_parser, write_json_out  # noqa: E402
+
+from repro.data import SimulatorConfig, SponsoredSearchSimulator
+from repro.graph import build_graph
 from repro.models import make_model
 from repro.retrieval import IndexSet, TwoLayerRetriever
-from repro.serving import ServingEngine
+from repro.serving import ServingEngine, TrafficGenerator
 from repro.training import Trainer, TrainerConfig
 
-NUM_REQUESTS = 64
+SEED = 1
 TOP_K = 20
+MAX_BATCH = 32
+STREAM_QPS = 6000.0
+STREAM_SECONDS = 1.0
+TRAIN_STEPS = 20
+NATURAL_CACHE = 1024            # the ``serving.cache_size`` default
+PASSES = 7
 
 
-def test_batched_serving_throughput(benchmark, bench_data):
-    def run():
-        model = make_model("amcad", bench_data.train_graph, num_subspaces=2,
-                           subspace_dim=4, seed=1)
-        Trainer(model, TrainerConfig(steps=scaled_steps(60), batch_size=64,
-                                     seed=1)).train()
-        index_set = IndexSet(model, top_k=50).build()
-        retriever = TwoLayerRetriever(index_set, expansion_k=10,
-                                      ads_per_key=10)
+def _one_pass(engine, batches) -> float:
+    start = time.perf_counter()
+    for queries, preclicks in batches:
+        engine.serve_batch(queries, preclicks, k=TOP_K)
+    return time.perf_counter() - start
 
-        rng = np.random.default_rng(0)
-        num_queries = bench_data.train_graph.num_nodes[
-            list(bench_data.train_graph.num_nodes)[0]]
-        queries = rng.integers(num_queries, size=NUM_REQUESTS)
-        preclicks = [list(rng.integers(100, size=2)) for _ in queries]
 
-        # warm once (first-touch allocations out of the timing)
-        retriever.retrieve_batch(queries, preclicks, k=TOP_K)
+def _measure(retriever, batches, num_requests: int, cache_size: int) -> dict:
+    """Median req/s over ``PASSES`` passes, after one warming pass."""
+    engine = ServingEngine(retriever, max_batch_size=MAX_BATCH,
+                           cache_size=cache_size)
+    _one_pass(engine, batches)
+    hits, misses = engine.stats.cache_hits, engine.stats.cache_misses
+    rates = [num_requests / _one_pass(engine, batches)
+             for _ in range(PASSES)]
+    hits = engine.stats.cache_hits - hits
+    misses = engine.stats.cache_misses - misses
+    return {"cache_size": cache_size,
+            "requests_per_second": statistics.median(rates),
+            "min": min(rates), "max": max(rates),
+            "hit_ratio": hits / (hits + misses)}
 
-        start = time.perf_counter()
-        retriever.retrieve_batch(queries, preclicks, k=TOP_K)
-        batched_seconds = time.perf_counter() - start
 
-        engine = ServingEngine(retriever, max_batch_size=16, cache_size=256)
-        engine.serve(queries, preclicks, k=TOP_K)     # cold pass fills cache
-        start = time.perf_counter()
-        engine.serve(queries, preclicks, k=TOP_K)     # warm repeat traffic
-        engine_seconds = time.perf_counter() - start
+def main(argv=None) -> int:
+    parser = bench_parser(
+        "serving_batch",
+        "Engine throughput on a Zipf stream: cache off / natural / all hits")
+    args = parser.parse_args(argv)
 
-        rps = {
-            "batched": NUM_REQUESTS / batched_seconds,
-            "engine_warm_cache": NUM_REQUESTS / engine_seconds,
-        }
+    simulator = SponsoredSearchSimulator(SimulatorConfig(seed=SEED))
+    logs = simulator.simulate_days(1)
+    model = make_model("amcad", build_graph(simulator.universe, logs),
+                       num_subspaces=2, subspace_dim=4, seed=SEED)
+    Trainer(model, TrainerConfig(batch_size=64, num_negatives=6, seed=SEED)
+            ).train(max(2, int(TRAIN_STEPS * args.scale)))
+    retriever = TwoLayerRetriever(IndexSet(model, top_k=50).build(),
+                                  expansion_k=10, ads_per_key=10)
 
-        lines = [
-            "%d requests, top-%d, default synthetic universe"
-            % (NUM_REQUESTS, TOP_K),
-            "vectorised batch:        %8.1f req/s (%.2f ms/req)"
-            % (rps["batched"], 1000 * batched_seconds / NUM_REQUESTS),
-            "engine, warm LRU cache:  %8.1f req/s (%.2f ms/req)"
-            % (rps["engine_warm_cache"], 1000 * engine_seconds / NUM_REQUESTS),
-            "engine cache hit rate: %.0f%%"
-            % (100 * engine.stats.cache_hit_rate),
-        ]
-        write_report("serving_batch.txt",
-                     "Batched serving throughput", lines)
-        write_json_report("serving_batch.json", {
-            "num_requests": NUM_REQUESTS,
-            "k": TOP_K,
-            "batched_seconds": batched_seconds,
-            "engine_warm_seconds": engine_seconds,
-            "requests_per_second": rps,
-            "engine_cache_hit_rate": engine.stats.cache_hit_rate,
-        })
-        return rps
+    traffic = TrafficGenerator(logs, zipf_exponent=1.1, max_preclicks=2,
+                               process="poisson", seed=SEED)
+    requests = traffic.generate(STREAM_QPS, STREAM_SECONDS * args.scale)
+    batches = [(np.array([r.query for r in chunk], dtype=np.int64),
+                [r.preclicks for r in chunk])
+               for chunk in (requests[i:i + MAX_BATCH]
+                             for i in range(0, len(requests), MAX_BATCH))]
+    signatures = len({(r.query, r.preclicks) for r in requests})
 
-    benchmark.pedantic(run, rounds=1, iterations=1)
+    legs = {
+        "cache_off": _measure(retriever, batches, len(requests), 0),
+        "natural": _measure(retriever, batches, len(requests),
+                            NATURAL_CACHE),
+        "all_hits": _measure(retriever, batches, len(requests),
+                             signatures),
+    }
+    write_json_out(args.out, {
+        "scale": args.scale,
+        "k": TOP_K,
+        "max_batch": MAX_BATCH,
+        "passes": PASSES,
+        "stream_requests": len(requests),
+        "unique_signatures": signatures,
+        "legs": legs,
+    })
+
+    print("%d requests (%d distinct), %d-request batches, top-%d, median "
+          "of %d passes" % (len(requests), signatures, MAX_BATCH, TOP_K,
+                            PASSES))
+    for name, leg in legs.items():
+        print("%-10s cache %5d  hit ratio %.3f  %9.0f req/s  (%.0f - %.0f)"
+              % (name, leg["cache_size"], leg["hit_ratio"],
+                 leg["requests_per_second"], leg["min"], leg["max"]))
+
+    if legs["cache_off"]["hit_ratio"] != 0.0 \
+            or legs["all_hits"]["hit_ratio"] != 1.0:
+        print("FAIL: the cache_off / all_hits legs are not what they say")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

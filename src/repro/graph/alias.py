@@ -119,7 +119,16 @@ def build_alias_tables(weights, indptr=None,
     if np.any((sums <= 0) & (lens > 0)):
         raise ValueError("rows with edges must have positive total weight")
 
-    rem = weights * (lens[row_of] / sums[row_of])
+    row_sums, row_lens = sums[row_of], lens[row_of]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rem = weights * (row_lens / row_sums)
+    # a denormal row sum overflows that scale to inf; those entries take
+    # the quotient-first form (each quotient <= 1), every other row keeps
+    # the bits — and so the seeded draws — it always had
+    overflowed = ~np.isfinite(rem)
+    if overflowed.any():
+        rem[overflowed] = ((weights[overflowed] / row_sums[overflowed])
+                           * row_lens[overflowed])
     prob = np.ones(nnz, dtype=np.float64)
     local = np.arange(nnz, dtype=np.int64) - np.repeat(indptr[:-1], lens)
     alias = local.copy()

@@ -291,8 +291,9 @@ class ServingConfig:
     k: int = 20
     max_batch_size: int = 32
     cache_size: int = 1024
-    #: size of the synthetic request stream used to measure the batched
-    #: service time (0 skips measurement and the QPS sweep)
+    #: the batched service time is measured over ``measure_requests x
+    #: measure_repeats`` seeded synthetic requests, each drawn afresh
+    #: (``measure_requests=0`` skips measurement and the QPS sweep)
     measure_requests: int = 40
     measure_repeats: int = 2
     preclicks_per_request: int = 2

@@ -319,17 +319,19 @@ class ServeStage(Stage):
             info["summary"] = "engine up (service time not measured)"
             return info
 
+        # measure_repeats scales the sample, it does not replay it: a
+        # replayed request is a result-cache hit, and a probe of hits
+        # would size the fleet for traffic that never reaches the index
         data_cfg = ctx.config.data.simulator_config()
         rng = np.random.default_rng(cfg.seed)
-        queries = rng.integers(data_cfg.num_queries,
-                               size=cfg.measure_requests)
+        draws = cfg.measure_requests * cfg.measure_repeats
+        queries = rng.integers(data_cfg.num_queries, size=draws)
         preclicks = [list(rng.integers(data_cfg.num_items,
                                        size=cfg.preclicks_per_request))
-                     for _ in range(cfg.measure_requests)]
+                     for _ in range(draws)]
         sim = ServingSimulator(ctx.retriever)
         service = sim.measure_batched_service_time(
-            ctx.engine, queries, preclicks, k=cfg.k,
-            repeats=cfg.measure_repeats)
+            ctx.engine, queries, preclicks, k=cfg.k)
         ctx.fleet_workers = sim.size_fleet(cfg.target_qps,
                                            cfg.target_utilisation)
         sweep = [{"qps": s.qps, "response_time_ms": s.response_time_ms,

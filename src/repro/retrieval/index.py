@@ -76,8 +76,11 @@ class InvertedIndex:
 
     def lookup_batch(self, keys: np.ndarray, k: Optional[int] = None
                      ) -> Tuple[np.ndarray, np.ndarray]:
-        k = k if k is not None else self.ids.shape[1]
+        """Rows for many keys; whole rows (one contiguous gather per
+        array) when ``k`` is ``None``."""
         keys = np.asarray(keys, dtype=np.int64)
+        if k is None:
+            return self.ids[keys], self.distances[keys]
         return self.ids[keys, :k], self.distances[keys, :k]
 
     @property

@@ -9,9 +9,9 @@ layered front to back:
   lanes, backpressure + deadline load-shedding, and per-request
   queue/service latency percentiles in :class:`AdmissionStats`;
 - :mod:`repro.serving.engine` — :class:`ServingEngine`, which
-  micro-batches requests through the vectorised retriever, caches
-  layer-1 key expansions in an LRU, and keeps per-worker and
-  per-request timings;
+  answers repeat requests from an exact LRU of finished results, sends
+  each micro-batch's misses through the vectorised retriever, and keeps
+  per-worker and per-request timings;
 - :mod:`repro.serving.traffic` — :class:`TrafficGenerator`, the
   closed-loop harness replaying Zipf head-skewed queries from real
   behaviour-log sessions over Poisson/bursty/diurnal arrivals, and

@@ -1,16 +1,19 @@
 """Micro-batching serving engine for the two-layer retriever.
 
 The deployed system (paper §IV-C, Fig. 6) answers tens of thousands of
-QPS by batching index lookups and caching hot key expansions inside the
-iGraph engine.  :class:`ServingEngine` is the laptop-scale analogue:
+QPS by batching index lookups and never sending a hot request to the
+index twice.  :class:`ServingEngine` is the laptop-scale analogue:
 
 - **micro-batching** — incoming requests are grouped into batches of at
   most ``max_batch_size`` and served through the vectorised
   :meth:`~repro.retrieval.two_layer.TwoLayerRetriever.retrieve_batch`
   path, amortising the per-call numpy overhead;
-- **expansion cache** — layer-1 key expansions are memoised per
-  ``(query, pre-clicks)`` signature in an LRU cache, so repeat traffic
-  (head queries) skips the expansion lookups entirely;
+- **result cache** — the finished ranked ads are memoised per
+  ``(generation, k, query, pre-clicks)`` signature in an LRU cache, so
+  repeat traffic (head queries) costs a dict lookup and only a batch's
+  misses reach the retriever.  Exact, not approximate: a result is a
+  pure function of that signature, whatever batch it is computed in.
+  Cached results are shared between callers and therefore read-only;
 - **per-worker timing** — each micro-batch is timed and attributed to
   the least-loaded worker of a simulated fleet, producing the measured
   *batched* service times the Erlang-C
@@ -39,15 +42,11 @@ from repro.serving.breaker import CircuitBreaker
 from repro.testing.faults import fault_point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.retrieval.two_layer import (
-        KeyExpansion,
-        RetrievalResult,
-        TwoLayerRetriever,
-    )
+    from repro.retrieval.two_layer import RetrievalResult, TwoLayerRetriever
 
 
 class LRUCache:
-    """Small ordered-dict LRU used for layer-1 key expansions."""
+    """Small ordered-dict LRU used for served results."""
 
     def __init__(self, capacity: int):
         self.capacity = int(capacity)
@@ -165,16 +164,8 @@ class EngineStats:
         return self.degraded_requests > 0
 
 
-def _signature(generation: int, query: int, preclicks: Sequence[int]) -> Tuple:
-    # generation-tagged: an in-flight slice finishing after a hot swap
-    # writes under the old generation's keys, which post-swap lookups
-    # can never hit
-    return (int(generation), int(query),
-            tuple(int(item) for item in preclicks))
-
-
 class ServingEngine:
-    """Serves retrieval requests in micro-batches with expansion caching.
+    """Serves retrieval requests in micro-batches with result caching.
 
     Parameters
     ----------
@@ -184,7 +175,7 @@ class ServingEngine:
         Requests per micro-batch; incoming traffic is sliced into
         batches of at most this size.
     cache_size:
-        LRU capacity for layer-1 key expansions (0 disables caching).
+        LRU capacity in served results (0 disables caching).
     num_workers:
         Simulated fleet width for per-worker busy-time accounting; each
         unit of fleet work (a micro-batch, or one shard slice of it)
@@ -209,7 +200,7 @@ class ServingEngine:
         shed at the door while error rates spike.
     generation:
         Artifact generation the initial retriever came from (tags the
-        expansion-cache keys; see :meth:`swap_retriever`).
+        result-cache keys; see :meth:`swap_retriever`).
     """
 
     def __init__(self, retriever: "TwoLayerRetriever",
@@ -244,7 +235,7 @@ class ServingEngine:
         """Atomically swap to a new retriever (a published generation).
 
         In-flight micro-batches finish on the retriever they snapshotted
-        at batch start; new batches see the new one.  The expansion
+        at batch start; new batches see the new one.  The result
         cache is cleared under the same lock (and keys are generation-
         tagged, so a straggler slice writing after the clear can never
         poison the new generation).  Returns the new generation id.
@@ -367,6 +358,8 @@ class ServingEngine:
     def _shard_slices(self, size: int) -> List[Tuple[int, int]]:
         """Contiguous near-equal request slices for one micro-batch."""
         shards = min(self.num_shards, size)
+        if shards <= 1:
+            return [(0, size)]
         edges = np.linspace(0, size, shards + 1).astype(np.int64)
         return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])
                 if b > a]
@@ -375,30 +368,37 @@ class ServingEngine:
                            generation: int, queries: np.ndarray,
                            preclicks: Sequence[Sequence[int]],
                            k: int) -> List["RetrievalResult"]:
-        """One slice attempt against a snapshotted retriever/generation."""
-        expansions: List[Optional["KeyExpansion"]] = [None] * queries.size
+        """One slice attempt against a snapshotted retriever/generation.
+
+        Nothing is cached unless the whole attempt succeeded.
+        """
+        # generation-tagged: an in-flight slice finishing after a hot
+        # swap writes under the old generation's keys, which post-swap
+        # lookups can never hit
+        signatures = [(generation, k, query, tuple(map(int, items)))
+                      for query, items in zip(queries.tolist(), preclicks)]
+        results: List[Optional["RetrievalResult"]] = [None] * len(signatures)
         miss_indices: List[int] = []
         with self._cache_lock:
-            for i in range(queries.size):
-                cached = self.cache.get(
-                    _signature(generation, queries[i], preclicks[i]))
-                if cached is not None:
-                    expansions[i] = cached
-                    self.stats.cache_hits += 1
-                else:
+            for i, signature in enumerate(signatures):
+                results[i] = self.cache.get(signature)
+                if results[i] is None:
                     miss_indices.append(i)
-                    self.stats.cache_misses += 1
+            self.stats.cache_misses += len(miss_indices)
+            self.stats.cache_hits += len(signatures) - len(miss_indices)
         if miss_indices:
-            fresh = retriever.expand_keys_batch(
-                queries[miss_indices],
-                [preclicks[i] for i in miss_indices])
+            fresh = retriever.gather_batch(
+                retriever.expand_keys_batch(
+                    queries[miss_indices],
+                    [preclicks[i] for i in miss_indices]), k=k)
             with self._cache_lock:
-                for i, expansion in zip(miss_indices, fresh):
-                    expansions[i] = expansion
-                    self.cache.put(
-                        _signature(generation, queries[i], preclicks[i]),
-                        expansion)
-        return retriever.gather_batch(expansions, k=k)
+                for i, result in zip(miss_indices, fresh):
+                    # shared with every later hit
+                    result.ads.flags.writeable = False
+                    result.scores.flags.writeable = False
+                    results[i] = result
+                    self.cache.put(signatures[i], result)
+        return results
 
     def _degraded_results(self, count: int) -> List["RetrievalResult"]:
         """Empty per-request results for a slice that ran out of retries."""
@@ -466,9 +466,9 @@ class ServingEngine:
 
         # every shard slice is one unit of fleet work; the micro-batch
         # is done when its slowest shard is (parallel-fleet wall time)
+        busy = self.stats.worker_busy_seconds
         for elapsed in slice_times:
-            worker = int(np.argmin(self.stats.worker_busy_seconds))
-            self.stats.worker_busy_seconds[worker] += elapsed
+            busy[min(range(len(busy)), key=busy.__getitem__)] += elapsed
         self.stats.batch_wall_seconds.append(max(slice_times))
         self.stats.batches += 1
         self.stats.requests += queries.size

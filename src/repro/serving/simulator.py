@@ -129,17 +129,18 @@ class ServingSimulator:
     def measure_batched_service_time(self, engine: "ServingEngine",
                                      queries: Sequence[int],
                                      preclicks: Sequence[Sequence[int]],
-                                     k: int = 20, repeats: int = 1) -> float:
+                                     k: int = 20) -> float:
         """Amortised per-request seconds when served in micro-batches.
 
-        Drives ``engine`` over the request stream and reads the
+        Drives ``engine`` over the request stream once and reads the
         per-request busy time from its stats — the batched service time
-        the production queueing model should consume.
+        the production queueing model should consume.  For a larger
+        sample pass more requests: replaying the same ones would time
+        the engine's result cache, not the retriever.
         """
         busy_before = engine.stats.total_busy_seconds
         count_before = engine.stats.requests
-        for _ in range(repeats):
-            engine.serve(queries, preclicks, k=k)
+        engine.serve(queries, preclicks, k=k)
         busy = engine.stats.total_busy_seconds - busy_before
         count = engine.stats.requests - count_before
         self._service_seconds = busy / max(count, 1)

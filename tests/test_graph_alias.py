@@ -1,5 +1,7 @@
 """Tests for the alias-method sampler."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +98,17 @@ class TestVectorisedConstruction:
         if weights.sum() <= 0:
             weights[0] = 1.0
         prob, alias = build_alias_tables(weights)
+        assert np.allclose(implied_distribution(prob, alias),
+                           weights / weights.sum(), atol=1e-9)
+
+    @pytest.mark.parametrize("weights", [[1e-310], [0.0, 1e-310],
+                                         [5e-324, 5e-324, 0.0]])
+    def test_denormal_row_sum_does_not_overflow(self, weights):
+        """Hypothesis-found: ``lens / sums`` was ``inf`` on such a row."""
+        weights = np.asarray(weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob, alias = build_alias_tables(weights)
         assert np.allclose(implied_distribution(prob, alias),
                            weights / weights.sum(), atol=1e-9)
 

@@ -15,9 +15,11 @@ from repro.pipeline import (
     ArtifactStore,
     Pipeline,
     PipelineConfig,
+    PipelineContext,
     PipelineReport,
+    ServeStage,
 )
-from repro.serving import ServingSimulator
+from repro.serving import ServingEngine, ServingSimulator
 
 
 TINY = {
@@ -233,6 +235,32 @@ class TestPipelineRun:
         assert report.service_seconds > 0
         assert report["serve"].info["fleet_workers"] >= 1
         assert len(report["serve"].info["qps_sweep"]) == 2
+
+    def test_service_probe_replays_nothing(self, run_pipeline, monkeypatch):
+        """``measure_repeats`` widens the probe: only a signature the
+        seeded stream happens to draw twice can be a cache hit."""
+        # one request a batch: duplicates inside a batch both miss
+        config = tiny_config(serving={"measure_requests": 20,
+                                      "measure_repeats": 3,
+                                      "preclicks_per_request": 0,
+                                      "max_batch_size": 1})
+        drawn = []
+        serve = ServingEngine.serve
+
+        def recording_serve(self, queries, preclicks=None, k=20):
+            drawn.extend((int(q), tuple(p))
+                         for q, p in zip(queries, preclicks))
+            return serve(self, queries, preclicks, k=k)
+
+        monkeypatch.setattr(ServingEngine, "serve", recording_serve)
+        ctx = PipelineContext(config=config,
+                              index_set=run_pipeline.ctx.index_set)
+        info = ServeStage().run(ctx)
+        assert len(drawn) == 60
+        duplicates = len(drawn) - len(set(drawn))
+        assert 0 < duplicates < 30
+        assert ctx.engine.stats.cache_hits == duplicates
+        assert info["cache_hit_rate"] == pytest.approx(duplicates / 60)
 
     def test_artifact_layout(self, run_pipeline):
         store = run_pipeline.store

@@ -280,37 +280,58 @@ class TestCalibration:
             # service — the reason the correction exists
             assert measured < erlang_c_wait(qps, 1.0 / service, workers)
 
-    def test_engine_backed_agreement(self, retriever, daily_logs):
+    @pytest.mark.parametrize("cache_size", [0, 2048])
+    def test_engine_backed_agreement(self, retriever, daily_logs,
+                                     cache_size):
         """Real engine in the loop at three sub-saturation loads.
+
+        Run with the result cache off (every request pays the retriever,
+        a stationary service) and at the shipped LRU size, where a hit is
+        ~70x cheaper than a miss and the hit share of a stream decides
+        its mean service time.  The probe that picks the offered rate is
+        therefore the drive's own stream, served by a twin engine warmed
+        to the same cache state — it sees the hits and misses the drive
+        will see, which an independent 50-request sample does not.
 
         Wall-clock timing on a loaded host can push a single run
         outside the acceptance band, so each load gets up to three
         attempts over different arrival seeds — a real calibration bug
         fails all of them.
         """
-        engine = ServingEngine(retriever, max_batch_size=4, cache_size=2048)
         traffic = TrafficGenerator(daily_logs[:1], process="poisson", seed=9)
-        # warm the LRU so the service process is stationary-ish
-        for request in traffic.generate(qps=100.0, duration=1.0):
-            engine.serve_batch([request.query], [request.preclicks])
-        workers = 2
+        warm = traffic.generate(qps=100.0, duration=1.0)
+
+        def warmed_engine():
+            engine = ServingEngine(retriever, max_batch_size=4,
+                                   cache_size=cache_size)
+            for request in warm:
+                engine.serve_batch([request.query], [request.preclicks])
+            return engine
+
+        workers, base_qps, horizon = 2, 100.0, 3.0
         for i, rho in enumerate(self.LOADS):
             last_failure = None
             for attempt in range(3):
+                stream = traffic.generate(qps=base_qps, duration=horizon,
+                                          seed=80 + i + 1000 * attempt)
+                twin, engine = warmed_engine(), warmed_engine()
+                service = TestAdmissionOverEngine._mean_service(twin, stream)
+                # same requests, arrivals rescaled to the target load
+                stretch = base_qps * service / (rho * workers)
                 ctrl = AdmissionController(engine, max_queue=10**6,
                                            deadline_ms=1e9, max_batch=1,
                                            num_workers=workers)
-                probe = traffic.generate(qps=100.0, duration=0.5,
-                                         seed=70 + i + 1000 * attempt)
-                service = TestAdmissionOverEngine._mean_service(engine, probe)
-                qps = rho * workers / service
-                traffic.drive(ctrl, qps=qps, duration=300.0 / qps,
-                              seed=80 + i + 1000 * attempt)
+                for request in stream:
+                    ctrl.offer(request.arrival * stretch, request.query,
+                               request.preclicks, lane=request.lane)
+                ctrl.drain()
+                assert ctrl.stats.served == len(stream)
+                assert engine.stats.cache_hits == twin.stats.cache_hits
                 samples = np.asarray(ctrl.stats.service_seconds)
                 mean_service = float(samples.mean())
                 cs2 = float(samples.var() / mean_service ** 2)
                 predicted = allen_cunneen_wait(
-                    ctrl.stats.served / (300.0 / qps), 1.0 / mean_service,
+                    len(stream) / (horizon * stretch), 1.0 / mean_service,
                     workers, cs2=cs2)
                 ratio = ctrl.stats.mean_wait_seconds / predicted
                 if self.ENGINE_BAND[0] <= ratio <= self.ENGINE_BAND[1]:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.models import make_model
-from repro.retrieval import IndexSet, TwoLayerRetriever
+from repro.retrieval import IndexSet, TwoLayerRetriever, two_layer
+from repro.retrieval.index import InvertedIndex
 from repro.serving import (
     EngineStats,
     LRUCache,
@@ -128,6 +129,167 @@ class TestServingEngine:
         engine = ServingEngine(retriever)
         with pytest.raises(ValueError):
             engine.serve([0, 1], [[2]])
+
+
+class _WithLayerTwo:
+    """``retriever`` with its layer 2 replaced (the fixture is shared)."""
+
+    def __init__(self, retriever, gather_batch):
+        self.expand_keys_batch = retriever.expand_keys_batch
+        self.gather_batch = gather_batch
+
+
+class TestResultCache:
+    """What the engine keeps is the finished result, and only that."""
+
+    def test_hit_is_bit_equal_to_serving_alone(self, retriever, traffic):
+        queries, preclicks = traffic
+        engine = ServingEngine(retriever, max_batch_size=20, cache_size=64)
+        engine.serve(queries, preclicks, k=8)
+        hits = engine.serve(queries, preclicks, k=8)
+        assert engine.stats.cache_hits == 20
+        for query, items, hit in zip(queries, preclicks, hits):
+            alone = retriever.retrieve(int(query), items, k=8)
+            np.testing.assert_array_equal(hit.ads, alone.ads)
+            np.testing.assert_array_equal(hit.scores, alone.scores)
+            assert hit.num_keys == alone.num_keys
+
+    def test_served_results_are_read_only(self, retriever, traffic):
+        queries, preclicks = traffic
+        engine = ServingEngine(retriever, cache_size=64)
+        for result in engine.serve(queries, preclicks) \
+                + engine.serve(queries, preclicks):
+            with pytest.raises(ValueError, match="read-only"):
+                result.ads[0] = -1
+            with pytest.raises(ValueError, match="read-only"):
+                result.scores[0] = 0.0
+
+    def test_k_is_part_of_the_key(self, retriever):
+        engine = ServingEngine(retriever, cache_size=64)
+        assert engine.serve([3], [[1, 2]], k=5)[0].ads.size == 5
+        assert engine.serve([3], [[1, 2]], k=12)[0].ads.size == 12
+        assert engine.stats.cache_hits == 0
+
+    def test_failed_attempt_caches_nothing(self, retriever, traffic):
+        """Raise after layer 1 succeeded: the retry must start cold."""
+        queries, preclicks = traffic
+        cached_at_failure = []
+
+        def gather_once_broken(expansions, k=20):
+            if not cached_at_failure:
+                cached_at_failure.append(len(engine.cache))
+                raise RuntimeError("shard lost")
+            return retriever.gather_batch(expansions, k=k)
+
+        engine = ServingEngine(_WithLayerTwo(retriever, gather_once_broken),
+                               cache_size=64, slice_retries=1)
+        results = engine.serve(queries[:8], preclicks[:8], k=6)
+        assert cached_at_failure == [0]
+        assert engine.stats.slice_errors == 1
+        assert engine.stats.cache_hits == 0
+        assert engine.stats.cache_misses == 16      # both attempts missed
+        assert all(r.ads.size == 6 for r in results)
+
+    def test_degraded_slice_caches_nothing(self, retriever, traffic):
+        queries, preclicks = traffic
+        broken = _WithLayerTwo(retriever, lambda expansions, k=20: 1 / 0)
+        engine = ServingEngine(broken, cache_size=64, slice_retries=1)
+        degraded = engine.serve(queries[:8], preclicks[:8], k=6)
+        assert engine.stats.degraded_requests == 8
+        assert all(r.ads.size == 0 for r in degraded)
+        assert len(engine.cache) == 0
+        broken.gather_batch = retriever.gather_batch
+        healthy = engine.serve(queries[:8], preclicks[:8], k=6)
+        assert engine.stats.cache_hits == 0
+        assert all(r.ads.size == 6 for r in healthy)
+
+    def test_straggler_after_swap_is_never_hit(self, retriever, traffic):
+        """A batch in flight across a swap writes under the old
+        generation; the new generation must not be served from it."""
+        queries, preclicks = traffic
+        replacement = TwoLayerRetriever(retriever.indices, expansion_k=2,
+                                        ads_per_key=2)
+
+        def swap_then_gather(expansions, k=20):
+            engine.swap_retriever(replacement, generation=9)
+            return retriever.gather_batch(expansions, k=k)
+
+        engine = ServingEngine(_WithLayerTwo(retriever, swap_then_gather),
+                               cache_size=64)
+        in_flight = engine.serve(queries[:4], preclicks[:4], k=6)
+        assert len(engine.cache) == 4               # written after the clear
+        after = engine.serve(queries[:4], preclicks[:4], k=6)
+        assert engine.stats.cache_hits == 0
+        for query, items, old, new in zip(queries, preclicks, in_flight,
+                                          after):
+            want_old = retriever.retrieve(int(query), items, k=6)
+            want_new = replacement.retrieve(int(query), items, k=6)
+            np.testing.assert_array_equal(old.ads, want_old.ads)
+            np.testing.assert_array_equal(new.ads, want_new.ads)
+            np.testing.assert_array_equal(new.scores, want_new.scores)
+
+
+class TestServingCallCounts:
+    """Host-independent gate on what one micro-batch may call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"expand_rows": [], "gather_rows": [], "lookups": 0}
+        expand = TwoLayerRetriever.expand_keys_batch
+        gather = TwoLayerRetriever.gather_batch
+        lookup = InvertedIndex.lookup_batch
+
+        def counted_expand(self, queries, preclicks):
+            counts["expand_rows"].append(len(queries))
+            return expand(self, queries, preclicks)
+
+        def counted_gather(self, expansions, k=20):
+            counts["gather_rows"].append(len(expansions))
+            return gather(self, expansions, k=k)
+
+        def counted_lookup(self, keys, k=None):
+            counts["lookups"] += 1
+            return lookup(self, keys, k)
+
+        monkeypatch.setattr(TwoLayerRetriever, "expand_keys_batch",
+                            counted_expand)
+        monkeypatch.setattr(TwoLayerRetriever, "gather_batch", counted_gather)
+        monkeypatch.setattr(InvertedIndex, "lookup_batch", counted_lookup)
+        return counts
+
+    def test_misses_go_through_once_and_hits_not_at_all(self, retriever,
+                                                        traffic, calls):
+        queries, preclicks = traffic
+        engine = ServingEngine(retriever, max_batch_size=32, cache_size=64)
+        engine.serve_batch(queries[:15], preclicks[:15], k=6)
+        assert calls == {"expand_rows": [15], "gather_rows": [15],
+                         "lookups": 6}
+        # 15 hits and 5 misses in one batch
+        engine.serve_batch(queries, preclicks, k=6)
+        assert engine.stats.cache_hits == 15
+        assert calls["expand_rows"] == [15, 5]
+        assert calls["gather_rows"] == [15, 5]
+        assert calls["lookups"] <= 12
+        # all hits: the retriever is not called
+        before = dict(calls, expand_rows=list(calls["expand_rows"]),
+                      gather_rows=list(calls["gather_rows"]))
+        engine.serve_batch(queries, preclicks, k=6)
+        assert engine.stats.cache_hits == 35
+        assert calls == before
+
+    def test_no_link_function_on_the_request_path(self, retriever, traffic,
+                                                  monkeypatch):
+        """Distances become scores once, in the constructor."""
+        queries, preclicks = traffic
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("_fermi evaluated while serving")
+
+        monkeypatch.setattr(two_layer, "_fermi", unreachable)
+        engine = ServingEngine(retriever, cache_size=0)
+        results = engine.serve(queries, preclicks, k=6)
+        assert engine.stats.slice_errors == 0
+        assert all(r.ads.size == 6 for r in results)
 
 
 class TestShardParallelServing:
@@ -305,7 +467,7 @@ class TestSimulatorWithEngine:
         engine = ServingEngine(retriever, max_batch_size=8, cache_size=64)
         sim = ServingSimulator(retriever, num_workers=16)
         service = sim.measure_batched_service_time(engine, queries,
-                                                   preclicks, repeats=2)
+                                                   preclicks)
         assert service > 0
         assert sim.service_seconds == service
         stats = sim.sweep([10, 100, 1000])

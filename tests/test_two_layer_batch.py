@@ -1,5 +1,6 @@
 """Tests for the vectorised batch retrieval path and the Fermi fix."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from repro.graph.schema import Relation
 from repro.models import make_model
-from repro.retrieval import IndexSet, TwoLayerRetriever
+from repro.retrieval import IndexSet, TwoLayerRetriever, two_layer
 from repro.retrieval.index import InvertedIndex
 from repro.retrieval.two_layer import KeyExpansion, _fermi
 from repro.training import Trainer, TrainerConfig
@@ -188,3 +189,158 @@ class TestBatchSemantics:
         assert expansion.num_keys == 2
         assert expansion.query_scores[0] == 1.0
         assert expansion.item_scores[0] == 1.0
+
+
+def _random_indices(rng, relations, num_queries=30, num_items=40, num_ads=25,
+                    width=6, dtype=np.int64):
+    """A seeded stub index set over the given relations."""
+    sizes = {"q": num_queries, "i": num_items, "a": num_ads}
+    indices = {}
+    for relation in relations:
+        source, target = relation.value[0], relation.value[-1]
+        ids = rng.integers(sizes[target], size=(sizes[source], width))
+        dists = np.sort(rng.uniform(0.0, 3.0, size=ids.shape), axis=1)
+        indices[relation] = _index(relation, ids.astype(dtype), dists)
+    return _StubIndexSet(indices)
+
+
+def _stub_requests(rng, count, num_queries=30, num_items=40):
+    queries = rng.integers(num_queries, size=count)
+    preclicks = [tuple(rng.integers(num_items, size=rng.integers(0, 4)))
+                 for _ in range(count)]
+    return queries, preclicks
+
+
+def _assert_matches_oracle(retriever, queries, preclicks, k):
+    batch = retriever.retrieve_batch(queries, preclicks, k=k)
+    assert len(batch) == len(queries)
+    for query, items, result in zip(queries, preclicks, batch):
+        reference = retrieve_looped(retriever, int(query), items, k=k)
+        _assert_same_topk(result, reference)
+        assert result.num_keys == reference.num_keys
+    return batch
+
+
+ALL_RELATIONS = list(Relation)
+
+
+class TestMissPath:
+    """The dense layer-2 path against the dict-accumulating oracle."""
+
+    @pytest.mark.parametrize("relations", [
+        ALL_RELATIONS,
+        [Relation.Q2A],
+        [Relation.I2A],
+        [Relation.Q2Q, Relation.Q2I, Relation.I2Q, Relation.I2I],
+        [Relation.Q2I, Relation.I2A],
+    ], ids=lambda rs: "+".join(r.value for r in rs))
+    def test_missing_relations(self, rng, relations):
+        retriever = TwoLayerRetriever(_random_indices(rng, relations),
+                                      expansion_k=4, ads_per_key=3)
+        _assert_matches_oracle(retriever, *_stub_requests(rng, 12), k=5)
+
+    def test_request_that_reaches_no_ad_beside_one_that_does(self, rng):
+        retriever = TwoLayerRetriever(
+            _random_indices(rng, [Relation.I2A]), ads_per_key=3)
+        nothing, something = _assert_matches_oracle(
+            retriever, [3, 3], [(), (7,)], k=5)
+        assert nothing.ads.size == 0 and nothing.num_keys == 1
+        assert something.ads.size > 0
+
+    @pytest.mark.parametrize("k", [1, 24, 25, 26, 1000])
+    def test_k_around_and_above_the_catalog(self, rng, k):
+        retriever = TwoLayerRetriever(_random_indices(rng, ALL_RELATIONS),
+                                      expansion_k=4, ads_per_key=3)
+        for result in _assert_matches_oracle(
+                retriever, *_stub_requests(rng, 8), k=k):
+            assert result.ads.size <= min(k, 25)
+            assert np.unique(result.ads).size == result.ads.size
+
+    def test_index_narrower_than_the_dials(self, rng):
+        retriever = TwoLayerRetriever(
+            _random_indices(rng, ALL_RELATIONS, width=2),
+            expansion_k=10, ads_per_key=10)
+        _assert_matches_oracle(retriever, *_stub_requests(rng, 8), k=20)
+
+    def test_zero_ads_per_key_reaches_nothing(self, rng):
+        retriever = TwoLayerRetriever(_random_indices(rng, ALL_RELATIONS),
+                                      expansion_k=4, ads_per_key=0)
+        assert retriever.num_ads == 0
+        for result in _assert_matches_oracle(
+                retriever, *_stub_requests(rng, 4), k=5):
+            assert result.ads.size == 0 and result.num_keys > 0
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+    def test_non_int64_ids(self, rng, dtype):
+        retriever = TwoLayerRetriever(
+            _random_indices(rng, ALL_RELATIONS, dtype=dtype),
+            expansion_k=4, ads_per_key=3)
+        results = _assert_matches_oracle(retriever, *_stub_requests(rng, 8),
+                                         k=5)
+        assert all(r.ads.dtype == np.int64 for r in results)
+
+    def test_underflowed_path_score_is_still_a_result(self):
+        indices = {Relation.Q2A: _index(Relation.Q2A, [[4, 2]], [[0.1, 1e6]])}
+        retriever = TwoLayerRetriever(_StubIndexSet(indices), ads_per_key=2)
+        result, = _assert_matches_oracle(retriever, [0], [()], k=5)
+        assert result.ads.tolist() == [4, 2]
+        assert result.scores[1] == 0.0
+
+    def test_batch_of_one(self, rng):
+        retriever = TwoLayerRetriever(_random_indices(rng, ALL_RELATIONS))
+        _assert_matches_oracle(retriever, [5], [(1, 2)], k=5)
+
+    def test_batch_split_across_row_blocks(self, rng, monkeypatch):
+        retriever = TwoLayerRetriever(_random_indices(rng, ALL_RELATIONS),
+                                      expansion_k=4, ads_per_key=3)
+        queries, preclicks = _stub_requests(rng, 12)
+        whole = retriever.retrieve_batch(queries, preclicks, k=5)
+        # 25 ads: five rows a block, so 12 requests take three blocks
+        monkeypatch.setattr(two_layer, "_GATHER_BLOCK_ELEMENTS", 5 * 25)
+        blocked = _assert_matches_oracle(retriever, queries, preclicks, k=5)
+        for a, b in zip(whole, blocked):
+            np.testing.assert_array_equal(a.ads, b.ads)
+            np.testing.assert_array_equal(a.scores, b.scores)
+
+    def test_result_does_not_depend_on_the_batch(self, retriever, requests,
+                                                 monkeypatch):
+        """Bit-equal alone, first and last of 32, and across a block edge.
+
+        The contract that makes the engine's result cache exact.
+        """
+        queries, preclicks = requests
+        alone = retriever.retrieve(int(queries[0]), preclicks[0], k=10)
+        assert alone.ads.size == 10
+        first = retriever.retrieve_batch(queries[:32], preclicks[:32],
+                                         k=10)[0]
+        order = list(range(1, 32)) + [0]
+        last = retriever.retrieve_batch(
+            queries[order], [preclicks[i] for i in order], k=10)[31]
+        # 31 rows a block: position 31 opens the second block
+        monkeypatch.setattr(two_layer, "_GATHER_BLOCK_ELEMENTS",
+                            31 * retriever.num_ads)
+        edge = retriever.retrieve_batch(
+            queries[order], [preclicks[i] for i in order], k=10)[31]
+        for other in (first, last, edge):
+            np.testing.assert_array_equal(other.ads, alone.ads)
+            np.testing.assert_array_equal(other.scores, alone.scores)
+
+    def test_gather_memory_is_bounded_by_the_block_not_the_catalog(self):
+        """32 requests over 200k ads: a whole-batch dense array is 51 MB."""
+        num_ads, width = 200_000, 4
+        rng = np.random.default_rng(0)
+        indices = {Relation.Q2A: _index(
+            Relation.Q2A, rng.integers(num_ads, size=(32, width)),
+            rng.uniform(0.0, 2.0, size=(32, width)))}
+        indices[Relation.Q2A].ids[0, 0] = num_ads - 1
+        retriever = TwoLayerRetriever(_StubIndexSet(indices),
+                                      ads_per_key=width)
+        expansions = retriever.expand_keys_batch(np.arange(32), [()] * 32)
+        tracemalloc.start()
+        try:
+            results = retriever.gather_batch(expansions, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.ads.size == 3 for r in results)
+        assert peak < 16 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
