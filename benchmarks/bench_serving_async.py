@@ -5,7 +5,7 @@ real :class:`ServingEngine` through the SLO-aware
 :class:`AdmissionController` with session-replayed traffic and check
 the measured queueing behaviour against the Erlang-C capacity model.
 
-Three parts land in ``BENCH_serving_async.json``:
+Four parts land in ``BENCH_serving_async.json``:
 
 - **calibration sweep** — Poisson traffic at 0.3/0.5/0.7/0.85 of the
   measured saturation point (``workers / mean service time``) plus a
@@ -30,7 +30,16 @@ Three parts land in ``BENCH_serving_async.json``:
   shed more than Poisson at equal mean rate — the reason capacity
   plans cannot be made from mean QPS alone;
 - **priority lanes** — 1.4x overload with half the queue reserved:
-  the paid lane must shed at a lower rate than organic.
+  the paid lane must shed at a lower rate than organic;
+- **batched dispatch** — the only leg with ``max_batch`` above 1, so
+  the only one that sees how the dispatcher forms batches: one seeded
+  stream through one worker of a cached engine at its batch width,
+  offered at 0.1/0.5/0.9/1.2x the saturation measured with full-width
+  batches.  Per point: latency and wait p50/p99, mean batch size,
+  achieved qps, shed.  Gates at ``--scale >= 1``: mean batch size
+  never falls as load rises, reaches 0.9x ``max_batch`` at 1.2x, and
+  the p50 wait at 0.1x is 0 (a request that finds a worker idle is
+  served at once).
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_serving_async.py
 [--scale X] [--out PATH]``); CI runs ``--scale 0.05`` as a smoke.
@@ -39,6 +48,7 @@ Run directly (``PYTHONPATH=src python benchmarks/bench_serving_async.py
 from __future__ import annotations
 
 import sys
+import time
 
 import numpy as np
 
@@ -70,6 +80,14 @@ PROBE_REQUESTS = 200           # fresh service probe before every run
 MAX_QUEUE = 512
 #: the bench SLO: a queue-wait budget of 40x the measured mean service
 DEADLINE_SERVICE_MULTIPLE = 40.0
+
+#: batched leg: loads as fractions of full-width-batch saturation
+BATCHED_LOADS = (0.1, 0.5, 0.9, 1.2)
+BATCHED_REQUESTS = 2400
+#: LRU entries, below the stream's ~360 distinct signatures: every
+#: pass keeps a miss path, as on the e2e ``serve_zipf`` stream
+BATCHED_CACHE = 256
+BATCHED_SATURATION_PASSES = 3
 
 SYNTH_SERVICE_SECONDS = 0.01
 SYNTH_REQUESTS = 4000
@@ -207,6 +225,62 @@ def _sweep(engine, traffic, scale: float) -> dict:
     }
 
 
+def _batched(engine, traffic, scale: float) -> dict:
+    """Dispatch at the engine's batch width over a cached engine."""
+    cached = ServingEngine(engine.retriever, cache_size=BATCHED_CACHE)
+    width = cached.max_batch_size
+    requests = max(int(BATCHED_REQUESTS * scale), 4 * width)
+    base_qps = 1000.0
+    stream = traffic.generate(qps=base_qps, duration=requests / base_qps,
+                              seed=41)
+    chunks = [stream[i:i + width] for i in range(0, len(stream), width)]
+
+    def full_batch_pass() -> float:
+        start = time.perf_counter()
+        for chunk in chunks:
+            cached.serve_batch([r.query for r in chunk],
+                               [r.preclicks for r in chunk])
+        return time.perf_counter() - start
+
+    # one warm pass leaves the LRU in the state every later pass of the
+    # same stream starts from; saturation is one full-width worker
+    full_batch_pass()
+    walls = sorted(full_batch_pass()
+                   for _ in range(BATCHED_SATURATION_PASSES))
+    saturation_qps = len(stream) / walls[len(walls) // 2]
+    batch_service = walls[len(walls) // 2] / len(chunks)
+    deadline_ms = 1000.0 * DEADLINE_SERVICE_MULTIPLE * batch_service
+    points = []
+    for fraction in BATCHED_LOADS:
+        qps = fraction * saturation_qps
+        stretch = base_qps / qps
+        hits_before = cached.stats.cache_hits
+        ctrl = AdmissionController(cached, max_queue=MAX_QUEUE,
+                                   deadline_ms=deadline_ms, max_batch=width)
+        for r in stream:
+            ctrl.offer(r.arrival * stretch, r.query, r.preclicks,
+                       lane=r.lane)
+        makespan = ctrl.drain()
+        summary = ctrl.stats.summary()
+        points.append({
+            "load_fraction": fraction,
+            "target_qps": qps,
+            "offered": summary["offered"],
+            "served": summary["served"],
+            "shed": summary["shed"],
+            "achieved_qps": summary["served"] / makespan,
+            "mean_batch_size": summary["mean_batch_size"],
+            "wait_ms": summary["wait_ms"],
+            "latency_ms": summary["latency_ms"],
+            "cache_hit_ratio": ((cached.stats.cache_hits - hits_before)
+                                / max(summary["served"], 1)),
+        })
+    return {"max_batch": width, "cache_size": BATCHED_CACHE,
+            "requests": len(stream), "saturation_qps": saturation_qps,
+            "full_batch_service_ms": 1000.0 * batch_service,
+            "deadline_ms": deadline_ms, "points": points}
+
+
 def _arrival_processes(logs, scale: float) -> dict:
     requests = max(int(SYNTH_REQUESTS * scale), 60)
     qps = 0.7 * FLEET / SYNTH_SERVICE_SECONDS
@@ -249,12 +323,14 @@ def _priority_lanes(logs, scale: float) -> dict:
             "shed_rate_by_lane": rates}
 
 
-def _gates(sweep: dict, processes: dict, priority: dict) -> dict:
+def _gates(sweep: dict, processes: dict, priority: dict,
+           batched: dict) -> dict:
     by_load = {p["load_fraction"]: p for p in sweep["points"]}
     below = [by_load[f] for f in SUB_SATURATION]
     overload = by_load[OVERLOAD]
     ratios = {f: by_load[f]["median_ratio_vs_predicted"]
               for f in CALIBRATION_LOADS}
+    sizes = [p["mean_batch_size"] for p in batched["points"]]
     return {
         "no_shed_below_saturation": all(p["shed_total"] == 0
                                         for p in below),
@@ -271,6 +347,12 @@ def _gates(sweep: dict, processes: dict, priority: dict) -> dict:
         "paid_lane_sheds_less": (
             priority["shed_rate_by_lane"]["paid"]
             < priority["shed_rate_by_lane"]["organic"]),
+        "batch_size_rises_with_load": all(
+            a <= b for a, b in zip(sizes, sizes[1:])),
+        "batches_fill_past_saturation": (
+            sizes[-1] >= 0.9 * batched["max_batch"]),
+        "no_wait_at_low_load": (
+            batched["points"][0]["wait_ms"]["p50"] == 0.0),
     }
 
 
@@ -287,13 +369,15 @@ def main(argv=None) -> int:
     sweep = _sweep(engine, traffic, args.scale)
     processes = _arrival_processes(logs, args.scale)
     priority = _priority_lanes(logs, args.scale)
-    gates = _gates(sweep, processes, priority)
+    batched = _batched(engine, traffic, args.scale)
+    gates = _gates(sweep, processes, priority, batched)
 
     payload = {
         "scale": args.scale,
         "sweep": sweep,
         "arrival_processes": processes,
         "priority": priority,
+        "batched": batched,
         "gates": gates,
     }
     write_json_out(args.out, payload)
@@ -320,6 +404,15 @@ def main(argv=None) -> int:
           % (OVERLOAD,
              100.0 * priority["shed_rate_by_lane"]["paid"],
              100.0 * priority["shed_rate_by_lane"]["organic"]))
+
+    print("batched @ width %d, one worker, saturation %.0f qps:"
+          % (batched["max_batch"], batched["saturation_qps"]))
+    for p in batched["points"]:
+        print("  load %.1f  achieved %7.0f qps  batch %5.2f  wait p50 %.3f "
+              "ms  latency p50/p99 %.3f/%.3f ms  shed %d"
+              % (p["load_fraction"], p["achieved_qps"], p["mean_batch_size"],
+                 p["wait_ms"]["p50"], p["latency_ms"]["p50"],
+                 p["latency_ms"]["p99"], p["shed"]))
 
     if args.scale >= 1.0:
         failed = [name for name, ok in gates.items()

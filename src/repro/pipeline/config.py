@@ -305,11 +305,10 @@ class ServingConfig:
     seed: int = 0
     #: admission-queue watermark: arrivals beyond this depth are shed
     admission_max_queue: int = 256
-    #: per-request queueing budget (ms): partial batches dispatch when
-    #: the oldest pending request has spent it, and requests that would
-    #: wait longer are shed at dispatch
+    #: per-request queueing budget (ms): requests that would wait longer
+    #: are shed at dispatch
     admission_deadline_ms: float = 50.0
-    #: fill target per admitted micro-batch (0 = ``max_batch_size``)
+    #: most requests per admitted micro-batch (0 = ``max_batch_size``)
     admission_max_batch: int = 0
     #: fraction of the admission queue reserved for the paid lane
     admission_priority_share: float = 0.0
@@ -378,8 +377,8 @@ class ServingConfig:
         """Constructor kwargs for an ``AdmissionController`` over the engine.
 
         ``admission_max_batch=0`` resolves to the engine's
-        ``max_batch_size``, so the admission layer fills batches to the
-        same width the engine would slice them at.
+        ``max_batch_size``, so a batch formed under load is no wider
+        than the engine would slice it.
         """
         return {
             "max_queue": self.admission_max_queue,

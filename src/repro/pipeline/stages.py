@@ -365,10 +365,12 @@ class ServeStage(Stage):
     def _admission_probe(ctx: PipelineContext, service: float):
         """Drive the admission layer over replayed log sessions.
 
-        One short closed-loop run at ~60% of the single-worker
-        saturation implied by the measured batched service time —
-        enough to surface the configured admission knobs, the queue
-        latency percentiles, and any shedding in the stage report.
+        One short closed-loop run offering 60% of the rate one worker
+        sustains at the measured *batched* service time.  A lone
+        request costs more than its share of a full batch, so the probe
+        queues briefly and small batches form — enough to surface the
+        configured admission knobs, the queue latency percentiles, and
+        any shedding in the stage report.
         """
         cfg = ctx.config.serving
         train_logs = (ctx.logs or [])[:ctx.config.data.train_days]

@@ -5,9 +5,10 @@ layered front to back:
 
 - :mod:`repro.serving.admission` — :class:`AdmissionController`, the
   SLO-aware layer in front of the engine: arrival-timestamped bounded
-  queue, fill-or-deadline micro-batch sizing, paid/organic priority
-  lanes, backpressure + deadline load-shedding, and per-request
-  queue/service latency percentiles in :class:`AdmissionStats`;
+  queue, work-conserving micro-batching (a batch leaves as soon as a
+  worker is free), paid/organic priority lanes, backpressure +
+  deadline load-shedding, and per-request queue/service latency
+  percentiles in :class:`AdmissionStats`;
 - :mod:`repro.serving.engine` — :class:`ServingEngine`, which
   answers repeat requests from an exact LRU of finished results, sends
   each micro-batch's misses through the vectorised retriever, and keeps

@@ -14,11 +14,12 @@ shed.  :class:`AdmissionController` is that layer for the reproduction:
   ``"organic"`` traffic.  Dequeue is strict-priority (paid drains
   first) and ``priority_share`` of the queue capacity is *reserved* for
   the paid lane, so organic traffic sheds earlier under overload;
-- **fill-or-deadline micro-batching** — a batch dispatches as soon as
-  ``max_batch`` requests are pending, or when the oldest pending
-  request's deadline budget (``deadline_ms``) is about to be spent,
-  whichever comes first; low-traffic requests therefore never wait
-  longer than the deadline just to fill a batch;
+- **work-conserving micro-batching** — a batch leaves at ``max(oldest
+  queued arrival, earliest-free worker)`` and takes up to ``max_batch``
+  queued requests, paid lane first.  A request that finds a worker
+  idle is served at once, alone; requests that arrive while every
+  worker is busy queue up and leave together when one frees, so
+  batches fill by themselves exactly when the fleet is loaded;
 - **deadline shedding** — when every worker is busy past a request's
   deadline, the request is dropped at dispatch time instead of being
   served uselessly late.  Served requests consequently have queue wait
@@ -178,12 +179,12 @@ class AdmissionController:
         Queue-depth watermark; arrivals beyond it are shed
         (backpressure).
     deadline_ms:
-        Per-request queueing budget.  A partial batch dispatches when
-        the oldest pending request has spent it, and a request whose
-        wait would exceed it (all workers busy) is shed at dispatch.
+        Per-request queueing budget.  A request whose wait would exceed
+        it (all workers busy) is shed at dispatch, so a served wait is
+        ``<= deadline``; it does not decide when a batch leaves.
     max_batch:
-        Fill target per micro-batch; ``None`` adopts the engine's
-        ``max_batch_size``.
+        Most requests one micro-batch takes from the queue; ``None``
+        adopts the engine's ``max_batch_size``.
     num_workers:
         Virtual fleet width: how many measured-service batches may be
         in flight at once on the virtual timeline.
@@ -236,6 +237,8 @@ class AdmissionController:
         self._keep_results = bool(keep_results)
         self._queues: Dict[str, Deque[AdmissionRequest]] = {
             lane: deque() for lane in LANES}
+        self._lanes = tuple(self._queues.values())    # dequeue order
+        self._depth = 0
         self._worker_free = [0.0] * self.num_workers
         self._clock = 0.0
         # organic arrivals stop at the unreserved share of the queue
@@ -247,15 +250,7 @@ class AdmissionController:
     @property
     def depth(self) -> int:
         """Requests currently queued (all lanes)."""
-        return sum(len(q) for q in self._queues.values())
-
-    def lane_depth(self, lane: str) -> int:
-        return len(self._queues[lane])
-
-    @property
-    def virtual_time(self) -> float:
-        """High-water mark of the virtual clock (latest arrival seen)."""
-        return self._clock
+        return self._depth
 
     # -- offering traffic ----------------------------------------------------
 
@@ -273,27 +268,29 @@ class AdmissionController:
                 "arrivals must be non-decreasing: got %.6f after %.6f"
                 % (arrival, self._clock))
         request = AdmissionRequest(arrival=float(arrival), query=int(query),
-                                   preclicks=tuple(int(p) for p in preclicks),
+                                   preclicks=tuple(map(int, preclicks)),
                                    lane=lane)
         self._advance(request.arrival)
         self._clock = request.arrival
-        self.stats.offered += 1
-        self.stats.offered_by_lane[request.lane] += 1
+        stats = self.stats
+        stats.offered += 1
+        stats.offered_by_lane[lane] += 1
         if self.breaker is not None and not self.breaker.allow():
             # downstream is tripped: shed at the door (half-open probes
             # pass through so recovery is observed)
-            self.stats.shed_breaker += 1
-            self.stats.shed_by_lane[request.lane] += 1
+            stats.shed_breaker += 1
+            stats.shed_by_lane[lane] += 1
             return False
-        cap = (self.max_queue if request.lane == "paid"
-               else self._organic_cap)
-        if self.depth >= cap:
-            self.stats.shed_queue += 1
-            self.stats.shed_by_lane[request.lane] += 1
+        cap = self.max_queue if lane == "paid" else self._organic_cap
+        if self._depth >= cap:
+            stats.shed_queue += 1
+            stats.shed_by_lane[lane] += 1
             return False
-        self._queues[request.lane].append(request)
-        self.stats.admitted += 1
-        self.stats.max_depth_seen = max(self.stats.max_depth_seen, self.depth)
+        self._queues[lane].append(request)
+        self._depth += 1
+        stats.admitted += 1
+        if self._depth > stats.max_depth_seen:
+            stats.max_depth_seen = self._depth
         return True
 
     def drain(self) -> float:
@@ -307,68 +304,61 @@ class AdmissionController:
 
     # -- the discrete-event core ---------------------------------------------
 
-    def _fill_time(self) -> float:
-        """Virtual time the queue depth reached ``max_batch`` (inf if not)."""
-        if self.depth < self.max_batch:
-            return math.inf
-        # the fill condition became true when the max_batch-th oldest
-        # queued request arrived; lanes are individually arrival-sorted,
-        # so a two-pointer merge finds that arrival
-        arrivals = sorted(r.arrival
-                          for lane in LANES for r in self._queues[lane])
-        return arrivals[self.max_batch - 1]
-
-    def _oldest(self) -> AdmissionRequest:
-        candidates = [q[0] for q in self._queues.values() if q]
-        return min(candidates, key=lambda r: r.arrival)
+    def _oldest(self) -> float:
+        """Arrival of the oldest queued request (the queue is non-empty)."""
+        paid, organic = self._lanes
+        if not paid:
+            return organic[0].arrival
+        if not organic:
+            return paid[0].arrival
+        return min(paid[0].arrival, organic[0].arrival)
 
     def _advance(self, now: float) -> None:
-        """Dispatch every batch whose dispatch time falls before ``now``."""
-        while self.depth > 0:
-            worker = min(range(self.num_workers),
-                         key=self._worker_free.__getitem__)
-            free_at = self._worker_free[worker]
-            ready_at = min(self._fill_time(),
-                           self._oldest().arrival + self.deadline)
-            dispatch_at = max(ready_at, free_at)
+        """Dispatch every batch due at or before ``now``.
+
+        A batch is due at ``max(oldest queued arrival, earliest-free
+        worker)``; ``offer`` advances *before* queueing, so a request
+        arriving exactly then joins the next batch.
+        """
+        free = self._worker_free
+        while self._depth:
+            free_at = min(free)
+            oldest = self._oldest()
+            dispatch_at = max(oldest, free_at)
             if dispatch_at > now:
-                break
-            if self._shed_expired(dispatch_at):
+                return
+            if oldest + self.deadline < dispatch_at:
+                self._shed_expired(dispatch_at)
                 continue    # queue changed; recompute the dispatch time
             batch = self._next_batch()
-            queries = [r.query for r in batch]
-            preclicks = [r.preclicks for r in batch]
-            results, service = self.engine.serve_batch(queries, preclicks,
-                                                       k=self.k)
-            self._worker_free[worker] = dispatch_at + service
-            self.stats.batch_sizes.append(len(batch))
-            for i, request in enumerate(batch):
-                wait = dispatch_at - request.arrival
-                self.stats.queue_wait_seconds.append(wait)
-                self.stats.service_seconds.append(service)
-                self.stats.latency_seconds.append(wait + service)
-                self.stats.served += 1
-                if self._keep_results:
-                    self.results.append(
-                        (request, results[i] if results else None))
+            results, service = self.engine.serve_batch(
+                [r.query for r in batch], [r.preclicks for r in batch],
+                k=self.k)
+            free[free.index(free_at)] = dispatch_at + service
+            stats = self.stats
+            waits = [dispatch_at - r.arrival for r in batch]
+            stats.batch_sizes.append(len(batch))
+            stats.served += len(batch)
+            stats.queue_wait_seconds += waits
+            stats.service_seconds += [service] * len(batch)
+            stats.latency_seconds += [wait + service for wait in waits]
+            if self._keep_results:
+                self.results += zip(batch, results or [None] * len(batch))
 
-    def _shed_expired(self, dispatch_at: float) -> bool:
-        """Drop requests whose wait would already exceed the deadline."""
-        dropped = False
-        for lane in LANES:
-            queue = self._queues[lane]
+    def _shed_expired(self, dispatch_at: float) -> None:
+        """Drop the queue heads whose wait would exceed the deadline."""
+        for queue in self._lanes:
             while queue and queue[0].arrival + self.deadline < dispatch_at:
                 request = queue.popleft()
+                self._depth -= 1
                 self.stats.shed_deadline += 1
                 self.stats.shed_by_lane[request.lane] += 1
-                dropped = True
-        return dropped
 
     def _next_batch(self) -> List[AdmissionRequest]:
         """Pop up to ``max_batch`` requests, paid lane strictly first."""
         batch: List[AdmissionRequest] = []
-        for lane in LANES:
-            queue = self._queues[lane]
+        for queue in self._lanes:
             while queue and len(batch) < self.max_batch:
                 batch.append(queue.popleft())
+        self._depth -= len(batch)
         return batch

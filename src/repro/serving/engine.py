@@ -337,8 +337,8 @@ class ServingEngine:
 
         Unlike :meth:`serve` this never re-slices: the caller (e.g. the
         :class:`~repro.serving.admission.AdmissionController`, which
-        sizes batches by fill-or-deadline) has already decided the batch
-        boundary.  ``wall`` is the measured batch wall latency in
+        dispatches whatever is queued when a worker frees) has already
+        decided the batch boundary.  ``wall`` is the measured batch wall latency in
         seconds — the service-time sample the admission layer charges
         to its virtual worker.
         """

@@ -4,6 +4,7 @@ artifact reload parity, and the satellite helpers."""
 import dataclasses
 import importlib
 import json
+import pathlib
 import shutil
 import warnings
 
@@ -36,6 +37,10 @@ TINY = {
                 "qps_sweep": [1000.0, 20000.0]},
     "eval": {"auc_samples": 60, "ranking_ks": [10], "max_queries": 40},
 }
+
+
+#: the CI-exercised canonical config
+TINY_JSON = pathlib.Path(__file__).parents[1] / "examples/configs/tiny.json"
 
 
 def tiny_config(**section_updates):
@@ -262,6 +267,23 @@ class TestPipelineRun:
         assert ctx.engine.stats.cache_hits == duplicates
         assert info["cache_hit_rate"] == pytest.approx(duplicates / 60)
 
+    def test_tiny_json_admission_probe_does_not_hold_requests(
+            self, tmp_path):
+        """The shipped tiny config's serve-stage probe sheds nothing and
+        dispatches when the worker frees; under fill-or-deadline its ~10
+        requests sat out most of the 50 ms deadline (p50 ~49.8 ms)."""
+        config = PipelineConfig.load(TINY_JSON).with_overrides(
+            ["training.steps=6", "eval.enabled=false"])
+        info = Pipeline(config, artifact_dir=str(tmp_path)).run()["serve"].info
+        admission = info["admission"]
+        assert admission["offered"] > 0
+        assert admission["shed"] == 0
+        assert admission["served"] == admission["offered"]
+        assert admission["mean_batch_size"] < admission["max_batch"]
+        # the probe offers 60% of *batched* capacity, above what lone
+        # requests sustain, so a few queue for about one service time
+        assert admission["wait_ms"]["p50"] < 0.1 * admission["deadline_ms"]
+
     def test_artifact_layout(self, run_pipeline):
         store = run_pipeline.store
         for name in (ArtifactStore.CONFIG, ArtifactStore.MODEL,
@@ -344,6 +366,35 @@ class TestFromArtifacts:
         old.publish_generation()
         with pytest.raises(ValueError, match=r"training\.data_plane.*retired"):
             Pipeline.from_artifacts(old.root)
+
+    def test_generation_with_admission_keys_loads_and_serves(
+            self, run_pipeline, tmp_path):
+        """A published ``config.json`` carrying the ``serving.admission_*``
+        keys loads unchanged and its controller serves the same ads."""
+        old = ArtifactStore(shutil.copytree(run_pipeline.store.root,
+                                            tmp_path / "old"))
+        payload = json.loads(old.path(ArtifactStore.CONFIG).read_text())
+        payload["serving"].update({"admission_deadline_ms": 250.0,
+                                   "admission_max_batch": 4})
+        old.path(ArtifactStore.CONFIG).write_text(json.dumps(payload))
+        generation = old.publish_generation()
+        served = Pipeline.from_artifacts(old.root)
+        assert served.serving_generation == generation
+        assert served.config.serving.admission_deadline_ms == 250.0
+        assert served.config.serving.admission_max_batch == 4
+        controller = served.make_admission_controller(keep_results=True)
+        assert controller.deadline == pytest.approx(0.25)
+        assert controller.max_batch == 4
+        queries, preclicks = [3, 14, 3, 27, 60], [[2], [], [5], [1, 9], []]
+        for query, items in zip(queries, preclicks):
+            assert controller.offer(0.0, query, items)
+        controller.drain()
+        # a burst: the first finds the worker idle, four queue behind it
+        assert controller.stats.batch_sizes == [1, 4]
+        want = run_pipeline.retriever.retrieve_batch(
+            queries, preclicks, k=served.config.serving.k)
+        for (_, got), expected in zip(controller.results, want):
+            np.testing.assert_array_equal(got.ads, expected.ads)
 
     def test_ab_eval_without_control_artifacts_raises(self, run_pipeline):
         # the artifacts were produced without a control channel, so an

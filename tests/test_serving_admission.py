@@ -1,4 +1,4 @@
-"""Admission layer: bounded queue, lanes, fill-or-deadline, calibration.
+"""Admission layer: bounded queue, lanes, dispatch-when-free, calibration.
 
 The calibration tests are the contract that makes the Erlang-C
 :class:`ServingSimulator` a trustworthy capacity-planning tool:
@@ -19,12 +19,14 @@ The calibration tests are the contract that makes the Erlang-C
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.models import make_model
 from repro.retrieval import IndexSet, TwoLayerRetriever
 from repro.serving import (
     AdmissionController,
     AdmissionStats,
+    LANES,
     ServingEngine,
     SyntheticService,
     TrafficGenerator,
@@ -49,49 +51,74 @@ def det_service(mean=0.01, max_batch=1):
 
 class TestAdmissionQueue:
     def test_fill_dispatch(self):
-        """A full batch dispatches at the max_batch-th arrival time."""
-        ctrl = AdmissionController(det_service(), max_batch=4,
+        """Batches fill behind a busy worker: a 70-burst is 1, 32, 32, 5."""
+        ctrl = AdmissionController(det_service(mean=0.001), max_batch=32,
                                    deadline_ms=1e6, num_workers=1)
-        for i, t in enumerate([0.0, 0.001, 0.002, 0.003]):
-            assert ctrl.offer(t, query=i)
+        for i in range(70):
+            assert ctrl.offer(0.0, query=i)
         ctrl.drain()
-        # the batch went out at t=0.003, the arrival that filled it —
-        # the waits say so even though the deadline was nowhere near
+        # the first request finds the worker idle and leaves alone; the
+        # other 69 queued behind it and leave in full batches
+        assert ctrl.stats.batch_sizes == [1, 32, 32, 5]
         assert ctrl.depth == 0
-        assert ctrl.stats.batch_sizes == [4]
-        assert ctrl.stats.queue_wait_seconds == pytest.approx(
-            [0.003, 0.002, 0.001, 0.0])
-        # deterministic service: 4 requests x 10 ms summed
-        assert ctrl.stats.service_seconds == pytest.approx([0.04] * 4)
+        dispatches = sorted(set(ctrl.stats.queue_wait_seconds))
+        assert dispatches == pytest.approx([0.0, 0.001, 0.033, 0.065])
 
     def test_deadline_dispatch(self):
-        """A partial batch goes out when the oldest budget is spent."""
+        """The deadline no longer holds a partial batch back."""
         ctrl = AdmissionController(det_service(), max_batch=100,
                                    deadline_ms=20.0, num_workers=1)
         ctrl.offer(0.0, query=0)
-        ctrl.offer(0.005, query=1)
-        assert ctrl.depth == 2          # neither full nor expired yet
-        ctrl.offer(0.05, query=2)       # advancing past 0.02 dispatches
-        assert ctrl.stats.batch_sizes == [2]
-        assert ctrl.stats.queue_wait_seconds == pytest.approx([0.02, 0.015])
-        # the late request waits out its own deadline before drain
+        ctrl.offer(0.005, query=1)      # worker idle at 0: #0 left alone
+        assert ctrl.stats.batch_sizes == [1]
+        assert ctrl.depth == 1
+        ctrl.offer(0.05, query=2)       # #1 left when the worker freed
         ctrl.drain()
-        assert ctrl.stats.batch_sizes == [2, 1]
-        assert ctrl.stats.queue_wait_seconds[-1] == pytest.approx(0.02)
+        assert ctrl.stats.batch_sizes == [1, 1, 1]
+        assert ctrl.stats.queue_wait_seconds == pytest.approx(
+            [0.0, 0.005, 0.0])
+
+    def test_idle_worker_serves_at_once(self):
+        """Inter-arrival above service time: every batch 1, every wait 0."""
+        ctrl = AdmissionController(det_service(mean=0.004), max_batch=32,
+                                   deadline_ms=50.0, num_workers=1)
+        for i in range(40):
+            ctrl.offer(0.005 * i, query=i)
+        ctrl.drain()
+        assert ctrl.stats.batch_sizes == [1] * 40
+        assert ctrl.stats.queue_wait_seconds == [0.0] * 40
+
+    def test_busy_worker_batches_at_free_time(self):
+        """Arrivals behind a busy worker leave together when it frees."""
+        ctrl = AdmissionController(det_service(), max_batch=32,
+                                   deadline_ms=50.0, num_workers=1)
+        for i, t in enumerate([0.0, 0.001, 0.002, 0.003]):
+            ctrl.offer(t, query=i)
+        ctrl.drain()
+        assert ctrl.stats.batch_sizes == [1, 3]
+        assert ctrl.stats.queue_wait_seconds == pytest.approx(
+            [0.0, 0.009, 0.008, 0.007])
+        # deterministic service: 10 ms per request, summed per batch
+        assert ctrl.stats.service_seconds == pytest.approx(
+            [0.01, 0.03, 0.03, 0.03])
 
     def test_backpressure_shed_at_watermark(self):
         ctrl = AdmissionController(det_service(), max_queue=2, max_batch=100,
                                    deadline_ms=1e6, num_workers=1)
+        # a long first request occupies the worker; the watermark counts
+        # queued requests, not the one in service
+        assert ctrl.offer(0.0, query=99)
         admitted = [ctrl.offer(0.0, query=i) for i in range(5)]
         assert admitted == [True, True, False, False, False]
-        assert ctrl.stats.admitted == 2
+        assert ctrl.stats.admitted == 3
         assert ctrl.stats.shed_queue == 3
-        assert ctrl.stats.shed_rate == pytest.approx(3 / 5)
+        assert ctrl.stats.shed_rate == pytest.approx(3 / 6)
 
     def test_priority_reservation(self):
         """priority_share of the queue only admits the paid lane."""
         ctrl = AdmissionController(det_service(), max_queue=4, max_batch=100,
                                    deadline_ms=1e6, priority_share=0.5)
+        assert ctrl.offer(0.0, query=99, lane="paid")   # occupies the worker
         assert ctrl.offer(0.0, query=0, lane="organic")
         assert ctrl.offer(0.0, query=1, lane="organic")
         # organic stops at (1 - 0.5) * max_queue = 2...
@@ -106,12 +133,14 @@ class TestAdmissionQueue:
         """Paid drains first even when organic arrived earlier."""
         ctrl = AdmissionController(det_service(), max_batch=3,
                                    deadline_ms=1e6, keep_results=True)
+        ctrl.offer(0.0, query=99)       # occupies the worker until 0.01
         ctrl.offer(0.0, query=0, lane="organic")
         ctrl.offer(0.001, query=1, lane="paid")
         ctrl.offer(0.002, query=2, lane="paid")
         ctrl.drain()
-        lanes = [request.lane for request, _ in ctrl.results]
+        lanes = [request.lane for request, _ in ctrl.results[1:]]
         assert lanes == ["paid", "paid", "organic"]
+        assert ctrl.stats.batch_sizes == [1, 3]
 
     def test_deadline_shed_when_workers_saturated(self):
         """Requests that outwaited their budget are dropped at dispatch."""
@@ -179,6 +208,78 @@ class TestAdmissionQueue:
                                                "p99": 0.0}
         summary = stats.summary()
         assert summary["offered"] == 0 and summary["shed_rate"] == 0.0
+
+
+class TestWorkConserving:
+    """The dispatch contract over random traffic, checked from the outside.
+
+    Batches are rebuilt from the stats (served order + ``batch_sizes``);
+    a batch occupies a worker over ``[dispatch, dispatch + service)``.
+    """
+
+    #: slack for dispatch times rebuilt as ``arrival + wait``
+    EPS = 1e-9
+
+    @given(gaps=st.lists(st.sampled_from([0.0, 0.0005, 0.002, 0.004, 0.01])
+                         | st.floats(min_value=0.0, max_value=0.02),
+                         min_size=1, max_size=60),
+           lane_bits=st.lists(st.booleans(), min_size=60, max_size=60),
+           workers=st.integers(min_value=1, max_value=3),
+           max_batch=st.integers(min_value=1, max_value=8),
+           max_queue=st.integers(min_value=1, max_value=40),
+           deadline_ms=st.floats(min_value=1.0, max_value=100.0),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_no_idle_worker_while_work_is_queued(
+            self, gaps, lane_bits, workers, max_batch, max_queue,
+            deadline_ms, seed):
+        svc = SyntheticService(0.004, "exponential", seed=seed)
+        ctrl = AdmissionController(svc, max_queue=max_queue,
+                                   deadline_ms=deadline_ms,
+                                   max_batch=max_batch, num_workers=workers,
+                                   keep_results=True)
+        arrival = 0.0
+        for i, gap in enumerate(gaps):
+            arrival += gap
+            ctrl.offer(arrival, query=i, lane=LANES[lane_bits[i]])
+        ctrl.drain()
+        stats = ctrl.stats
+        assert ctrl.depth == 0
+        assert stats.served + stats.shed == stats.offered == len(gaps)
+        assert stats.served == len(ctrl.results) == sum(stats.batch_sizes)
+        waits = stats.queue_wait_seconds
+        assert all(0.0 <= w <= ctrl.deadline + 1e-12 for w in waits)
+
+        busy, starts, index = [], [], 0
+        for size in stats.batch_sizes:
+            members = ctrl.results[index:index + size]
+            dispatch = members[0][0].arrival + waits[index]
+            starts.extend([dispatch] * size)
+            busy.append((dispatch, dispatch + stats.service_seconds[index]))
+            # paid strictly first, each lane in arrival order
+            lanes = [request.lane for request, _ in members]
+            assert lanes == sorted(lanes, key=LANES.index)
+            for lane in LANES:
+                times = [r.arrival for r, _ in members if r.lane == lane]
+                assert times == sorted(times)
+            index += size
+
+        def in_service(t):
+            return sum(1 for lo, hi in busy if lo <= t < hi)
+
+        assert all(in_service(lo + self.EPS) <= workers for lo, _ in busy)
+        # a request that waited saw every worker busy the whole time:
+        # probe at its arrival and just after each service completion
+        for (request, _), wait, start in zip(ctrl.results, waits, starts):
+            if wait <= 2 * self.EPS:
+                continue
+            probes = [request.arrival] + [
+                hi for _, hi in busy
+                if request.arrival < hi < start - 2 * self.EPS]
+            for t in probes:
+                assert in_service(t + self.EPS) == workers, \
+                    "request %d waited with a worker idle at %.6f" % (
+                        request.query, t)
 
 
 class TestAdmissionOverEngine:
