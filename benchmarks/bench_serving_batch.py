@@ -5,20 +5,23 @@ stream's natural hit ratio (~0.88), where seven requests in eight never
 reach the retriever, so it cannot say what a *miss* costs.  This bench
 replays one seeded Zipf stream over the default synthetic universe, in
 32-request batches through ``ServingEngine.serve_batch``, at three
-cache states:
+cache states, plus one leg of single-request batches:
 
 - **cache_off**  — ``cache_size=0``: every request runs both retrieval
   layers (the miss path on its own);
 - **natural**    — the default 1024-entry LRU, warmed by one pass, at
   whatever hit ratio the stream gives it (reported);
 - **all_hits**   — an LRU that holds every distinct signature of the
-  stream, warmed by one pass: the engine's fixed cost per request.
+  stream, warmed by one pass: the engine's fixed cost per request;
+- **lone_miss**  — cache off, batches of one: what a request that finds
+  a worker idle pays (the paced phase's p99 request).
 
 Each figure is the median over ``PASSES`` whole passes of the stream,
-in requests per second.  Run directly (``PYTHONPATH=src python
-benchmarks/bench_serving_batch.py [--scale X] [--out PATH]``); results
-land in ``BENCH_serving_batch.json`` at the repo root with the host
-fingerprint attached.
+in requests per second.  Gate: every leg serves every request of the
+stream the same ads and scores, bit for bit.  Run directly
+(``PYTHONPATH=src python benchmarks/bench_serving_batch.py [--scale X]
+[--out PATH]``); results land in ``BENCH_serving_batch.json`` at the
+repo root with the host fingerprint attached.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import statistics
 import sys
 import time
+from typing import Tuple
 
 import numpy as np
 
@@ -49,27 +53,33 @@ NATURAL_CACHE = 1024            # the ``serving.cache_size`` default
 PASSES = 7
 
 
-def _one_pass(engine, batches) -> float:
+def _one_pass(engine, batches) -> Tuple[float, list]:
+    """The stream once: ``(wall seconds, every request's result)``."""
+    served: list = []
     start = time.perf_counter()
     for queries, preclicks in batches:
-        engine.serve_batch(queries, preclicks, k=TOP_K)
-    return time.perf_counter() - start
+        served.extend(engine.serve_batch(queries, preclicks, k=TOP_K)[0])
+    return time.perf_counter() - start, served
 
 
-def _measure(retriever, batches, num_requests: int, cache_size: int) -> dict:
-    """Median req/s over ``PASSES`` passes, after one warming pass."""
+def _measure(retriever, batches, num_requests: int,
+             cache_size: int) -> Tuple[dict, list]:
+    """Median req/s over ``PASSES`` passes, after one warming pass, and
+    the results the last pass served."""
     engine = ServingEngine(retriever, max_batch_size=MAX_BATCH,
                            cache_size=cache_size)
     _one_pass(engine, batches)
     hits, misses = engine.stats.cache_hits, engine.stats.cache_misses
-    rates = [num_requests / _one_pass(engine, batches)
-             for _ in range(PASSES)]
+    rates = []
+    for _ in range(PASSES):
+        wall, served = _one_pass(engine, batches)
+        rates.append(num_requests / wall)
     hits = engine.stats.cache_hits - hits
     misses = engine.stats.cache_misses - misses
     return {"cache_size": cache_size,
             "requests_per_second": statistics.median(rates),
             "min": min(rates), "max": max(rates),
-            "hit_ratio": hits / (hits + misses)}
+            "hit_ratio": hits / (hits + misses)}, served
 
 
 def main(argv=None) -> int:
@@ -94,15 +104,26 @@ def main(argv=None) -> int:
                 [r.preclicks for r in chunk])
                for chunk in (requests[i:i + MAX_BATCH]
                              for i in range(0, len(requests), MAX_BATCH))]
+    lone = [(queries[i:i + 1], preclicks[i:i + 1])
+            for queries, preclicks in batches for i in range(len(queries))]
     signatures = len({(r.query, r.preclicks) for r in requests})
 
-    legs = {
+    measured = {
         "cache_off": _measure(retriever, batches, len(requests), 0),
         "natural": _measure(retriever, batches, len(requests),
                             NATURAL_CACHE),
         "all_hits": _measure(retriever, batches, len(requests),
                              signatures),
+        "lone_miss": _measure(retriever, lone, len(requests), 0),
     }
+    legs = {name: leg for name, (leg, _) in measured.items()}
+    reference = measured["cache_off"][1]
+    identical = all(
+        len(served) == len(reference)
+        and all(np.array_equal(a.ads, b.ads)
+                and np.array_equal(a.scores, b.scores)
+                for a, b in zip(served, reference))
+        for _, served in measured.values())
     write_json_out(args.out, {
         "scale": args.scale,
         "k": TOP_K,
@@ -111,6 +132,7 @@ def main(argv=None) -> int:
         "stream_requests": len(requests),
         "unique_signatures": signatures,
         "legs": legs,
+        "bit_identical_across_legs": identical,
     })
 
     print("%d requests (%d distinct), %d-request batches, top-%d, median "
@@ -122,8 +144,13 @@ def main(argv=None) -> int:
                  leg["requests_per_second"], leg["min"], leg["max"]))
 
     if legs["cache_off"]["hit_ratio"] != 0.0 \
+            or legs["lone_miss"]["hit_ratio"] != 0.0 \
             or legs["all_hits"]["hit_ratio"] != 1.0:
-        print("FAIL: the cache_off / all_hits legs are not what they say")
+        print("FAIL: the cache_off / lone_miss / all_hits legs are not "
+              "what they say")
+        return 1
+    if not identical:
+        print("FAIL: the legs served different ads or scores")
         return 1
     return 0
 

@@ -44,6 +44,7 @@ from repro.retrieval.ann import IVFBackend, NSWBackend
 from repro.retrieval.mnn import MNNSearcher, RelationSpace
 from repro.retrieval.index import IndexSet, InvertedIndex
 from repro.retrieval.two_layer import (
+    BatchExpansion,
     KeyExpansion,
     RetrievalResult,
     TwoLayerRetriever,
@@ -64,6 +65,7 @@ __all__ = [
     "MNNSearcher",
     "InvertedIndex",
     "IndexSet",
+    "BatchExpansion",
     "KeyExpansion",
     "TwoLayerRetriever",
     "RetrievalResult",

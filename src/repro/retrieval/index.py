@@ -76,11 +76,11 @@ class InvertedIndex:
 
     def lookup_batch(self, keys: np.ndarray, k: Optional[int] = None
                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows for many keys; whole rows (one contiguous gather per
+        """Rows for many keys; whole rows (one contiguous ``take`` per
         array) when ``k`` is ``None``."""
         keys = np.asarray(keys, dtype=np.int64)
         if k is None:
-            return self.ids[keys], self.distances[keys]
+            return self.ids.take(keys, 0), self.distances.take(keys, 0)
         return self.ids[keys, :k], self.distances[keys, :k]
 
     @property

@@ -15,33 +15,29 @@ over paths — so an ad reachable through several strong keys ranks
 higher.  Compared with single-hop embedding retrieval this covers far
 more traffic (the paper's motivation for the design).
 
-The hot path is fully vectorised: :meth:`TwoLayerRetriever.retrieve_batch`
-serves a whole micro-batch of requests, and
-:meth:`~TwoLayerRetriever.retrieve` and
-:meth:`~TwoLayerRetriever.expand_keys` are thin single-request wrappers
-over it.  Distances never change between requests, so the constructor
-turns each index's leading columns into a contiguous table of ids and
-*link scores* once; a request then costs row gathers and no ``exp``.
-Layer 1 max-merges flattened ``(request, key, score)`` triples through
-one composite ``np.unique``; layer 2 sums path scores into a dense
-``(requests, num_ads)`` array with one weighted ``np.bincount`` and
-ranks it with a row-wise ``argpartition``, a block of rows at a time.
-A request's result is a pure function of ``(query, pre-clicks, k)`` —
-bit-equal whatever batch it rides in — which is what lets the serving
-engine cache finished results.  The original per-key dict accumulation
-is the oracle the batch path is tested against
-(``tests/reference/retrieval.py``).
+The hot path is :meth:`TwoLayerRetriever.retrieve_batch`.  Keys share
+one namespace (query ``q`` is key ``q``, item ``i`` key ``item_base +
+i``), and the constructor turns the six indices into three tables of
+ids and *link scores* once: what a query reaches (itself, Q2Q, Q2I),
+what an item reaches (itself, I2Q, I2I) and what a key retrieves (Q2A
+rows over I2A rows).  Layer 1 is two row gathers and one sort of
+``(request, key)`` pairs, max-merged by ``np.maximum.reduceat``; layer
+2 is one gather per block of rows, summed into a dense ``(requests,
+num_ads)`` array by one weighted ``np.bincount`` and ranked by a
+row-wise ``argpartition``.  A result is a pure function of ``(query,
+pre-clicks, k)``, bit-equal in any batch, so the serving engine can
+cache it; ``tests/reference/retrieval.py`` is the per-key oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.schema import Relation
-from repro.retrieval.index import LAYER_ONE, LAYER_TWO, IndexSet, InvertedIndex
+from repro.retrieval.index import LAYER_TWO, IndexSet, InvertedIndex
 
 #: cells of the dense ``(requests, num_ads)`` layer-2 accumulator scored
 #: at a time; bounds its memory by this constant instead of by
@@ -74,51 +70,55 @@ class RetrievalResult:
 
 
 @dataclasses.dataclass
-class KeyExpansion:
-    """Layer-1 output for one request: unique keys, max-merged scores.
+class BatchExpansion:
+    """Layer-1 output for a micro-batch, flat and sorted by ``(request,
+    key)``: request ``r`` owns ``keys[bounds[r]:bounds[r + 1]]``, query
+    keys (below ``item_base``) first.  Indexing or iterating yields
+    per-request :class:`KeyExpansion` views."""
 
-    :meth:`TwoLayerRetriever.gather_batch` consumes them.
-    """
+    requests: np.ndarray     # int64 request of each key
+    keys: np.ndarray         # int64 query id, or item_base + item id
+    scores: np.ndarray       # max-merged expansion scores
+    bounds: List[int]
+    item_base: int
 
-    query_keys: np.ndarray    # int64 unique query-key ids
-    query_scores: np.ndarray
-    item_keys: np.ndarray     # int64 unique item-key ids
-    item_scores: np.ndarray
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, row: int) -> "KeyExpansion":
+        return KeyExpansion(self, range(len(self))[row])
+
+
+class KeyExpansion(NamedTuple):
+    """Layer-1 output for one request: a row of a :class:`BatchExpansion`,
+    its unique keys and scores sliced out on access."""
+
+    batch: BatchExpansion
+    row: int
 
     @property
     def num_keys(self) -> int:
-        return int(self.query_keys.size + self.item_keys.size)
+        return self.batch.bounds[self.row + 1] - self.batch.bounds[self.row]
 
+    def _part(self, items: bool) -> Tuple[np.ndarray, np.ndarray]:
+        keys, base = self.batch.keys, self.batch.item_base
+        start, stop = self.batch.bounds[self.row:self.row + 2]
+        split = start + int(np.searchsorted(keys[start:stop], base))
+        part = slice(split, stop) if items else slice(start, split)
+        return keys[part] - base * items, self.batch.scores[part]
 
-def _group_max(sink: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-               num_requests: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Max-merge a sink of (requests, keys, scores) triples per request.
-
-    Deduplicates by (request, key) through a composite ``np.unique``
-    and keeps the strongest path.  Returns one ``(keys, scores)`` pair
-    per request, keys ascending.
-    """
-    if sink:
-        requests, keys, scores = (np.concatenate(part) for part in zip(*sink))
-    if not sink or keys.size == 0:
-        return [(np.empty(0, dtype=np.int64), np.empty(0))] * num_requests
-    stride = int(keys.max()) + 1
-    composite = requests * stride + keys
-    unique, inverse = np.unique(composite, return_inverse=True)
-    merged = np.full(unique.size, -np.inf)
-    np.maximum.at(merged, inverse, scores)
-    unique_req = unique // stride
-    unique_key = unique - unique_req * stride
-    bounds = np.searchsorted(unique_req, np.arange(num_requests + 1))
-    return [(unique_key[a:b], merged[a:b])
-            for a, b in zip(bounds[:-1], bounds[1:])]
+    query_keys = property(lambda self: self._part(False)[0])
+    query_scores = property(lambda self: self._part(False)[1])
+    item_keys = property(lambda self: self._part(True)[0])
+    item_scores = property(lambda self: self._part(True)[1])
 
 
 class TwoLayerRetriever:
     """Serves requests from a built :class:`IndexSet`.
 
     ``radius`` and ``temperature`` are fixed at construction: the link
-    score of every stored distance is computed here, once.
+    score of every stored distance is computed here, once.  Any subset
+    of the six indices serves; each has a row per node of its key type.
     """
 
     def __init__(self, index_set: IndexSet, expansion_k: int = 10,
@@ -131,28 +131,48 @@ class TwoLayerRetriever:
         self.radius = float(radius)
         self.temperature = float(temperature)
         self.keep_original_query = bool(keep_original_query)
-        #: per relation, the index cut to the columns a request reads,
-        #: contiguous.  The ``distances`` slot of these entries holds
-        #: Fermi link scores (larger is better), not distances: they are
-        #: for ``lookup_batch`` row gathers here, never to be handed to
-        #: code that expects an index
-        self._links: Dict[Relation, InvertedIndex] = {}
-        for relations, width in ((LAYER_ONE, self.expansion_k),
-                                 (LAYER_TWO, self.ads_per_key)):
-            for relation in relations:
-                if relation in index_set:
-                    index = index_set[relation]
-                    self._links[relation] = InvertedIndex(
-                        relation,
-                        np.ascontiguousarray(index.ids[:, :width],
-                                             dtype=np.int64),
-                        _fermi(index.distances[:, :width], self.radius,
-                               self.temperature),
-                        index.build_seconds)
+        query_rows, item_rows = ([index_set[r].num_keys for r in Relation
+                                  if r in index_set
+                                  and r.source_type.letter == letter]
+                                 for letter in "qi")
+        #: query ``q`` is key ``q``, item ``i`` key ``item_base + i`` (far
+        #: above any query id when no index bounds them)
+        self.item_base = base = max(query_rows, default=2 ** 32)
+
+        def links(relation: Relation, width: int, offset: int = 0):
+            index = index_set[relation]
+            return (index.ids[:, :width].astype(np.int64) + offset,
+                    _fermi(index.distances[:, :width], self.radius,
+                           self.temperature))
+
+        def table(join, parts) -> InvertedIndex:
+            ids, scores = zip(*parts)
+            return InvertedIndex(None, join(ids), join(scores), 0.0)
+
+        def reach(rows, offset, relations) -> Optional[InvertedIndex]:
+            # row n: node n itself (score 1.0), then its expansions
+            return table(np.hstack, [
+                (np.arange(rows[0])[:, None] + offset, np.ones((rows[0], 1)))
+            ] + [links(r, self.expansion_k, key_offset)
+                 for r, key_offset in relations if r in index_set]) \
+                if rows else None
+
+        # these tables hold link scores (larger is better) in the
+        # ``distances`` slot: never hand one to code expecting an index
+        self._from_query = reach(query_rows, 0, ((Relation.Q2Q, 0),
+                                                 (Relation.Q2I, base)))
+        self._from_item = reach(item_rows, base, ((Relation.I2Q, 0),
+                                                  (Relation.I2I, base)))
+        ads = [links(r, self.ads_per_key) for r in LAYER_TWO
+               if r in index_set]
+        self._to_ads = table(np.vstack, ads) if ads else None
+        #: with only one of Q2A / I2A, whether the items (keys from
+        #: ``item_base`` on) or the queries are what reaches ads
+        self._ads_for_items = Relation.I2A in index_set if len(ads) == 1 \
+            else None
         #: width of the dense layer-2 accumulator
-        self.num_ads = 1 + max(
-            (int(links.ids.max()) for relation, links in self._links.items()
-             if relation in LAYER_TWO and links.ids.size), default=-1)
+        self.num_ads = (0 if self._to_ads is None
+                        else 1 + int(self._to_ads.ids.max(initial=-1)))
 
     # -- layer 1: key expansion ------------------------------------------------
 
@@ -162,19 +182,18 @@ class TwoLayerRetriever:
         (wrapper over :meth:`expand_keys_batch`)."""
         expansion = self.expand_keys_batch(np.array([query]),
                                            [preclick_items])[0]
-        return (dict(zip(expansion.query_keys.tolist(),
-                         expansion.query_scores.tolist())),
-                dict(zip(expansion.item_keys.tolist(),
-                         expansion.item_scores.tolist())))
+        return tuple(dict(zip(keys.tolist(), scores.tolist()))
+                     for keys, scores in map(expansion._part, (False, True)))
 
     def expand_keys_batch(self, queries: np.ndarray,
                           preclicks: Sequence[Sequence[int]]
-                          ) -> List[KeyExpansion]:
+                          ) -> BatchExpansion:
         """Vectorised layer 1 for a whole micro-batch of requests.
 
-        All index lookups run batched; duplicate (request, key) pairs
-        from different expansion paths are max-merged via ``np.unique``
-        over flattened triples.
+        A row gather each for queries and pre-click items gives
+        ``(request, key, score)`` triples; one sort of ``request *
+        stride + key`` and a ``np.maximum.reduceat`` over its runs keep
+        the strongest path per ``(request, key)``.
         """
         queries = np.asarray(queries, dtype=np.int64).ravel()
         num_requests = queries.size
@@ -182,123 +201,101 @@ class TwoLayerRetriever:
             raise ValueError("got %d queries but %d pre-click lists"
                              % (num_requests, len(preclicks)))
         request_ids = np.arange(num_requests, dtype=np.int64)
+        items = np.fromiter((item for p in preclicks for item in p),
+                            dtype=np.int64)
+        item_requests = request_ids.repeat(np.fromiter(
+            map(len, preclicks), dtype=np.int64, count=num_requests))
+        parts = []
+        for table, nodes, owners, offset, first in (
+                (self._from_query, queries, request_ids, 0,
+                 int(not self.keep_original_query)),
+                (self._from_item, items, item_requests, self.item_base, 0)):
+            if table is None or not nodes.size:   # untabled: reach itself
+                ids, scores = ((nodes + offset)[:, None],
+                               np.ones((nodes.size, 1)))
+            else:
+                ids, scores = table.lookup_batch(nodes)
+            ids, scores = ids[:, first:], scores[:, first:]
+            parts.append((owners.repeat(ids.shape[1]), ids.ravel(),
+                          scores.ravel()))
+        requests, keys, scores = (np.concatenate(part) for part in zip(*parts))
+        if keys.size == 0:
+            return BatchExpansion(requests, keys, scores,
+                                  [0] * (num_requests + 1), self.item_base)
 
-        # (request, key, score) triple sinks for the two key namespaces
-        query_sink: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        item_sink: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-        def expand(relation: Relation, src_req: np.ndarray,
-                   src_keys: np.ndarray, sink: list) -> None:
-            links = self._links.get(relation)
-            if links is None:
-                return
-            ids, scores = links.lookup_batch(src_keys)
-            sink.append((np.repeat(src_req, ids.shape[1]), ids.ravel(),
-                         scores.ravel()))
-
-        if num_requests:
-            if self.keep_original_query:
-                query_sink.append((request_ids, queries,
-                                   np.ones(num_requests)))
-            expand(Relation.Q2Q, request_ids, queries, query_sink)
-            expand(Relation.Q2I, request_ids, queries, item_sink)
-
-        sizes = np.fromiter((len(p) for p in preclicks), dtype=np.int64,
-                            count=num_requests)
-        if sizes.sum():
-            flat_req = np.repeat(request_ids, sizes)
-            flat_items = np.fromiter(
-                (item for p in preclicks for item in p), dtype=np.int64,
-                count=flat_req.size)
-            item_sink.append((flat_req, flat_items,
-                              np.ones(flat_items.size)))
-            expand(Relation.I2Q, flat_req, flat_items, query_sink)
-            expand(Relation.I2I, flat_req, flat_items, item_sink)
-
-        return [KeyExpansion(qk, qs, ik, isc)
-                for (qk, qs), (ik, isc) in zip(
-                    _group_max(query_sink, num_requests),
-                    _group_max(item_sink, num_requests))]
+        stride = int(keys.max()) + 1
+        composite = requests * stride + keys
+        # max does not depend on order, so neither a stable sort nor the
+        # order inside a run matters: run maxima are bit-equal to a
+        # scatter max
+        order = composite.argsort()
+        composite = composite[order]
+        starts = np.concatenate(([True], composite[1:] != composite[:-1])
+                                ).nonzero()[0]
+        requests, keys = np.divmod(composite[starts], stride)
+        return BatchExpansion(
+            requests, keys, np.maximum.reduceat(scores[order], starts),
+            requests.searchsorted(np.arange(num_requests + 1)).tolist(),
+            self.item_base)
 
     # -- layer 2: ad retrieval ------------------------------------------------------
 
-    def gather_batch(self, expansions: Sequence[KeyExpansion],
+    def gather_batch(self, expansions: BatchExpansion,
                      k: int = 20) -> List[RetrievalResult]:
         """Vectorised layer 2: expanded keys → ranked ads per request.
 
-        Requests are scored a block of rows at a time so the dense
-        accumulator stays under ``_GATHER_BLOCK_ELEMENTS`` cells however
-        large the catalog is.  Rows never interact, so a request's
-        result does not depend on the batch or block it is in.
+        A block of rows at a time, so the dense accumulator stays under
+        ``_GATHER_BLOCK_ELEMENTS`` cells however large the catalog is:
+        one ad-table gather, path scores summed per (request, ad) cell
+        by one weighted ``np.bincount`` (a request's keys ascending, so
+        Q2A paths before I2A paths, in any batch), each row's top ``k``
+        by one ``argpartition`` and a ``k``-wide sort.  Rows never
+        interact: a result does not depend on its batch or block.
         """
-        rows = max(1, _GATHER_BLOCK_ELEMENTS // max(self.num_ads, 1))
+        num_ads, width = self.num_ads, min(k, self.num_ads)
+        block = max(1, _GATHER_BLOCK_ELEMENTS // max(num_ads, 1))
         results: List[RetrievalResult] = []
-        for start in range(0, len(expansions), rows):
-            results.extend(self._gather_block(expansions[start:start + rows],
-                                              k))
+        for first in range(0, len(expansions), block):
+            bounds = expansions.bounds[first:first + block + 1]
+            num_requests = len(bounds) - 1
+            num_keys = [b - a for a, b in zip(bounds[:-1], bounds[1:])]
+            keys = expansions.keys[bounds[0]:bounds[-1]]
+            scores = expansions.scores[bounds[0]:bounds[-1]]
+            rows = expansions.requests[bounds[0]:bounds[-1]] - first
+            if self._ads_for_items is not None:
+                keep = (keys >= self.item_base) == self._ads_for_items
+                keys = keys[keep] - self.item_base * self._ads_for_items
+                scores, rows = scores[keep], rows[keep]
+            if self._to_ads is None or keys.size == 0 or width < 1:
+                results.extend(RetrievalResult(
+                    ads=np.empty(0, dtype=np.int64), scores=np.empty(0),
+                    num_keys=count) for count in num_keys)
+                continue
+
+            ads, hop = self._to_ads.lookup_batch(keys)
+            cells = (ads + (rows * num_ads)[:, None]).ravel()
+            reached = np.bincount(cells, minlength=num_requests * num_ads
+                                  ).reshape(-1, num_ads) > 0
+            # negated, so that ascending order is best first; an
+            # unreached ad ranks below every reached one, including one
+            # whose path scores all underflowed to 0.0
+            negated = np.where(reached, -np.bincount(
+                cells, weights=(scores[:, None] * hop).ravel(),
+                minlength=num_requests * num_ads).reshape(-1, num_ads), np.inf)
+            top = negated.argpartition(width - 1, axis=1)[:, :width]
+            rows = np.arange(num_requests)[:, None]
+            top_negated = negated[rows, top]
+            order = top_negated.argsort(axis=1)
+            top, top_negated = top[rows, order], top_negated[rows, order]
+            counts = np.isfinite(top_negated).sum(axis=1).tolist()
+            # new arrays: a kept (e.g. cached) result must not pin its block
+            results.extend(
+                RetrievalResult(ads=top[row, :count].copy(),
+                                scores=-top_negated[row, :count],
+                                num_keys=keys_in_row)
+                for row, (keys_in_row, count) in enumerate(zip(num_keys,
+                                                               counts)))
         return results
-
-    def _gather_block(self, expansions: Sequence[KeyExpansion],
-                      k: int) -> List[RetrievalResult]:
-        """Layer 2 for one block of requests.
-
-        Q2A/I2A lookups run batched over all keys of the block; path
-        scores are summed per (request, ad) cell by one weighted
-        ``np.bincount`` (a request's Q2A paths, then its I2A paths, keys
-        ascending — the same order in any batch) and each row's top
-        ``k`` is taken with one ``argpartition`` and a ``k``-wide sort.
-        """
-        num_requests, num_ads = len(expansions), self.num_ads
-        width = min(k, num_ads)
-        cell_parts: List[np.ndarray] = []
-        score_parts: List[np.ndarray] = []
-        for relation, key_arrays, score_arrays in (
-                (Relation.Q2A, [e.query_keys for e in expansions],
-                 [e.query_scores for e in expansions]),
-                (Relation.I2A, [e.item_keys for e in expansions],
-                 [e.item_scores for e in expansions])):
-            links = self._links.get(relation)
-            if links is None:
-                continue
-            keys = np.concatenate(key_arrays)
-            if keys.size == 0:
-                continue
-            ads, hop = links.lookup_batch(keys)
-            row_offsets = np.repeat(
-                np.arange(num_requests) * num_ads,
-                [a.size for a in key_arrays])
-            cell_parts.append((ads + row_offsets[:, None]).ravel())
-            score_parts.append(
-                (np.concatenate(score_arrays)[:, None] * hop).ravel())
-
-        if not cell_parts or width < 1:
-            return [RetrievalResult(ads=np.empty(0, dtype=np.int64),
-                                    scores=np.empty(0),
-                                    num_keys=e.num_keys) for e in expansions]
-
-        cells = np.concatenate(cell_parts)
-        shape = (num_requests, num_ads)
-        reached = np.bincount(
-            cells, minlength=num_requests * num_ads).reshape(shape) > 0
-        # negated, so that ascending order is best first; an unreached ad
-        # ranks below every reached one, including one whose path scores
-        # all underflowed to 0.0
-        negated = np.where(reached, -np.bincount(
-            cells, weights=np.concatenate(score_parts),
-            minlength=num_requests * num_ads).reshape(shape), np.inf)
-        top = np.argpartition(negated, width - 1, axis=1)[:, :width]
-        rows = np.arange(num_requests)[:, None]
-        top_negated = negated[rows, top]
-        order = np.argsort(top_negated, axis=1)
-        top, top_negated = top[rows, order], top_negated[rows, order]
-        top_scores = -top_negated
-        counts = np.isfinite(top_negated).sum(axis=1).tolist()
-        # copies: a kept (e.g. cached) result must not pin its block
-        return [RetrievalResult(ads=top[row, :count].copy(),
-                                scores=top_scores[row, :count].copy(),
-                                num_keys=expansion.num_keys)
-                for row, (expansion, count) in enumerate(zip(expansions,
-                                                             counts))]
 
     def retrieve_batch(self, queries: Sequence[int],
                        preclicks: Optional[Sequence[Sequence[int]]] = None,

@@ -53,9 +53,10 @@ class LRUCache:
         self._store: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     def get(self, key: Hashable) -> Optional[Any]:
-        if key not in self._store:
+        try:
+            self._store.move_to_end(key)
+        except KeyError:
             return None
-        self._store.move_to_end(key)
         return self._store[key]
 
     def put(self, key: Hashable, value: Any) -> None:

@@ -262,14 +262,15 @@ class TestServingCallCounts:
         queries, preclicks = traffic
         engine = ServingEngine(retriever, max_batch_size=32, cache_size=64)
         engine.serve_batch(queries[:15], preclicks[:15], k=6)
+        # one gather per table: query expansions, item expansions, ads
         assert calls == {"expand_rows": [15], "gather_rows": [15],
-                         "lookups": 6}
+                         "lookups": 3}
         # 15 hits and 5 misses in one batch
         engine.serve_batch(queries, preclicks, k=6)
         assert engine.stats.cache_hits == 15
         assert calls["expand_rows"] == [15, 5]
         assert calls["gather_rows"] == [15, 5]
-        assert calls["lookups"] <= 12
+        assert calls["lookups"] <= 6
         # all hits: the retriever is not called
         before = dict(calls, expand_rows=list(calls["expand_rows"]),
                       gather_rows=list(calls["gather_rows"]))
@@ -286,6 +287,31 @@ class TestServingCallCounts:
             raise AssertionError("_fermi evaluated while serving")
 
         monkeypatch.setattr(two_layer, "_fermi", unreachable)
+        engine = ServingEngine(retriever, cache_size=0)
+        results = engine.serve(queries, preclicks, k=6)
+        assert engine.stats.slice_errors == 0
+        assert all(r.ads.size == 6 for r in results)
+
+    def test_no_unique_or_scatter_max_on_the_request_path(
+            self, retriever, traffic, monkeypatch):
+        """Layer 1 merges keys with one sort and a ``reduceat``."""
+        queries, preclicks = traffic
+        maximum = np.maximum
+
+        class NoScatter:
+            def __call__(self, *args, **kwargs):
+                return maximum(*args, **kwargs)
+
+            def __getattr__(self, name):
+                if name == "at":
+                    raise AssertionError("np.maximum.at called while serving")
+                return getattr(maximum, name)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("np.unique called while serving")
+
+        monkeypatch.setattr(np, "unique", unreachable)
+        monkeypatch.setattr(np, "maximum", NoScatter())
         engine = ServingEngine(retriever, cache_size=0)
         results = engine.serve(queries, preclicks, k=6)
         assert engine.stats.slice_errors == 0

@@ -2,9 +2,11 @@
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.graph.schema import Relation
 from repro.models import make_model
@@ -324,6 +326,57 @@ class TestMissPath:
         for other in (first, last, edge):
             np.testing.assert_array_equal(other.ads, alone.ads)
             np.testing.assert_array_equal(other.scores, alone.scores)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           relations=st.sets(st.sampled_from(ALL_RELATIONS)),
+           preclicks=st.lists(st.lists(st.one_of(st.integers(0, 2),
+                                                 st.integers(0, 39)),
+                                       max_size=4), max_size=10),
+           keep_original_query=st.booleans(),
+           block_rows=st.integers(1, 3), k=st.integers(1, 30))
+    @example(seed=0, relations=set(), preclicks=[[1, 1], []],
+             keep_original_query=False, block_rows=1, k=5)
+    @example(seed=0, relations={Relation.Q2A}, preclicks=[[], [7, 7]],
+             keep_original_query=True, block_rows=1, k=5)
+    def test_flat_path_against_the_oracle(self, seed, relations, preclicks,
+                                          keep_original_query, block_rows,
+                                          k):
+        """Any subset of the six relations, duplicate and empty
+        pre-clicks, the query seed on or off: ranked ads and expansions
+        as the per-request oracle has them, and every row bit-equal
+        alone, in the batch and in blocks of ``block_rows`` rows."""
+        rng = np.random.default_rng(seed)
+        retriever = TwoLayerRetriever(
+            _random_indices(rng, sorted(relations, key=ALL_RELATIONS.index)),
+            expansion_k=4, ads_per_key=3)
+        retriever.keep_original_query = keep_original_query
+        queries = rng.integers(30, size=len(preclicks))
+        batch = _assert_matches_oracle(retriever, queries, preclicks, k)
+        with mock.patch.object(two_layer, "_GATHER_BLOCK_ELEMENTS",
+                               block_rows * max(retriever.num_ads, 1)):
+            blocked = retriever.retrieve_batch(queries, preclicks, k=k)
+        for query, items, whole, split in zip(queries, preclicks, batch,
+                                              blocked):
+            alone = retriever.retrieve(int(query), items, k=k)
+            for result in (whole, split):
+                np.testing.assert_array_equal(result.ads, alone.ads)
+                np.testing.assert_array_equal(result.scores, alone.scores)
+                assert result.num_keys == alone.num_keys
+
+        expansions = retriever.expand_keys_batch(queries, preclicks)
+        assert len(expansions) == len(queries)
+        for query, items, expansion in zip(queries, preclicks, expansions):
+            want_queries, want_items = expand_keys_looped(
+                retriever, int(query), items)
+            for keys, scores, want in (
+                    (expansion.query_keys, expansion.query_scores,
+                     want_queries),
+                    (expansion.item_keys, expansion.item_scores, want_items)):
+                assert keys.tolist() == sorted(want)
+                np.testing.assert_allclose(
+                    scores, [want[key] for key in sorted(want)], rtol=1e-12)
+            assert expansion.num_keys == len(want_queries) + len(want_items)
 
     def test_gather_memory_is_bounded_by_the_block_not_the_catalog(self):
         """32 requests over 200k ads: a whole-batch dense array is 51 MB."""
