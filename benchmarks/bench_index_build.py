@@ -5,8 +5,9 @@ embeds the whole vocabulary from one full-graph plan.  This bench
 records the sharded offline→online plane stage by stage, in absolute
 units:
 
-- **encode_all nodes/sec** — one full-graph plan + the no-tape numpy
-  compute phase, summed over all node types at ``gcn_layers=2``;
+- **encode_all nodes/sec** — one full-graph plan + the encoder's
+  compute phase under ``no_grad``, summed over all node types at
+  ``gcn_layers=2``;
 - **index build + search wall-clock** — ``IndexSet.build`` and repeated
   backend searches through ``"sharded"`` (exact inner) and the
   monolithic ``"exact"`` backend, with a top-k equality check (sharded

@@ -1,6 +1,6 @@
 """Fused kernels for mixed-curvature geometry — inference *and* training.
 
-Three families live here:
+Two families live here:
 
 1. **Pure-numpy inference kernels.**  The MNN index builder (paper
    §IV-C-1) computes distances from every key node to every candidate
@@ -11,6 +11,9 @@ Three families live here:
    inner products, so only ``(B,N)`` scalars are formed.  This is the
    vectorised (SIMD-style) half of the paper's two-level parallelism;
    the data-parallel half lives in :mod:`repro.retrieval.mnn`.
+   :func:`tan_k_numpy`, :func:`artan_k_numpy` and
+   :func:`logmap0_numpy` are the plain-array scalar maps the ANN
+   tangent-space prune needs.
 
 2. **Fused differentiable kernels** (:func:`fused_expmap0`,
    :func:`fused_logmap0`, :func:`fused_dist`,
@@ -26,20 +29,9 @@ Three families live here:
    clamps) — replicate the composed chain exactly, which the
    encoder-plane tests verify term by term.  The composed micro-op
    versions remain in :mod:`repro.geometry.stereographic` as the
-   gradcheck reference; nothing in ``src/`` calls them.
-
-3. **No-tape forward mirrors** (:func:`expmap0_numpy`,
-   :func:`logmap0_numpy`, :func:`mobius_add_numpy`,
-   :func:`project_numpy`, :func:`matvec_numpy`).  Bit-exact numpy
-   replicas of the *forward* halves of the encoder operation chain —
-   same ε constants, same clip masks, same evaluation order — used by
-   the full-graph offline inference path
-   (``NodeEncoder.encode_from_plan_numpy``) where no gradient will
-   ever be requested and even tape-free ``Tensor`` wrapping is pure
-   overhead.  Because they mirror the tensor forwards operation by
-   operation, the offline ``encode_all``/index-build embeddings are
-   bit-comparable to what the training-side encoder produces on the
-   same :class:`~repro.models.plan.EncodePlan`.
+   gradcheck reference; nothing in ``src/`` calls them.  Offline
+   inference (``AMCAD.encode_all``) runs these same functions under
+   ``no_grad``: the forward kernel runs, no tape node is kept.
 
 The actual array math lives in :mod:`repro.geometry.kernels`: every
 public function here flattens its inputs to the registry's 2-D
@@ -63,8 +55,7 @@ from repro.geometry.kernels import KIND_ARTAN, KIND_TAN
 __all__ = [
     "artan_k_numpy", "tan_k_numpy", "pairwise_mobius_norm",
     "pairwise_dist", "rowwise_dist", "fused_expmap0", "fused_logmap0",
-    "fused_dist", "fused_mobius_add", "fused_project", "expmap0_numpy",
-    "logmap0_numpy", "mobius_add_numpy", "project_numpy", "matvec_numpy",
+    "fused_dist", "fused_mobius_add", "fused_project", "logmap0_numpy",
 ]
 
 
@@ -86,6 +77,14 @@ def tan_k_numpy(x: np.ndarray, kappa: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     flat = np.ascontiguousarray(x).reshape(-1)
     return _kernels.impl("tan_k")(flat, float(kappa)).reshape(x.shape)
+
+
+def logmap0_numpy(x: np.ndarray, kappa: float) -> np.ndarray:
+    """``tan⁻¹_κ(‖x‖)·x/‖x‖`` on plain arrays — the forward kernel of
+    :func:`fused_logmap0`, so values are bit-equal to it."""
+    x = np.asarray(x, dtype=np.float64)
+    out2 = _kernels.impl("radial_fwd")(_as_2d(x), float(kappa), KIND_ARTAN)[0]
+    return out2.reshape(x.shape)
 
 
 def pairwise_mobius_norm(x: np.ndarray, y: np.ndarray,
@@ -253,47 +252,3 @@ def fused_project(x, kappa, boundary_eps: float = 4e-3) -> Tensor:
         return g_x, np.asarray(grad_k).reshape(kappa.shape)
 
     return Tensor._make(out, (x, kappa), backward)
-
-
-# -- no-tape forward mirrors of the encoder chain ---------------------------
-#
-# Each helper calls the *same forward kernel* as its tensor twin
-# (`fused_expmap0`/`fused_logmap0`/`fused_mobius_add`/`fused_project`),
-# so outputs are bit-equal to the tensor path on float64 and track
-# whatever implementation the kernel mode selects.  The encoder-plane
-# tests hold them to exact parity.
-
-
-def expmap0_numpy(v: np.ndarray, kappa: float) -> np.ndarray:
-    """No-tape mirror of :func:`fused_expmap0`: ``tan_κ(‖v‖)·v/‖v‖``."""
-    v = np.asarray(v, dtype=np.float64)
-    out2 = _kernels.impl("radial_fwd")(_as_2d(v), float(kappa), KIND_TAN)[0]
-    return out2.reshape(v.shape)
-
-
-def logmap0_numpy(x: np.ndarray, kappa: float) -> np.ndarray:
-    """No-tape mirror of :func:`fused_logmap0`: ``tan⁻¹_κ(‖x‖)·x/‖x‖``."""
-    x = np.asarray(x, dtype=np.float64)
-    out2 = _kernels.impl("radial_fwd")(_as_2d(x), float(kappa), KIND_ARTAN)[0]
-    return out2.reshape(x.shape)
-
-
-def mobius_add_numpy(x: np.ndarray, y: np.ndarray,
-                     kappa: float) -> np.ndarray:
-    """No-tape mirror of :func:`fused_mobius_add`."""
-    return _kernels.impl("mobius_add_fwd")(
-        np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64),
-        float(kappa))[0]
-
-
-def project_numpy(x: np.ndarray, kappa: float,
-                  boundary_eps: float = 4e-3) -> np.ndarray:
-    """No-tape mirror of :func:`fused_project` (hyperbolic clip)."""
-    return _kernels.impl("project_fwd")(
-        np.asarray(x, dtype=np.float64), float(kappa), boundary_eps)[0]
-
-
-def matvec_numpy(weight: np.ndarray, x: np.ndarray,
-                 kappa: float) -> np.ndarray:
-    """No-tape Möbius matvec ``W ⊗κ x`` (fused log → matmul → exp)."""
-    return expmap0_numpy(logmap0_numpy(x, kappa) @ weight, kappa)

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.tensor import Parameter, Tensor
+from repro.autodiff.tensor import Parameter, Tensor, no_grad
 from repro.geometry import kernels as geometry_kernels
 from repro.geometry.manifold import UnifiedManifold
 from repro.geometry.product import ProductManifold
@@ -346,24 +346,22 @@ class AMCAD:
                    plan: Optional[EncodePlan] = None) -> List[np.ndarray]:
         """Subspace embeddings for the whole vocabulary, plan-at-once.
 
-        Builds (or reuses) one full-graph plan and runs the no-tape
-        numpy compute phase — ``gcn_layers + 1`` fused vocabulary passes
-        instead of ``N / batch_size`` recursive mini-batches.  Returns M
-        arrays of shape ``(N, d_m)`` in vocabulary order; handed a
-        partial ``plan``, rows follow ``plan.indices`` instead (the
-        same contract as :meth:`encode` with a plan).
+        Builds (or reuses) one full-graph plan and runs the encoder's
+        compute phase on it under ``no_grad`` — ``gcn_layers + 1``
+        vocabulary passes instead of ``N / batch_size`` recursive
+        mini-batches, and no tape.  Returns M arrays of shape
+        ``(N, d_m)`` in vocabulary order; handed a partial ``plan``,
+        rows follow ``plan.indices`` instead (the same contract as
+        :meth:`encode` with a plan).
         """
         manifold = self.node_manifolds[node_type]
         if self.graph.num_nodes[node_type] == 0:
             return [np.zeros((0, factor.dim)) for factor in manifold.factors]
         if plan is None:
             plan = self.build_full_plan(node_type, rng)
-        points = self.encoder.encode_from_plan_numpy(plan)
-        out_map = plan.output_map()
-        if (out_map.size == points[0].shape[0]
-                and np.array_equal(out_map, np.arange(out_map.size))):
-            return points    # full-graph plan: already vocabulary order
-        return [p[out_map] for p in points]
+        with no_grad():
+            points = self.encoder.encode(node_type, plan.indices, plan=plan)
+        return [p.data for p in points]
 
     def parameters(self) -> Iterable[Parameter]:
         yield from self.encoder.parameters()

@@ -45,13 +45,13 @@ curvature actually adapt.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.tensor import Parameter, Tensor
-from repro.geometry import fast
+from repro.autodiff.tensor import Parameter, Tensor, no_grad
 from repro.geometry.product import ProductManifold
 from repro.graph.hetgraph import HetGraph
 from repro.graph.schema import NodeType
@@ -92,9 +92,9 @@ class NodeEncoder:
         self.draw_cache: Optional[NeighborDrawCache] = None
         #: truncated-backward dial: 0 = full backward; ``n >= 1`` keeps
         #: only the top ``n`` GCN rounds on the tape — lower levels run
-        #: the bit-exact no-tape numpy mirror, so the *forward* values
-        #: are unchanged while the backward (and the tape it walks)
-        #: stops at the boundary.  Set by the trainer from
+        #: the same code under ``no_grad``, so the *forward* values are
+        #: unchanged while the backward (and the tape it walks) stops
+        #: at the boundary.  Set by the trainer from
         #: ``TrainerConfig.backward_depth``.
         self.backward_depth: int = 0
         rng = rng or np.random.default_rng(0)
@@ -181,8 +181,7 @@ class NodeEncoder:
 
     @staticmethod
     def _accumulate(neighbor_sums: list, pooled: list) -> None:
-        """Add one neighbour type's pooled tangents (tensors or arrays)
-        into the running sums."""
+        """Add one neighbour type's pooled tangents into the running sums."""
         for m, term in enumerate(pooled):
             if neighbor_sums[m] is None:
                 neighbor_sums[m] = term
@@ -249,18 +248,20 @@ class NodeEncoder:
         Every node appears exactly once per level; upper levels address
         the tangents of the level below through ``ops.gather``, whose
         scatter-add backward accumulates gradients of repeated rows.
-        Same structure as :meth:`_plan_levels_numpy`.
+        ``logmap0`` is row-wise, so a frontier's tangents are computed
+        once and gathered.
 
         With :attr:`backward_depth` ``n`` in ``[1, layers]`` the levels
-        below ``layers - n`` are computed by the no-tape numpy mirror
-        (bit-identical forward, see :meth:`encode_from_plan_numpy`) and
-        enter the tape as constants — the MyGrad ``bp_lim`` idiom: full
+        at or below ``cut = layers - n`` run under ``no_grad`` and enter
+        the tape as constants — the MyGrad ``bp_lim`` idiom: full
         forward, bounded backward.  Parameters partition cleanly by
         level (GCN round ``l`` weights are used only at level ``l+1``),
         so parameters above the boundary receive exactly the gradients
         of the full backward while those at or below it receive none;
         only the per-subspace curvatures, which appear at every level,
-        see partial gradients.
+        see partial gradients.  One of those is the ``logmap0`` of the
+        level-``cut`` reps: it is first asked for by level ``cut + 1``,
+        so it is taken on the tape.
         """
         depth = int(self.backward_depth or 0)
         cut = plan.layers - depth if 0 < depth <= plan.layers else -1
@@ -272,181 +273,30 @@ class NodeEncoder:
                 tangents[(l, t)] = self.tangents(t, reps[(l, t)])
             return tangents[(l, t)]
 
-        if cut >= 0:
-            frozen = self._plan_levels_numpy(plan, upto=cut)
-            for t in NodeType:
-                arrays = frozen.get((cut, t))
-                if arrays is not None:
-                    reps[(cut, t)] = [Tensor(a) for a in arrays]
-        else:
-            for t in NodeType:
-                frontier = plan.levels[0].frontiers.get(t)
-                if frontier is not None:
-                    reps[(0, t)] = self.inductive(t, frontier)
-        for l in range(max(cut, 0) + 1, plan.layers + 1):
-            level = plan.levels[l]
-            for t in NodeType:
-                uniq = level.frontiers.get(t)
-                if uniq is None:
-                    continue
-                self_tangents = [ops.gather(tan, level.self_maps[t])
-                                 for tan in tangents_of(l - 1, t)]
-                neighbor_sums: List[Optional[Tensor]] = \
-                    [None] * self.num_subspaces
-                for block in level.blocks[t]:
-                    if block.gather is None:    # all-masked: contributes 0
+        for l, level in enumerate(plan.levels):
+            with no_grad() if l <= cut else contextlib.nullcontext():
+                for t in NodeType:
+                    uniq = level.frontiers.get(t)
+                    if uniq is None:
                         continue
-                    below = tangents_of(l - 1, block.dst_type)
-                    rows = block.gather.reshape(block.mask.shape)
-                    self._accumulate(neighbor_sums, self.pool(
-                        [ops.gather(tan, rows) for tan in below], block.mask))
-                reps[(l, t)] = self.gcn_update(t, l - 1, self_tangents,
-                                               neighbor_sums, uniq.size)
+                    if l == 0:
+                        reps[(0, t)] = self.inductive(t, uniq)
+                        continue
+                    self_tangents = [ops.gather(tan, level.self_maps[t])
+                                     for tan in tangents_of(l - 1, t)]
+                    neighbor_sums: List[Optional[Tensor]] = \
+                        [None] * self.num_subspaces
+                    for block in level.blocks[t]:
+                        if block.gather is None:  # all-masked: contributes 0
+                            continue
+                        below = tangents_of(l - 1, block.dst_type)
+                        rows = block.gather.reshape(block.mask.shape)
+                        self._accumulate(neighbor_sums, self.pool(
+                            [ops.gather(tan, rows) for tan in below],
+                            block.mask))
+                    reps[(l, t)] = self.gcn_update(t, l - 1, self_tangents,
+                                                   neighbor_sums, uniq.size)
         return reps[(plan.layers, plan.node_type)]
-
-    # -- no-tape numpy compute phase (offline inference) -----------------------
-    #
-    # Bit-exact mirrors of the tensor compute phase built from the
-    # forward-only kernels in :mod:`repro.geometry.fast`.  The offline
-    # path (``encode_all``, index builds) never calls ``backward``, so
-    # even value-only Tensor wrapping is overhead; these run the same
-    # float64 operations in the same order on plain arrays, which keeps
-    # the offline embeddings bit-comparable to the training-side
-    # encoder on the same plan (asserted in tests/test_inference_plane.py).
-
-    def _inductive_numpy(self, node_type: NodeType,
-                         indices: np.ndarray) -> List[np.ndarray]:
-        tangents = self.embeddings[node_type].forward_numpy(
-            self.graph.features[node_type], indices)
-        manifold = self.manifolds[node_type]
-        out: List[np.ndarray] = []
-        for m, (factor, tangent) in enumerate(zip(manifold.factors, tangents)):
-            kappa = factor.kappa_value
-            point = fast.expmap0_numpy(tangent, kappa)
-            bias_point = fast.expmap0_numpy(
-                self.inductive_bias[(node_type, m)].data, kappa)
-            out.append(fast.project_numpy(
-                fast.mobius_add_numpy(point, bias_point, kappa), kappa))
-        return out
-
-    @staticmethod
-    def _pool_numpy(neigh_tangents: List[np.ndarray],
-                    mask: np.ndarray) -> List[np.ndarray]:
-        """Masked-mean pooling of pre-gathered ``(U, k, d)`` tangent blocks."""
-        mask_t = mask[..., None]
-        denom = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-        return [np.sum(tangent * mask_t, axis=1) / denom
-                for tangent in neigh_tangents]
-
-    def _gcn_update_numpy(self, node_type: NodeType, layer: int,
-                          self_tangents: List[np.ndarray],
-                          neighbor_sums: List[Optional[np.ndarray]],
-                          batch: int) -> List[np.ndarray]:
-        updated: List[np.ndarray] = []
-        for m in range(self.num_subspaces):
-            factor = self.manifolds[node_type].factors[m]
-            kappa = factor.kappa_value
-            agg = neighbor_sums[m]
-            if agg is None:
-                agg = np.zeros((batch, self.subspace_dim))
-            combined = np.concatenate([agg, self_tangents[m]], axis=-1)
-            weight = self.gcn_weights[(node_type, layer, m)].data
-            point = fast.expmap0_numpy(combined, kappa)
-            point = fast.matvec_numpy(weight, point, kappa)
-            bias_point = fast.expmap0_numpy(
-                self.gcn_bias[(node_type, layer, m)].data, kappa)
-            point = fast.mobius_add_numpy(point, bias_point, kappa)
-            point = fast.expmap0_numpy(
-                np.tanh(fast.logmap0_numpy(point, kappa)), kappa)
-            updated.append(fast.project_numpy(point, kappa))
-        return updated
-
-    def _fuse_numpy(self, node_type: NodeType,
-                    points: List[np.ndarray]) -> List[np.ndarray]:
-        manifold = self.manifolds[node_type]
-        tangents = [fast.logmap0_numpy(point, factor.kappa_value)
-                    for factor, point in zip(manifold.factors, points)]
-        fused = np.stack(tangents, axis=0).mean(axis=0)
-        out: List[np.ndarray] = []
-        for m, factor in enumerate(manifold.factors):
-            combined = np.concatenate([fused, tangents[m]], axis=-1)
-            weight = self.fusion_weights[(node_type, m)].data
-            point = fast.expmap0_numpy(combined @ weight, factor.kappa_value)
-            out.append(fast.project_numpy(point, factor.kappa_value))
-        return out
-
-    def _plan_levels_numpy(self, plan: EncodePlan,
-                           upto: int) -> Dict[tuple, List[np.ndarray]]:
-        """No-tape reps of levels ``0 .. upto``, keyed ``(level, type)``.
-
-        The shared level loop of :meth:`encode_from_plan_numpy` (which
-        runs it to the top) and the truncated-backward path of
-        :meth:`_encode_from_plan` (which runs it up to the gradient
-        boundary and wraps the result as constants).
-        """
-        reps: Dict[tuple, List[np.ndarray]] = {}
-        tangents: Dict[tuple, List[np.ndarray]] = {}
-
-        def tangents_of(l: int, t: NodeType) -> List[np.ndarray]:
-            # logmap0 is row-wise, so tangents of a frontier are computed
-            # once and *gathered* — bit-equal to mapping gathered points,
-            # minus the duplicated work (the dedup idea applied to the
-            # tangent stage as well)
-            if (l, t) not in tangents:
-                manifold = self.manifolds[t]
-                tangents[(l, t)] = [
-                    fast.logmap0_numpy(p, factor.kappa_value)
-                    for factor, p in zip(manifold.factors, reps[(l, t)])]
-            return tangents[(l, t)]
-
-        for t in NodeType:
-            frontier = plan.levels[0].frontiers.get(t)
-            if frontier is not None:
-                reps[(0, t)] = self._inductive_numpy(t, frontier)
-        for l in range(1, upto + 1):
-            level = plan.levels[l]
-            for t in NodeType:
-                uniq = level.frontiers.get(t)
-                if uniq is None:
-                    continue
-                self_tangents = [tan[level.self_maps[t]]
-                                 for tan in tangents_of(l - 1, t)]
-                neighbor_sums: List[Optional[np.ndarray]] = \
-                    [None] * self.num_subspaces
-                for block in level.blocks[t]:
-                    if block.gather is None:    # all-masked: contributes 0
-                        continue
-                    below = tangents_of(l - 1, block.dst_type)
-                    rows = block.gather.reshape(block.mask.shape)
-                    self._accumulate(neighbor_sums, self._pool_numpy(
-                        [tan[rows] for tan in below], block.mask))
-                reps[(l, t)] = self._gcn_update_numpy(t, l - 1, self_tangents,
-                                                      neighbor_sums,
-                                                      uniq.size)
-        return reps
-
-    def encode_from_plan_numpy(self, plan: EncodePlan) -> List[np.ndarray]:
-        """No-tape compute phase over a plan: plain arrays end to end.
-
-        Structure mirrors :meth:`_encode_from_plan` exactly (each unique
-        frontier encoded once, bottom-up, rows gathered by indexing) but
-        never constructs a tensor, so a full-graph plan turns
-        ``encode_all`` into ``layers + 1`` fused vocabulary passes.
-        Output: one ``(top_frontier, subspace_dim)`` array per subspace,
-        in top-frontier (sorted-unique) order, with fusion applied when
-        the encoder uses it.
-
-        The geometry hot loops (``fast.expmap0_numpy``/``logmap0_numpy``
-        and the tape twins of :meth:`_encode_from_plan`) dispatch through
-        the same :mod:`repro.geometry.kernels` registry, so this path
-        and the tape path stay bit-comparable under either kernel mode
-        and both speed up together when the compiled kernels are active.
-        """
-        reps = self._plan_levels_numpy(plan, upto=plan.layers)
-        points = reps[(plan.layers, plan.node_type)]
-        if self.use_fusion:
-            points = self._fuse_numpy(plan.node_type, points)
-        return points
 
     # -- stage 3: space fusion (Eq. 7-8) --------------------------------------------
 

@@ -97,36 +97,6 @@ class FeatureEmbedding:
             out.append(ops.matmul(concat, self.projections[m]))
         return out
 
-    def _embed_field_numpy(self, m: int, field: str,
-                           values: np.ndarray) -> np.ndarray:
-        """No-tape mirror of :meth:`_embed_field` (same masked pooling)."""
-        table = self.tables[(m, field)].data
-        values = np.asarray(values)
-        if values.ndim == 1:
-            return table[values]
-        mask = (values != PAD).astype(np.float64)
-        safe = np.where(values == PAD, 0, values)
-        embedded = table[safe]                        # (batch, slots, dim)
-        denom = np.maximum(mask.sum(axis=-1, keepdims=True), 1.0)
-        return np.sum(embedded * mask[..., None], axis=1) / denom
-
-    def forward_numpy(self, features: Dict[str, np.ndarray],
-                      indices: np.ndarray) -> List[np.ndarray]:
-        """No-tape mirror of :meth:`forward` — bit-equal plain arrays.
-
-        Used by the full-graph offline inference path, where wrapping
-        every lookup in value tensors is pure overhead.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        out: List[np.ndarray] = []
-        for m in range(self.num_subspaces):
-            pieces = [self._embed_field_numpy(m, field,
-                                              features[field][indices])
-                      for field in self.fields]
-            out.append(np.concatenate(pieces, axis=-1)
-                       @ self.projections[m].data)
-        return out
-
     def parameters(self) -> Iterable[Parameter]:
         yield from self.tables.values()
         yield from self.projections

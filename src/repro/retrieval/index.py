@@ -101,7 +101,7 @@ class IndexSet:
     ----------
     model:
         A trained :class:`~repro.models.amcad.AMCAD` (or any object
-        exposing ``encode``/``scorer``/``graph``).  ``None`` only for
+        exposing ``encode_all``/``scorer``/``graph``).  ``None`` only for
         sets restored via :meth:`load`, which serve lookups but cannot
         :meth:`build`.
     top_k:

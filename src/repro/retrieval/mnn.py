@@ -78,7 +78,6 @@ class RelationSpace:
 
     @classmethod
     def from_model(cls, model, relation: Relation,
-                   batch_size: int = 512,
                    encode_cache: Optional[dict] = None) -> "RelationSpace":
         """Extract projected embeddings + weights from a trained model.
 
@@ -91,12 +90,12 @@ class RelationSpace:
         src_type, dst_type = relation.source_type, relation.target_type
         with no_grad():
             src_proj, src_w = _project_all(model, relation, src_type,
-                                           batch_size, encode_cache)
+                                           encode_cache)
             if src_type == dst_type:
                 dst_proj, dst_w = src_proj, src_w
             else:
                 dst_proj, dst_w = _project_all(model, relation, dst_type,
-                                               batch_size, encode_cache)
+                                               encode_cache)
             manifold = model.scorer.edge_manifolds[
                 model.scorer._edge_key(relation)]
             kappas = manifold.kappas()
@@ -136,49 +135,27 @@ class RelationSpace:
 
 
 def _project_all(model, relation: Relation, node_type: NodeType,
-                 batch_size: int,
                  encode_cache: Optional[dict] = None
                  ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Projected subspace embeddings + attention weights for all nodes.
 
-    Models exposing ``encode_all`` (AMCAD) are encoded through one
-    full-graph :class:`~repro.models.plan.EncodePlan` — a handful of
-    fused vocabulary passes — and projected in a single vectorised
-    call; the per-batch loop remains as the fallback for model objects
-    without the full-graph path.  The encode is deterministic (fixed
-    seed policy), so ``encode_cache`` can safely share it across
-    relations.
+    The model's ``encode_all`` encodes the whole vocabulary through one
+    full-graph :class:`~repro.models.plan.EncodePlan` and the scorer
+    projects it in a single vectorised call.  An empty vocabulary gives
+    M arrays of ``(0, d_m)`` and ``(0, M)`` weights.  The encode is
+    deterministic (fixed seed policy), so ``encode_cache`` can safely
+    share it across relations.
     """
-    graph = model.graph
-    n = graph.num_nodes[node_type]
-    rng = np.random.default_rng(2024)
-    if n == 0:
-        return [np.zeros((0, 1))], np.zeros((0, 1))
-    if hasattr(model, "encode_all"):
-        if encode_cache is not None and node_type in encode_cache:
-            encoded = encode_cache[node_type]
-        else:
-            encoded = model.encode_all(node_type, rng)
-            if encode_cache is not None:
-                encode_cache[node_type] = encoded
-        points = [Tensor(p) for p in encoded]
-        projected = model.scorer.project(relation, node_type, points)
-        weights = model.scorer.node_weights(relation, node_type, projected)
-        return [t.data for t in projected], weights.data
-    proj_chunks: Optional[List[List[np.ndarray]]] = None
-    weight_chunks: List[np.ndarray] = []
-    for start in range(0, n, batch_size):
-        indices = np.arange(start, min(start + batch_size, n))
-        points = model.encode(node_type, indices, rng)
-        projected = model.scorer.project(relation, node_type, points)
-        weights = model.scorer.node_weights(relation, node_type, projected)
-        if proj_chunks is None:
-            proj_chunks = [[] for _ in projected]
-        for m, tensor in enumerate(projected):
-            proj_chunks[m].append(tensor.data)
-        weight_chunks.append(weights.data)
-    return ([np.concatenate(chunk, axis=0) for chunk in proj_chunks],
-            np.concatenate(weight_chunks, axis=0))
+    if encode_cache is not None and node_type in encode_cache:
+        encoded = encode_cache[node_type]
+    else:
+        encoded = model.encode_all(node_type, np.random.default_rng(2024))
+        if encode_cache is not None:
+            encode_cache[node_type] = encoded
+    points = [Tensor(p) for p in encoded]
+    projected = model.scorer.project(relation, node_type, points)
+    weights = model.scorer.node_weights(relation, node_type, projected)
+    return [t.data for t in projected], weights.data
 
 
 class MNNSearcher:

@@ -84,9 +84,9 @@ class TrainerConfig:
     exactly (the loss is mean-normalised; asserted in tests).
 
     ``backward_depth`` keeps only the top N GCN rounds on the tape: the
-    forward is bit-identical — lower levels run the no-tape numpy
-    mirror — while the backward stops at the boundary.  0 = full
-    backward.
+    forward is bit-identical — lower levels run the same encoder code
+    under ``no_grad`` — while the backward stops at the boundary.
+    0 = full backward.
     """
 
     steps: int = 60

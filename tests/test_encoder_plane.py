@@ -472,8 +472,6 @@ class TestFusedKernelGradcheck:
         out_f = fast.fused_mobius_add(xa, ya, ka)
         out_c = st.mobius_add(xb, yb, kb)
         np.testing.assert_array_equal(out_f.data, out_c.data)
-        np.testing.assert_array_equal(
-            fast.mobius_add_numpy(x, y, kappa), out_c.data)
         assert out_f.graph_size() == 4               # x, y, κ, one node
         assert out_c.graph_size() > 20
         for got, want in zip(_backward_grads(out_f, upstream, xa, ya, ka),
@@ -506,8 +504,6 @@ class TestFusedKernelGradcheck:
         out_f = fast.fused_project(xa, ka)
         out_c = st.project(xb, kb)
         np.testing.assert_array_equal(out_f.data, out_c.data)
-        np.testing.assert_array_equal(fast.project_numpy(x, kappa),
-                                      out_c.data)
         clipped = kappa < -1e-5 and rows != "inside"
         if clipped:
             assert not np.array_equal(out_f.data, x)

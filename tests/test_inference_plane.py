@@ -1,15 +1,20 @@
-"""The sharded offline inference plane: full-graph plans + numpy compute.
+"""The offline inference plane: full-graph plans encoded under ``no_grad``.
 
-Covers the offline half of the system rebuilt in this PR:
+Covers:
 
 - ``build_full_graph_plan`` covering every node of a type with an
   identity output map;
-- ``NodeEncoder.encode_from_plan_numpy`` held to *bit* parity with the
-  tensor compute phase (the documented tolerance of the plan path is
-  zero: same float64 ops, same order);
+- ``AMCAD.encode_all`` (the training encoder run under ``no_grad``)
+  held to *bit* parity with a grad-enabled ``encode`` on the same plan
+  — ``no_grad`` changes no value — with fusion on and off and on the
+  hyperbolic clip branch;
+- a tape-free index build: no tensor made during ``IndexSet.build``
+  records parents, and the grad switch is back on after a failed build;
 - ``AMCAD.encode_all`` row order on full and partial plans, the
   NeighborDrawCache refresh policy, and the empty-vocabulary shape
-  regression (dims must come from the manifold factors, not the config).
+  regressions (dims must come from the manifold factors, not the
+  config; a relation space and an index over an empty target
+  vocabulary keep their M subspaces).
 """
 
 import copy
@@ -17,16 +22,29 @@ import copy
 import numpy as np
 import pytest
 
-from repro.graph.schema import NodeType
+from repro.autodiff.tensor import Tensor, is_grad_enabled, no_grad
+from repro.graph.schema import NodeType, Relation
 from repro.models import NeighborDrawCache, build_full_graph_plan, make_model
+from repro.retrieval import IndexSet
 from repro.retrieval.mnn import RelationSpace
-from repro.graph.schema import Relation
 
 
 @pytest.fixture(scope="module")
 def model(train_graph):
     return make_model("amcad", train_graph, num_subspaces=2, subspace_dim=4,
                       seed=5, gcn_layers=2)
+
+
+@pytest.fixture(scope="module")
+def hollow(model):
+    """``model`` over a graph whose AD vocabulary is empty."""
+    hollow = copy.copy(model)
+    hollow.graph = copy.copy(model.graph)
+    hollow.graph.num_nodes = dict(model.graph.num_nodes)
+    hollow.graph.num_nodes[NodeType.AD] = 0
+    hollow.config = copy.copy(model.config)
+    hollow.config.subspace_dim = 999   # stale — must not leak out
+    return hollow
 
 
 class TestFullGraphPlan:
@@ -52,45 +70,68 @@ class TestFullGraphPlan:
                                       rng, draw_cache=cache)
         second = build_full_graph_plan(train_graph, NodeType.QUERY, 2, 4,
                                        rng, draw_cache=cache)
-        a = model.encoder.encode_from_plan_numpy(first)
-        b = model.encoder.encode_from_plan_numpy(second)
+        a = model.encode_all(NodeType.QUERY, plan=first)
+        b = model.encode_all(NodeType.QUERY, plan=second)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
         # a cleared cache resamples: embeddings move
         cache.clear()
         third = build_full_graph_plan(train_graph, NodeType.QUERY, 2, 4,
                                       rng, draw_cache=cache)
-        c = model.encoder.encode_from_plan_numpy(third)
+        c = model.encode_all(NodeType.QUERY, plan=third)
         assert any(not np.array_equal(x, z) for x, z in zip(a, c))
 
 
+def _assert_no_grad_changes_nothing(model, node_type):
+    plan = model.build_full_plan(node_type)
+    offline = model.encode_all(node_type, plan=plan)
+    taped = model.encode(node_type, plan.indices, plan=plan)
+    assert all(t.requires_grad for t in taped)   # the tape was recorded
+    for a, b in zip(offline, taped):
+        assert np.array_equal(a, b.data)
+
+
 class TestNumpyComputeParity:
+    """``encode_all`` vs grad-enabled ``encode``: tolerance zero."""
+
     def test_bit_equal_to_tensor_path_on_shared_plan(self, model):
-        """Documented tolerance of the numpy compute phase: zero."""
-        plan = model.build_full_plan(NodeType.QUERY)
-        via_numpy = model.encoder.encode_from_plan_numpy(plan)
-        via_tensor = model.encode(NodeType.QUERY, plan.indices, plan=plan)
-        for a, b in zip(via_numpy, via_tensor):
-            assert np.array_equal(a, b.data)
+        _assert_no_grad_changes_nothing(model, NodeType.QUERY)
 
     def test_parity_without_fusion(self, train_graph):
         lean = make_model("amcad-fusion", train_graph, num_subspaces=2,
                           subspace_dim=4, seed=5, gcn_layers=1)
-        plan = lean.build_full_plan(NodeType.AD)
-        via_numpy = lean.encoder.encode_from_plan_numpy(plan)
-        via_tensor = lean.encode(NodeType.AD, plan.indices, plan=plan)
-        for a, b in zip(via_numpy, via_tensor):
-            assert np.array_equal(a, b.data)
+        _assert_no_grad_changes_nothing(lean, NodeType.AD)
 
     def test_parity_on_frozen_curvature_variant(self, train_graph):
         """Hyperbolic model exercises the project() clipping branch."""
         hyp = make_model("amcad_h", train_graph, num_subspaces=2,
                          subspace_dim=4, seed=5, gcn_layers=1)
-        plan = hyp.build_full_plan(NodeType.QUERY)
-        via_numpy = hyp.encoder.encode_from_plan_numpy(plan)
-        via_tensor = hyp.encode(NodeType.QUERY, plan.indices, plan=plan)
-        for a, b in zip(via_numpy, via_tensor):
-            assert np.array_equal(a, b.data)
+        _assert_no_grad_changes_nothing(hyp, NodeType.QUERY)
+
+
+class TestTapeFreeBuild:
+    def test_index_build_records_no_tape(self, model, monkeypatch):
+        parents = []
+        make = Tensor._make
+
+        def spy(data, inputs, backward):
+            out = make(data, inputs, backward)
+            parents.append(len(out._parents))
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(spy))
+        IndexSet(model, top_k=5).build()
+        assert parents and not any(parents)
+
+    def test_grad_switch_restored_after_failed_build(self, model,
+                                                     monkeypatch):
+        def broken(node_type, indices):
+            raise RuntimeError("inductive failed")
+
+        monkeypatch.setattr(model.encoder, "inductive", broken)
+        with pytest.raises(RuntimeError, match="inductive failed"):
+            IndexSet(model, top_k=5).build()
+        assert is_grad_enabled()
 
 
 class TestEncodeAll:
@@ -114,19 +155,34 @@ class TestEncodeAll:
         # duplicated requests yield duplicated rows
         assert np.array_equal(points[0][1], points[0][2])
 
-    def test_empty_vocabulary_dims_come_from_factors(self, model):
+    def test_empty_vocabulary_dims_come_from_factors(self, hollow):
         """Regression: an empty vocabulary once came back padded with
         ``config.subspace_dim`` columns for every subspace — wrong
         whenever the config value goes stale relative to the manifold
         factors, which are the authority on per-subspace width."""
-        hollow = copy.copy(model)
-        hollow.graph = copy.copy(model.graph)
-        hollow.graph.num_nodes = dict(model.graph.num_nodes)
-        hollow.graph.num_nodes[NodeType.AD] = 0
-        hollow.config = copy.copy(model.config)
-        hollow.config.subspace_dim = 999   # stale — must not leak out
         arrays = hollow.encode_all(NodeType.AD)
         assert [a.shape for a in arrays] == [(0, 4), (0, 4)]
+
+
+class TestEmptyTargetVocabulary:
+    """Regression: an empty vocabulary once projected to one width-1
+    subspace and ``(0, 1)`` weights beside M curvatures."""
+
+    def test_relation_space_keeps_every_subspace(self, hollow):
+        space = RelationSpace.from_model(hollow, Relation.Q2A)
+        assert len(space.kappas) == 2
+        assert [e.shape for e in space.dst_embeddings] == [(0, 4), (0, 4)]
+        assert space.dst_weights.shape == (0, 2)
+
+    @pytest.mark.parametrize("backend",
+                             ["exact", "ivf", "pq", "nsw", "sharded"])
+    def test_index_over_empty_targets(self, hollow, backend):
+        index_set = IndexSet(hollow, top_k=5, backend=backend).build(
+            [Relation.Q2A, Relation.I2A])
+        for relation, src_type in ((Relation.Q2A, NodeType.QUERY),
+                                   (Relation.I2A, NodeType.ITEM)):
+            n_src = hollow.graph.num_nodes[src_type]
+            assert index_set.indices[relation].ids.shape == (n_src, 0)
 
 
 class TestProjectAllPlanPath:
@@ -135,7 +191,6 @@ class TestProjectAllPlanPath:
         space = RelationSpace.from_model(model, Relation.Q2A)
         points = model.encode_all(NodeType.QUERY,
                                   np.random.default_rng(2024))
-        from repro.autodiff.tensor import Tensor, no_grad
         with no_grad():
             projected = model.scorer.project(
                 Relation.Q2A, NodeType.QUERY,

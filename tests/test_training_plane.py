@@ -17,6 +17,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.autodiff.tensor import Tensor
 from repro.graph import MetaPathWalker, NegativeSampler
 from repro.graph.sampling import SampleBatch
 from repro.graph.schema import NodeType
@@ -300,15 +301,33 @@ class TestBackwardDepth:
             batch_size=16, gcn_layers=2, neighbor_samples=4, seed=7)
         return build_step_payload(state, 0)
 
-    def _loss_and_encoder_grads(self, train_graph, payload, depth):
+    @staticmethod
+    def _backward(train_graph, payload, depth, wrap_inductive=None):
         model = make_model("amcad", train_graph, subspace_dim=4, seed=0,
                            gcn_layers=2)
         model.encoder.backward_depth = depth
+        if wrap_inductive is not None:
+            model.encoder.inductive = wrap_inductive(model.encoder.inductive)
         loss = model.loss(payload.batch, plans=payload.plans)
         loss.backward()
+        return loss.item(), model
+
+    def _loss_and_encoder_grads(self, train_graph, payload, depth):
+        loss, model = self._backward(train_graph, payload, depth)
         grads = {key: None if p.grad is None else p.grad.copy()
                  for key, p in model.encoder.gcn_weights.items()}
-        return loss.item(), grads
+        return loss, grads
+
+    @staticmethod
+    def _assert_same_gradients(model, reference):
+        params = list(model.parameters())
+        expected = list(reference.parameters())
+        assert len(params) == len(expected)
+        for got, want in zip(params, expected):
+            if want.grad is None:
+                assert got.grad is None
+            else:
+                np.testing.assert_array_equal(got.grad, want.grad)
 
     def test_forward_is_bit_identical_at_any_depth(self, train_graph,
                                                    payload):
@@ -345,13 +364,29 @@ class TestBackwardDepth:
 
     def test_depth_beyond_layers_is_full_backward(self, train_graph,
                                                   payload):
-        _, full = self._loss_and_encoder_grads(train_graph, payload, 0)
-        _, deep = self._loss_and_encoder_grads(train_graph, payload, 3)
-        for key, grad in full.items():
-            if grad is None:
-                assert deep[key] is None
-            else:
-                np.testing.assert_array_equal(grad, deep[key])
+        full_loss, full = self._backward(train_graph, payload, 0)
+        deep_loss, deep = self._backward(train_graph, payload, 3)
+        assert deep_loss == full_loss
+        self._assert_same_gradients(deep, full)
+
+    def test_cut_at_inductive_equals_detached_inductive(self, train_graph,
+                                                        payload):
+        """``backward_depth = gcn_layers`` freezes level 0 only.
+
+        That must equal a full backward whose inductive points are
+        detached constants: loss and every gradient, each curvature
+        included.  The level-0 tangents are still taken on the tape, so
+        the node curvatures keep the ``logmap0`` share of their
+        gradient."""
+        def detached(inductive):
+            return lambda t, indices: [Tensor(p.data)
+                                       for p in inductive(t, indices)]
+
+        cut_loss, cut = self._backward(train_graph, payload, 2)
+        ref_loss, ref = self._backward(train_graph, payload, 0,
+                                       wrap_inductive=detached)
+        assert cut_loss == ref_loss
+        self._assert_same_gradients(cut, ref)
 
     def test_trainer_sets_dial_on_encoder(self, train_graph):
         model = make_model("amcad", train_graph, subspace_dim=4, gcn_layers=2)
