@@ -13,13 +13,14 @@ Puts numbers on the three prices the fault-tolerant lifecycle pays:
   time (the only "pause" a request can observe) and proof that a run
   with swaps in the middle serves every request non-degraded;
 - **resume overhead** — a checkpointed training run vs. the same run
-  without checkpoint writes (both on the producer payload path, so the
-  comparison is write-cost only), the one-off save/restore walls, and
-  a bit-identical-resume check: losses after restoring a mid-run
-  checkpoint must equal the reference run's tail exactly.
+  without checkpoint writes (one loop, so the comparison is write-cost
+  only and both runs train the same model), the one-off save/restore
+  walls, and a bit-identical-resume check: losses after restoring a
+  mid-run checkpoint must equal the reference run's tail exactly.
 
 Gates (always on): degraded results are never empty and never out of
-order; resumed losses match the reference bit-for-bit.  At
+order; checkpointed and resumed losses match the reference
+bit-for-bit.  At
 ``--scale >= 1`` the degraded search p99 must stay within 2x healthy —
 exclusion is *less* work, so a degraded shard must not slow the
 fleet down.
@@ -180,7 +181,7 @@ def bench_resume(scale: float, graph, tmp_root) -> dict:
                                             checkpoint_every=checkpoint_every),
                        checkpoint_path=path)
 
-    # both runs consume the producer payload stream; the delta is writes
+    # same loop, same losses; the delta is the checkpoint writes
     start = time.perf_counter()
     reference = trainer(path=None).train()
     plain_wall = time.perf_counter() - start

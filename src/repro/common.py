@@ -1,4 +1,4 @@
-"""Shared constants and crash-safe filesystem primitives.
+"""Shared constants, crash-safe filesystem primitives, retired keys.
 
 Every persisted artifact in the repo goes through the atomic writers
 here: content lands in a same-directory temp file first (flushed and
@@ -7,6 +7,10 @@ real, or injected at the ``"io.atomic_write"`` fault point — at any
 instant leaves either the complete old file or the complete new file,
 never a torn hybrid; stray ``*.tmp-*`` staging files are dead weight a
 later write of the same path sweeps up.
+
+Published artifacts are immutable, so everything that reads a config
+(``TrainerConfig``, ``PipelineConfig.from_dict``, ``load_model``) drops
+the keys of retired planes through :func:`drop_retired_planes`.
 """
 
 from __future__ import annotations
@@ -94,6 +98,45 @@ def atomic_savez(path: PathLike, arrays: dict) -> pathlib.Path:
     with atomic_writer(path, "wb") as handle:
         np.savez(handle, **arrays)
     return pathlib.Path(path)
+
+
+#: ``section -> {key: (accepts, accepted)}``: keys of retired planes
+#: that configs (and, for the model section, ``model.npz`` headers)
+#: published before the retirement carry.  A value the plane accepted
+#: is dropped on load, so old artifact stores keep opening; any other
+#: value is rejected by name.
+_RETIRED_PLANES = {
+    "training": {
+        "data_plane": (lambda value: value == "batched", "'batched'"),
+        # the multi-process sampler: the keys only scheduled sampling
+        "prefetch_workers": (lambda value: isinstance(value, (int, float))
+                             and value >= 0, "a number >= 0"),
+        "prefetch_depth": (lambda value: isinstance(value, (int, float))
+                           and value >= 1, "a number >= 1"),
+    },
+    "model": {
+        "compute_plane": (lambda value: value == "frontier", "'frontier'"),
+    },
+}
+
+
+def is_retired_key(section: str, key: str) -> bool:
+    return key in _RETIRED_PLANES.get(section, {})
+
+
+def drop_retired_planes(section: str, given: dict) -> dict:
+    """``given`` without the retired plane keys of ``section``."""
+    given = dict(given)
+    for key, (accepts, accepted) in _RETIRED_PLANES.get(section, {}).items():
+        if key not in given:
+            continue
+        value = given.pop(key)
+        if not accepts(value):
+            raise ValueError(
+                "%s.%s=%r: that plane was retired and the key no longer "
+                "exists; it is accepted (and ignored) only as %s — remove "
+                "it from the config" % (section, key, value, accepted))
+    return given
 
 
 def file_sha256(path: PathLike, chunk_bytes: int = 1 << 20) -> str:

@@ -66,25 +66,6 @@ class SampleBatch:
             raise ValueError("neg_idx must be (batch, K), got %r"
                              % (self.neg_idx.shape,))
 
-    def __getstate__(self) -> dict:
-        """Pickle as the four raw fields (the cross-process contract).
-
-        Batches cross a process boundary on the prefetching training
-        plane (:mod:`repro.training.prefetch`); the explicit state dict
-        pins the wire format to exactly the contract fields.
-        """
-        return {"relation": self.relation, "src_idx": self.src_idx,
-                "pos_idx": self.pos_idx, "neg_idx": self.neg_idx}
-
-    def __setstate__(self, state: dict) -> None:
-        self.relation = state["relation"]
-        self.src_idx = state["src_idx"]
-        self.pos_idx = state["pos_idx"]
-        self.neg_idx = state["neg_idx"]
-        # re-validate on the consumer side: a payload that lost dtype or
-        # alignment in transit fails loudly here, not deep in the loss
-        self.__post_init__()
-
     def __len__(self) -> int:
         return int(self.src_idx.size)
 

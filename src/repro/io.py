@@ -29,7 +29,7 @@ from typing import Dict, Union
 
 import numpy as np
 
-from repro.common import atomic_savez
+from repro.common import atomic_savez, drop_retired_planes
 from repro.graph.hetgraph import HetGraph
 from repro.graph.schema import Relation
 from repro.models.amcad import AMCAD, AMCADConfig
@@ -68,8 +68,7 @@ def load_model(path: PathLike, graph: HetGraph) -> AMCAD:
             raise ValueError("unsupported checkpoint version %r"
                              % header["format_version"])
         # checkpoints published before the encoder planes were retired
-        # carry the surviving plane by name (lazy: pipeline imports io)
-        from repro.pipeline.config import drop_retired_planes
+        # carry the surviving plane by name
         config = AMCADConfig(**drop_retired_planes("model", header["config"]))
         model = AMCAD(graph, config)
         params = list(model.parameters())

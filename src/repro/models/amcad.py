@@ -196,11 +196,10 @@ class AMCAD:
         """Look up a pre-built plan for one endpoint role of a group.
 
         ``plans`` may be keyed by :class:`NodeType` (the recursive-oracle
-        parity hook) or by role — ``"source"`` / ``"target"`` — which is
-        what the prefetching producer emits: same-type relations need
-        *distinct* plans per role (shared draws are the common-random-
-        numbers pathology described in ``_encode_group``), so a
-        type-keyed dict cannot express them.
+        parity hook) or by role — ``"source"`` / ``"target"``.  Role
+        keys win: same-type relations need *distinct* plans per role
+        (shared draws are the common-random-numbers pathology described
+        in ``_encode_group``), so a type-keyed dict cannot express them.
         """
         if not plans:
             return None
@@ -260,10 +259,10 @@ class AMCAD:
         :class:`~repro.models.plan.EncodePlan` objects whose captured
         neighbour draws the encodes replay, keyed either by
         :class:`NodeType` (the hook the recursive-oracle parity tests
-        use) or by endpoint role — ``"source"`` / ``"target"`` — the
-        prefetching producer's contract (role keys win, and are the
-        only way to give the two endpoints of a same-type relation
-        distinct draws).
+        use) or by endpoint role — ``"source"`` / ``"target"`` (role
+        keys win, and are the only way to give the two endpoints of a
+        same-type relation distinct draws).  Without ``plans`` each
+        encode samples its own draws from ``rng``.
         """
         rng = rng or self.rng
         cfg = self.config

@@ -20,9 +20,9 @@ neighbours each node aggregates at each GCN round — from the
   parity with it testable to machine precision.
 
 ``EncodePlan`` is deliberately dumb data — arrays only, no tensors — so
-it is the natural contract for future multi-process samplers (a worker
-only needs to emit a plan) and for cached-frontier encoding
-(:class:`NeighborDrawCache` reuses draws across trainer steps).
+a caller can build plans ahead and hand them to ``AMCAD.loss``, and
+draws can be reused across plans (:class:`NeighborDrawCache` reuses
+them across trainer steps).
 """
 
 from __future__ import annotations
@@ -93,28 +93,6 @@ class EncodePlan:
     layers: int
     neighbor_samples: int
     levels: List[PlanLevel]
-
-    def __getstate__(self) -> dict:
-        """Pickle as the plain field dict — plans are arrays only.
-
-        Plans cross a process boundary on the prefetching training plane
-        (:mod:`repro.training.prefetch`); keeping the state explicit
-        documents the wire format and gives ``__setstate__`` a place to
-        re-check the invariants the compute phase relies on.
-        """
-        return {"node_type": self.node_type, "indices": self.indices,
-                "layers": self.layers, "neighbor_samples":
-                self.neighbor_samples, "levels": self.levels}
-
-    def __setstate__(self, state: dict) -> None:
-        self.node_type = state["node_type"]
-        self.indices = np.asarray(state["indices"], dtype=np.int64)
-        self.layers = int(state["layers"])
-        self.neighbor_samples = int(state["neighbor_samples"])
-        self.levels = state["levels"]
-        if len(self.levels) != self.layers + 1:
-            raise ValueError("corrupt EncodePlan: %d levels for %d layers"
-                             % (len(self.levels), self.layers))
 
     def output_map(self, indices: Optional[np.ndarray] = None) -> np.ndarray:
         """Top-frontier positions of ``indices`` (default: the request)."""

@@ -19,7 +19,8 @@ import json
 import pathlib
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.common import atomic_write_text
+from repro.common import (atomic_write_text, drop_retired_planes,
+                          is_retired_key)
 from repro.data.synthetic import SimulatorConfig
 from repro.graph.schema import Relation
 from repro.models.amcad import AMCADConfig, list_models
@@ -427,9 +428,8 @@ class FaultsConfig:
     :class:`~repro.testing.faults.FaultSpec` as a plain dict
     (``{"site": "shard.search", "mode": "hang", ...}``); with
     ``enabled`` the plan is installed process-wide when a pipeline
-    stands up its serving engine or trainer, and shipped to spawned
-    prefetch workers.  Strictly a testing/benchmark surface — the
-    default config injects nothing.
+    stands up its serving engine or trainer.  Strictly a
+    testing/benchmark surface — the default config injects nothing.
     """
 
     enabled: bool = True
@@ -447,32 +447,6 @@ class FaultsConfig:
         if not self.enabled:
             return []
         return [FaultSpec.from_dict(spec) for spec in self.specs]
-
-
-#: ``section -> (key, value)``: the pair every ``config.json`` (and,
-#: for the model section, every ``model.npz`` header) published before
-#: the sampling/encoder planes were retired carries.  Exactly these are
-#: accepted and dropped on load, so old artifact stores keep opening;
-#: the retired alternatives are rejected by name.
-_RETIRED_PLANES = {
-    "training": ("data_plane", "batched"),
-    "model": ("compute_plane", "frontier"),
-}
-
-
-def drop_retired_planes(section: str, given: Dict[str, Any]) -> Dict[str, Any]:
-    """``given`` without the retired plane key of ``section``."""
-    key, survivor = _RETIRED_PLANES.get(section, (None, None))
-    if key not in given:
-        return given
-    given = dict(given)
-    value = given.pop(key)
-    if value != survivor:
-        raise ValueError(
-            "%s.%s=%r: that plane was retired — %r is the only "
-            "implementation left and the key no longer exists; remove "
-            "it from the config" % (section, key, value, survivor))
-    return given
 
 
 _SECTIONS = {
@@ -556,7 +530,8 @@ class PipelineConfig:
 
         Values are parsed as JSON where possible (``200`` → int,
         ``true`` → bool, ``[10,100]`` → list, ``null`` → None) and fall
-        back to plain strings; the result is re-validated in full.
+        back to plain strings; the result is re-validated in full, so a
+        retired key is dropped or rejected exactly as on load.
         """
         payload = self.to_dict()
         for assignment in assignments:
@@ -577,8 +552,10 @@ class PipelineConfig:
                         "available: %s"
                         % (assignment, part, ", ".join(sorted(target))))
                 target = target[part]
-            free_form = ".".join(parts[:-1]) in self._FREE_FORM_PATHS
-            if parts[-1] not in target and not free_form:
+            section = ".".join(parts[:-1])
+            known = (parts[-1] in target or section in self._FREE_FORM_PATHS
+                     or is_retired_key(section, parts[-1]))
+            if not known:
                 raise ValueError(
                     "override %r: unknown key %r; available: %s"
                     % (assignment, parts[-1], ", ".join(sorted(target))))

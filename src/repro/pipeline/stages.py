@@ -182,18 +182,12 @@ class TrainStage(Stage):
             "losses": [float(x) for x in report.losses],
             "final_loss": report.final_loss,
             "mean_tail_loss": report.mean_tail_loss,
-            "prefetch_workers": cfg.training.prefetch_workers,
             "accumulate_steps": cfg.training.accumulate_steps,
             "backward_depth": cfg.training.backward_depth,
             "summary": "%s: %d steps, final loss %.3f (tail mean %.3f)"
                        % (cfg.model.name, report.steps, report.final_loss,
                           report.mean_tail_loss),
         }
-        if cfg.training.prefetch_workers > 0:
-            info["prefetch_wait_seconds"] = report.prefetch_wait_seconds
-            info["prefetch_overlap_fraction"] = report.overlap_fraction
-            info["summary"] += ", prefetch overlap %.0f%%" % (
-                100.0 * report.overlap_fraction)
         if cfg.training.checkpoint_every > 0:
             info["checkpoint_every"] = cfg.training.checkpoint_every
             info["resumed_from_step"] = report.resumed_from_step
@@ -201,10 +195,6 @@ class TrainStage(Stage):
             if report.resumed_from_step:
                 info["summary"] += " (resumed from step %d)" % (
                     report.resumed_from_step)
-        if report.worker_deaths or report.worker_respawns:
-            info["worker_deaths"] = report.worker_deaths
-            info["worker_respawns"] = report.worker_respawns
-            info["summary"] += ", %d worker death(s)" % report.worker_deaths
         if cfg.eval.enabled and cfg.eval.ab_control:
             ctx.control_model, control_report = self._train(
                 ctx, cfg.eval.ab_control, cfg.model.seed)

@@ -8,10 +8,9 @@ failure points the rest of the codebase is instrumented with:
   (``"shard.search"`` in :class:`~repro.retrieval.backend.ShardedBackend`,
   ``"engine.slice"`` in :class:`~repro.serving.engine.ServingEngine`,
   ``"io.atomic_write"`` in the atomic-write helpers,
-  ``"artifacts.publish"`` in the generation publish step,
-  ``"prefetch.worker"`` / ``"prefetch.worker.start"`` in the
-  :class:`~repro.training.prefetch.PlanProducer` workers).  A site call
-  is a cheap no-op until a matching :class:`FaultSpec` is installed.
+  ``"artifacts.publish"`` in the generation publish step).  A site
+  call is a cheap no-op until a matching :class:`FaultSpec` is
+  installed.
 - :class:`FaultSpec` — one injectable failure: *where* (site plus
   optional context equality ``match``), *when* (``after`` warm-up hits,
   ``rate`` firing probability, ``max_fires`` budget) and *what*
@@ -29,8 +28,6 @@ failure points the rest of the codebase is instrumented with:
   torn      raise :class:`InjectedFault` flagged ``torn=True`` — the
             atomic-write helpers additionally truncate the staged temp
             file, simulating a crash mid-write
-  kill      ``os._exit(17)`` — process dies without cleanup (worker
-            crash simulation; only honoured at ``prefetch.*`` sites)
   ========= ==========================================================
 
 - a process-global :class:`FaultInjector` with :func:`install` /
@@ -39,23 +36,20 @@ failure points the rest of the codebase is instrumented with:
   given plan fires at the same hit indices on every run.
 
 Specs are plain data (``to_dict`` / ``from_dict``) so a fault plan can
-ride through pipeline config (``faults.specs``) and be re-installed
-inside spawned prefetch workers.
+ride through pipeline config (``faults.specs``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-#: Modes a spec may request, and the exit code ``kill`` dies with.
-MODES = ("raise", "hang", "slow", "torn", "kill")
-KILL_EXIT_CODE = 17
+#: Modes a spec may request.
+MODES = ("raise", "hang", "slow", "torn")
 
 
 class InjectedFault(RuntimeError):
@@ -213,7 +207,7 @@ class FaultInjector:
         return None
 
     def on(self, site: str, **context: Any) -> None:
-        """Evaluate one hit at ``site``; raises/sleeps/kills when due."""
+        """Evaluate one hit at ``site``; raises/sleeps when due."""
         due = self._due(site, context)
         if due is None:
             return
@@ -224,8 +218,6 @@ class FaultInjector:
         if spec.mode == "hang":
             time.sleep(spec.delay)
             raise InjectedTimeout(site, context)
-        if spec.mode == "kill":
-            os._exit(KILL_EXIT_CODE)
         raise InjectedFault(site, mode=spec.mode, context=context)
 
 

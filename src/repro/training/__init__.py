@@ -7,7 +7,6 @@ training with LRU feature exit (§V-C).
 """
 
 from repro.training.optim import AdaGrad, WarmupSchedule, clip_gradients
-from repro.training.prefetch import PlanProducer, StepPayload
 from repro.training.trainer import Trainer, TrainerConfig, TrainingReport
 from repro.training.incremental import IncrementalTrainer
 
@@ -15,8 +14,6 @@ __all__ = [
     "AdaGrad",
     "WarmupSchedule",
     "clip_gradients",
-    "PlanProducer",
-    "StepPayload",
     "Trainer",
     "TrainerConfig",
     "TrainingReport",

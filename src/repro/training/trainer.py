@@ -11,21 +11,20 @@ The sampling phase is array-native: meta-path walks advance in blocks
 with vectorised draws, and the loss receives a
 :class:`~repro.graph.sampling.SampleBatch`.  The forward dedups the GCN
 receptive field into per-level unique frontiers
-(:class:`~repro.models.plan.EncodePlan`) before touching the tape;
-``TrainerConfig.plan_refresh`` adds cross-step reuse of the captured
-neighbour draws.
+(:class:`~repro.models.plan.EncodePlan`) before touching the tape.
 
-Three throughput knobs stack on top (all default off; the synchronous
-single-process loop remains the parity reference):
+There is one loop, :meth:`Trainer.train_step`, with three dials (all
+default off):
 
-- ``prefetch_workers`` — run the sampling phase (batch + per-role
-  encode plans) in a :class:`~repro.training.prefetch.PlanProducer`
-  process pool, double-buffered so step N+1's payload is built while
-  step N's forward/backward runs;
+- ``plan_refresh`` — reuse captured neighbour draws across N
+  optimiser steps;
 - ``accumulate_steps`` — K micro-batches per optimiser step,
   loss-scaled by 1/K so the update equals one K-times-larger batch;
 - ``backward_depth`` — truncate the backward below a GCN level (full
   forward, bounded tape).
+
+``checkpoint_every`` only adds writes to that loop: a checkpointed run
+trains the same model as an un-checkpointed one.
 """
 
 from __future__ import annotations
@@ -39,14 +38,17 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.common import atomic_savez
+from repro.common import atomic_savez, drop_retired_planes
 from repro.graph.metapath import MetaPathWalker
 from repro.graph.sampling import NegativeSampler, SampleBatch
 from repro.graph.schema import Relation
 from repro.models.amcad import AMCAD
 from repro.models.plan import NeighborDrawCache
 from repro.training.optim import AdaGrad
-from repro.training.prefetch import PlanProducer
+
+#: consecutive walk rounds without a single pair before the sampler
+#: gives up (a walker that cannot produce pairs would otherwise spin)
+MAX_EMPTY_ROUNDS = 64
 
 
 @dataclasses.dataclass
@@ -60,24 +62,15 @@ class TrainerConfig:
     where it is first used.
 
     ``plan_refresh`` controls encode-plan reuse across steps: with a
-    value N > 1, ``train()`` attaches a
-    :class:`~repro.models.plan.NeighborDrawCache` to the encoder for
-    the duration of the loop, so a node revisited within an N-step
-    window reuses its captured neighbour draws (plans are cheaper to
-    build and the GCN sees a stable frontier), and the cache is
-    cleared — draws resampled — every N steps, then detached before
-    ``train()`` returns (inference never sees training-time draws).
-    The default 1 resamples every step, matching the paper's
+    value N > 1, the trainer keeps a
+    :class:`~repro.models.plan.NeighborDrawCache` and attaches it to the
+    encoder while ``train()`` runs, so a node revisited within an
+    N-optimiser-step window reuses its captured neighbour draws (plans
+    are cheaper to build and the GCN sees a stable frontier).  The
+    cache is cleared — draws resampled — every N steps, and detached
+    before ``train()`` returns (inference never sees training-time
+    draws).  The default 1 resamples every step, matching the paper's
     stochastic aggregation exactly.
-
-    ``prefetch_workers`` moves the sampling phase into a
-    :class:`~repro.training.prefetch.PlanProducer` pool of that many
-    spawn-context processes (0 = the synchronous reference path);
-    ``prefetch_depth`` bounds the payload queue (double-buffering).
-    Combined with ``plan_refresh > 1`` the producer owns the draw
-    cache (one per worker) and demands ``plan_refresh >
-    prefetch_workers`` — a shorter window can never hit a worker's
-    cache.
 
     ``accumulate_steps`` runs K micro-batches per optimiser step with
     the loss scaled by 1/K, so gradients match one K·batch_size batch
@@ -98,21 +91,26 @@ class TrainerConfig:
     clip_norm: float = 5.0
     seed: int = 0
     plan_refresh: int = 1
-    prefetch_workers: int = 0
-    prefetch_depth: int = 2
     accumulate_steps: int = 1
     backward_depth: int = 0
-    #: optimiser steps between resume checkpoints (0 disables).
-    #: Checkpointed runs consume the producer payload stream (inline
-    #: when ``prefetch_workers=0``) whose step payloads are pure
-    #: ``(seed, step)``, so a run resumed from a checkpoint produces
-    #: losses bit-identical to the uninterrupted run.
+    #: optimiser steps between resume checkpoints (0 disables).  A
+    #: checkpoint holds everything the loop carries from one step to
+    #: the next, so a resumed run's losses are bit-identical to the
+    #: uninterrupted run's — and to a run that never checkpointed.
     checkpoint_every: int = 0
+    #: retired keys of the removed multi-process sampler; any value it
+    #: accepted is accepted and dropped (see ``drop_retired_planes``)
+    prefetch_workers: dataclasses.InitVar[Optional[int]] = None
+    prefetch_depth: dataclasses.InitVar[Optional[int]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, prefetch_workers=None, prefetch_depth=None):
+        retired = {"prefetch_workers": prefetch_workers,
+                   "prefetch_depth": prefetch_depth}
+        drop_retired_planes("training", {key: value for key, value
+                                         in retired.items()
+                                         if value is not None})
         for key, minimum in (("steps", 1), ("batch_size", 1),
-                             ("plan_refresh", 1), ("prefetch_workers", 0),
-                             ("prefetch_depth", 1), ("accumulate_steps", 1),
+                             ("plan_refresh", 1), ("accumulate_steps", 1),
                              ("backward_depth", 0), ("checkpoint_every", 0)):
             if getattr(self, key) < minimum:
                 raise ValueError("training.%s must be >= %d, got %r"
@@ -120,22 +118,13 @@ class TrainerConfig:
         if self.learning_rate <= 0:
             raise ValueError("training.learning_rate must be > 0, got %r"
                              % self.learning_rate)
-        if 1 < self.plan_refresh <= self.prefetch_workers:
+        if self.checkpoint_every % self.plan_refresh != 0:
             raise ValueError(
-                "training.plan_refresh=%d with prefetch_workers=%d would "
-                "silently miss the draw cache on every plan (each worker "
-                "produces every %d-th step); use plan_refresh > "
-                "prefetch_workers" % (self.plan_refresh, self.prefetch_workers,
-                                      self.prefetch_workers))
-        if (self.checkpoint_every > 0 and self.plan_refresh > 1
-                and (self.checkpoint_every * self.accumulate_steps)
-                % self.plan_refresh != 0):
-            raise ValueError(
-                "training.checkpoint_every=%d (x%d micro-steps) must land on "
-                "a plan_refresh=%d window boundary, or a resumed run would "
-                "rebuild plans from a different draw window"
-                % (self.checkpoint_every, self.accumulate_steps,
-                   self.plan_refresh))
+                "training.checkpoint_every=%d must be a multiple of "
+                "training.plan_refresh=%d (the draw-cache window, in "
+                "optimiser steps), or a resumed run would rebuild plans "
+                "from a different draw window"
+                % (self.checkpoint_every, self.plan_refresh))
 
 
 @dataclasses.dataclass
@@ -146,34 +135,14 @@ class TrainingReport:
     wall_seconds: float
     steps: int
     samples_seen: int
-    #: time the consumer spent blocked on the prefetch queue (0.0 on
-    #: the synchronous path)
-    prefetch_wait_seconds: float = 0.0
-    #: optimiser step this run resumed from (0 = fresh run)
+    #: optimiser step this run started from (0 = fresh trainer)
     resumed_from_step: int = 0
     #: resume checkpoints written during this run
     checkpoints_written: int = 0
-    #: prefetch workers that crashed / replacements spawned mid-run
-    worker_deaths: int = 0
-    worker_respawns: int = 0
 
     @property
     def final_loss(self) -> float:
         return self.losses[-1] if self.losses else float("nan")
-
-    @property
-    def overlap_fraction(self) -> float:
-        """Fraction of the wall during which the producer kept up.
-
-        ``1 - wait/wall``: 1.0 means the consumer never blocked on the
-        queue (sampling fully hidden behind forward/backward), 0.0
-        means it waited the whole run.  Synchronous runs report 1.0
-        trivially — there is no queue to wait on.
-        """
-        if self.wall_seconds <= 0:
-            return 1.0
-        return float(np.clip(1.0 - self.prefetch_wait_seconds
-                             / self.wall_seconds, 0.0, 1.0))
 
     @property
     def mean_tail_loss(self) -> float:
@@ -196,9 +165,11 @@ class Trainer:
         self.checkpoint_path = checkpoint_path
         cfg = self.config
         # drop any stale cache a previous trainer left on the encoder;
-        # train() attaches a fresh one for the duration of the loop only
+        # train() attaches this trainer's own for the duration of a call
         model.encoder.draw_cache = None
         model.encoder.backward_depth = cfg.backward_depth
+        self._draw_cache = (NeighborDrawCache() if cfg.plan_refresh > 1
+                            else None)
         self._steps_done = 0
         self.rng = np.random.default_rng(cfg.seed)
         self.walker = walker or MetaPathWalker(model.graph)
@@ -229,9 +200,11 @@ class Trainer:
         refill advances ``_walks_per_round`` walks per meta-path level
         with batched alias draws, and the returned batch is a
         :class:`SampleBatch` ready for the vectorised negative sampler
-        and loss.
+        and loss.  :data:`MAX_EMPTY_ROUNDS` refills in a row without a
+        pair raise ``RuntimeError``.
         """
         target = self.config.batch_size
+        empty_rounds = 0
         while True:
             for relation, chunks in self._array_buffers.items():
                 if sum(chunk[0].size for chunk in chunks) < target:
@@ -243,30 +216,36 @@ class Trainer:
                 self._array_buffers[relation] = leftover
                 return self.negative_sampler.sample_arrays(
                     self.rng, relation, src[:target], pos[:target])
-            for block in self.walker.sample_pair_blocks(
-                    self.rng, self._walks_per_round):
+            blocks = self.walker.sample_pair_blocks(self.rng,
+                                                    self._walks_per_round)
+            for block in blocks:
                 self._array_buffers.setdefault(block.relation, []).append(
                     (block.src_idx, block.dst_idx))
+            empty_rounds = 0 if blocks else empty_rounds + 1
+            if empty_rounds == MAX_EMPTY_ROUNDS:
+                raise RuntimeError("meta-path walker produced no pairs in "
+                                   "%d walk rounds" % MAX_EMPTY_ROUNDS)
 
-    def _accumulate_micro(self, next_micro) -> float:
-        """One optimiser step over K micro-batches from ``next_micro``.
+    def train_step(self) -> float:
+        """One batch: sample → loss → backward → clip → AdaGrad → clamp κ.
 
-        ``next_micro()`` returns ``(samples, plans)``; ``plans`` is
-        ``None`` on the synchronous path (the loss samples its own
-        draws) and the producer's role-keyed plan dict when
-        prefetching.  Each micro loss is scaled by 1/K before its
+        With ``accumulate_steps=K`` this is K sampled micro-batches and
+        one optimiser step.  Each micro loss is scaled by 1/K before its
         backward — the tape accumulates gradients across ``backward``
         calls, so after K micro-batches the parameter gradients equal
         those of a single K·batch_size batch (the loss is
-        mean-normalised per batch).  The returned scalar is the mean
-        micro loss, directly comparable to a K=1 step's loss.
+        mean-normalised per batch).  The returned loss is their sum,
+        i.e. the mean micro loss, directly comparable to a K=1 step's.
         """
+        cache = self.model.encoder.draw_cache
+        if cache is not None and self._steps_done % self.config.plan_refresh == 0:
+            cache.clear()
+        self._steps_done += 1
         k = self.config.accumulate_steps
         self.optimizer.zero_grad()
         total = 0.0
         for _ in range(k):
-            samples, plans = next_micro()
-            loss = self.model.loss(samples, rng=self.rng, plans=plans)
+            loss = self.model.loss(self._next_batch(), rng=self.rng)
             if k > 1:
                 loss = loss / k
             loss.backward()
@@ -275,33 +254,9 @@ class Trainer:
         self.model.constrain()
         return total
 
-    def train_step(self) -> float:
-        """One batch: sample → loss → backward → clip → AdaGrad → clamp κ.
-
-        With ``accumulate_steps=K`` this is K sampled micro-batches and
-        one optimiser step; the returned loss is their (1/K-scaled)
-        sum, i.e. the mean micro loss.
-        """
-        cache = self.model.encoder.draw_cache
-        if cache is not None and self._steps_done % self.config.plan_refresh == 0:
-            cache.clear()
-        self._steps_done += 1
-        return self._accumulate_micro(lambda: (self._next_batch(), None))
-
-    CHECKPOINT_FORMAT = 1
-
-    def _checkpoint_fingerprint(self) -> Dict[str, object]:
-        """The config subset a checkpoint must match to be resumable.
-
-        ``prefetch_workers`` / ``prefetch_depth`` are excluded on
-        purpose: producer payloads are pure ``(seed, step)``, so the
-        worker topology may change between the checkpointing run and
-        the resuming run without perturbing the loss trajectory.
-        """
-        fingerprint = dataclasses.asdict(self.config)
-        fingerprint.pop("prefetch_workers", None)
-        fingerprint.pop("prefetch_depth", None)
-        return fingerprint
+    #: 2 added the loop's leftover pair buffers; a format-1 checkpoint
+    #: cannot continue the loop bit-identically and is refused
+    CHECKPOINT_FORMAT = 2
 
     def save_checkpoint(self, path=None) -> None:
         """Atomically write a resume checkpoint (npz) to ``path``.
@@ -309,9 +264,13 @@ class Trainer:
         Captures everything ``restore_checkpoint`` needs for a
         bit-identical continuation: parameter tensors, AdaGrad
         accumulators and step count, the trainer's step counter and
-        loss history, and the consumer RNG's full bit-generator state.
-        The write goes through :func:`repro.common.atomic_savez`, so a
-        crash mid-write leaves the previous checkpoint intact.
+        loss history, the RNG's full bit-generator state and the
+        per-relation leftover ``(src, pos)`` pair buffers, in their
+        fill order.  The ``plan_refresh`` draw cache is not stored:
+        checkpoints land on a refresh-window boundary, where the next
+        step clears it anyway.  The write goes through
+        :func:`repro.common.atomic_savez`, so a crash mid-write leaves
+        the previous checkpoint intact.
         """
         path = path if path is not None else self.checkpoint_path
         if path is None:
@@ -322,7 +281,8 @@ class Trainer:
             "optimizer_step_count": self.optimizer.step_count,
             "losses": [float(x) for x in self.loss_history],
             "rng_state": self.rng.bit_generator.state,
-            "fingerprint": self._checkpoint_fingerprint(),
+            "fingerprint": dataclasses.asdict(self.config),
+            "buffers": [relation.value for relation in self._array_buffers],
         }
         arrays = {"header": np.frombuffer(
             json.dumps(header).encode("utf-8"), dtype=np.uint8)}
@@ -330,17 +290,23 @@ class Trainer:
             arrays["param_%06d" % i] = param.data
         for i, accumulator in enumerate(self.optimizer._accumulators):
             arrays["accum_%06d" % i] = accumulator
+        for relation, chunks in self._array_buffers.items():
+            for j, name in enumerate(("src", "pos")):
+                arrays["buffer_%s_%s" % (name, relation.value)] = (
+                    np.concatenate([chunk[j] for chunk in chunks]) if chunks
+                    else np.empty(0, dtype=np.int64))
         atomic_savez(path, arrays)
 
     def restore_checkpoint(self, path=None) -> int:
         """Load a checkpoint written by :meth:`save_checkpoint`.
 
         Restores parameters, optimiser state, the step counter, the
-        loss history, and the RNG state in place, then returns the
-        optimiser step the checkpoint was taken at.  Raises
-        ``ValueError`` if the checkpoint's config fingerprint does not
-        match this trainer's (resuming under different hyper-parameters
-        would silently diverge from the uninterrupted run).
+        loss history, the RNG state and the pair buffers in place, then
+        returns the optimiser step the checkpoint was taken at.  Raises
+        ``ValueError`` if the checkpoint's format or config fingerprint
+        does not match this trainer's (resuming under different
+        hyper-parameters would silently diverge from the uninterrupted
+        run).
         """
         path = path if path is not None else self.checkpoint_path
         if path is None:
@@ -352,7 +318,7 @@ class Trainer:
                     "checkpoint %s has format_version %r, expected %d"
                     % (path, header.get("format_version"),
                        self.CHECKPOINT_FORMAT))
-            ours = self._checkpoint_fingerprint()
+            ours = dataclasses.asdict(self.config)
             theirs = header.get("fingerprint")
             if theirs != ours:
                 diff = sorted(k for k in set(ours) | set(dict(theirs or {}))
@@ -372,10 +338,16 @@ class Trainer:
                 param.data[...] = stored
             for i, accumulator in enumerate(self.optimizer._accumulators):
                 accumulator[...] = data["accum_%06d" % i]
+            buffers = {}
+            for value in header["buffers"]:
+                src = data["buffer_src_%s" % value]
+                pos = data["buffer_pos_%s" % value]
+                buffers[Relation(value)] = [(src, pos)] if src.size else []
         self.optimizer.step_count = int(header["optimizer_step_count"])
         self._steps_done = int(header["steps_done"])
         self.loss_history = [float(x) for x in header["losses"]]
         self.rng.bit_generator.state = header["rng_state"]
+        self._array_buffers = buffers
         return self._steps_done
 
     def train(self, steps: Optional[int] = None,
@@ -387,15 +359,14 @@ class Trainer:
         returns, not an increment: a fresh trainer runs ``steps`` of
         them, a trainer restored from a checkpoint at step ``s`` (or
         one that already trained ``s`` steps) runs the remaining
-        ``steps - s``.  A call with nothing left to do raises
+        ``steps - s`` — with the same losses one uninterrupted call
+        would have produced.  A call with nothing left to do raises
         ``ValueError``.
 
-        The ``plan_refresh`` draw cache lives only for the duration of
-        the loop — it is detached before returning so post-training
-        inference (index builds, evaluation) never reuses frozen
-        training-time neighbour draws.  With ``prefetch_workers > 0``
-        the cache is owned by the producer's workers instead and the
-        encoder never carries one.
+        The ``plan_refresh`` draw cache is attached to the encoder only
+        while the loop runs — it is detached before returning so
+        post-training inference (index builds, evaluation) never reuses
+        frozen training-time neighbour draws.
         """
         steps = steps if steps is not None else self.config.steps
         cfg = self.config
@@ -404,109 +375,36 @@ class Trainer:
                 "train(steps=%d) has nothing left to do: this trainer has "
                 "already taken %d optimiser steps, and steps is the lifetime "
                 "total, not an increment" % (steps, self._steps_done))
-        if (cfg.prefetch_workers > 0 or cfg.checkpoint_every > 0
-                or self._steps_done > 0):
-            # checkpointed (and resumed) runs must consume the
-            # (seed, step)-pure producer payload stream — inline when
-            # prefetch_workers=0 — so micro-step i's payload is the
-            # same whether or not the run was interrupted
-            return self._train_prefetched(steps, log_every)
-        if cfg.plan_refresh > 1:
-            self.model.encoder.draw_cache = NeighborDrawCache()
+        checkpointing = (cfg.checkpoint_every > 0
+                         and self.checkpoint_path is not None)
+        start_step = self._steps_done
         losses: List[float] = []
+        checkpoints_written = 0
+        self.model.encoder.draw_cache = self._draw_cache
         start = time.perf_counter()
         try:
-            for step in range(steps):
+            for step in range(start_step, steps):
                 losses.append(self.train_step())
                 self.loss_history.append(losses[-1])
                 if log_every and (step + 1) % log_every == 0:
                     print("step %4d  loss %.4f  |grad| %.3f" %
                           (step + 1, losses[-1],
                            self.optimizer.last_grad_norm))
+                if (checkpointing and step + 1 < steps
+                        and (step + 1) % cfg.checkpoint_every == 0):
+                    self.save_checkpoint()
+                    checkpoints_written += 1
         finally:
             self.model.encoder.draw_cache = None
         elapsed = time.perf_counter() - start
-        return TrainingReport(
-            losses=losses, wall_seconds=elapsed, steps=steps,
-            samples_seen=steps * cfg.batch_size * cfg.accumulate_steps)
-
-    def make_producer(self, steps: Optional[int] = None,
-                      num_workers: Optional[int] = None) -> PlanProducer:
-        """A :class:`PlanProducer` configured like this trainer's loop.
-
-        One producer *step* is one micro-batch, so the producer runs
-        ``steps * accumulate_steps`` payloads.  Exposed separately so
-        benchmarks and tests can consume the payload stream directly.
-        """
-        cfg = self.config
-        steps = steps if steps is not None else cfg.steps
-        encoder = self.model.encoder
-        return PlanProducer(
-            self.walker, self.negative_sampler,
-            total_steps=steps * cfg.accumulate_steps,
-            batch_size=cfg.batch_size, gcn_layers=encoder.gcn_layers,
-            neighbor_samples=encoder.neighbor_samples, seed=cfg.seed,
-            num_workers=(cfg.prefetch_workers if num_workers is None
-                         else num_workers),
-            depth=cfg.prefetch_depth, plan_refresh=cfg.plan_refresh,
-            walks_per_round=self._walks_per_round,
-            start_step=self._steps_done * cfg.accumulate_steps)
-
-    def _train_prefetched(self, steps: int, log_every: int) -> TrainingReport:
-        """The overlapped loop: consume producer payloads in step order.
-
-        Batches and per-role plans arrive pre-built; the loss replays
-        the captured draws, so the main process touches only the tape.
-        The payload for micro-step ``i`` is a pure function of
-        ``(seed, i)`` (see :mod:`repro.training.prefetch`), which makes
-        the loss trajectory independent of the worker count (asserted
-        in tests; the synchronous path interleaves sampling with
-        encoding on one stream, so it is a *statistically* equivalent
-        reference, not a bit-equal one).
-        """
-        cfg = self.config
-        start_opt = self._steps_done
-        losses: List[float] = []
-        checkpoints_written = 0
-        producer = self.make_producer(steps)
-        with producer:
-            # workers have completed their ready handshake here, so the
-            # clock measures the steady-state loop, not spawn start-up
-            # (the synchronous path pays no start-up either)
-            start = time.perf_counter()
-            stream = iter(producer)
-
-            def next_micro():
-                payload = next(stream)
-                return payload.batch, payload.plans
-
-            for step in range(start_opt, steps):
-                self._steps_done += 1
-                loss = self._accumulate_micro(next_micro)
-                losses.append(loss)
-                self.loss_history.append(loss)
-                if log_every and (step + 1) % log_every == 0:
-                    print("step %4d  loss %.4f  |grad| %.3f" %
-                          (step + 1, losses[-1],
-                           self.optimizer.last_grad_norm))
-                if (cfg.checkpoint_every > 0
-                        and self.checkpoint_path is not None
-                        and self._steps_done % cfg.checkpoint_every == 0
-                        and self._steps_done < steps):
-                    self.save_checkpoint()
-                    checkpoints_written += 1
-            elapsed = time.perf_counter() - start
-        if cfg.checkpoint_every > 0 and self.checkpoint_path is not None:
+        if checkpointing:
             # a completed run leaves no checkpoint behind: rerunning the
             # stage trains fresh instead of resuming past the end
             with contextlib.suppress(FileNotFoundError):
                 os.remove(self.checkpoint_path)
         return TrainingReport(
-            losses=losses, wall_seconds=elapsed, steps=steps - start_opt,
-            samples_seen=((steps - start_opt) * cfg.batch_size
+            losses=losses, wall_seconds=elapsed, steps=steps - start_step,
+            samples_seen=((steps - start_step) * cfg.batch_size
                           * cfg.accumulate_steps),
-            prefetch_wait_seconds=producer.wait_seconds,
-            resumed_from_step=start_opt,
-            checkpoints_written=checkpoints_written,
-            worker_deaths=producer.worker_deaths,
-            worker_respawns=producer.worker_respawns)
+            resumed_from_step=start_step,
+            checkpoints_written=checkpoints_written)

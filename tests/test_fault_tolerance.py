@@ -6,12 +6,9 @@ Drives the failure paths the PR-8 lifecycle claims to survive:
   merge, correct order, flagged) instead of failing it;
 - serving-engine slice faults degrade to empty results, feed the
   circuit breaker, and shed load at the admission layer;
-- a SIGKILLed prefetch worker is respawned and the loss trajectory is
-  bit-identical to an undisturbed run;
-- a worker that dies during the ready handshake fails fast with a
-  clear error instead of hanging the trainer;
 - a run killed mid-training resumes from its checkpoint with losses
-  bit-identical to the uninterrupted run.
+  bit-identical to the uninterrupted run, and checkpointing itself
+  never changes what a run trains.
 """
 
 import numpy as np
@@ -24,7 +21,7 @@ from repro.retrieval.mnn import RelationSpace
 from repro.serving.admission import AdmissionController
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.engine import ServingEngine
-from repro.testing.faults import FaultSpec, install, install_plan, reset
+from repro.testing.faults import FaultSpec, install, reset
 from repro.training import Trainer, TrainerConfig
 
 
@@ -249,49 +246,6 @@ class TestEngineDegradation:
         assert engine.stats.cache_misses >= 16
 
 
-class TestWorkerChaos:
-    @staticmethod
-    def _trainer(graph, workers, checkpoint_every=0):
-        model = make_model("amcad", graph, num_subspaces=2, subspace_dim=4,
-                           seed=2)
-        config = TrainerConfig(steps=6, batch_size=16, seed=2,
-                               prefetch_workers=workers,
-                               checkpoint_every=checkpoint_every)
-        return Trainer(model, config)
-
-    def test_killed_worker_respawns_and_losses_unchanged(self, train_graph):
-        # reference: the producer-driven loop, inline (payloads are
-        # (seed, step)-pure, so worker topology cannot matter)
-        reference = self._trainer(train_graph, workers=0,
-                                  checkpoint_every=5).train()
-        assert reference.worker_deaths == 0
-
-        install_plan([FaultSpec(site="prefetch.worker", mode="kill",
-                                match={"worker": 0}, after=1, max_fires=1)])
-        chaotic = self._trainer(train_graph, workers=2).train()
-        assert chaotic.worker_deaths == 1
-        assert chaotic.worker_respawns == 1
-        assert chaotic.losses == reference.losses
-
-    def test_handshake_death_fails_fast_with_clear_error(self, train_graph):
-        install_plan([FaultSpec(site="prefetch.worker.start", mode="kill",
-                                match={"worker": 0})])
-        trainer = self._trainer(train_graph, workers=1)
-        producer = trainer.make_producer()
-        with pytest.raises(RuntimeError, match="ready handshake"):
-            with producer:
-                pass
-
-    def test_respawn_budget_is_finite(self, train_graph):
-        install_plan([FaultSpec(site="prefetch.worker", mode="kill")])
-        trainer = self._trainer(train_graph, workers=1)
-        producer = trainer.make_producer()
-        producer.max_respawns = 0
-        with pytest.raises(RuntimeError, match="respawn budget"):
-            with producer:
-                list(producer)
-
-
 class TestCheckpointResume:
     @staticmethod
     def _trainer(graph, checkpoint_path=None, **overrides):
@@ -303,38 +257,93 @@ class TestCheckpointResume:
                        checkpoint_path=checkpoint_path)
 
     def _crash_at(self, trainer, step):
-        original = trainer._accumulate_micro
+        original = trainer.train_step
         calls = [0]
 
-        def crashy(next_micro):
+        def crashy():
             if calls[0] == step:
                 raise RuntimeError("simulated crash")
             calls[0] += 1
-            return original(next_micro)
+            return original()
 
-        trainer._accumulate_micro = crashy
+        trainer.train_step = crashy
 
     def test_resume_is_bit_identical(self, train_graph, tmp_path):
+        # the second leg checkpoints on plan_refresh window boundaries
+        # with two micro-batches per optimiser step
+        for leg, overrides in enumerate(
+                ({}, dict(accumulate_steps=2, plan_refresh=3,
+                          checkpoint_every=3))):
+            ckpt = tmp_path / ("checkpoint-%d.npz" % leg)
+            ref_path = tmp_path / ("ref-%d.npz" % leg)
+            reference = self._trainer(train_graph, ref_path,
+                                      **overrides).train()
+            assert not ref_path.exists()  # deleted on completion
+            assert reference.checkpoints_written == 2
+
+            crashed = self._trainer(train_graph, ckpt, **overrides)
+            self._crash_at(crashed, step=5)
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                crashed.train()
+            assert ckpt.exists()  # checkpoint from step 3 survived the crash
+
+            resumed = self._trainer(train_graph, ckpt, **overrides)
+            at = resumed.restore_checkpoint()
+            assert at == 3
+            report = resumed.train()
+            assert report.resumed_from_step == 3
+            assert report.steps == 5
+            assert report.losses == reference.losses[3:]
+            assert resumed.loss_history == reference.losses
+            assert not ckpt.exists()
+
+    def test_checkpointing_does_not_change_training(self, train_graph,
+                                                    tmp_path):
+        """Regression: ``checkpoint_every > 0`` used to switch the loop
+        to a different sample stream, so turning checkpoints on trained
+        a different model."""
+        plain = self._trainer(train_graph, checkpoint_every=0)
+        checkpointed = self._trainer(train_graph, tmp_path / "c.npz")
+        plain_report, report = plain.train(), checkpointed.train()
+        assert report.checkpoints_written == 2
+        assert report.losses == plain_report.losses
+        for got, want in zip(checkpointed.model.parameters(),
+                             plain.model.parameters()):
+            np.testing.assert_array_equal(got.data, want.data)
+
+    def test_checkpoint_restores_pair_buffers(self, train_graph, tmp_path):
+        """The leftover pairs come back per relation, in fill order —
+        the order decides which relation the next batch serves."""
         ckpt = tmp_path / "checkpoint.npz"
-        reference = self._trainer(train_graph, tmp_path / "ref.npz").train()
-        assert not (tmp_path / "ref.npz").exists()  # deleted on completion
-        assert reference.checkpoints_written == 2
-
-        crashed = self._trainer(train_graph, ckpt)
-        self._crash_at(crashed, step=5)
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            crashed.train()
-        assert ckpt.exists()  # checkpoint from step 3 survived the crash
-
+        trainer = self._trainer(train_graph, ckpt)
+        trainer.train(steps=2)
+        trainer.save_checkpoint()
         resumed = self._trainer(train_graph, ckpt)
-        at = resumed.restore_checkpoint()
-        assert at == 3
-        report = resumed.train()
-        assert report.resumed_from_step == 3
-        assert report.steps == 5
-        assert report.losses == reference.losses[3:]
-        assert resumed.loss_history == reference.losses
-        assert not ckpt.exists()
+        resumed.restore_checkpoint()
+        assert any(trainer._array_buffers.values())
+        assert list(resumed._array_buffers) == list(trainer._array_buffers)
+        for relation, chunks in trainer._array_buffers.items():
+            restored = resumed._array_buffers[relation]
+            assert len(restored) == min(len(chunks), 1)
+            if chunks:
+                for j in (0, 1):
+                    np.testing.assert_array_equal(
+                        restored[0][j],
+                        np.concatenate([chunk[j] for chunk in chunks]))
+        a, b = trainer._next_batch(), resumed._next_batch()
+        assert a.relation == b.relation
+        np.testing.assert_array_equal(a.neg_idx, b.neg_idx)
+
+    def test_format_1_checkpoint_refused(self, train_graph, tmp_path):
+        """Format 1 lacks the pair buffers the loop carries between
+        steps, so it cannot continue a run bit-identically."""
+        ckpt = tmp_path / "checkpoint.npz"
+        old = self._trainer(train_graph, ckpt)
+        old.train(steps=2)
+        old.CHECKPOINT_FORMAT = 1
+        old.save_checkpoint()
+        with pytest.raises(ValueError, match="format_version 1, expected 2"):
+            self._trainer(train_graph, ckpt).restore_checkpoint()
 
     def test_fingerprint_mismatch_rejected(self, train_graph, tmp_path):
         ckpt = tmp_path / "checkpoint.npz"
@@ -350,7 +359,7 @@ class TestCheckpointResume:
         trainer = self._trainer(train_graph, ckpt)
         trainer.train(steps=2)
         trainer.save_checkpoint()
-        # more workers is a deployment decision, not a training change
+        # a retired key is dropped on construction, never fingerprinted
         resumed = self._trainer(train_graph, ckpt, prefetch_workers=2)
         assert resumed.restore_checkpoint() == 2
 

@@ -62,6 +62,8 @@ class TestFaultSpec:
         {"site": "x", "after": -1},
         {"site": "x", "max_fires": 0},
         {"site": "x", "delay": -0.1},
+        # retired: no site runs in a process it could kill
+        {"site": "x", "mode": "kill"},
     ])
     def test_invalid_fields_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -140,16 +140,24 @@ class TestConfig:
     def test_retired_plane_keys_dropped_on_load(self):
         """Configs published before the planes were retired keep loading."""
         config = PipelineConfig.from_dict(
-            {"training": {"data_plane": "batched", "steps": 7},
+            {"training": {"data_plane": "batched", "steps": 7,
+                          "prefetch_workers": 2, "prefetch_depth": 3},
              "model": {"compute_plane": "frontier"}})
         assert config.training.steps == 7
         dumped = config.to_dict()
-        assert "data_plane" not in dumped["training"]
+        for key in ("data_plane", "prefetch_workers", "prefetch_depth"):
+            assert key not in dumped["training"]
         assert "compute_plane" not in dumped["model"]
+        assert PipelineConfig.from_dict(dumped) == config
+        # a CLI-style override of a retired key is dropped the same way
+        assert config.with_overrides(["training.prefetch_workers=4"]) == config
 
     @pytest.mark.parametrize("section,key,value", [
         ("training", "data_plane", "looped"),
         ("model", "compute_plane", "recursive"),
+        ("training", "prefetch_workers", -1),
+        ("training", "prefetch_depth", 0),
+        ("training", "prefetch_workers", "two"),
     ])
     def test_retired_plane_values_rejected_by_name(self, section, key, value):
         with pytest.raises(ValueError,
@@ -350,7 +358,8 @@ class TestFromArtifacts:
         old = ArtifactStore(shutil.copytree(run_pipeline.store.root,
                                             tmp_path / "old"))
         payload = json.loads(old.path(ArtifactStore.CONFIG).read_text())
-        payload["training"]["data_plane"] = "batched"
+        payload["training"].update(data_plane="batched", prefetch_workers=2,
+                                   prefetch_depth=2)
         payload["model"]["compute_plane"] = "frontier"
         old.path(ArtifactStore.CONFIG).write_text(json.dumps(payload))
         generation = old.publish_generation()

@@ -199,23 +199,28 @@ def test_eval_from_artifacts(cli_artifacts, capsys):
     assert 0.0 <= info["next_auc"] <= 100.0
 
 
-def test_run_accepts_prefetch_workers_override(tmp_path, capsys):
-    """`--set training.prefetch_workers=2` trains through the producer
-    pool end to end and surfaces the overlap stats in the report."""
+def test_run_accepts_prefetch_workers_override(cli_artifacts, tmp_path,
+                                               capsys):
+    """`--set training.prefetch_workers=2` names a retired key: it is
+    dropped, so the run trains what it trains without it and the
+    persisted config no longer carries it."""
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(TINY_CLI))
     artifact_dir = tmp_path / "artifacts"
     code = cli.main(["run", "--config", str(config_path),
                      "--artifacts", str(artifact_dir),
-                     "--set", "training.steps=4",
+                     "--set", "training.steps=6",
                      "--set", "training.prefetch_workers=2", "--quiet"])
     assert code == 0
     config = json.loads((artifact_dir / "config.json").read_text())
-    assert config["training"]["prefetch_workers"] == 2
-    report = json.loads((artifact_dir / "report.json").read_text())
-    train = [s for s in report["stages"] if s["name"] == "train"][0]
-    assert train["info"]["prefetch_workers"] == 2
-    assert 0.0 <= train["info"]["prefetch_overlap_fraction"] <= 1.0
+    assert "prefetch_workers" not in config["training"]
+
+    def train_info(root):
+        report = json.loads((root / "report.json").read_text())
+        return [s for s in report["stages"] if s["name"] == "train"][0]["info"]
+
+    assert train_info(artifact_dir)["losses"] == \
+        train_info(cli_artifacts)["losses"]
 
 
 def test_run_admission_overrides_smoke(tmp_path, capsys):

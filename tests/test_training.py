@@ -1,5 +1,7 @@
 """Tests for the optimiser, trainer and incremental training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,13 +99,15 @@ class TestAdaGrad:
     ("batch_size", dict(batch_size=0)),
     ("learning_rate", dict(learning_rate=0.0)),
     ("plan_refresh", dict(plan_refresh=0)),
+    # retired keys: dropped at any value they accepted, named otherwise
     ("prefetch_workers", dict(prefetch_workers=-1)),
     ("prefetch_depth", dict(prefetch_depth=0)),
     ("accumulate_steps", dict(accumulate_steps=0)),
     ("backward_depth", dict(backward_depth=-1)),
     ("checkpoint_every", dict(checkpoint_every=-1)),
-    # a refresh window no longer than the worker count never hits a cache
-    ("plan_refresh", dict(prefetch_workers=2, plan_refresh=2)),
+    # the refresh window counts optimiser steps, not micro-batches
+    ("plan_refresh", dict(checkpoint_every=2, accumulate_steps=2,
+                          plan_refresh=4)),
     # checkpoints must land on a refresh-window boundary
     ("checkpoint_every", dict(checkpoint_every=3, plan_refresh=2)),
     ("checkpoint_every", dict(checkpoint_every=2, accumulate_steps=3,
@@ -115,7 +119,61 @@ def test_trainer_config_rejects_invalid_values(key, kwargs):
         TrainerConfig(**kwargs)
 
 
+def test_trainer_config_drops_retired_keys():
+    """Callers written for the retired multi-process sampler keep
+    constructing; the keys are no fields and change nothing."""
+    config = TrainerConfig(steps=3, prefetch_workers=2, prefetch_depth=4)
+    assert config == TrainerConfig(steps=3)
+    assert "prefetch_workers" not in dataclasses.asdict(config)
+    assert TrainerConfig(prefetch_workers=0) == TrainerConfig()
+
+
+class _BarrenWalker:
+    """A walker whose meta-paths never yield a pair."""
+
+    meta_paths = ["dead-end"]
+
+    def __init__(self):
+        self.calls = 0
+
+    def sample_pair_blocks(self, rng, num_walks):
+        self.calls += 1
+        # bound the stub itself so a loop without a guard fails here
+        # instead of spinning forever
+        assert self.calls < 10000, "trainer kept walking without pairs"
+        return []
+
+
 class TestTrainer:
+    def test_barren_walker_raises(self, train_graph):
+        """Regression: the loop's refill ``while True`` had no exit."""
+        model = make_model("amcad_e", train_graph, num_subspaces=1,
+                           subspace_dim=4, seed=0)
+        walker = _BarrenWalker()
+        trainer = Trainer(model, TrainerConfig(batch_size=16), walker=walker)
+        with pytest.raises(RuntimeError, match="no pairs in 64 walk rounds"):
+            trainer.train(1)
+        assert walker.calls == 64
+
+    @pytest.mark.parametrize("plan_refresh,split_at",
+                             [(1, 3), (3, 3), (3, 4)])
+    def test_split_train_calls_equal_one_call(self, train_graph,
+                                              plan_refresh, split_at):
+        """Regression: a second ``train()`` call used to switch to a
+        different sample stream.  Split mid-window (3, 4), the draw
+        cache carries over from one call to the next."""
+        def trainer():
+            model = make_model("amcad", train_graph, num_subspaces=2,
+                               subspace_dim=4, seed=0)
+            return Trainer(model, TrainerConfig(batch_size=16, seed=0,
+                                                plan_refresh=plan_refresh))
+
+        split = trainer()
+        first = split.train(split_at).losses
+        assert split.model.encoder.draw_cache is None   # detached between
+        losses = first + split.train(8).losses
+        assert losses == trainer().train(8).losses
+
     def test_train_steps_is_the_lifetime_total(self, train_graph):
         """Regression: a second ``train(5)`` used to return an empty
         report (the first call counted "5 more", the second "5 in

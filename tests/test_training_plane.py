@@ -1,15 +1,12 @@
-"""The overlapped training plane: prefetch producer, accumulation, backward dial.
+"""The training loop's dials: accumulation and the backward dial.
 
-Covers the PR-6 contracts:
+Covers:
 
-- ``SampleBatch``/``EncodePlan`` pickle round-trips (they cross a
-  process boundary now);
-- payload determinism — step payloads are pure functions of
-  ``(seed, step)``, so worker count never changes the stream;
+- ``SampleBatch``/``EncodePlan`` are plain data: pickle round-trips
+  them with no custom state hooks;
 - gradient accumulation's exact equivalence to one large batch;
 - the ``backward_depth`` dial: bit-identical forward, exact upper-level
-  gradients, no lower-level gradients;
-- the configuration guard rails (incompatible plane/cache combos).
+  gradients, no lower-level gradients.
 """
 
 import pickle
@@ -19,22 +16,26 @@ import pytest
 
 from repro.autodiff.tensor import Tensor
 from repro.graph import MetaPathWalker, NegativeSampler
-from repro.graph.sampling import SampleBatch
 from repro.graph.schema import NodeType
 from repro.models import make_model
 from repro.models.plan import build_encode_plan
-from repro.training import PlanProducer, Trainer, TrainerConfig
-from repro.training.prefetch import ProducerState, build_step_payload
-from repro.training.trainer import TrainingReport
+from repro.training import Trainer, TrainerConfig
 
 
-def _make_producer(graph, *, total_steps, num_workers=0, batch_size=16,
-                   gcn_layers=1, seed=0, plan_refresh=1, depth=2):
-    return PlanProducer(
-        MetaPathWalker(graph), NegativeSampler(graph),
-        total_steps=total_steps, batch_size=batch_size,
-        gcn_layers=gcn_layers, neighbor_samples=4, seed=seed,
-        num_workers=num_workers, depth=depth, plan_refresh=plan_refresh)
+def _batch_and_plans(graph, *, seed, batch_size, gcn_layers):
+    """One relation-homogeneous batch and its role-keyed encode plans."""
+    rng = np.random.default_rng(seed)
+    block = max(MetaPathWalker(graph).sample_pair_blocks(rng, 200), key=len)
+    batch = NegativeSampler(graph).sample_arrays(
+        rng, block.relation, block.src_idx[:batch_size],
+        block.dst_idx[:batch_size])
+    relation = batch.relation
+    targets = np.concatenate([batch.pos_idx, batch.neg_idx.ravel()])
+    return batch, {
+        "source": build_encode_plan(graph, relation.source_type,
+                                    batch.src_idx, gcn_layers, 4, rng),
+        "target": build_encode_plan(graph, relation.target_type, targets,
+                                    gcn_layers, 4, rng)}
 
 
 def _assert_plans_equal(pa, pb):
@@ -52,18 +53,9 @@ def _assert_plans_equal(pa, pb):
                 np.testing.assert_array_equal(ba.mask, bb.mask)
 
 
-def _assert_payloads_equal(a, b):
-    assert a.step == b.step
-    assert a.batch.relation == b.batch.relation
-    np.testing.assert_array_equal(a.batch.src_idx, b.batch.src_idx)
-    np.testing.assert_array_equal(a.batch.pos_idx, b.batch.pos_idx)
-    np.testing.assert_array_equal(a.batch.neg_idx, b.batch.neg_idx)
-    assert set(a.plans) == set(b.plans) == {"source", "target"}
-    for role in ("source", "target"):
-        _assert_plans_equal(a.plans[role], b.plans[role])
-
-
 class TestPickleRoundTrip:
+    """Plain-array contracts: default pickling is a faithful copy."""
+
     def test_sample_batch_survives_pickle(self, train_graph, rng):
         sampler = NegativeSampler(train_graph)
         walker = MetaPathWalker(train_graph)
@@ -81,16 +73,6 @@ class TestPickleRoundTrip:
         # behaves like a batch on the other side, not just raw arrays
         assert len(clone) == len(batch)
         assert clone.num_negatives == batch.num_negatives
-
-    def test_sample_batch_revalidates_on_unpickle(self):
-        batch = SampleBatch.__new__(SampleBatch)
-        with pytest.raises(ValueError):
-            batch.__setstate__({
-                "relation": None,
-                "src_idx": np.arange(4),
-                "pos_idx": np.arange(4),
-                "neg_idx": np.arange(4),       # not (batch, K): must fail
-            })
 
     def test_encode_plan_survives_pickle(self, train_graph, rng):
         indices = rng.integers(train_graph.num_nodes[NodeType.QUERY], size=24)
@@ -111,133 +93,6 @@ class TestPickleRoundTrip:
         np.testing.assert_array_equal(mask, ref_mask)
         assert clone.num_encoded() == plan.num_encoded()
 
-    def test_encode_plan_rejects_corrupt_state(self, train_graph, rng):
-        plan = build_encode_plan(train_graph, NodeType.QUERY,
-                                 np.arange(8), layers=1, neighbor_samples=4,
-                                 rng=rng)
-        state = plan.__getstate__()
-        state["levels"] = state["levels"][:1]   # lost a level in transit
-        with pytest.raises(ValueError, match="corrupt EncodePlan"):
-            pickle.loads(pickle.dumps(plan)).__setstate__(state)
-
-
-class TestStepPayloads:
-    def test_payload_is_pure_function_of_seed_and_step(self, train_graph):
-        def build(step):
-            state = ProducerState(
-                MetaPathWalker(train_graph), NegativeSampler(train_graph),
-                batch_size=16, gcn_layers=1, neighbor_samples=4, seed=5)
-            return build_step_payload(state, step)
-
-        _assert_payloads_equal(build(3), build(3))
-        a, b = build(0), build(1)
-        assert (a.batch.relation != b.batch.relation
-                or not np.array_equal(a.batch.src_idx, b.batch.src_idx)
-                or not np.array_equal(a.batch.neg_idx, b.batch.neg_idx))
-
-    def test_inline_producer_is_deterministic(self, train_graph):
-        first = list(iter(_make_producer(train_graph, total_steps=3)))
-        second = list(iter(_make_producer(train_graph, total_steps=3)))
-        assert [p.step for p in first] == [0, 1, 2]
-        for a, b in zip(first, second):
-            _assert_payloads_equal(a, b)
-
-    def test_worker_pool_matches_inline(self, train_graph):
-        """Two spawned workers emit exactly the inline payload stream."""
-        inline = list(iter(_make_producer(train_graph, total_steps=4)))
-        with _make_producer(train_graph, total_steps=4,
-                            num_workers=2) as producer:
-            pooled = list(iter(producer))
-        assert [p.step for p in pooled] == [0, 1, 2, 3]
-        for a, b in zip(inline, pooled):
-            _assert_payloads_equal(a, b)
-
-    def test_draw_cache_reuses_within_refresh_window(self, train_graph):
-        producer = _make_producer(train_graph, total_steps=4, plan_refresh=4)
-        payloads = list(iter(producer))
-        state = producer._state
-        assert state._window == 0          # never crossed a window boundary
-        # target-role plans within the window replay cached draws for
-        # nodes they share
-        pa = payloads[0].plans["target"]
-        pb = next(p.plans["target"] for p in payloads[1:]
-                  if p.plans["target"].node_type == pa.node_type)
-        t = pa.node_type
-        fa, fb = pa.levels[1].frontiers[t], pb.levels[1].frontiers[t]
-        common = np.intersect1d(fa, fb)
-        assert common.size > 0
-        for ba, bb in zip(pa.levels[1].blocks[t], pb.levels[1].blocks[t]):
-            np.testing.assert_array_equal(
-                ba.neigh_ids[np.searchsorted(fa, common)],
-                bb.neigh_ids[np.searchsorted(fb, common)])
-
-    def test_draw_cache_window_advances(self, train_graph):
-        producer = _make_producer(train_graph, total_steps=5, plan_refresh=2)
-        list(iter(producer))
-        assert producer._state._window == 2    # steps 4.. live in window 2
-
-    def test_refresh_window_shorter_than_pool_rejected(self, train_graph):
-        with pytest.raises(ValueError, match="plan_refresh"):
-            _make_producer(train_graph, total_steps=4, num_workers=2,
-                           plan_refresh=2)
-
-    def test_producer_validates_shape(self, train_graph):
-        with pytest.raises(ValueError, match="num_workers"):
-            _make_producer(train_graph, total_steps=4, num_workers=-1)
-        with pytest.raises(ValueError, match="depth"):
-            _make_producer(train_graph, total_steps=4, depth=0)
-
-
-class TestPrefetchedTrainer:
-    def test_worker_count_does_not_change_training(self, train_graph):
-        """Fixed seed → identical payload stream → identical losses.
-
-        Exact equality holds between any two worker counts >= 1 (the
-        payload stream is a pure function of ``(seed, step)``).  The
-        synchronous path (``prefetch_workers=0``) interleaves sampling
-        and encode draws on one shared stream, so it is a statistically
-        equivalent reference, not a bit-equal one — that ordering
-        tolerance is by design and covered by
-        ``test_prefetch_converges_like_sync``.
-        """
-        def run(workers):
-            model = make_model("amcad", train_graph, subspace_dim=4, seed=0,
-                               gcn_layers=1)
-            config = TrainerConfig(steps=3, batch_size=16, seed=0,
-                                   prefetch_workers=workers)
-            return Trainer(model, config).train()
-
-        one, two = run(1), run(2)
-        assert one.losses == two.losses
-
-    def test_prefetch_converges_like_sync(self, train_graph):
-        def run(workers):
-            model = make_model("amcad", train_graph, subspace_dim=4, seed=0,
-                               gcn_layers=1)
-            config = TrainerConfig(steps=4, batch_size=16, seed=0,
-                                   prefetch_workers=workers)
-            return Trainer(model, config).train()
-
-        sync, pre = run(0), run(2)
-        assert all(np.isfinite(sync.losses)) and all(np.isfinite(pre.losses))
-        assert sync.prefetch_wait_seconds == 0.0
-        assert pre.prefetch_wait_seconds >= 0.0
-        assert 0.0 <= pre.overlap_fraction <= 1.0
-        assert pre.samples_seen == sync.samples_seen == 4 * 16
-
-    def test_trainer_rejects_short_refresh_window(self, train_graph):
-        model = make_model("amcad", train_graph, subspace_dim=4, gcn_layers=1)
-        with pytest.raises(ValueError, match="plan_refresh"):
-            Trainer(model, TrainerConfig(prefetch_workers=2, plan_refresh=2))
-
-    def test_overlap_fraction_math(self):
-        report = TrainingReport(losses=[1.0], wall_seconds=10.0, steps=1,
-                                samples_seen=16, prefetch_wait_seconds=2.5)
-        assert report.overlap_fraction == pytest.approx(0.75)
-        idle = TrainingReport(losses=[1.0], wall_seconds=0.0, steps=1,
-                              samples_seen=16)
-        assert idle.overlap_fraction == 1.0
-
 
 class TestGradientAccumulation:
     def test_two_micro_batches_equal_one_large_batch(self, train_graph):
@@ -255,15 +110,16 @@ class TestGradientAccumulation:
         accum = model0()
         trainer = Trainer(accum, TrainerConfig(steps=1, batch_size=16, seed=0,
                                                accumulate_steps=2))
-        payloads = list(iter(trainer.make_producer(steps=1)))
-        assert len(payloads) == 2       # one optimiser step, two micro
-        micro = iter([(p.batch, p.plans) for p in payloads])
-        accum_loss = trainer._accumulate_micro(lambda: next(micro))
+        batches = [trainer._next_batch() for _ in range(2)]
+        micro = iter(batches)
+        trainer._next_batch = lambda: next(micro)
+        accum_loss = trainer.train_step()
+        assert next(micro, None) is None    # one optimiser step, two micro
         accum_grads = [None if p.grad is None else p.grad.copy()
                        for p in accum.parameters()]
 
         reference = model0()
-        merged = [sample for p in payloads for sample in p.batch]
+        merged = [sample for batch in batches for sample in batch]
         loss = reference.loss(merged)
         loss.backward()
         assert accum_loss == pytest.approx(loss.item(), abs=1e-12)
@@ -296,10 +152,8 @@ class TestGradientAccumulation:
 class TestBackwardDepth:
     @pytest.fixture(scope="class")
     def payload(self, train_graph):
-        state = ProducerState(
-            MetaPathWalker(train_graph), NegativeSampler(train_graph),
-            batch_size=16, gcn_layers=2, neighbor_samples=4, seed=7)
-        return build_step_payload(state, 0)
+        return _batch_and_plans(train_graph, seed=7, batch_size=16,
+                                gcn_layers=2)
 
     @staticmethod
     def _backward(train_graph, payload, depth, wrap_inductive=None):
@@ -308,7 +162,8 @@ class TestBackwardDepth:
         model.encoder.backward_depth = depth
         if wrap_inductive is not None:
             model.encoder.inductive = wrap_inductive(model.encoder.inductive)
-        loss = model.loss(payload.batch, plans=payload.plans)
+        batch, plans = payload
+        loss = model.loss(batch, plans=plans)
         loss.backward()
         return loss.item(), model
 
