@@ -76,8 +76,7 @@ def _measure_index(model, rounds):
     for name, spec in (
             ("exact", dict(backend="exact")),
             ("sharded", dict(backend="sharded",
-                             backend_kwargs={"num_shards": NUM_SHARDS,
-                                             "parallelism": 2}))):
+                             backend_kwargs={"num_shards": NUM_SHARDS}))):
         start = time.perf_counter()
         index_set = IndexSet(model, top_k=TOP_K, **spec).build(relations)
         build_seconds = time.perf_counter() - start

@@ -31,7 +31,7 @@ import numpy as np
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def exact_ground_truth(space, queries, k, num_workers: int = 1):
+def exact_ground_truth(space, queries, k):
     """Top-``k`` ``(ids, dists)`` under the true mixed-curvature metric.
 
     One shared ground-truth path for every bench that compares an
@@ -41,7 +41,7 @@ def exact_ground_truth(space, queries, k, num_workers: int = 1):
     ``(space, queries)`` and pass the ids around.
     """
     from repro.retrieval import make_backend
-    backend = make_backend("exact", num_workers=num_workers).build(space)
+    backend = make_backend("exact").build(space)
     return backend.search(np.asarray(queries, dtype=np.int64), k)
 
 

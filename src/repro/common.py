@@ -9,8 +9,9 @@ never a torn hybrid; stray ``*.tmp-*`` staging files are dead weight a
 later write of the same path sweeps up.
 
 Published artifacts are immutable, so everything that reads a config
-(``TrainerConfig``, ``PipelineConfig.from_dict``, ``load_model``) drops
-the keys of retired planes through :func:`drop_retired_planes`.
+(``TrainerConfig``, ``PipelineConfig.from_dict``, ``load_model``,
+``make_backend``, ``IndexSet``, ``ServingEngine``) drops the keys of
+retired planes through :func:`drop_retired_planes`.
 """
 
 from __future__ import annotations
@@ -100,22 +101,44 @@ def atomic_savez(path: PathLike, arrays: dict) -> pathlib.Path:
     return pathlib.Path(path)
 
 
+def _number(minimum: float = float("-inf")):
+    return lambda value: isinstance(value, (int, float)) and value >= minimum
+
+
 #: ``section -> {key: (accepts, accepted)}``: keys of retired planes
 #: that configs (and, for the model section, ``model.npz`` headers)
 #: published before the retirement carry.  A value the plane accepted
 #: is dropped on load, so old artifact stores keep opening; any other
-#: value is rejected by name.
+#: value is rejected by name.  ``backend`` holds search-backend
+#: constructor kwargs (a config's ``index.backend_kwargs`` and
+#: ``inner_kwargs``, an ``indices.npz`` header's ``backend_params``)
+#: and ``engine`` the ``ServingEngine`` kwargs.
 _RETIRED_PLANES = {
     "training": {
         "data_plane": (lambda value: value == "batched", "'batched'"),
         # the multi-process sampler: the keys only scheduled sampling
-        "prefetch_workers": (lambda value: isinstance(value, (int, float))
-                             and value >= 0, "a number >= 0"),
-        "prefetch_depth": (lambda value: isinstance(value, (int, float))
-                           and value >= 1, "a number >= 1"),
+        "prefetch_workers": (_number(0), "a number >= 0"),
+        "prefetch_depth": (_number(1), "a number >= 1"),
     },
     "model": {
         "compute_plane": (lambda value: value == "frontier", "'frontier'"),
+    },
+    # the in-process thread pools of search and serving, and the shard
+    # deadline only a pool could enforce
+    "index": {
+        "num_workers": (_number(), "a number"),
+        "shard_parallelism": (_number(1), "a number >= 1"),
+        "shard_timeout_ms": (_number(0), "a number >= 0"),
+    },
+    "backend": {
+        "num_workers": (_number(), "a number"),
+        "parallelism": (_number(), "a number"),
+        "shard_timeout": (lambda value: value is None
+                          or (_number()(value) and value > 0),
+                          "null or a number > 0"),
+    },
+    "engine": {
+        "shard_parallelism": (_number(), "a number"),
     },
 }
 

@@ -10,7 +10,7 @@ Two families live here:
    ``(B,N,d)`` Möbius-sum tensor: the norm of ``-x ⊕κ y`` expands into
    inner products, so only ``(B,N)`` scalars are formed.  This is the
    vectorised (SIMD-style) half of the paper's two-level parallelism;
-   the data-parallel half lives in :mod:`repro.retrieval.mnn`.
+   the worker half is not reproduced in-process.
    :func:`tan_k_numpy`, :func:`artan_k_numpy` and
    :func:`logmap0_numpy` are the plain-array scalar maps the ANN
    tangent-space prune needs.

@@ -152,7 +152,6 @@ class IndexConfig:
     top_k: int = 50
     backend: str = "exact"
     backend_kwargs: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    num_workers: int = 1
     batch_size: int = 256
     #: relations to build (``"q2q"`` … ``"i2a"``); ``None`` = all six
     relations: Optional[List[str]] = None
@@ -162,12 +161,6 @@ class IndexConfig:
     #: backend each shard delegates to (``"exact"``, ``"pq"``,
     #: ``"ivf"``, ``"nsw"``)
     inner_backend: str = "exact"
-    #: thread-pool width for shard builds/searches and for the serving
-    #: engine's shard fan-out (1 = sequential)
-    shard_parallelism: int = 1
-    #: per-shard search deadline in ms (0 disables; a timed-out shard
-    #: is retried, then excluded from the merge — degraded mode)
-    shard_timeout_ms: float = 0.0
     #: retries per failed shard search before it is excluded
     shard_retries: int = 0
     #: base backoff between shard retry rounds in ms (doubles per round)
@@ -192,18 +185,12 @@ class IndexConfig:
         if self.num_shards < 1:
             raise ValueError("index.num_shards must be >= 1, got %d"
                              % self.num_shards)
-        if self.shard_parallelism < 1:
-            raise ValueError("index.shard_parallelism must be >= 1, got %d"
-                             % self.shard_parallelism)
         if (self.inner_backend == "sharded"
                 or self.inner_backend not in BACKENDS):
             inner = sorted(set(BACKENDS) - {"sharded"})
             raise ValueError("index.inner_backend must be one of: %s; "
                              "got %r" % (", ".join(inner),
                                          self.inner_backend))
-        if self.shard_timeout_ms < 0:
-            raise ValueError("index.shard_timeout_ms must be >= 0, got %r"
-                             % self.shard_timeout_ms)
         if self.shard_retries < 0:
             raise ValueError("index.shard_retries must be >= 0, got %d"
                              % self.shard_retries)
@@ -259,16 +246,12 @@ class IndexConfig:
         if self.backend == "sharded":
             kwargs.setdefault("num_shards", self.num_shards)
             kwargs.setdefault("inner_backend", self.inner_backend)
-            kwargs.setdefault("parallelism", self.shard_parallelism)
             inner_dials = self._ann_dial_kwargs(self.inner_backend)
             if inner_dials:
                 inner_kwargs = dict(kwargs.get("inner_kwargs") or {})
                 for key, value in inner_dials.items():
                     inner_kwargs.setdefault(key, value)
                 kwargs["inner_kwargs"] = inner_kwargs
-            if self.shard_timeout_ms > 0:
-                kwargs.setdefault("shard_timeout",
-                                  self.shard_timeout_ms / 1000.0)
             if self.shard_retries > 0:
                 kwargs.setdefault("shard_retries", self.shard_retries)
             if self.shard_backoff_ms > 0:

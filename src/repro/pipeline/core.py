@@ -213,15 +213,8 @@ class Pipeline:
     @property
     def engine(self) -> ServingEngine:
         if self.ctx.engine is None:
-            serving = self.config.serving
-            index_cfg = self.config.index
-            self.ctx.engine = ServingEngine(
-                self.retriever, max_batch_size=serving.max_batch_size,
-                cache_size=serving.cache_size,
-                num_shards=index_cfg.serving_shards,
-                shard_parallelism=index_cfg.shard_parallelism,
-                slice_retries=serving.slice_retries,
-                breaker=serving.make_breaker(),
+            self.ctx.retriever = self.retriever     # built on first use
+            self.ctx.engine = self.ctx.make_engine(
                 generation=self.serving_generation or 0)
         return self.ctx.engine
 

@@ -84,6 +84,16 @@ class PipelineContext:
         return TwoLayerRetriever(index_set, expansion_k=serving.expansion_k,
                                  ads_per_key=serving.ads_per_key)
 
+    def make_engine(self, generation: int = 0) -> ServingEngine:
+        """A configured engine over :attr:`retriever`."""
+        serving = self.config.serving
+        return ServingEngine(
+            self.retriever, max_batch_size=serving.max_batch_size,
+            cache_size=serving.cache_size,
+            num_shards=self.config.index.serving_shards,
+            slice_retries=serving.slice_retries,
+            breaker=serving.make_breaker(), generation=generation)
+
 
 class Stage:
     """One step of the lifecycle; subclasses set ``name`` and ``run``."""
@@ -260,7 +270,6 @@ class IndexStage(Stage):
         if cfg.backend == "sharded":
             info["num_shards"] = cfg.num_shards
             info["inner_backend"] = cfg.inner_backend
-            info["shard_parallelism"] = cfg.shard_parallelism
             info["summary"] += " [%d shards x %s]" % (cfg.num_shards,
                                                       cfg.inner_backend)
         ann = cfg.backend if cfg.backend in ("ivf", "nsw") else (
@@ -277,7 +286,7 @@ class IndexStage(Stage):
     @staticmethod
     def _build(ctx: PipelineContext, model, relations):
         cfg = ctx.config.index
-        return IndexSet(model, top_k=cfg.top_k, num_workers=cfg.num_workers,
+        return IndexSet(model, top_k=cfg.top_k,
                         batch_size=cfg.batch_size, backend=cfg.backend,
                         backend_kwargs=cfg.resolved_backend_kwargs()
                         ).build(relations)
@@ -292,19 +301,12 @@ class ServeStage(Stage):
         cfg = ctx.config.serving
         if not cfg.enabled:
             return {"enabled": False, "summary": "disabled"}
-        index_cfg = ctx.config.index
         ctx.retriever = ctx.make_retriever(ctx.index_set)
-        ctx.engine = ServingEngine(
-            ctx.retriever, max_batch_size=cfg.max_batch_size,
-            cache_size=cfg.cache_size,
-            num_shards=index_cfg.serving_shards,
-            shard_parallelism=index_cfg.shard_parallelism,
-            slice_retries=cfg.slice_retries,
-            breaker=cfg.make_breaker())
+        ctx.engine = ctx.make_engine()
         info: Dict[str, Any] = {"enabled": True,
                                 "max_batch_size": cfg.max_batch_size,
                                 "cache_size": cfg.cache_size,
-                                "num_shards": index_cfg.serving_shards}
+                                "num_shards": ctx.engine.num_shards}
         if cfg.measure_requests < 1:
             info["summary"] = "engine up (service time not measured)"
             return info

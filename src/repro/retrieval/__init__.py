@@ -6,9 +6,9 @@ Reproduces the deployment half of AMCAD (paper §IV-C, Fig. 6):
   search.  The paper notes product quantisation cannot handle the
   attention-weighted metric, so MNN is exact brute force distributed
   over workers with data-level (OpenMP) and instruction-level (SIMD)
-  parallelism; here that is chunked numpy (vector units) plus an
-  optional thread pool (data parallel), with block results streamed
-  into a bounded top-k merge;
+  parallelism; here that is chunked numpy (vector units) on one
+  thread, with block results streamed into a bounded top-k merge (the
+  worker fleet would be processes, not in-process threads);
 - :mod:`repro.retrieval.backend` — the :class:`SearchBackend` seam all
   search strategies plug into (:class:`ExactBackend` wrapping MNN,
   :class:`PQBackend` wrapping product quantisation,

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import abc
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 import numpy as np
 
+from repro.common import drop_retired_planes
 from repro.retrieval.mnn import MNNSearcher, RelationSpace
 from repro.retrieval.quantization import PQIndex
 from repro.testing.faults import InjectedTimeout, fault_point
@@ -85,16 +84,14 @@ class ExactBackend(SearchBackend):
     keeps peak memory independent of the target-set size.
     """
 
-    def __init__(self, num_workers: int = 1, block_size: int = 2048):
-        self.num_workers = max(int(num_workers), 1)
+    def __init__(self, block_size: int = 2048):
         self.block_size = int(block_size)
         self.space: Optional[RelationSpace] = None
         self._searcher: Optional[MNNSearcher] = None
 
     def build(self, space: RelationSpace) -> "ExactBackend":
         self.space = space
-        self._searcher = MNNSearcher(space, num_workers=self.num_workers,
-                                     block_size=self.block_size)
+        self._searcher = MNNSearcher(space, block_size=self.block_size)
         return self
 
     def search(self, src_indices: np.ndarray, k: int,
@@ -168,10 +165,10 @@ class ShardedBackend(SearchBackend):
     The target space is split into ``num_shards`` contiguous shards;
     each shard is a :meth:`RelationSpace.slice_targets` view handed to
     its own inner backend (``"exact"`` or ``"pq"`` from
-    :data:`BACKENDS`).  Shards build independently — optionally on a
-    thread pool (``parallelism``) — and a search fans out to every
-    shard, maps shard-local ids back to global ids, and merges the
-    per-shard top-k into a global top-k.
+    :data:`BACKENDS`).  Shards build one after another on the calling
+    thread, and a search runs every shard in turn, maps shard-local ids
+    back to global ids, and merges the per-shard top-k into a global
+    top-k.
 
     Merge semantics: every shard returns its true local top-k (one
     extra candidate when the self row must be dropped, since the self
@@ -189,23 +186,22 @@ class ShardedBackend(SearchBackend):
     ``shard_bounds`` (the ``[start, stop)`` target ranges) is exposed
     so index persistence can record the shard layout.
 
-    Degraded mode: with ``shard_timeout`` (seconds) each shard search
-    runs on the pool and is awaited with that deadline; a timed-out,
-    raising, or fault-injected shard (``"shard.search"`` site, context
-    ``shard=i``) is retried up to ``shard_retries`` times with
-    exponential backoff (``shard_backoff * 2**round`` seconds between
-    rounds), and a shard that exhausts its retries is *excluded from
-    the merge* rather than failing the query.  The merged result is
-    then exactly the top-k over the healthy shards — never empty (all
-    shards failing raises), never out of order.  ``last_failed_shards``
-    / ``last_degraded`` describe the most recent search, ``health()``
+    Degraded mode: a raising or fault-injected shard (``"shard.search"``
+    site, context ``shard=i``; a ``hang`` fault counts as a timeout) is
+    retried up to ``shard_retries`` times with exponential backoff
+    (``shard_backoff * 2**round`` seconds between rounds), and a shard
+    that exhausts its retries is *excluded from the merge* rather than
+    failing the query.  The merged result is then exactly the top-k
+    over the healthy shards — never empty (all shards failing raises),
+    never out of order, and narrower than ``k`` only when the healthy
+    shards hold fewer candidates.  ``last_failed_shards`` /
+    ``last_degraded`` describe the most recent search, ``health()``
     aggregates counters, and the optional ``on_shard_outcome(shard,
     ok)`` callback lets a circuit breaker watch per-shard outcomes.
     """
 
     def __init__(self, num_shards: int = 2, inner_backend: str = "exact",
-                 inner_kwargs: Optional[dict] = None, parallelism: int = 1,
-                 shard_timeout: Optional[float] = None,
+                 inner_kwargs: Optional[dict] = None,
                  shard_retries: int = 0, shard_backoff: float = 0.0):
         if int(num_shards) < 1:
             raise ValueError("num_shards must be >= 1, got %d"
@@ -216,9 +212,6 @@ class ShardedBackend(SearchBackend):
             raise ValueError("unknown inner backend %r (have: %s)"
                              % (inner_backend,
                                 ", ".join(sorted(BACKENDS))))
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise ValueError("shard_timeout must be > 0 seconds or None, "
-                             "got %r" % shard_timeout)
         if int(shard_retries) < 0:
             raise ValueError("shard_retries must be >= 0, got %d"
                              % int(shard_retries))
@@ -228,14 +221,11 @@ class ShardedBackend(SearchBackend):
         self.num_shards = int(num_shards)
         self.inner_backend = inner_backend
         self.inner_kwargs = dict(inner_kwargs or {})
-        self.parallelism = max(int(parallelism), 1)
-        self.shard_timeout = shard_timeout
         self.shard_retries = int(shard_retries)
         self.shard_backoff = float(shard_backoff)
         self.space: Optional[RelationSpace] = None
         self.shards: List[SearchBackend] = []
         self.shard_bounds: List[Tuple[int, int]] = []
-        self._executor: Optional[ThreadPoolExecutor] = None
         # degraded-mode bookkeeping
         self.searches = 0
         self.degraded_searches = 0
@@ -244,33 +234,6 @@ class ShardedBackend(SearchBackend):
         self.last_failed_shards: List[int] = []
         self.on_shard_outcome: Optional[Callable[[int, bool], None]] = None
 
-    def _pool(self) -> ThreadPoolExecutor:
-        # lazy and persistent: search() is the hot path (every index
-        # chunk, every serving key expansion), so the pool must not be
-        # rebuilt per call.  With a shard timeout every shard search is
-        # awaited through a future, so the pool is sized to fan out all
-        # shards at once — otherwise queue wait would eat the deadline.
-        if self._executor is None:
-            workers = self.parallelism
-            if self.shard_timeout is not None:
-                workers = max(workers, len(self.shard_bounds) or
-                              self.num_shards)
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="shard-search")
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the shard thread pool (no-op when unused)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        executor = getattr(self, "_executor", None)
-        if executor is not None:
-            executor.shutdown(wait=False)
-
     def build(self, space: RelationSpace) -> "ShardedBackend":
         self.space = space
         n = space.num_targets
@@ -278,17 +241,10 @@ class ShardedBackend(SearchBackend):
         edges = np.linspace(0, n, shards + 1).astype(np.int64)
         self.shard_bounds = [(int(a), int(b))
                              for a, b in zip(edges[:-1], edges[1:])]
-
-        def build_one(bounds: Tuple[int, int]) -> SearchBackend:
-            lo, hi = bounds
-            inner = make_backend(self.inner_backend, **self.inner_kwargs)
-            return inner.build(space.slice_targets(lo, hi))
-
-        if self.parallelism > 1 and len(self.shard_bounds) > 1:
-            self.shards = list(self._pool().map(build_one,
-                                                self.shard_bounds))
-        else:
-            self.shards = [build_one(b) for b in self.shard_bounds]
+        self.shards = [
+            make_backend(self.inner_backend, **self.inner_kwargs).build(
+                space.slice_targets(lo, hi))
+            for lo, hi in self.shard_bounds]
         self.shard_errors = [0] * len(self.shards)
         self.shard_timeouts = [0] * len(self.shards)
         return self
@@ -307,34 +263,19 @@ class ShardedBackend(SearchBackend):
             "last_failed_shards": list(self.last_failed_shards),
         }
 
-    def _record_shard_error(self, shard: int, exc: BaseException) -> None:
-        self.shard_errors[shard] += 1
-        if isinstance(exc, (FuturesTimeout, TimeoutError, InjectedTimeout)):
-            self.shard_timeouts[shard] += 1
-
-    def _run_shard_searches(self, tasks: Dict[int, Callable]
-                           ) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]],
-                                      Dict[int, BaseException]]:
-        """One fan-out round; returns per-shard results and failures."""
-        results: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        failures: Dict[int, BaseException] = {}
-        use_pool = (self.shard_timeout is not None
-                    or (self.parallelism > 1 and len(tasks) > 1))
-        if use_pool:
-            futures = {shard: self._pool().submit(task)
-                       for shard, task in tasks.items()}
-            for shard, future in futures.items():
-                try:
-                    results[shard] = future.result(timeout=self.shard_timeout)
-                except Exception as exc:
-                    failures[shard] = exc
-        else:
-            for shard, task in tasks.items():
-                try:
-                    results[shard] = task()
-                except Exception as exc:
-                    failures[shard] = exc
-        return results, failures
+    def _search_shard(self, shard: int, src_indices: np.ndarray, k: int,
+                      same: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """One shard's top-k, in global target ids."""
+        lo, hi = self.shard_bounds[shard]
+        # one extra candidate when the (single) self row may be dropped
+        # after the merge
+        fetch = min(k + 1, hi - lo) if same else min(k, hi - lo)
+        if fetch < 1:
+            return (np.zeros((src_indices.size, 0), dtype=np.int64),
+                    np.zeros((src_indices.size, 0)))
+        fault_point("shard.search", shard=shard)
+        ids, dists = self.shards[shard].search(src_indices, fetch)
+        return ids + lo, dists
 
     def search(self, src_indices: np.ndarray, k: int,
                exclude_self: bool = False
@@ -349,23 +290,6 @@ class ShardedBackend(SearchBackend):
             return (np.zeros((src_indices.size, 0), dtype=np.int64),
                     np.zeros((src_indices.size, 0)))
 
-        def make_task(shard: int) -> Callable:
-            lo, hi = self.shard_bounds[shard]
-            backend = self.shards[shard]
-            # one extra candidate when the (single) self row may be
-            # dropped after the merge
-            fetch = min(k + 1, hi - lo) if same else min(k, hi - lo)
-
-            def task() -> Tuple[np.ndarray, np.ndarray]:
-                if fetch < 1:
-                    return (np.zeros((src_indices.size, 0), dtype=np.int64),
-                            np.zeros((src_indices.size, 0)))
-                fault_point("shard.search", shard=shard)
-                ids, dists = backend.search(src_indices, fetch)
-                return ids + lo, dists
-
-            return task
-
         results: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         remaining = list(range(len(self.shards)))
         last_failure: Optional[BaseException] = None
@@ -374,13 +298,18 @@ class ShardedBackend(SearchBackend):
                 break
             if round_no > 0 and self.shard_backoff > 0:
                 time.sleep(self.shard_backoff * (2 ** (round_no - 1)))
-            round_results, failures = self._run_shard_searches(
-                {shard: make_task(shard) for shard in remaining})
-            results.update(round_results)
-            for shard, exc in failures.items():
-                self._record_shard_error(shard, exc)
-                last_failure = exc
-            remaining = sorted(failures)
+            failed = []
+            for shard in remaining:
+                try:
+                    results[shard] = self._search_shard(shard, src_indices,
+                                                        k, same)
+                except Exception as exc:
+                    self.shard_errors[shard] += 1
+                    if isinstance(exc, (TimeoutError, InjectedTimeout)):
+                        self.shard_timeouts[shard] += 1
+                    last_failure = exc
+                    failed.append(shard)
+            remaining = failed
 
         self.last_failed_shards = remaining
         if self.on_shard_outcome is not None:
@@ -397,8 +326,14 @@ class ShardedBackend(SearchBackend):
         all_ids = np.concatenate([p[0] for p in pieces], axis=1)
         all_dists = np.concatenate([p[1] for p in pieces], axis=1)
         if same:
-            all_dists = np.where(all_ids == src_indices[:, None], np.inf,
-                                 all_dists)
+            # the self row lives in one shard, so a row holds it at most
+            # once: sort it after every candidate and cut it off (dead
+            # shards can leave k or fewer candidates in all)
+            is_self = all_ids == src_indices[:, None]
+            k = min(k, all_ids.shape[1] - int(is_self.any()))
+            keep = np.lexsort((all_dists, is_self))[:, :k]
+            all_ids = np.take_along_axis(all_ids, keep, axis=1)
+            all_dists = np.take_along_axis(all_dists, keep, axis=1)
         if k < all_dists.shape[1]:
             keep = np.argpartition(all_dists, kth=k - 1, axis=1)[:, :k]
             all_ids = np.take_along_axis(all_ids, keep, axis=1)
@@ -420,13 +355,18 @@ BackendSpec = Union[str, Type[SearchBackend], Callable[[], SearchBackend]]
 
 
 def make_backend(name: str, **kwargs) -> SearchBackend:
-    """Instantiate a registered backend by name."""
+    """Instantiate a registered backend by name.
+
+    Retired constructor kwargs that published configs and index headers
+    carry (``num_workers``, ``parallelism``, ``shard_timeout``) are
+    dropped here.
+    """
     try:
         cls = BACKENDS[name]
     except KeyError:
         raise ValueError("unknown backend %r (have: %s)"
                          % (name, ", ".join(sorted(BACKENDS)))) from None
-    return cls(**kwargs)
+    return cls(**drop_retired_planes("backend", kwargs))
 
 
 def resolve_backend_factory(spec: BackendSpec = "exact",

@@ -16,10 +16,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.common import drop_retired_planes
 from repro.graph.schema import Relation
 from repro.retrieval.backend import (
     BackendSpec,
-    ExactBackend,
     SearchBackend,
     resolve_backend_factory,
 )
@@ -107,7 +107,8 @@ class IndexSet:
     top_k:
         Results stored per key.
     num_workers:
-        Backend thread-pool width per index build (exact backend).
+        Retired (the exact backend's thread pool); any number is
+        accepted and ignored.  Every build runs on the calling thread.
     backend:
         Backend spec — a registry name (``"exact"``, ``"pq"``), a
         :class:`SearchBackend` subclass, or a zero-argument factory.
@@ -116,24 +117,16 @@ class IndexSet:
         class.
     """
 
-    def __init__(self, model, top_k: int = 50, num_workers: int = 1,
+    def __init__(self, model, top_k: int = 50,
+                 num_workers: Optional[int] = None,
                  batch_size: int = 256, backend: BackendSpec = "exact",
                  backend_kwargs: Optional[dict] = None):
+        if num_workers is not None:
+            drop_retired_planes("index", {"num_workers": num_workers})
         self.model = model
         self.top_k = int(top_k)
-        self.num_workers = int(num_workers)
         self.batch_size = int(batch_size)
         kwargs = dict(backend_kwargs or {})
-        if backend == "exact" or (isinstance(backend, type)
-                                  and issubclass(backend, ExactBackend)):
-            kwargs.setdefault("num_workers", self.num_workers)
-        elif backend == "sharded":
-            # exact inner shards keep the configured MNN worker width —
-            # switching "exact" -> "sharded" must not silently drop it
-            if kwargs.get("inner_backend", "exact") == "exact":
-                inner_kwargs = dict(kwargs.get("inner_kwargs") or {})
-                inner_kwargs.setdefault("num_workers", self.num_workers)
-                kwargs["inner_kwargs"] = inner_kwargs
         self.backend_factory = resolve_backend_factory(backend, **kwargs)
         #: registry name the set was built through (``None`` for
         #: class/factory specs) — persisted by :meth:`save`

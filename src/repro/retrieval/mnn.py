@@ -9,8 +9,8 @@ edge spaces (paper Eq. 14).  Two properties make exact search feasible:
   before any search happens — this is the paper's own deployment trick;
 - the per-subspace distance matrix reduces to inner products
   (:func:`repro.geometry.fast.pairwise_dist`), so a candidate block is
-  scored entirely inside vectorised numpy (the SIMD level), and blocks
-  are fanned out over a thread pool (the OpenMP/worker level).
+  scored entirely inside vectorised numpy (the SIMD level); the
+  paper's worker level (OpenMP) is not reproduced in-process.
 
 A :class:`RelationSpace` is the frozen inference artefact for one
 relation: projected source/target embeddings, per-node weights and edge
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -161,26 +160,21 @@ def _project_all(model, relation: Relation, node_type: NodeType,
 class MNNSearcher:
     """Exact top-K search under the attention-weighted mixed metric.
 
-    Candidate blocks are scored one wave at a time and merged into a
-    running per-source top-k, so peak memory is bounded by
-    ``num_workers`` in-flight blocks plus the ``(B, k)`` result buffer —
-    it does not scale with the full ``(B, N)`` score matrix.
+    Candidate blocks are scored one at a time on the calling thread and
+    merged into a running per-source top-k, so peak memory is bounded
+    by one block plus the ``(B, k)`` result buffer — it does not scale
+    with the full ``(B, N)`` score matrix.
 
     Parameters
     ----------
     space:
         The frozen relation geometry.
-    num_workers:
-        Thread-pool width (the paper's per-worker data parallelism).
-        1 keeps everything on the calling thread.
     block_size:
         Candidate rows scored per vectorised block.
     """
 
-    def __init__(self, space: RelationSpace, num_workers: int = 1,
-                 block_size: int = 2048):
+    def __init__(self, space: RelationSpace, block_size: int = 2048):
         self.space = space
-        self.num_workers = max(int(num_workers), 1)
         self.block_size = int(block_size)
         #: Widest candidate buffer merged during the last search — the
         #: memory high-water mark, asserted far below N in the tests.
@@ -228,9 +222,9 @@ class MNNSearcher:
         ascending distance.  ``exclude_self`` drops the diagonal for
         same-type relations (a node is trivially nearest to itself).
 
-        Blocks are streamed: each wave of ``num_workers`` blocks is
-        reduced to block-local top-k and folded into a running best-k
-        buffer, so the full ``(B, N)`` matrix is never materialised.
+        Blocks are streamed: each block is reduced to block-local top-k
+        and folded into a running best-k buffer, so the full ``(B, N)``
+        matrix is never materialised.
         """
         src_indices = np.asarray(src_indices, dtype=np.int64)
         n_targets = self.space.num_targets
@@ -243,31 +237,16 @@ class MNNSearcher:
         best_ids = np.empty((src_indices.size, 0), dtype=np.int64)
         best_dists = np.empty((src_indices.size, 0))
         self.peak_candidate_width = 0
-
-        def absorb(pieces) -> None:
-            nonlocal best_ids, best_dists
-            best_ids = np.concatenate([best_ids] + [p[0] for p in pieces],
-                                      axis=1)
-            best_dists = np.concatenate([best_dists] + [p[1] for p in pieces],
-                                        axis=1)
+        for block in blocks:
+            ids, dists = self._block_topk(src_indices, block, k, mask_self)
+            best_ids = np.concatenate([best_ids, ids], axis=1)
+            best_dists = np.concatenate([best_dists, dists], axis=1)
             self.peak_candidate_width = max(self.peak_candidate_width,
                                             best_dists.shape[1])
             if best_dists.shape[1] > k:
                 keep = np.argpartition(best_dists, kth=k - 1, axis=1)[:, :k]
                 best_ids = np.take_along_axis(best_ids, keep, axis=1)
                 best_dists = np.take_along_axis(best_dists, keep, axis=1)
-
-        wave = self.num_workers
-        if self.num_workers > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=self.num_workers) as pool:
-                for start in range(0, len(blocks), wave):
-                    group = blocks[start:start + wave]
-                    absorb(list(pool.map(
-                        lambda b: self._block_topk(src_indices, b, k,
-                                                   mask_self), group)))
-        else:
-            for block in blocks:
-                absorb([self._block_topk(src_indices, block, k, mask_self)])
 
         order = np.argsort(best_dists, axis=1, kind="stable")
         return (np.take_along_axis(best_ids, order, axis=1),

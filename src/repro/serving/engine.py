@@ -18,13 +18,12 @@ index twice.  :class:`ServingEngine` is the laptop-scale analogue:
   the least-loaded worker of a simulated fleet, producing the measured
   *batched* service times the Erlang-C
   :class:`~repro.serving.simulator.ServingSimulator` consumes;
-- **shard-parallel search** — with ``num_shards > 1`` each micro-batch
-  is fanned out across shard slices (the serving analogue of the
-  sharded index fleet), each slice is timed as one unit of fleet work,
-  and the batch's *wall* latency is the slowest shard — so the measured
-  service times reflect a sharded fleet rather than one monolithic
-  worker.  ``shard_parallelism > 1`` additionally runs the slices on a
-  real thread pool.
+- **shard slices** — with ``num_shards > 1`` each micro-batch is split
+  into shard slices (the serving analogue of the sharded index fleet),
+  served one after another on the calling thread.  Each slice is timed
+  as one unit of fleet work and the batch's *wall* latency is the
+  slowest slice — so the measured service times reflect a sharded
+  fleet rather than one monolithic worker.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ import dataclasses
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.common import drop_retired_planes
 from repro.serving.breaker import CircuitBreaker
 from repro.testing.faults import fault_point
 
@@ -142,19 +141,6 @@ class EngineStats:
             return 0.0
         return self.cache_hits / looked_up
 
-    @property
-    def throughput_rps(self) -> float:
-        """Requests per busy-second of the whole fleet."""
-        busy = self.total_busy_seconds
-        return self.requests / busy if busy > 0 else 0.0
-
-    @property
-    def mean_batch_wall_seconds(self) -> float:
-        """Mean micro-batch wall latency under shard-parallel serving."""
-        if not self.batch_wall_seconds:
-            return 0.0
-        return float(np.mean(self.batch_wall_seconds))
-
     def latency_percentiles(self) -> dict:
         """p50/p95/p99 of the per-request wall latencies (ms-free: seconds)."""
         return percentiles(self.request_wall_seconds)
@@ -188,8 +174,8 @@ class ServingEngine:
         identical to unsharded serving — requests are independent — so
         this is purely a fleet-shape knob.
     shard_parallelism:
-        Thread-pool width for running shard slices concurrently
-        (1 keeps the fan-out sequential but still per-slice timed).
+        Retired (the slice thread pool); any number is accepted and
+        ignored.  Slices run one after another on the calling thread.
     slice_retries:
         Retries per shard slice when serving it raises (or an
         ``"engine.slice"`` fault fires); a slice that exhausts them is
@@ -207,27 +193,28 @@ class ServingEngine:
     def __init__(self, retriever: "TwoLayerRetriever",
                  max_batch_size: int = 32, cache_size: int = 1024,
                  num_workers: int = 1, num_shards: int = 1,
-                 shard_parallelism: int = 1, slice_retries: int = 0,
+                 shard_parallelism: Optional[int] = None,
+                 slice_retries: int = 0,
                  breaker: Optional[CircuitBreaker] = None,
                  generation: int = 0):
+        if shard_parallelism is not None:
+            drop_retired_planes("engine",
+                                {"shard_parallelism": shard_parallelism})
         self.retriever = retriever
         self.max_batch_size = max(int(max_batch_size), 1)
         self.cache = LRUCache(cache_size)
         self.num_workers = max(int(num_workers), 1)
         self.num_shards = max(int(num_shards), 1)
-        self.shard_parallelism = max(int(shard_parallelism), 1)
         self.slice_retries = max(int(slice_retries), 0)
         self.breaker = breaker
         self.generation = int(generation)
         self.stats = EngineStats(
             worker_busy_seconds=[0.0] * self.num_workers)
         self._pending: List[Tuple[int, Sequence[int], float]] = []
-        # the LRU is shared across shard slices; a lock keeps its
-        # bookkeeping consistent when slices run on the thread pool,
-        # and also guards the (retriever, generation) pair so a hot
-        # swap is one atomic pointer flip
+        # a hot swap may come from another thread: the lock keeps the
+        # LRU's bookkeeping consistent and makes the (retriever,
+        # generation) flip one atomic pointer swap
         self._cache_lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
 
     # -- hot swap -------------------------------------------------------------
 
@@ -255,32 +242,9 @@ class ServingEngine:
         with self._cache_lock:
             return self.retriever, self.generation
 
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.shard_parallelism,
-                thread_name_prefix="serve-shard")
-        return self._executor
-
     def close(self) -> None:
-        """Shut down the shard thread pool (no-op when unused)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    # the engine is also a context manager, so callers that stand one up
-    # with shard_parallelism > 1 for a bounded workload do not leak the
-    # pool; long-lived owners (the pipeline) rely on the __del__ fallback
-    def __enter__(self) -> "ServingEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        executor = getattr(self, "_executor", None)
-        if executor is not None:
-            executor.shutdown(wait=False)
+        """A no-op: the engine holds no thread, file or pool, but owners
+        that release one call it."""
 
     # -- bulk serving --------------------------------------------------------
 
@@ -452,14 +416,9 @@ class ServingEngine:
                                                  queries, preclicks, k)
             slice_times = [elapsed]
         else:
-            jobs = [(retriever, generation, index,
-                     queries[a:b], preclicks[a:b], k)
+            outs = [self._serve_slice(retriever, generation, index,
+                                      queries[a:b], preclicks[a:b], k)
                     for index, (a, b) in enumerate(slices)]
-            if self.shard_parallelism > 1:
-                outs = list(self._pool().map(
-                    lambda job: self._serve_slice(*job), jobs))
-            else:
-                outs = [self._serve_slice(*job) for job in jobs]
             results = [r for slice_results, _ in outs for r in slice_results]
             slice_times = [elapsed for _, elapsed in outs]
         if self.stats.degraded_requests > before_degraded:

@@ -21,9 +21,9 @@ failure points the rest of the codebase is instrumented with:
   ========= ==========================================================
   raise     raise :class:`InjectedFault`
   hang      sleep ``delay`` seconds, then raise :class:`InjectedTimeout`
-            (a bounded stand-in for a hung dependency: callers with a
-            real timeout see the timeout first, callers without one
-            still return instead of deadlocking the test)
+            (a bounded stand-in for a hung dependency: the caller
+            counts a timeout and returns instead of deadlocking the
+            test)
   slow      sleep ``delay`` seconds, then continue normally
   torn      raise :class:`InjectedFault` flagged ``torn=True`` — the
             atomic-write helpers additionally truncate the staged temp

@@ -105,18 +105,6 @@ class TestExactBackend:
         assert np.array_equal(ids, ref_ids)
         assert np.allclose(dists, ref_dists)
 
-    def test_threaded_wave_matches_serial(self):
-        space = _tall_space(num_targets=1500)
-        serial = ExactBackend(num_workers=1, block_size=128).build(space)
-        threaded = ExactBackend(num_workers=4, block_size=128).build(space)
-        src = np.arange(10)
-        ids_a, dists_a = serial.search(src, k=9)
-        ids_b, dists_b = threaded.search(src, k=9)
-        assert np.array_equal(ids_a, ids_b)
-        assert np.allclose(dists_a, dists_b)
-        # a wave merges at most num_workers block top-ks onto the best-k
-        assert threaded.peak_candidate_width <= 5 * 9
-
     def test_search_before_build_raises(self):
         with pytest.raises(RuntimeError):
             ExactBackend().search(np.array([0]), k=3)
@@ -189,25 +177,6 @@ class TestShardedBackend:
         assert np.array_equal(ids, ref_ids)
         assert np.allclose(dists, ref_dists)
 
-    def test_parallel_build_and_search_match_serial(self):
-        space = _tall_space(num_targets=1200)
-        serial = ShardedBackend(num_shards=4, parallelism=1).build(space)
-        threaded = ShardedBackend(num_shards=4, parallelism=3).build(space)
-        src = np.arange(12)
-        ids_a, dists_a = serial.search(src, k=11)
-        ids_b, dists_b = threaded.search(src, k=11)
-        assert np.array_equal(ids_a, ids_b)
-        assert np.allclose(dists_a, dists_b)
-        # the search pool is persistent across calls, closable, and
-        # never created on the serial path
-        assert serial._executor is None
-        assert threaded._executor is not None
-        pool = threaded._executor
-        threaded.search(src, k=5)
-        assert threaded._executor is pool
-        threaded.close()
-        assert threaded._executor is None
-
     def test_shard_bounds_partition_target_space(self, q2a_space):
         backend = ShardedBackend(num_shards=4).build(q2a_space)
         bounds = backend.shard_bounds
@@ -264,6 +233,22 @@ class TestBackendFactory:
         with pytest.raises(ValueError):
             resolve_backend_factory(lambda: ExactBackend(), block_size=3)
 
+    def test_retired_thread_pool_kwargs_dropped_or_rejected(self):
+        """Published ``backend_kwargs``/``inner_kwargs`` carry the keys
+        of the retired thread pools; make_backend drops them."""
+        assert isinstance(make_backend("exact", num_workers=4), ExactBackend)
+        sharded = make_backend("sharded", num_shards=2, parallelism=3,
+                               shard_timeout=0.05,
+                               inner_kwargs={"num_workers": 2})
+        sharded.build(_tall_space(num_targets=40))
+        assert all(isinstance(s, ExactBackend) for s in sharded.shards)
+        for name, key, value in (("sharded", "parallelism", "two"),
+                                 ("sharded", "shard_timeout", 0),
+                                 ("exact", "num_workers", None)):
+            with pytest.raises(ValueError,
+                               match=r"backend\.%s.*retired" % key):
+                make_backend(name, **{key: value})
+
 
 class TestIndexSetBackends:
     def test_build_through_pq_backend(self, model, train_graph):
@@ -278,6 +263,16 @@ class TestIndexSetBackends:
     def test_default_backend_is_exact(self, model):
         index_set = IndexSet(model, top_k=5).build([Relation.Q2A])
         assert isinstance(index_set.backends[Relation.Q2A], ExactBackend)
+
+    def test_retired_num_workers_accepted_and_dropped(self, model):
+        with_key = IndexSet(model, top_k=5, num_workers=3).build(
+            [Relation.Q2A])
+        plain = IndexSet(model, top_k=5).build([Relation.Q2A])
+        assert np.array_equal(with_key[Relation.Q2A].ids,
+                              plain[Relation.Q2A].ids)
+        assert with_key.backend_params == {}
+        with pytest.raises(ValueError, match=r"index\.num_workers.*retired"):
+            IndexSet(model, num_workers="four")
 
     def test_custom_factory(self, model):
         index_set = IndexSet(
@@ -375,15 +370,6 @@ class TestIndexSetPersistence:
         assert loaded.backend_name == "sharded"
         assert loaded.shard_bounds[Relation.Q2A] == \
             built.shard_bounds[Relation.Q2A]
-
-    def test_sharded_inherits_index_num_workers(self, model):
-        """index.num_workers must reach the exact inner shards."""
-        index_set = IndexSet(model, top_k=5, num_workers=3,
-                             backend="sharded",
-                             backend_kwargs={"num_shards": 2}).build(
-            [Relation.Q2A])
-        backend = index_set.backends[Relation.Q2A]
-        assert all(shard.num_workers == 3 for shard in backend.shards)
 
     def test_sharded_build_matches_exact_build(self, model):
         exact = IndexSet(model, top_k=7).build([Relation.Q2A])

@@ -11,6 +11,8 @@ Drives the failure paths the PR-8 lifecycle claims to survive:
   never changes what a run trains.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,8 @@ def space():
     return _space()
 
 
-def _healthy_reference(space, src_indices, k, excluded_ranges=()):
+def _healthy_reference(space, src_indices, k, excluded_ranges=(),
+                       exclude_self=False):
     """Brute-force top-k over targets outside the excluded shard ranges."""
     n = space.num_targets
     ids, dists = [], []
@@ -60,6 +63,8 @@ def _healthy_reference(space, src_indices, k, excluded_ranges=()):
         all_d = space.pair_distance(np.full(n, src), np.arange(n))
         for lo, hi in excluded_ranges:
             all_d[lo:hi] = np.inf
+        if exclude_self:
+            all_d[src] = np.inf
         order = np.argsort(all_d, kind="stable")[:k]
         ids.append(order)
         dists.append(all_d[order])
@@ -89,6 +94,28 @@ class TestDegradedShardedSearch:
         assert backend.last_failed_shards == [2]
         assert backend.degraded_searches == 1
         assert backend.shard_errors[2] >= 1
+
+    def test_degraded_exclude_self_drops_the_source_row(self):
+        """Healthy shards holding <= k candidates must not hand back the
+        source row itself (it used to survive the merge at ``inf``)."""
+        base = _space(num_sources=8, num_targets=8)
+        space = dataclasses.replace(base, relation=Relation.Q2Q,
+                                    src_embeddings=base.dst_embeddings,
+                                    src_weights=base.dst_weights)
+        backend = self._backend(space)
+        install(FaultSpec(site="shard.search", match={"shard": 3}))
+        src = np.arange(6)
+        ids, dists = backend.search(src, k=7, exclude_self=True)
+        # 3 healthy shards x 2 targets, minus the source row
+        assert ids.shape == dists.shape == (6, 5)
+        assert not np.any(ids == src[:, None])
+        assert np.all(np.isfinite(dists))
+        ref_ids, ref_dists = _healthy_reference(
+            space, src, k=5, excluded_ranges=[backend.shard_bounds[3]],
+            exclude_self=True)
+        np.testing.assert_array_equal(ids, ref_ids)
+        np.testing.assert_allclose(dists, ref_dists)
+        assert backend.last_failed_shards == [3]
 
     def test_healthy_search_flags_nothing(self, space):
         backend = self._backend(space)

@@ -181,8 +181,7 @@ class TestPublishedGenerationsKeepLoading:
                 assert np.array_equal(a.scores, b.scores)
 
     def test_sharded_header_survives_both_writers(self, built, files):
-        assert built.backend_params == {"num_shards": 3,
-                                        "inner_kwargs": {"num_workers": 1}}
+        assert built.backend_params == {"num_shards": 3}
         for path in files.values():
             loaded = IndexSet.load(path)
             assert loaded.backend_name == "sharded"

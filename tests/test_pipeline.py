@@ -152,17 +152,38 @@ class TestConfig:
         # a CLI-style override of a retired key is dropped the same way
         assert config.with_overrides(["training.prefetch_workers=4"]) == config
 
+    @pytest.mark.parametrize("key,value", [
+        ("num_workers", 4), ("num_workers", 0),
+        ("shard_parallelism", 1), ("shard_parallelism", 3),
+        ("shard_timeout_ms", 0), ("shard_timeout_ms", 50.0),
+    ])
+    def test_retired_thread_pool_keys_dropped(self, key, value):
+        """The index keys that sized the retired thread pools load from
+        a config file and from ``--set`` at every value they accepted."""
+        base = tiny_config()
+        loaded = tiny_config(index={key: value})
+        assert loaded == base
+        assert key not in loaded.to_dict()["index"]
+        assert base.with_overrides(["index.%s=%s" % (key, value)]) == base
+
     @pytest.mark.parametrize("section,key,value", [
         ("training", "data_plane", "looped"),
         ("model", "compute_plane", "recursive"),
         ("training", "prefetch_workers", -1),
         ("training", "prefetch_depth", 0),
         ("training", "prefetch_workers", "two"),
+        ("index", "shard_parallelism", 0),
+        ("index", "shard_timeout_ms", -1),
+        ("index", "num_workers", "two"),
     ])
     def test_retired_plane_values_rejected_by_name(self, section, key, value):
         with pytest.raises(ValueError,
                            match=r"%s\.%s.*retired" % (section, key)):
             PipelineConfig.from_dict({section: {key: value}})
+        with pytest.raises(ValueError,
+                           match=r"%s\.%s.*retired" % (section, key)):
+            PipelineConfig().with_overrides(
+                ["%s.%s=%s" % (section, key, json.dumps(value))])
 
     def test_unknown_relation_rejected(self):
         with pytest.raises(ValueError, match="relation"):
@@ -204,7 +225,8 @@ class TestConfig:
     def test_shard_keys_validated(self):
         with pytest.raises(ValueError, match="num_shards"):
             PipelineConfig.from_dict({"index": {"num_shards": 0}})
-        with pytest.raises(ValueError, match="shard_parallelism"):
+        with pytest.raises(ValueError,
+                           match=r"index\.shard_parallelism=0.*retired"):
             PipelineConfig.from_dict({"index": {"shard_parallelism": 0}})
         with pytest.raises(ValueError, match="inner_backend"):
             PipelineConfig.from_dict({"index": {"inner_backend": "sharded"}})
@@ -218,8 +240,9 @@ class TestConfig:
         assert config.index.backend == "sharded"
         assert config.index.num_shards == 4
         kwargs = config.index.resolved_backend_kwargs()
-        assert kwargs == {"num_shards": 4, "inner_backend": "pq",
-                          "parallelism": 2}
+        # the retired shard_parallelism override is dropped, not folded in
+        assert kwargs == {"num_shards": 4, "inner_backend": "pq"}
+        assert "shard_parallelism" not in config.to_dict()["index"]
         assert config.index.serving_shards == 4
         # JSON round-trip carries the shard keys
         assert PipelineConfig.from_json(config.to_json()) == config
@@ -461,6 +484,8 @@ class TestShardedPipeline:
         report = sharded.run()
         assert report["index"].info["num_shards"] == 3
         assert report["index"].info["inner_backend"] == "exact"
+        # the retired shard_parallelism key was dropped on load
+        assert "shard_parallelism" not in report["index"].info
         assert report["serve"].info["num_shards"] == 3
         for relation in (Relation.Q2A, Relation.Q2I):
             assert np.array_equal(
@@ -496,6 +521,58 @@ class TestShardedPipeline:
             reloaded.config = reloaded.ctx.config = \
                 reloaded.config.with_overrides(["index.backend=exact"])
             reloaded.rebuild_indices()
+
+    def test_store_written_before_the_thread_pools_retired(
+            self, run_pipeline, tmp_path):
+        """A generation whose ``config.json`` and ``indices.npz`` header
+        carry the retired thread-pool keys loads, rebuilds and serves
+        the ads of the in-memory build."""
+        from repro.retrieval import IndexSet, ShardedBackend
+        old = ArtifactStore(shutil.copytree(run_pipeline.store.root,
+                                            tmp_path / "old"))
+        payload = json.loads(old.path(ArtifactStore.CONFIG).read_text())
+        payload["index"].update(
+            backend="sharded", num_shards=4, inner_backend="exact",
+            num_workers=2, shard_parallelism=2, shard_timeout_ms=50,
+            backend_kwargs={"num_shards": 4, "parallelism": 2})
+        old.path(ArtifactStore.CONFIG).write_text(json.dumps(payload))
+        # the indices the parent's IndexStage wrote for that config
+        written = IndexSet(run_pipeline.ctx.model, top_k=10,
+                           backend="sharded",
+                           backend_kwargs={"num_shards": 4}).build()
+        written.backend_params = {
+            "num_shards": 4, "parallelism": 2, "inner_backend": "exact",
+            "shard_timeout": 0.05, "inner_kwargs": {"num_workers": 2}}
+        written.save(old.path(ArtifactStore.INDICES))
+        generation = old.publish_generation()
+
+        queries, preclicks = [3, 14, 60, 27], [[2], [], [5, 1], [9]]
+        want = run_pipeline.retriever.retrieve_batch(queries, preclicks, k=5)
+
+        def assert_serves_in_memory_ads(pipeline):
+            for got, expected in zip(pipeline.serve(queries, preclicks, k=5),
+                                     want):
+                np.testing.assert_array_equal(got.ads, expected.ads)
+
+        served = Pipeline.from_artifacts(old.root)
+        assert served.serving_generation == generation
+        assert served.ctx.index_set.backend_params == written.backend_params
+        # the header's kwargs still construct its backend
+        assert isinstance(served.ctx.index_set.backend_factory(),
+                          ShardedBackend)
+        assert_serves_in_memory_ads(served)
+
+        info = served.rebuild_indices()
+        assert info["num_shards"] == 4
+        for relation, index in run_pipeline.ctx.index_set.indices.items():
+            np.testing.assert_array_equal(served.ctx.index_set[relation].ids,
+                                          index.ids)
+        assert_serves_in_memory_ads(served)
+        republished = json.loads(
+            (old.generation_dir(info["generation"])
+             / ArtifactStore.CONFIG).read_text())
+        assert not {"num_workers", "shard_parallelism",
+                    "shard_timeout_ms"} & set(republished["index"])
 
 
 class TestSatellites:

@@ -76,15 +76,6 @@ class TestMNNSearcher:
             np.arange(q2i_space.num_targets))
         assert ids[0, 0] == int(np.argmin(all_d))
 
-    def test_threaded_matches_single(self, q2i_space):
-        single = MNNSearcher(q2i_space, num_workers=1, block_size=50)
-        multi = MNNSearcher(q2i_space, num_workers=4, block_size=50)
-        src = np.arange(5)
-        ids_a, dists_a = single.search(src, k=7)
-        ids_b, dists_b = multi.search(src, k=7)
-        assert np.array_equal(ids_a, ids_b)
-        assert np.allclose(dists_a, dists_b)
-
     def test_exclude_self_for_same_type(self, model):
         space = RelationSpace.from_model(model, Relation.Q2Q)
         searcher = MNNSearcher(space)
