@@ -82,7 +82,6 @@ def bench_parser(name: str, description: str) -> argparse.ArgumentParser:
 
 def host_fingerprint() -> dict:
     """The host facts a reader needs before comparing two BENCH files."""
-    from repro.geometry import kernels
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "cpu_count": os.cpu_count(),
@@ -90,8 +89,6 @@ def host_fingerprint() -> dict:
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": kernels.NUMBA_VERSION,
-        "kernels": kernels.resolve_mode("auto"),
     }
 
 

@@ -12,11 +12,6 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
-    extras_require={
-        # optional numba-compiled geometry kernels (model.kernels dial);
-        # everything falls back to pure numpy without it
-        "compiled": ["numba>=0.57"],
-    },
     entry_points={
         "console_scripts": ["repro=repro.pipeline.cli:main"],
     },

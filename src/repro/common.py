@@ -122,6 +122,9 @@ _RETIRED_PLANES = {
     },
     "model": {
         "compute_plane": (lambda value: value == "frontier", "'frontier'"),
+        # the geometry kernel dial: numpy is the one implementation left
+        "kernels": (lambda value: value in ("auto", "numpy", "compiled"),
+                    "'auto', 'numpy' or 'compiled'"),
     },
     # the in-process thread pools of search and serving, and the shard
     # deadline only a pool could enforce

@@ -20,7 +20,6 @@ from repro.geometry.stereographic import (
     tan_k,
 )
 from repro.geometry.fast import fused_dist, fused_expmap0, fused_logmap0
-from repro.geometry.kernels import HAVE_NUMBA, KERNEL_MODES
 from repro.geometry.manifold import (
     Euclidean,
     Hyperbolic,
@@ -42,8 +41,6 @@ __all__ = [
     "fused_expmap0",
     "fused_logmap0",
     "fused_dist",
-    "HAVE_NUMBA",
-    "KERNEL_MODES",
     "UnifiedManifold",
     "Euclidean",
     "Hyperbolic",

@@ -11,9 +11,8 @@ Two families live here:
    inner products, so only ``(B,N)`` scalars are formed.  This is the
    vectorised (SIMD-style) half of the paper's two-level parallelism;
    the worker half is not reproduced in-process.
-   :func:`tan_k_numpy`, :func:`artan_k_numpy` and
-   :func:`logmap0_numpy` are the plain-array scalar maps the ANN
-   tangent-space prune needs.
+   :func:`artan_k_numpy` and :func:`logmap0_numpy` are the plain-array
+   maps the ANN tangent-space prune needs.
 
 2. **Fused differentiable kernels** (:func:`fused_expmap0`,
    :func:`fused_logmap0`, :func:`fused_dist`,
@@ -33,13 +32,12 @@ Two families live here:
    inference (``AMCAD.encode_all``) runs these same functions under
    ``no_grad``: the forward kernel runs, no tape node is kept.
 
-The actual array math lives in :mod:`repro.geometry.kernels`: every
-public function here flattens its inputs to the registry's 2-D
-float64 contract and dispatches to whichever implementation (pure
-numpy or numba-compiled) the process-wide kernel mode selects.  The
-functions in this module own the tape wiring (tensor wrapping, cached
-VJP closures, ``_unbroadcast``), which stays in plain Python either
-way — the MyGrad idiom of compiling only the sequential inner loop.
+The actual array math lives in :mod:`repro.geometry.kernels`, one
+numpy implementation per primitive: every public function here
+flattens its inputs to the registry's 2-D float64 contract and calls
+the kernel through ``kernels.impl``.  The functions in this module own
+the tape wiring (tensor wrapping, cached VJP closures,
+``_unbroadcast``).
 """
 
 from __future__ import annotations
@@ -53,9 +51,9 @@ from repro.geometry import kernels as _kernels
 from repro.geometry.kernels import KIND_ARTAN, KIND_TAN
 
 __all__ = [
-    "artan_k_numpy", "tan_k_numpy", "pairwise_mobius_norm",
-    "pairwise_dist", "rowwise_dist", "fused_expmap0", "fused_logmap0",
-    "fused_dist", "fused_mobius_add", "fused_project", "logmap0_numpy",
+    "artan_k_numpy", "pairwise_dist", "rowwise_dist", "fused_expmap0",
+    "fused_logmap0", "fused_dist", "fused_mobius_add", "fused_project",
+    "logmap0_numpy",
 ]
 
 
@@ -72,32 +70,12 @@ def artan_k_numpy(x: np.ndarray, kappa: float) -> np.ndarray:
     return _kernels.impl("artan_k")(flat, float(kappa)).reshape(x.shape)
 
 
-def tan_k_numpy(x: np.ndarray, kappa: float) -> np.ndarray:
-    """Scalar-curvature ``tan_κ`` on plain arrays."""
-    x = np.asarray(x, dtype=np.float64)
-    flat = np.ascontiguousarray(x).reshape(-1)
-    return _kernels.impl("tan_k")(flat, float(kappa)).reshape(x.shape)
-
-
 def logmap0_numpy(x: np.ndarray, kappa: float) -> np.ndarray:
     """``tan⁻¹_κ(‖x‖)·x/‖x‖`` on plain arrays — the forward kernel of
     :func:`fused_logmap0`, so values are bit-equal to it."""
     x = np.asarray(x, dtype=np.float64)
     out2 = _kernels.impl("radial_fwd")(_as_2d(x), float(kappa), KIND_ARTAN)[0]
     return out2.reshape(x.shape)
-
-
-def pairwise_mobius_norm(x: np.ndarray, y: np.ndarray,
-                         kappa: float) -> np.ndarray:
-    """``‖-x_i ⊕κ y_j‖`` for all (i, j) pairs, shape ``(B, N)``.
-
-    Expansion: with ``a = -x``, the Möbius sum is
-    ``(A·a + B·y) / D`` where ``A = 1 - 2κ⟨a,y⟩ - κ‖y‖²``,
-    ``B = 1 + κ‖a‖²`` and ``D = 1 - 2κ⟨a,y⟩ + κ²‖a‖²‖y‖²``; hence
-    ``‖·‖² = (A²‖a‖² + 2AB⟨a,y⟩ + B²‖y‖²) / D²``.
-    """
-    return _kernels.impl("pairwise_mobius_norm")(
-        _as_2d(x), _as_2d(y), float(kappa))
 
 
 def pairwise_dist(x: np.ndarray, y: np.ndarray, kappa: float,

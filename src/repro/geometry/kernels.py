@@ -1,42 +1,27 @@
-"""Dispatchable inner kernels for the fused geometry ops.
+"""The geometry kernel registry: one numpy implementation per primitive.
 
 Every hot path in the system — training, full-graph inference and ANN
-re-ranking — bottoms out in the same handful of mixed-curvature
-primitives (`tan_κ`/`artan_κ` radial maps, the pairwise Möbius-norm
-expansion, the fused distance forward/backward).  This module puts one
-dispatch registry in front of them: per primitive it holds
+re-ranking — bottoms out in the same handful of κ-stereographic
+primitives of paper Table II: the ``tan_κ``/``artan_κ`` radial maps,
+Möbius addition, the boundary projection and the geodesic distance,
+each with a hand-derived backward.  Each has exactly one
+implementation, in plain numpy, and the composed micro-op chain of
+:mod:`repro.geometry.stereographic` is its gradcheck oracle.
 
-- a **pure-numpy implementation** — the reference, moved here from
-  :mod:`repro.geometry.fast`, gradchecked against the composed
-  micro-op chain by the encoder-plane tests;
-- a **loop implementation** — the same math written as sequential
-  scalar loops (the MyGrad idiom: njit only the inner loop of an
-  autodiff op, numpy everywhere else).  Kept callable as plain Python
-  so its logic is testable even where numba is absent;
-- the **compiled implementation** — the loop implementation wrapped in
-  ``numba.njit(cache=True, fastmath=False)`` when numba imports.
-  ``fastmath`` stays off: the parity contract (losses/grads within
-  1e-8 of numpy, re-rank distances within 1e-6) relies on IEEE
-  ordering of the guard arithmetic.
+:mod:`repro.geometry.fast` reaches the kernels through :func:`impl`,
+which reads :data:`REGISTRY` at call time, so replacing
+``REGISTRY[name].numpy`` re-routes every call — that is how the
+end-to-end tracer counts and times them.
 
-The Möbius-add and project kernels are registered **numpy-only** (no
-loop twin): they dispatch to numpy in every mode.
+The three curvature regimes split on the ``_KAPPA_ZERO_TOL`` threshold,
+the clip/ε guards use the composed chain's named constants in its
+evaluation order, and the backward helpers reuse the forward's cached
+trig value (``tanh``/``tan``/``arctanh``/``arctan`` is evaluated
+exactly once per op — see ``*_fwd_numpy``/``*_bwd_numpy``).
 
-Selection is gated on import: numba absent → numpy silently; numba
-present → compiled unless overridden.  The resolved three-valued dial
-(``"auto"``/``"numpy"``/``"compiled"``) is exposed as the validated
-``model.kernels`` config key.
+Two trig *flavours* coexist:
 
-Branch structure is shared with the numpy path bit for bit: the three
-curvature regimes split on the same ``_KAPPA_ZERO_TOL`` threshold, the
-clip/ε guards use the same named constants in the same evaluation
-order, and the backward helpers reuse the forward's cached trig value
-(``tanh``/``tan``/``arctanh``/``arctan`` is evaluated exactly once per
-op — see ``*_fwd_numpy``/``*_bwd_numpy``).
-
-Two trig *flavours* coexist, as in ``fast.py``:
-
-- the **inference flavour** (``tan_k``/``artan_k`` kernels and the
+- the **inference flavour** (the ``artan_k`` kernel and the
   pairwise/rowwise distances): ``s = sqrt(±κ)`` with no ε, matching
   the historical no-tape index-build path;
 - the **fused flavour** (radial and fused-dist kernels):
@@ -46,16 +31,13 @@ Two trig *flavours* coexist, as in ``fast.py``:
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import math
-import time
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
-# Shared clamp/ε constants — the compiled loops replicate the numpy
-# guards only while these stay identical to the composed reference.
+# Shared clamp/ε constants — the kernels match the composed reference
+# only while these stay identical to it.
 from repro.geometry.stereographic import (
     _ARTANH_ARG_MAX,
     _EPS,
@@ -64,21 +46,12 @@ from repro.geometry.stereographic import (
     _TANH_ARG_MAX,
 )
 
-try:  # pragma: no cover - exercised via both CI legs
-    import numba as _numba
-    HAVE_NUMBA = True
-    NUMBA_VERSION = _numba.__version__
-except ImportError:  # pragma: no cover
-    _numba = None
-    HAVE_NUMBA = False
-    NUMBA_VERSION = None
+# read by benchmarks/e2e/run.py's host fingerprint; numba is not used
+NUMBA_VERSION = None
 
 #: trig-kind selector shared by the radial kernels
 KIND_TAN = 0
 KIND_ARTAN = 1
-
-#: the three-valued dial exposed as ``model.kernels``
-KERNEL_MODES = ("auto", "numpy", "compiled")
 
 
 # -- split trig helpers (fused flavour) -------------------------------------
@@ -171,12 +144,11 @@ def artan_k_bwd_numpy(r: np.ndarray, aux: np.ndarray, kappa: float):
 #
 # Registry contract (all float64; ``kappa`` a python float):
 #
-# - tan_k / artan_k:      ``(n,) -> (n,)``          (inference flavour)
+# - artan_k:              ``(n,) -> (n,)``          (inference flavour)
 # - radial_fwd:           ``(n,d), κ, kind -> (out (n,d), r (n,), f (n,),
 #                         aux (n,))``               (fused flavour)
 # - radial_bwd:           ``(grad (n,d), v (n,d), r, f, aux, κ, kind) ->
 #                         (grad_v (n,d), grad_κ float)``
-# - pairwise_mobius_norm: ``(b,d), (n,d), κ -> (b,n)``
 # - pairwise_dist:        ``(b,d), (n,d), κ -> (b,n)``
 # - rowwise_dist:         ``(b,d), (b,d), κ -> (b,)``
 # - dist_fwd:             ``(a (n,d), b (n,d), κ) -> (out (n,), diff, r, f,
@@ -193,18 +165,8 @@ def artan_k_bwd_numpy(r: np.ndarray, aux: np.ndarray, kappa: float):
 #                         (g_x, grad_κ float)``
 
 
-def _np_tan_k(x, kappa):
-    # inference flavour: s = sqrt(±κ) with no ε (historical no-tape path)
-    if kappa < -_KAPPA_ZERO_TOL:
-        s = np.sqrt(-kappa)
-        return np.tanh(np.clip(s * x, -_TANH_ARG_MAX, _TANH_ARG_MAX)) / s
-    if kappa > _KAPPA_ZERO_TOL:
-        s = np.sqrt(kappa)
-        return np.tan(np.clip(s * x, -_TAN_ARG_MAX, _TAN_ARG_MAX)) / s
-    return x + kappa * x ** 3 / 3.0
-
-
 def _np_artan_k(x, kappa):
+    # inference flavour: s = sqrt(±κ) with no ε (historical no-tape path)
     if kappa < -_KAPPA_ZERO_TOL:
         s = np.sqrt(-kappa)
         return np.arctanh(np.clip(s * x, -_ARTANH_ARG_MAX,
@@ -238,6 +200,14 @@ def _np_radial_bwd(grad, v, r, f, aux, kappa, kind):
 
 
 def _np_pairwise_mobius_norm(x, y, kappa):
+    """``‖-x_i ⊕κ y_j‖`` for all (i, j) pairs, shape ``(B, N)``.
+
+    Expansion: with ``a = -x``, the Möbius sum is
+    ``(A·a + B·y) / D`` where ``A = 1 - 2κ⟨a,y⟩ - κ‖y‖²``,
+    ``B = 1 + κ‖a‖²`` and ``D = 1 - 2κ⟨a,y⟩ + κ²‖a‖²‖y‖²``; hence
+    ``‖·‖² = (A²‖a‖² + 2AB⟨a,y⟩ + B²‖y‖²) / D²``, and only ``(B, N)``
+    scalars are formed, never the ``(B, N, d)`` Möbius sums.
+    """
     inner = -(x @ y.T)                      # ⟨-x, y⟩, (B, N)
     x2 = np.sum(x * x, axis=1)[:, None]     # ‖-x‖² = ‖x‖², (B, 1)
     y2 = np.sum(y * y, axis=1)[None, :]     # (1, N)
@@ -359,582 +329,50 @@ def _np_project_bwd(grad, x, over, x_norm, max_norm, kappa):
     return g_x, float(grad_k)
 
 
-# -- loop kernel implementations --------------------------------------------
-#
-# The same math scalarised into sequential inner loops.  Each is plain
-# Python (testable everywhere) and njit-compatible: when numba is
-# present, ``register`` wraps it with ``njit(cache=True, fastmath=False)``
-# and the jitted version becomes the ``compiled`` dispatch target.
-# Branch thresholds, clip order and guard arithmetic mirror the numpy
-# implementations above term by term.
-
-
-def _loop_tan_k(x, kappa):
-    n = x.shape[0]
-    out = np.empty(n)
-    if kappa < -_KAPPA_ZERO_TOL:
-        s = math.sqrt(-kappa)
-        for i in range(n):
-            u = s * x[i]
-            if u > _TANH_ARG_MAX:
-                u = _TANH_ARG_MAX
-            elif u < -_TANH_ARG_MAX:
-                u = -_TANH_ARG_MAX
-            out[i] = math.tanh(u) / s
-    elif kappa > _KAPPA_ZERO_TOL:
-        s = math.sqrt(kappa)
-        for i in range(n):
-            u = s * x[i]
-            if u > _TAN_ARG_MAX:
-                u = _TAN_ARG_MAX
-            elif u < -_TAN_ARG_MAX:
-                u = -_TAN_ARG_MAX
-            out[i] = math.tan(u) / s
-    else:
-        for i in range(n):
-            out[i] = x[i] + kappa * x[i] ** 3 / 3.0
-    return out
-
-
-def _loop_artan_k(x, kappa):
-    n = x.shape[0]
-    out = np.empty(n)
-    if kappa < -_KAPPA_ZERO_TOL:
-        s = math.sqrt(-kappa)
-        for i in range(n):
-            u = s * x[i]
-            if u > _ARTANH_ARG_MAX:
-                u = _ARTANH_ARG_MAX
-            elif u < -_ARTANH_ARG_MAX:
-                u = -_ARTANH_ARG_MAX
-            out[i] = math.atanh(u) / s
-    elif kappa > _KAPPA_ZERO_TOL:
-        s = math.sqrt(kappa)
-        for i in range(n):
-            out[i] = math.atan(s * x[i]) / s
-    else:
-        for i in range(n):
-            out[i] = x[i] - kappa * x[i] ** 3 / 3.0
-    return out
-
-
-def _loop_radial_fwd(v, kappa, kind):
-    n, d = v.shape
-    out = np.empty((n, d))
-    r = np.empty(n)
-    f = np.empty(n)
-    aux = np.empty(n)
-    for i in range(n):
-        acc = 0.0
-        for j in range(d):
-            acc += v[i, j] * v[i, j]
-        r[i] = math.sqrt(acc + _EPS)
-    if kind == KIND_TAN:
-        if kappa < -_KAPPA_ZERO_TOL:
-            s = math.sqrt(-kappa + _EPS)
-            for i in range(n):
-                u = r[i] * s
-                if u > _TANH_ARG_MAX:
-                    u = _TANH_ARG_MAX
-                elif u < -_TANH_ARG_MAX:
-                    u = -_TANH_ARG_MAX
-                th = math.tanh(u)
-                aux[i] = th
-                f[i] = th / s
-        elif kappa > _KAPPA_ZERO_TOL:
-            s = math.sqrt(kappa + _EPS)
-            for i in range(n):
-                u = r[i] * s
-                if u > _TAN_ARG_MAX:
-                    u = _TAN_ARG_MAX
-                elif u < -_TAN_ARG_MAX:
-                    u = -_TAN_ARG_MAX
-                tn = math.tan(u)
-                aux[i] = tn
-                f[i] = tn / s
-        else:
-            for i in range(n):
-                aux[i] = r[i]
-                f[i] = r[i] + kappa * r[i] ** 3 / 3.0
-    else:
-        if kappa < -_KAPPA_ZERO_TOL:
-            s = math.sqrt(-kappa + _EPS)
-            for i in range(n):
-                u = r[i] * s
-                if u > _ARTANH_ARG_MAX:
-                    u = _ARTANH_ARG_MAX
-                elif u < -_ARTANH_ARG_MAX:
-                    u = -_ARTANH_ARG_MAX
-                at = math.atanh(u)
-                aux[i] = at
-                f[i] = at / s
-        elif kappa > _KAPPA_ZERO_TOL:
-            s = math.sqrt(kappa + _EPS)
-            for i in range(n):
-                at = math.atan(r[i] * s)
-                aux[i] = at
-                f[i] = at / s
-        else:
-            for i in range(n):
-                aux[i] = r[i]
-                f[i] = r[i] - kappa * r[i] ** 3 / 3.0
-    for i in range(n):
-        scale = f[i] / r[i]
-        for j in range(d):
-            out[i, j] = v[i, j] * scale
-    return out, r, f, aux
-
-
-def _loop_radial_bwd(grad, v, r, f, aux, kappa, kind):
-    n, d = v.shape
-    gv = np.empty((n, d))
-    grad_k = 0.0
-    for i in range(n):
-        ri = r[i]
-        ai = aux[i]
-        if kind == KIND_TAN:
-            if kappa < -_KAPPA_ZERO_TOL:
-                s = math.sqrt(-kappa + _EPS)
-                u = ri * s
-                inside = 1.0 if (u >= -_TANH_ARG_MAX) and \
-                    (u <= _TANH_ARG_MAX) else 0.0
-                sech2 = (1.0 - ai * ai) * inside
-                df_dr = sech2
-                df_dk = ((sech2 * ri * s - ai) / (s * s)) * (-0.5 / s)
-            elif kappa > _KAPPA_ZERO_TOL:
-                s = math.sqrt(kappa + _EPS)
-                u = ri * s
-                inside = 1.0 if (u >= -_TAN_ARG_MAX) and \
-                    (u <= _TAN_ARG_MAX) else 0.0
-                sec2 = (1.0 + ai * ai) * inside
-                df_dr = sec2
-                df_dk = ((sec2 * ri * s - ai) / (s * s)) * (0.5 / s)
-            else:
-                df_dr = 1.0 + kappa * ri * ri
-                df_dk = ri ** 3 / 3.0
-        else:
-            if kappa < -_KAPPA_ZERO_TOL:
-                s = math.sqrt(-kappa + _EPS)
-                u = ri * s
-                inside = 1.0 if (u >= -_ARTANH_ARG_MAX) and \
-                    (u <= _ARTANH_ARG_MAX) else 0.0
-                c = u
-                if c > _ARTANH_ARG_MAX:
-                    c = _ARTANH_ARG_MAX
-                elif c < -_ARTANH_ARG_MAX:
-                    c = -_ARTANH_ARG_MAX
-                om = 1.0 - c * c
-                if om < _EPS:
-                    om = _EPS
-                dat_dc = 1.0 / om
-                df_dr = dat_dc * inside
-                df_dk = ((dat_dc * inside * ri * s - ai) / (s * s)) \
-                    * (-0.5 / s)
-            elif kappa > _KAPPA_ZERO_TOL:
-                s = math.sqrt(kappa + _EPS)
-                u = ri * s
-                dat_du = 1.0 / (1.0 + u * u)
-                df_dr = dat_du
-                df_dk = ((dat_du * ri * s - ai) / (s * s)) * (0.5 / s)
-            else:
-                df_dr = 1.0 - kappa * ri * ri
-                df_dk = -(ri ** 3) / 3.0
-        inner = 0.0
-        for j in range(d):
-            inner += grad[i, j] * v[i, j]
-        coef = inner * (df_dr * ri - f[i]) / ri ** 3
-        scale = f[i] / ri
-        for j in range(d):
-            gv[i, j] = grad[i, j] * scale + v[i, j] * coef
-        grad_k += inner / ri * df_dk
-    return gv, grad_k
-
-
-def _loop_pairwise_mobius_norm(x, y, kappa):
-    b, d = x.shape
-    n = y.shape[0]
-    out = np.empty((b, n))
-    x2 = np.empty(b)
-    y2 = np.empty(n)
-    for i in range(b):
-        acc = 0.0
-        for t in range(d):
-            acc += x[i, t] * x[i, t]
-        x2[i] = acc
-    for j in range(n):
-        acc = 0.0
-        for t in range(d):
-            acc += y[j, t] * y[j, t]
-        y2[j] = acc
-    for i in range(b):
-        for j in range(n):
-            inn = 0.0
-            for t in range(d):
-                inn -= x[i, t] * y[j, t]
-            ca = 1.0 - 2.0 * kappa * inn - kappa * y2[j]
-            cb = 1.0 + kappa * x2[i]
-            den = 1.0 - 2.0 * kappa * inn + kappa * kappa * x2[i] * y2[j]
-            aden = abs(den)
-            if aden < 1e-15:
-                aden = 1e-15
-            sq = (ca * ca * x2[i] + 2.0 * ca * cb * inn
-                  + cb * cb * y2[j])
-            if sq < 0.0:
-                sq = 0.0
-            out[i, j] = math.sqrt(sq) / aden
-    return out
-
-
-def _loop_pairwise_dist(x, y, kappa):
-    b, d = x.shape
-    n = y.shape[0]
-    out = np.empty((b, n))
-    x2 = np.empty(b)
-    y2 = np.empty(n)
-    for i in range(b):
-        acc = 0.0
-        for t in range(d):
-            acc += x[i, t] * x[i, t]
-        x2[i] = acc
-    for j in range(n):
-        acc = 0.0
-        for t in range(d):
-            acc += y[j, t] * y[j, t]
-        y2[j] = acc
-    if kappa < -_KAPPA_ZERO_TOL:
-        s = math.sqrt(-kappa)
-    elif kappa > _KAPPA_ZERO_TOL:
-        s = math.sqrt(kappa)
-    else:
-        s = 0.0
-    for i in range(b):
-        for j in range(n):
-            inn = 0.0
-            for t in range(d):
-                inn -= x[i, t] * y[j, t]
-            ca = 1.0 - 2.0 * kappa * inn - kappa * y2[j]
-            cb = 1.0 + kappa * x2[i]
-            den = 1.0 - 2.0 * kappa * inn + kappa * kappa * x2[i] * y2[j]
-            aden = abs(den)
-            if aden < 1e-15:
-                aden = 1e-15
-            sq = (ca * ca * x2[i] + 2.0 * ca * cb * inn
-                  + cb * cb * y2[j])
-            if sq < 0.0:
-                sq = 0.0
-            norm = math.sqrt(sq) / aden
-            if kappa < -_KAPPA_ZERO_TOL:
-                u = s * norm
-                if u > _ARTANH_ARG_MAX:
-                    u = _ARTANH_ARG_MAX
-                elif u < -_ARTANH_ARG_MAX:
-                    u = -_ARTANH_ARG_MAX
-                dist = math.atanh(u) / s
-            elif kappa > _KAPPA_ZERO_TOL:
-                dist = math.atan(s * norm) / s
-            else:
-                dist = norm - kappa * norm ** 3 / 3.0
-            out[i, j] = 2.0 * dist
-    return out
-
-
-def _loop_rowwise_dist(x, y, kappa):
-    b, d = x.shape
-    out = np.empty(b)
-    if kappa < -_KAPPA_ZERO_TOL:
-        s = math.sqrt(-kappa)
-    elif kappa > _KAPPA_ZERO_TOL:
-        s = math.sqrt(kappa)
-    else:
-        s = 0.0
-    for i in range(b):
-        inn = 0.0
-        xx = 0.0
-        yy = 0.0
-        for t in range(d):
-            inn -= x[i, t] * y[i, t]
-            xx += x[i, t] * x[i, t]
-            yy += y[i, t] * y[i, t]
-        ca = 1.0 - 2.0 * kappa * inn - kappa * yy
-        cb = 1.0 + kappa * xx
-        den = 1.0 - 2.0 * kappa * inn + kappa * kappa * xx * yy
-        aden = abs(den)
-        if aden < 1e-15:
-            aden = 1e-15
-        sq = ca * ca * xx + 2.0 * ca * cb * inn + cb * cb * yy
-        if sq < 0.0:
-            sq = 0.0
-        norm = math.sqrt(sq) / aden
-        if kappa < -_KAPPA_ZERO_TOL:
-            u = s * norm
-            if u > _ARTANH_ARG_MAX:
-                u = _ARTANH_ARG_MAX
-            elif u < -_ARTANH_ARG_MAX:
-                u = -_ARTANH_ARG_MAX
-            dist = math.atanh(u) / s
-        elif kappa > _KAPPA_ZERO_TOL:
-            dist = math.atan(s * norm) / s
-        else:
-            dist = norm - kappa * norm ** 3 / 3.0
-        out[i] = 2.0 * dist
-    return out
-
-
-def _loop_dist_fwd(a, b, kappa):
-    n, d = a.shape
-    out = np.empty(n)
-    diff = np.empty((n, d))
-    r = np.empty(n)
-    f = np.empty(n)
-    aux = np.empty(n)
-    safe = np.empty(n)
-    p = np.empty(n)
-    alpha = np.empty(n)
-    beta = np.empty(n)
-    ca = np.empty(n)
-    cb = np.empty(n)
-    if kappa < -_KAPPA_ZERO_TOL:
-        s = math.sqrt(-kappa + _EPS)
-    elif kappa > _KAPPA_ZERO_TOL:
-        s = math.sqrt(kappa + _EPS)
-    else:
-        s = 0.0
-    for i in range(n):
-        pp = 0.0
-        aa = 0.0
-        bb = 0.0
-        for j in range(d):
-            pp += a[i, j] * b[i, j]
-            aa += a[i, j] * a[i, j]
-            bb += b[i, j] * b[i, j]
-        p[i] = pp
-        alpha[i] = aa
-        beta[i] = bb
-        cai = 1.0 - 2.0 * kappa * pp - kappa * bb
-        cbi = 1.0 + kappa * aa
-        ca[i] = cai
-        cb[i] = cbi
-        den = 1.0 - 2.0 * kappa * pp + kappa * kappa * aa * bb
-        if abs(den) < _EPS:
-            den = den + _EPS
-        safe[i] = den
-        rr = 0.0
-        for j in range(d):
-            dv = (cai * a[i, j] + cbi * b[i, j]) / den
-            diff[i, j] = dv
-            rr += dv * dv
-        ri = math.sqrt(rr + _EPS)
-        r[i] = ri
-        if kappa < -_KAPPA_ZERO_TOL:
-            u = ri * s
-            if u > _ARTANH_ARG_MAX:
-                u = _ARTANH_ARG_MAX
-            elif u < -_ARTANH_ARG_MAX:
-                u = -_ARTANH_ARG_MAX
-            at = math.atanh(u)
-            aux[i] = at
-            f[i] = at / s
-        elif kappa > _KAPPA_ZERO_TOL:
-            at = math.atan(ri * s)
-            aux[i] = at
-            f[i] = at / s
-        else:
-            aux[i] = ri
-            f[i] = ri - kappa * ri ** 3 / 3.0
-        out[i] = 2.0 * f[i]
-    return out, diff, r, f, aux, safe, p, alpha, beta, ca, cb
-
-
-def _loop_dist_bwd(grad, a, b, diff, r, f, aux, safe, p, alpha, beta,
-                   ca, cb, kappa):
-    n, d = a.shape
-    g_a = np.empty((n, d))
-    g_b = np.empty((n, d))
-    grad_k = 0.0
-    if kappa < -_KAPPA_ZERO_TOL:
-        s = math.sqrt(-kappa + _EPS)
-    elif kappa > _KAPPA_ZERO_TOL:
-        s = math.sqrt(kappa + _EPS)
-    else:
-        s = 0.0
-    for i in range(n):
-        ri = r[i]
-        ati = aux[i]
-        if kappa < -_KAPPA_ZERO_TOL:
-            u = ri * s
-            inside = 1.0 if (u >= -_ARTANH_ARG_MAX) and \
-                (u <= _ARTANH_ARG_MAX) else 0.0
-            c = u
-            if c > _ARTANH_ARG_MAX:
-                c = _ARTANH_ARG_MAX
-            elif c < -_ARTANH_ARG_MAX:
-                c = -_ARTANH_ARG_MAX
-            om = 1.0 - c * c
-            if om < _EPS:
-                om = _EPS
-            dat_dc = 1.0 / om
-            df_dr = dat_dc * inside
-            df_dk = ((dat_dc * inside * ri * s - ati) / (s * s)) \
-                * (-0.5 / s)
-        elif kappa > _KAPPA_ZERO_TOL:
-            u = ri * s
-            dat_du = 1.0 / (1.0 + u * u)
-            df_dr = dat_du
-            df_dk = ((dat_du * ri * s - ati) / (s * s)) * (0.5 / s)
-        else:
-            df_dr = 1.0 - kappa * ri * ri
-            df_dk = -(ri ** 3) / 3.0
-        g_f = 2.0 * grad[i]
-        g_r = g_f * df_dr
-        grad_k += g_f * df_dk
-        g_den_acc = 0.0
-        g_ca_acc = 0.0
-        g_cb_acc = 0.0
-        for j in range(d):
-            g_diff_j = g_r * diff[i, j] / ri
-            g_num_j = g_diff_j / safe[i]
-            g_den_acc -= g_diff_j * diff[i, j]
-            g_ca_acc += g_num_j * a[i, j]
-            g_cb_acc += g_num_j * b[i, j]
-            g_a[i, j] = ca[i] * g_num_j
-            g_b[i, j] = cb[i] * g_num_j
-        g_den = g_den_acc / safe[i]
-        g_p = -2.0 * kappa * (g_ca_acc + g_den)
-        g_alpha = kappa * kappa * beta[i] * g_den + kappa * g_cb_acc
-        g_beta = kappa * kappa * alpha[i] * g_den - kappa * g_ca_acc
-        grad_k += (g_den * (-2.0 * p[i] + 2.0 * kappa * alpha[i] * beta[i])
-                   + g_ca_acc * (-2.0 * p[i] - beta[i])
-                   + g_cb_acc * alpha[i])
-        for j in range(d):
-            g_a[i, j] += g_p * b[i, j] + 2.0 * g_alpha * a[i, j]
-            g_b[i, j] += g_p * a[i, j] + 2.0 * g_beta * b[i, j]
-    return g_a, g_b, grad_k
-
-
-# -- registry and mode management -------------------------------------------
+# -- registry ----------------------------------------------------------------
 
 
 @dataclasses.dataclass
 class Kernel:
-    """One registered primitive and its selectable implementations."""
+    """One registered primitive and its implementation."""
 
     name: str
     numpy: Callable
-    loop: Optional[Callable]
-    compiled: Optional[Callable]
+    # always None; benchmarks/e2e/boundaries.py reads and restores it
+    compiled: Optional[Callable] = None
 
 
 REGISTRY: Dict[str, Kernel] = {}
 
-_ACTIVE_MODE = "numpy"
-_DISPATCH: Dict[str, Callable] = {}
 
-
-def _target(kern: Kernel, resolved: str) -> Callable:
-    """Dispatch target under a resolved mode; numpy-only kernels stay numpy."""
-    if resolved == "compiled" and kern.compiled is not None:
-        return kern.compiled
-    return kern.numpy
-
-
-def register(name: str, numpy_impl: Callable,
-             loop_impl: Optional[Callable] = None) -> None:
-    """Register a primitive; jit-wrap its loop impl when numba exists."""
-    compiled = None
-    if HAVE_NUMBA and loop_impl is not None:
-        compiled = _numba.njit(cache=True, fastmath=False)(loop_impl)
-    REGISTRY[name] = kern = Kernel(name, numpy_impl, loop_impl, compiled)
-    _DISPATCH[name] = _target(kern, _ACTIVE_MODE)
-
-
-def resolve_mode(mode: str = "auto") -> str:
-    """Validate a dial value and resolve ``"auto"`` for this host."""
-    if mode not in KERNEL_MODES:
-        raise ValueError("kernels mode must be one of %s, got %r"
-                         % (", ".join(KERNEL_MODES), mode))
-    if mode == "auto":
-        return "compiled" if HAVE_NUMBA else "numpy"
-    if mode == "compiled" and not HAVE_NUMBA:
-        raise ValueError(
-            "model.kernels='compiled' requested but numba is not "
-            "installed; install the compiled extra "
-            "(pip install -e .[compiled]) or use kernels='auto'/'numpy'")
-    return mode
-
-
-def set_mode(mode: str = "auto") -> str:
-    """Switch the process-wide dispatch target; returns the resolved mode."""
-    global _ACTIVE_MODE
-    resolved = resolve_mode(mode)
-    _ACTIVE_MODE = resolved
-    for name, kern in REGISTRY.items():
-        _DISPATCH[name] = _target(kern, resolved)
-    return resolved
-
-
-def get_mode() -> str:
-    """The resolved active mode (``"numpy"`` or ``"compiled"``)."""
-    return _ACTIVE_MODE
-
-
-@contextlib.contextmanager
-def use(mode: str):
-    """Temporarily switch kernel mode (tests and benches)."""
-    previous = _ACTIVE_MODE
-    set_mode(mode)
-    try:
-        yield
-    finally:
-        set_mode(previous)
+def register(name: str, numpy_impl: Callable) -> None:
+    """Register (or replace) the implementation of a primitive."""
+    REGISTRY[name] = Kernel(name, numpy_impl)
 
 
 def impl(name: str) -> Callable:
-    """The active implementation of a registered primitive."""
-    return _DISPATCH[name]
+    """The implementation of a registered primitive, read at call time."""
+    return REGISTRY[name].numpy
 
 
-def warmup() -> float:
-    """First-call every compiled kernel on tiny inputs; returns seconds.
-
-    JIT compilation happens on the first call per signature; benches
-    call this once so steady-state timings exclude compile cost (which
-    is reported separately).  No-op without numba.
-    """
-    if not HAVE_NUMBA:
-        return 0.0
-    start = time.perf_counter()
-    v = np.array([[0.1, 0.2], [0.3, 0.05]])
-    g = np.full_like(v, 0.5)
-    grad1 = np.full(2, 0.5)
-    for kappa in (-1.0, 0.0, 1.0):
-        REGISTRY["tan_k"].compiled(v[0], kappa)
-        REGISTRY["artan_k"].compiled(v[0], kappa)
-        for kind in (KIND_TAN, KIND_ARTAN):
-            _, r, f, aux = REGISTRY["radial_fwd"].compiled(v, kappa, kind)
-            REGISTRY["radial_bwd"].compiled(g, v, r, f, aux, kappa, kind)
-        REGISTRY["pairwise_mobius_norm"].compiled(v, v, kappa)
-        REGISTRY["pairwise_dist"].compiled(v, v, kappa)
-        REGISTRY["rowwise_dist"].compiled(v, v, kappa)
-        fw = REGISTRY["dist_fwd"].compiled(v, v, kappa)
-        REGISTRY["dist_bwd"].compiled(grad1, v, v, fw[1], fw[2], fw[3],
-                                      fw[4], fw[5], fw[6], fw[7], fw[8],
-                                      fw[9], fw[10], kappa)
-    return time.perf_counter() - start
+# benchmarks/e2e/boundaries.py calls set_mode(get_mode()) after wrapping
+# the kernels; impl() reads REGISTRY at call time, so both are no-ops
+def get_mode() -> str:
+    return "numpy"
 
 
-register("tan_k", _np_tan_k, _loop_tan_k)
-register("artan_k", _np_artan_k, _loop_artan_k)
-register("radial_fwd", _np_radial_fwd, _loop_radial_fwd)
-register("radial_bwd", _np_radial_bwd, _loop_radial_bwd)
-register("pairwise_mobius_norm", _np_pairwise_mobius_norm,
-         _loop_pairwise_mobius_norm)
-register("pairwise_dist", _np_pairwise_dist, _loop_pairwise_dist)
-register("rowwise_dist", _np_rowwise_dist, _loop_rowwise_dist)
-register("dist_fwd", _np_dist_fwd, _loop_dist_fwd)
-register("dist_bwd", _np_dist_bwd, _loop_dist_bwd)
+def set_mode(mode: str = "numpy") -> str:
+    return "numpy"
+
+
+register("artan_k", _np_artan_k)
+register("radial_fwd", _np_radial_fwd)
+register("radial_bwd", _np_radial_bwd)
+register("pairwise_dist", _np_pairwise_dist)
+register("rowwise_dist", _np_rowwise_dist)
+register("dist_fwd", _np_dist_fwd)
+register("dist_bwd", _np_dist_bwd)
 register("mobius_add_fwd", _np_mobius_add_fwd)
 register("mobius_add_bwd", _np_mobius_add_bwd)
 register("project_fwd", _np_project_fwd)
 register("project_bwd", _np_project_bwd)
-
-set_mode("auto")

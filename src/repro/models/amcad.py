@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.autodiff import ops
 from repro.autodiff.tensor import Parameter, Tensor, no_grad
-from repro.geometry import kernels as geometry_kernels
+from repro.common import drop_retired_planes
 from repro.geometry.manifold import UnifiedManifold
 from repro.geometry.product import ProductManifold
 from repro.geometry.stereographic import fermi_dirac
@@ -74,11 +74,6 @@ class AMCADConfig:
     feature_dim: int = 8
     gcn_layers: int = 1
     neighbor_samples: int = 4
-    #: geometry kernel implementations: ``"auto"`` (compiled when numba
-    #: is importable, numpy otherwise), ``"numpy"``, or ``"compiled"``
-    #: (requires the ``[compiled]`` extra) — see
-    #: :mod:`repro.geometry.kernels`
-    kernels: str = "auto"
     space: str = "adaptive"
     use_fusion: bool = True
     share_edge_space: bool = False
@@ -93,6 +88,13 @@ class AMCADConfig:
     fermi_temperature: float = 2.0
     regularization: float = 1e-3
     seed: int = 0
+    #: retired geometry kernel dial; any value it accepted is accepted
+    #: and dropped (see ``drop_retired_planes``)
+    kernels: dataclasses.InitVar[Optional[str]] = None
+
+    def __post_init__(self, kernels=None):
+        if kernels is not None:
+            drop_retired_planes("model", {"kernels": kernels})
 
     def resolved_signature(self) -> List[Optional[float]]:
         """Initial curvature per subspace; ``None`` marks trainable."""
@@ -124,9 +126,8 @@ class AMCAD:
         self.graph = graph
         self.config = config or AMCADConfig()
         cfg = self.config
-        # resolve + activate the geometry kernel dial for this process;
-        # raises a clear ValueError for "compiled" without numba
-        self.kernel_mode = geometry_kernels.set_mode(cfg.kernels)
+        # read by the benchmarks/e2e workloads' kernel_mode()
+        self.kernel_mode = "numpy"
         rng = np.random.default_rng(cfg.seed)
         self.rng = rng
 
@@ -406,10 +407,10 @@ def make_model(name: str, graph: HetGraph, *, num_subspaces: int = 2,
     - ablations: ``amcad-mixed``, ``amcad-curv``, ``amcad-fusion``,
       ``amcad-proj``, ``amcad-comb`` (Table VII rows).
 
-    Every variant additionally accepts ``kernels="auto"`` / ``"numpy"`` /
-    ``"compiled"`` through ``overrides``, selecting the geometry kernel
-    implementations (compiled requires the ``[compiled]`` numba extra) —
-    see :data:`repro.geometry.kernels.KERNEL_MODES`.
+    ``overrides`` are further :class:`AMCADConfig` fields.  The retired
+    ``kernels`` dial is still accepted at any value it took (``"auto"``,
+    ``"numpy"``, ``"compiled"``) and ignored: every geometry primitive
+    has one numpy implementation (:mod:`repro.geometry.kernels`).
     """
     key = name.lower()
     base = dict(num_subspaces=num_subspaces, subspace_dim=subspace_dim,

@@ -316,9 +316,9 @@ def _cmd_models(_args) -> int:
         print(name)
     print("product:<SIG>   (any signature over E/H/S/U, e.g. product:HS)")
     print()
-    print("geometry kernels are selected by model.kernels = 'auto' "
-          "(compiled when numba is installed, numpy otherwise, default), "
-          "'numpy', or 'compiled' (requires the [compiled] extra)")
+    print("every geometry kernel has one numpy implementation; the retired "
+          "model.kernels key is accepted as 'auto', 'numpy' or 'compiled' "
+          "and ignored")
     return 0
 
 

@@ -24,7 +24,6 @@ from repro.common import (atomic_write_text, drop_retired_planes,
 from repro.data.synthetic import SimulatorConfig
 from repro.graph.schema import Relation
 from repro.models.amcad import AMCADConfig, list_models
-from repro.geometry.kernels import KERNEL_MODES
 from repro.retrieval.backend import BACKENDS
 from repro.testing.faults import FaultSpec
 from repro.training.trainer import TrainerConfig
@@ -99,10 +98,6 @@ class ModelConfig:
     num_subspaces: int = 2
     subspace_dim: int = 4
     seed: int = 0
-    #: geometry kernel implementations: ``"auto"`` (compiled when numba
-    #: is importable, numpy otherwise), ``"numpy"``, or ``"compiled"``
-    #: (requires the ``[compiled]`` extra)
-    kernels: str = "auto"
     #: extra :class:`~repro.models.amcad.AMCADConfig` overrides
     overrides: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
@@ -123,10 +118,7 @@ class ModelConfig:
             raise ValueError("model geometry must be positive, got "
                              "num_subspaces=%d subspace_dim=%d"
                              % (self.num_subspaces, self.subspace_dim))
-        if self.kernels not in KERNEL_MODES:
-            raise ValueError("model.kernels must be one of %s, got %r"
-                             % (", ".join(KERNEL_MODES), self.kernels))
-        reserved = {"num_subspaces", "subspace_dim", "seed", "kernels"}
+        reserved = {"num_subspaces", "subspace_dim", "seed"}
         if reserved & set(self.overrides):
             raise ValueError("set model.%s directly, not via model.overrides"
                              % "/".join(sorted(reserved & set(self.overrides))))

@@ -225,8 +225,7 @@ class TrainStage(Stage):
         model = make_model(name, ctx.train_graph,
                            num_subspaces=cfg.model.num_subspaces,
                            subspace_dim=cfg.model.subspace_dim,
-                           seed=seed, kernels=cfg.model.kernels,
-                           **cfg.model.overrides)
+                           seed=seed, **cfg.model.overrides)
         trainer = Trainer(model, cfg.training.trainer_config(),
                           checkpoint_path=checkpoint_path)
         if checkpoint_path is not None and checkpoint_path.exists():

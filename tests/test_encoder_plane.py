@@ -14,7 +14,7 @@ import pytest
 
 from repro.autodiff import ops
 from repro.autodiff.tensor import Parameter, Tensor
-from repro.geometry import fast, kernels
+from repro.geometry import fast
 from repro.geometry import stereographic as st
 from repro.geometry.manifold import UnifiedManifold
 from repro.graph.sampling import SampleBatch
@@ -340,10 +340,15 @@ class TestGatherGradcheck:
             np.testing.assert_array_equal(param.grad, want)
 
 
-KAPPAS = (-1.3, -0.4, 0.0, 1e-6, 0.7, 2.0)
+_TOL = st._KAPPA_ZERO_TOL
+#: both sides of the Taylor/trig branch threshold: ±_TOL itself takes the
+#: Taylor branch, the nextafter values are the first floats past it
+BOUNDARY_KAPPAS = (-float(np.nextafter(_TOL, 1.0)), -_TOL, _TOL,
+                   float(np.nextafter(_TOL, 1.0)))
+KAPPAS = (-1.3, -0.4, 0.0, 1e-6, 0.7, 2.0) + BOUNDARY_KAPPAS
 #: the κ grid of the Möbius-add / project parity tests: both regimes and
 #: both sides of zero inside the Taylor tolerance
-FUSED_KAPPAS = (-1.0, -0.4, -1e-6, 0.0, 1e-6, 0.7)
+FUSED_KAPPAS = (-1.0, -0.4, -1e-6, 0.0, 1e-6, 0.7) + BOUNDARY_KAPPAS
 
 
 def _backward_grads(out, upstream, *params):
@@ -353,17 +358,7 @@ def _backward_grads(out, upstream, *params):
 
 
 class TestFusedKernelGradcheck:
-    """Each fused kernel against its composed micro-op reference.
-
-    Pinned to the numpy kernels: this class verifies the numpy
-    reference against the composed chain at 1e-12, while compiled-vs-
-    numpy parity has its own budget in ``tests/test_kernels.py``.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _numpy_kernels(self):
-        with kernels.use("numpy"):
-            yield
+    """Each fused kernel against its composed micro-op reference."""
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     @pytest.mark.parametrize("name,fused,composed", [
@@ -493,7 +488,8 @@ class TestFusedKernelGradcheck:
         rng = np.random.default_rng(43)
         raw = rng.normal(size=(6, 4))
         unit = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-        radius = 1.0 / np.sqrt(max(-kappa, 1e-3))    # the ball's, if any
+        hyperbolic = kappa < -_TOL
+        radius = 1.0 / np.sqrt(-kappa if hyperbolic else 1e-3)  # the ball's
         norms = {"inside": np.full(6, 0.5),
                  "some_over": np.array([0.5, 0.999, 1.5, 0.0, 0.9961, 0.99]),
                  "all_over": np.linspace(0.997, 3.0, 6)}[rows] * radius
@@ -504,7 +500,7 @@ class TestFusedKernelGradcheck:
         out_f = fast.fused_project(xa, ka)
         out_c = st.project(xb, kb)
         np.testing.assert_array_equal(out_f.data, out_c.data)
-        clipped = kappa < -1e-5 and rows != "inside"
+        clipped = hyperbolic and rows != "inside"
         if clipped:
             assert not np.array_equal(out_f.data, x)
             assert out_f.graph_size() == 3           # x, κ, one node
@@ -515,6 +511,32 @@ class TestFusedKernelGradcheck:
             np.testing.assert_allclose(got, want, atol=1e-12)
         if clipped:
             assert ka.grad != 0.0
+
+    @pytest.mark.parametrize("kappa", (-1.0, 0.7) + BOUNDARY_KAPPAS)
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_empty_and_single_row(self, kappa, rows):
+        rng = np.random.default_rng(47)
+        x = rng.normal(scale=0.3, size=(rows, 4))
+        y = rng.normal(scale=0.3, size=(rows, 4))
+        # 1.5x the ball's radius, so hyperbolic κ clips every row
+        unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
+        over = unit * 1.5 / np.sqrt(abs(kappa))
+        for fused, composed, inputs in (
+                (fast.fused_expmap0, st.expmap0, (x,)),
+                (fast.fused_logmap0, st.logmap0, (0.4 * x,)),
+                (fast.fused_dist, st.dist_k, (x, y)),
+                (fast.fused_mobius_add, st.mobius_add, (x, y)),
+                (fast.fused_project, st.project, (over,))):
+            fa = [Parameter(a.copy()) for a in inputs]
+            fb = [Parameter(a.copy()) for a in inputs]
+            ka, kb = Parameter(np.asarray(kappa)), Parameter(np.asarray(kappa))
+            out_f, out_c = fused(*fa, ka), composed(*fb, kb)
+            assert out_f.shape == out_c.shape
+            np.testing.assert_allclose(out_f.data, out_c.data, atol=1e-12)
+            upstream = rng.normal(size=out_f.shape)
+            for got, want in zip(_backward_grads(out_f, upstream, *fa, ka),
+                                 _backward_grads(out_c, upstream, *fb, kb)):
+                np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_dist_broadcasts_origin(self):
         # the Eq. 16 regulariser measures distance to a same-shape zero

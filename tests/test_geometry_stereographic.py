@@ -8,12 +8,17 @@ from repro.autodiff import Parameter, Tensor, ops
 from repro.geometry import stereographic as stereo
 from repro.geometry.fast import (
     artan_k_numpy,
+    logmap0_numpy,
     pairwise_dist,
     rowwise_dist,
-    tan_k_numpy,
 )
 
 KAPPAS = [-1.5, -1.0, -0.3, 0.0, 0.4, 1.0, 1.5]
+#: both sides of the Taylor/trig branch threshold: ±tol itself takes the
+#: Taylor branch, the nextafter values are the first floats past it
+_TOL = stereo._KAPPA_ZERO_TOL
+BOUNDARY_KAPPAS = [-float(np.nextafter(_TOL, 1.0)), -_TOL, _TOL,
+                   float(np.nextafter(_TOL, 1.0))]
 
 finite_vectors = st.lists(
     st.floats(min_value=-0.4, max_value=0.4, allow_nan=False), min_size=3,
@@ -55,11 +60,13 @@ class TestTrigonometry:
 
     def test_numpy_kernels_match_tensor_ops(self):
         x = np.linspace(-0.7, 0.7, 11)
+        points = np.stack([x, x[::-1] * 0.5], axis=-1)
         for kappa in KAPPAS:
-            assert np.allclose(tan_k_numpy(x, kappa),
-                               stereo.tan_k(Tensor(x), kappa).data, atol=1e-12)
             assert np.allclose(artan_k_numpy(x, kappa),
                                stereo.artan_k(Tensor(x), kappa).data, atol=1e-12)
+            assert np.allclose(logmap0_numpy(points, kappa),
+                               stereo.logmap0(Tensor(points), kappa).data,
+                               atol=1e-12)
 
 
 class TestMobiusAddition:
@@ -165,7 +172,7 @@ class TestDistance:
 
 
 class TestFastKernels:
-    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("kappa", KAPPAS + BOUNDARY_KAPPAS)
     def test_pairwise_matches_tensor_distance(self, kappa):
         rng = np.random.default_rng(8)
         x = rng.normal(scale=0.25, size=(4, 5))
@@ -177,7 +184,7 @@ class TestFastKernels:
                                      kappa).data[0, 0]
                 assert np.isclose(fast[i, j], slow, atol=1e-8), (i, j, kappa)
 
-    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("kappa", KAPPAS + BOUNDARY_KAPPAS)
     def test_rowwise_matches_pairwise_diagonal(self, kappa):
         rng = np.random.default_rng(9)
         x = rng.normal(scale=0.25, size=(6, 4))
@@ -185,6 +192,22 @@ class TestFastKernels:
         row = rowwise_dist(x, y, kappa)
         full = pairwise_dist(x, y, kappa)
         assert np.allclose(row, np.diag(full), atol=1e-10)
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.4] + BOUNDARY_KAPPAS)
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_empty_and_single_row(self, kappa, rows):
+        rng = np.random.default_rng(12)
+        x = rng.normal(scale=0.25, size=(rows, 4))
+        y = rng.normal(scale=0.25, size=(3, 4))
+        full = pairwise_dist(x, y, kappa)
+        assert full.shape == (rows, 3)
+        slow = stereo.dist_k(Tensor(x[:, None, :]), Tensor(y[None, :, :]),
+                             kappa).data[..., 0]
+        assert np.allclose(full, slow, atol=1e-8)
+        assert pairwise_dist(y, x, kappa).shape == (3, rows)
+        row = rowwise_dist(x, y[:rows], kappa)
+        assert row.shape == (rows,)
+        assert np.allclose(row, np.diag(full[:, :rows]), atol=1e-10)
 
     def test_pairwise_self_distance_zero(self):
         rng = np.random.default_rng(10)

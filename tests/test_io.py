@@ -46,21 +46,31 @@ class TestModelCheckpoint:
     def test_checkpoint_with_retired_plane_key_loads(self, trained,
                                                      train_graph, tmp_path):
         """Every ``model.npz`` published before the encoder planes were
-        retired names the surviving plane in its header."""
-        def rewritten(plane):
+        retired names the surviving plane in its header, and every one
+        published before the kernel dial was retired names a kernel
+        mode — ``compiled`` included, which needed numba to load."""
+        def rewritten(key, value):
             with np.load(save_model(trained, tmp_path / "model.npz")) as npz:
                 arrays = dict(npz)
             header = json.loads(bytes(arrays["header"]).decode("utf-8"))
-            header["config"]["compute_plane"] = plane
+            header["config"][key] = value
             arrays["header"] = np.frombuffer(
                 json.dumps(header).encode("utf-8"), dtype=np.uint8)
             np.savez(tmp_path / "old.npz", **arrays)
             return tmp_path / "old.npz"
 
-        restored = load_model(rewritten("frontier"), train_graph)
-        assert restored.config == trained.config
-        with pytest.raises(ValueError, match=r"model\.compute_plane.*retired"):
-            load_model(rewritten("recursive"), train_graph)
+        for key, accepted, rejected in (
+                ("compute_plane", ("frontier",), "recursive"),
+                ("kernels", ("auto", "numpy", "compiled"), "jit")):
+            for value in accepted:
+                restored = load_model(rewritten(key, value), train_graph)
+                assert restored.config == trained.config
+                for got, want in zip(restored.parameters(),
+                                     trained.parameters()):
+                    np.testing.assert_array_equal(got.data, want.data)
+            with pytest.raises(ValueError,
+                               match=r"model\.%s=.*retired" % key):
+                load_model(rewritten(key, rejected), train_graph)
 
     def test_wrong_universe_rejected(self, trained, tmp_path):
         from repro.data import SimulatorConfig, SponsoredSearchSimulator

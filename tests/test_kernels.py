@@ -1,25 +1,22 @@
-"""Parity suite for the geometry kernel dispatch layer.
+"""The geometry kernel registry and its numpy kernels.
 
-The nine PR 10 primitives in :mod:`repro.geometry.kernels` carry a
-pure-numpy reference and a loop implementation (njit-wrapped into the
-``compiled`` target when numba is importable); the Möbius-add/project
-kernels are numpy-only and dispatch to numpy in every mode.  The
-contract is parity:
-forward values and hand-derived VJP outputs agree across
-implementations well within the 1e-8 loss/grad budget, over all three
-curvature regimes including the κ≈0 branch boundary, for empty,
-singleton and batched shapes.  The loop implementations are exercised
-as plain Python everywhere, so the compiled logic is covered even on
-hosts without numba; where numba is present the jitted versions are
-checked too.
+Every primitive in :mod:`repro.geometry.kernels` has one numpy
+implementation.  The parity classes check it — forward values and the
+hand-derived VJPs, including ∂/∂κ — against the composed micro-op chain
+of :mod:`repro.geometry.stereographic`, the independent oracle, over
+all three curvature regimes and both sides of the κ≈0 branch
+threshold, for empty, single-row and batched shapes.  The registry
+tests pin the kernel names the end-to-end tracer wraps and the retired
+``model.kernels`` dial.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.autodiff import Parameter
+from repro.autodiff import Parameter, Tensor
 from repro.geometry import fast, kernels
+from repro.geometry import stereographic as stereo
 from repro.geometry.kernels import KIND_ARTAN, KIND_TAN
 from repro.graph.schema import Relation
 from repro.retrieval.ann import candidate_dist
@@ -38,26 +35,18 @@ KAPPAS = (
     0.7, 2.0,
 )
 
-LOOP_KERNELS = {
-    "tan_k", "artan_k", "radial_fwd", "radial_bwd",
-    "pairwise_mobius_norm", "pairwise_dist", "rowwise_dist",
-    "dist_fwd", "dist_bwd",
+EXPECTED_KERNELS = {
+    "artan_k", "radial_fwd", "radial_bwd", "pairwise_dist", "rowwise_dist",
+    "dist_fwd", "dist_bwd", "mobius_add_fwd", "mobius_add_bwd",
+    "project_fwd", "project_bwd",
 }
-NUMPY_ONLY_KERNELS = {
-    "mobius_add_fwd", "mobius_add_bwd", "project_fwd", "project_bwd",
+
+#: per trig helper pair: forward, backward and the composed oracle
+_TRIG = {
+    "tan_k": (kernels.tan_k_fwd_numpy, kernels.tan_k_bwd_numpy, stereo.tan_k),
+    "artan_k": (kernels.artan_k_fwd_numpy, kernels.artan_k_bwd_numpy,
+                stereo.artan_k),
 }
-EXPECTED_KERNELS = LOOP_KERNELS | NUMPY_ONLY_KERNELS
-#: every mode this host can activate
-MODES = ("auto", "numpy") + (("compiled",) if kernels.HAVE_NUMBA else ())
-
-
-def _variants(name):
-    """(label, impl) pairs to check against the numpy reference."""
-    kern = kernels.REGISTRY[name]
-    out = [("loop", kern.loop)]
-    if kern.compiled is not None:
-        out.append(("compiled", kern.compiled))
-    return out
 
 
 def _check(got, want):
@@ -68,89 +57,79 @@ def _check(got, want):
                                    rtol=1e-9, atol=1e-9)
 
 
+def _composed(op, inputs, kappa, upstream):
+    """Value of the composed chain ``op(*inputs, κ)`` and the gradients
+    of ``sum(upstream · value)`` for each input and κ."""
+    params = [Parameter(np.array(x, dtype=np.float64)) for x in inputs]
+    k = Parameter(np.asarray(kappa, dtype=np.float64))
+    out = op(*params, k)
+    out.backward(np.reshape(upstream, out.shape))
+    return out.data, [np.zeros(p.shape) if p.grad is None else p.grad
+                      for p in params + [k]]
+
+
 class TestRegistryAndModes:
+    """The registry the end-to-end tracer wraps, and the retired
+    ``model.kernels`` dial."""
+
     def test_registry_covers_expected_kernels(self):
         assert set(kernels.REGISTRY) == EXPECTED_KERNELS
-        for name in LOOP_KERNELS:
-            kern = kernels.REGISTRY[name]
-            assert kern.loop is not None
-            assert (kern.compiled is not None) == kernels.HAVE_NUMBA
-        for name in NUMPY_ONLY_KERNELS:
-            kern = kernels.REGISTRY[name]
-            assert kern.loop is None and kern.compiled is None
-            for mode in MODES:
-                with kernels.use(mode):
-                    assert kernels.impl(name) is kern.numpy
+        for name, kern in kernels.REGISTRY.items():
+            assert kernels.impl(name) is kern.numpy
+            assert kern.compiled is None
 
     def test_numpy_only_kernel_dispatches_in_every_mode(self):
-        """``set_mode`` used to install ``None`` for a loop-less kernel."""
+        """A newly registered kernel dispatches, and ``set_mode`` (kept
+        for the e2e tracer) changes nothing for any retired mode value."""
         def double(x):
             return 2.0 * x
 
+        def triple(x):
+            return 3.0 * x
+
         try:
-            for outer in MODES:
-                with kernels.use(outer):      # register() under each mode
-                    kernels.register("_test_numpy_only", double)
-                    assert kernels.impl("_test_numpy_only") is double
-                    # the fallback itself, checkable without numba
-                    kern = kernels.REGISTRY["_test_numpy_only"]
-                    assert kernels._target(kern, "compiled") is double
-                    for inner in MODES:       # then set_mode() to each
-                        with kernels.use(inner):
-                            assert kernels.impl("_test_numpy_only")(
-                                np.ones(2)).tolist() == [2.0, 2.0]
+            kernels.register("_test_kernel", double)
+            for mode in ("auto", "numpy", "compiled"):
+                assert kernels.set_mode(mode) == "numpy"
+                assert kernels.get_mode() == "numpy"
+                assert kernels.impl("_test_kernel")(np.ones(2)).tolist() == [2, 2]
+            # impl() reads the registry at call time, so a replaced
+            # implementation (the tracer's wrapper) is what callers get
+            kernels.REGISTRY["_test_kernel"].numpy = triple
+            assert kernels.impl("_test_kernel")(np.ones(2)).tolist() == [3, 3]
         finally:
-            kernels.REGISTRY.pop("_test_numpy_only", None)
-            kernels._DISPATCH.pop("_test_numpy_only", None)
+            kernels.REGISTRY.pop("_test_kernel", None)
 
-    def test_auto_resolution_matches_environment(self):
-        expected = "compiled" if kernels.HAVE_NUMBA else "numpy"
-        assert kernels.resolve_mode("auto") == expected
-        assert kernels.resolve_mode("numpy") == "numpy"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="auto, numpy, compiled"):
-            kernels.resolve_mode("fast")
-        with pytest.raises(ValueError, match="auto, numpy, compiled"):
-            kernels.set_mode("jit")
-
-    def test_use_context_restores_mode(self):
-        before = kernels.get_mode()
-        with kernels.use("numpy"):
-            assert kernels.get_mode() == "numpy"
-            assert kernels.impl("tan_k") is kernels.REGISTRY["tan_k"].numpy
-        assert kernels.get_mode() == before
-
-    @pytest.mark.skipif(kernels.HAVE_NUMBA, reason="numba installed")
-    def test_compiled_without_numba_raises_naming_extra(self):
-        with pytest.raises(ValueError, match=r"\[compiled\]"):
-            kernels.resolve_mode("compiled")
-        with pytest.raises(ValueError, match=r"\[compiled\]"):
-            kernels.set_mode("compiled")
-
-    @pytest.mark.skipif(kernels.HAVE_NUMBA, reason="numba installed")
-    def test_model_kernels_compiled_without_numba_raises(self, train_graph):
+    @staticmethod
+    def _build(train_graph, **kwargs):
         from repro.models import make_model
-        with pytest.raises(ValueError, match=r"\[compiled\]"):
-            make_model("amcad", train_graph, num_subspaces=2,
-                       subspace_dim=4, seed=0, kernels="compiled")
+        return make_model("amcad", train_graph, num_subspaces=2,
+                          subspace_dim=4, seed=0, **kwargs)
 
     def test_model_activates_requested_mode(self, train_graph):
-        from repro.models import make_model
-        with kernels.use("numpy"):
-            model = make_model("amcad", train_graph, num_subspaces=2,
-                               subspace_dim=4, seed=0, kernels="auto")
-            expected = "compiled" if kernels.HAVE_NUMBA else "numpy"
-            assert model.kernel_mode == expected
-            assert kernels.get_mode() == expected
+        """``make_model``/``AMCADConfig`` take every value the retired
+        dial accepted and build the same numpy-kernel model."""
+        from repro.models.amcad import AMCADConfig
 
-    def test_pipeline_config_validates_kernels(self):
-        from repro.pipeline.config import ModelConfig
-        assert ModelConfig(kernels="numpy").kernels == "numpy"
-        with pytest.raises(ValueError, match="model.kernels"):
-            ModelConfig(kernels="jit")
-        with pytest.raises(ValueError, match="model.overrides"):
-            ModelConfig(overrides={"kernels": "numpy"})
+        plain = self._build(train_graph)
+        for mode in ("auto", "numpy", "compiled"):
+            assert AMCADConfig(kernels=mode) == AMCADConfig()
+            model = self._build(train_graph, kernels=mode)
+            assert model.config == plain.config
+            assert model.kernel_mode == "numpy"
+            assert kernels.get_mode() == "numpy"
+            for got, want in zip(model.parameters(), plain.parameters()):
+                np.testing.assert_array_equal(got.data, want.data)
+
+    def test_invalid_mode_rejected(self, train_graph):
+        """Any value the retired dial did not accept is rejected by name."""
+        from repro.models.amcad import AMCADConfig
+
+        build = lambda **kwargs: self._build(train_graph, **kwargs)  # noqa: E731
+        with pytest.raises(ValueError, match=r"model\.kernels='jit'.*retired"):
+            AMCADConfig(kernels="jit")
+        with pytest.raises(ValueError, match=r"model\.kernels='fast'.*retired"):
+            build(kernels="fast")
 
 
 class TestElementwiseParity:
@@ -158,12 +137,20 @@ class TestElementwiseParity:
     @settings(deadline=None, max_examples=30)
     @given(n=st.integers(0, 7), seed=st.integers(0, 999),
            kappa=st.sampled_from(KAPPAS))
+    @example(n=0, seed=0, kappa=-_TOL)
+    @example(n=1, seed=1, kappa=float(np.nextafter(_TOL, 1.0)))
     def test_parity(self, name, n, seed, kappa):
         rng = np.random.default_rng(seed)
-        x = np.ascontiguousarray(rng.normal(scale=1.0, size=n))
-        want = kernels.REGISTRY[name].numpy(x, kappa)
-        for _, fn in _variants(name):
-            _check([fn(x, kappa)], [want])
+        x = rng.normal(scale=1.0, size=n)
+        upstream = rng.normal(size=n)
+        fwd, bwd, composed = _TRIG[name]
+        f, aux = fwd(x, kappa)
+        df_dr, df_dk = bwd(x, aux, kappa)
+        value, grads = _composed(composed, [x], kappa, upstream)
+        _check([f, upstream * df_dr, np.sum(upstream * df_dk)],
+               [value, *grads])
+        if name == "artan_k":       # the inference-flavour kernel (no ε)
+            _check([kernels.impl("artan_k")(x, kappa)], [value])
 
 
 class TestRadialParity:
@@ -171,19 +158,17 @@ class TestRadialParity:
     @settings(deadline=None, max_examples=30)
     @given(n=st.integers(0, 6), d=st.integers(1, 10),
            seed=st.integers(0, 999), kappa=st.sampled_from(KAPPAS))
+    @example(n=0, d=3, seed=0, kappa=_TOL)
+    @example(n=1, d=3, seed=1, kappa=-float(np.nextafter(_TOL, 1.0)))
     def test_forward_and_backward(self, kind, n, d, seed, kappa):
         rng = np.random.default_rng(seed)
         v = rng.normal(scale=0.3, size=(n, d))
         grad = rng.normal(size=(n, d))
-        ref = kernels.REGISTRY["radial_fwd"].numpy(v, kappa, kind)
-        ref_bwd = kernels.REGISTRY["radial_bwd"].numpy(
-            grad, v, ref[1], ref[2], ref[3], kappa, kind)
-        for _, fwd in _variants("radial_fwd"):
-            got = fwd(v, kappa, kind)
-            _check(got, ref)
-        for _, bwd in _variants("radial_bwd"):
-            got = bwd(grad, v, ref[1], ref[2], ref[3], kappa, kind)
-            _check(got, ref_bwd)
+        out, r, f, aux = kernels.impl("radial_fwd")(v, kappa, kind)
+        g_v, g_k = kernels.impl("radial_bwd")(grad, v, r, f, aux, kappa, kind)
+        composed = stereo.expmap0 if kind == KIND_TAN else stereo.logmap0
+        value, grads = _composed(composed, [v], kappa, grad)
+        _check([out, g_v, g_k], [value, *grads])
 
 
 class TestPairwiseParity:
@@ -192,46 +177,59 @@ class TestPairwiseParity:
     @settings(deadline=None, max_examples=30)
     @given(b=st.integers(0, 5), n=st.integers(0, 6), d=st.integers(1, 10),
            seed=st.integers(0, 999), kappa=st.sampled_from(KAPPAS))
+    @example(b=0, n=1, d=3, seed=0, kappa=-_TOL)
+    @example(b=1, n=0, d=3, seed=1, kappa=_TOL)
+    @example(b=1, n=1, d=3, seed=2, kappa=float(np.nextafter(_TOL, 1.0)))
     def test_parity(self, name, b, n, d, seed, kappa):
         rng = np.random.default_rng(seed)
         x = rng.normal(scale=0.3, size=(b, d))
         y = rng.normal(scale=0.3, size=(n, d))
-        want = kernels.REGISTRY[name].numpy(x, y, kappa)
-        for _, fn in _variants(name):
-            _check([fn(x, y, kappa)], [want])
+        # every (i, j) pair by broadcasting (b, 1, d) against (1, n, d)
+        xs, ys = Tensor(x[:, None, :]), Tensor(y[None, :, :])
+        if name == "pairwise_dist":
+            got = kernels.impl("pairwise_dist")(x, y, kappa)
+            want = stereo.dist_k(xs, ys, kappa).data[..., 0]
+        else:
+            # the norm expansion pairwise_dist is built on
+            got = kernels._np_pairwise_mobius_norm(x, y, kappa)
+            want = np.linalg.norm(stereo.mobius_add(-xs, ys, kappa).data,
+                                  axis=-1)
+        _check([got], [want])
 
     @settings(deadline=None, max_examples=30)
     @given(b=st.integers(0, 6), d=st.integers(1, 10),
            seed=st.integers(0, 999), kappa=st.sampled_from(KAPPAS))
+    @example(b=0, d=3, seed=0, kappa=-_TOL)
+    @example(b=1, d=3, seed=1, kappa=-float(np.nextafter(_TOL, 1.0)))
     def test_rowwise_parity(self, b, d, seed, kappa):
         rng = np.random.default_rng(seed)
         x = rng.normal(scale=0.3, size=(b, d))
         y = rng.normal(scale=0.3, size=(b, d))
-        want = kernels.REGISTRY["rowwise_dist"].numpy(x, y, kappa)
-        for _, fn in _variants("rowwise_dist"):
-            _check([fn(x, y, kappa)], [want])
+        want = stereo.dist_k(Tensor(x), Tensor(y), kappa).data[:, 0]
+        _check([kernels.impl("rowwise_dist")(x, y, kappa)], [want])
 
 
 class TestDistParity:
     @settings(deadline=None, max_examples=30)
     @given(n=st.integers(0, 6), d=st.integers(1, 10),
            seed=st.integers(0, 999), kappa=st.sampled_from(KAPPAS))
+    @example(n=0, d=3, seed=0, kappa=_TOL)
+    @example(n=1, d=3, seed=1, kappa=-float(np.nextafter(_TOL, 1.0)))
     def test_forward_and_backward(self, n, d, seed, kappa):
         rng = np.random.default_rng(seed)
-        a = rng.normal(scale=0.3, size=(n, d))
-        b = rng.normal(scale=0.3, size=(n, d))
+        x = rng.normal(scale=0.3, size=(n, d))
+        y = rng.normal(scale=0.3, size=(n, d))
         grad = rng.normal(size=n)
-        ref = kernels.REGISTRY["dist_fwd"].numpy(a, b, kappa)
-        ref_bwd = kernels.REGISTRY["dist_bwd"].numpy(
-            grad, a, b, *ref[1:], kappa)
-        for _, fwd in _variants("dist_fwd"):
-            _check(fwd(a, b, kappa), ref)
-        for _, bwd in _variants("dist_bwd"):
-            _check(bwd(grad, a, b, *ref[1:], kappa), ref_bwd)
+        # fused_dist hands the kernel a = -x, b = y
+        fwd = kernels.impl("dist_fwd")(-x, y, kappa)
+        g_a, g_b, g_k = kernels.impl("dist_bwd")(grad, -x, y, *fwd[1:], kappa)
+        value, (g_x, g_y, g_kappa) = _composed(stereo.dist_k, [x, y], kappa,
+                                               grad)
+        _check([fwd[0], -g_a, g_b, g_k], [value[:, 0], g_x, g_y, g_kappa])
 
 
 class TestPublicApi:
-    """fast.py entry points: dtype coercion, blocking, mode equivalence."""
+    """fast.py entry points: dtype coercion and blocking."""
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 0.7])
     def test_float32_inputs_upcast_to_float64(self, kappa):
@@ -245,7 +243,7 @@ class TestPublicApi:
         np.testing.assert_array_equal(
             got, fast.pairwise_dist(x32.astype(np.float64),
                                     y32.astype(np.float64), kappa))
-        assert fast.tan_k_numpy(x32, kappa).dtype == np.float64
+        assert fast.artan_k_numpy(x32, kappa).dtype == np.float64
         assert fast.rowwise_dist(x32, x32, kappa).dtype == np.float64
 
     @pytest.mark.parametrize("kappa", KAPPAS)
@@ -282,29 +280,6 @@ class TestPublicApi:
             np.testing.assert_array_equal(full, blocked)
         assert np.all(np.isinf(full[~valid]))
 
-    @pytest.mark.parametrize("kappa", [-1.0, 0.0, 0.7])
-    def test_fused_ops_parity_across_modes(self, kappa):
-        """Loss-level contract: tape ops agree across kernel modes."""
-        modes = ["numpy"]
-        if kernels.HAVE_NUMBA:
-            modes.append("compiled")
-        rng = np.random.default_rng(3)
-        x = rng.normal(scale=0.25, size=(6, 4))
-        y = rng.normal(scale=0.25, size=(6, 4))
-        upstream = rng.normal(size=(6, 1))
-        results = {}
-        for mode in modes:
-            with kernels.use(mode):
-                xa, ya = Parameter(x.copy()), Parameter(y.copy())
-                ka = Parameter(np.asarray(kappa))
-                out = fast.fused_dist(xa, ya, ka)
-                out.backward(upstream)
-                results[mode] = (out.data.copy(), xa.grad.copy(),
-                                 ya.grad.copy(), ka.grad.copy())
-        for mode in modes[1:]:
-            for got, want in zip(results[mode], results["numpy"]):
-                np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
-
 
 class TestForwardCaching:
     """Satellite regression: the fused vjps evaluate the forward trig
@@ -324,43 +299,27 @@ class TestForwardCaching:
     def test_expmap0_evaluates_tan_once(self, monkeypatch):
         calls = self._count(monkeypatch, "tan_k_fwd_numpy")
         rng = np.random.default_rng(0)
-        with kernels.use("numpy"):
-            v = Parameter(rng.normal(scale=0.3, size=(5, 4)))
-            k = Parameter(np.asarray(-0.9))
-            out = fast.fused_expmap0(v, k)
-            out.backward(rng.normal(size=(5, 4)))
+        v = Parameter(rng.normal(scale=0.3, size=(5, 4)))
+        k = Parameter(np.asarray(-0.9))
+        out = fast.fused_expmap0(v, k)
+        out.backward(rng.normal(size=(5, 4)))
         assert calls["n"] == 1
 
     def test_logmap0_evaluates_artan_once(self, monkeypatch):
         calls = self._count(monkeypatch, "artan_k_fwd_numpy")
         rng = np.random.default_rng(1)
-        with kernels.use("numpy"):
-            x = Parameter(rng.normal(scale=0.2, size=(5, 4)))
-            k = Parameter(np.asarray(-0.9))
-            out = fast.fused_logmap0(x, k)
-            out.backward(rng.normal(size=(5, 4)))
+        x = Parameter(rng.normal(scale=0.2, size=(5, 4)))
+        k = Parameter(np.asarray(-0.9))
+        out = fast.fused_logmap0(x, k)
+        out.backward(rng.normal(size=(5, 4)))
         assert calls["n"] == 1
 
     def test_fused_dist_evaluates_artan_once(self, monkeypatch):
         calls = self._count(monkeypatch, "artan_k_fwd_numpy")
         rng = np.random.default_rng(2)
-        with kernels.use("numpy"):
-            x = Parameter(rng.normal(scale=0.25, size=(6, 4)))
-            y = Parameter(rng.normal(scale=0.25, size=(6, 4)))
-            k = Parameter(np.asarray(0.7))
-            out = fast.fused_dist(x, y, k)
-            out.backward(rng.normal(size=(6, 1)))
+        x = Parameter(rng.normal(scale=0.25, size=(6, 4)))
+        y = Parameter(rng.normal(scale=0.25, size=(6, 4)))
+        k = Parameter(np.asarray(0.7))
+        out = fast.fused_dist(x, y, k)
+        out.backward(rng.normal(size=(6, 1)))
         assert calls["n"] == 1
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-class TestCompiledOnly:
-    def test_warmup_compiles_every_kernel(self):
-        seconds = kernels.warmup()
-        assert seconds >= 0.0
-
-    def test_auto_selects_compiled(self):
-        with kernels.use("auto"):
-            assert kernels.get_mode() == "compiled"
-            kern = kernels.REGISTRY["pairwise_dist"]
-            assert kernels.impl("pairwise_dist") is kern.compiled

@@ -142,15 +142,18 @@ class TestConfig:
         config = PipelineConfig.from_dict(
             {"training": {"data_plane": "batched", "steps": 7,
                           "prefetch_workers": 2, "prefetch_depth": 3},
-             "model": {"compute_plane": "frontier"}})
+             "model": {"compute_plane": "frontier", "kernels": "compiled"}})
         assert config.training.steps == 7
         dumped = config.to_dict()
         for key in ("data_plane", "prefetch_workers", "prefetch_depth"):
             assert key not in dumped["training"]
-        assert "compute_plane" not in dumped["model"]
+        for key in ("compute_plane", "kernels"):
+            assert key not in dumped["model"]
         assert PipelineConfig.from_dict(dumped) == config
         # a CLI-style override of a retired key is dropped the same way
         assert config.with_overrides(["training.prefetch_workers=4"]) == config
+        for mode in ("auto", "numpy", "compiled"):
+            assert config.with_overrides(["model.kernels=%s" % mode]) == config
 
     @pytest.mark.parametrize("key,value", [
         ("num_workers", 4), ("num_workers", 0),
@@ -169,6 +172,7 @@ class TestConfig:
     @pytest.mark.parametrize("section,key,value", [
         ("training", "data_plane", "looped"),
         ("model", "compute_plane", "recursive"),
+        ("model", "kernels", "jit"),
         ("training", "prefetch_workers", -1),
         ("training", "prefetch_depth", 0),
         ("training", "prefetch_workers", "two"),
@@ -383,7 +387,7 @@ class TestFromArtifacts:
         payload = json.loads(old.path(ArtifactStore.CONFIG).read_text())
         payload["training"].update(data_plane="batched", prefetch_workers=2,
                                    prefetch_depth=2)
-        payload["model"]["compute_plane"] = "frontier"
+        payload["model"].update(compute_plane="frontier", kernels="compiled")
         old.path(ArtifactStore.CONFIG).write_text(json.dumps(payload))
         generation = old.publish_generation()
         served = Pipeline.from_artifacts(old.root)
