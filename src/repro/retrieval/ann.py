@@ -28,10 +28,16 @@ The resulting two-phase split is the recall/latency dial:
   queries run a batched greedy best-first beam search (``ef_search``
   beam slots per query) and re-rank the beam.
 
-Both return metric-true distances after the re-rank (unless
-``manifold_rerank=False``, the tangent-only diagnostic mode the ANN
-bench uses to isolate the mixed-curvature twist), so they compose with
-:class:`~repro.retrieval.backend.ShardedBackend` via
+Both follow one numeric rule: **prune in float32, re-rank in float64.**
+Tangent distances only decide which candidates survive, so they are
+computed with the norm trick on float32 shadow copies (IVF's grouped
+list matrix, NSW's beam expansions and widening hops); the survivors
+are then re-scored in float64 by :func:`candidate_dist`.  Both
+therefore return metric-true float64 distances, except with
+``manifold_rerank=False`` (the tangent-only diagnostic mode the ANN
+bench uses to isolate the mixed-curvature twist), which returns the
+float32-resolution tangent distances of the prune as float64.  They
+compose with :class:`~repro.retrieval.backend.ShardedBackend` via
 ``inner_backend="ivf"`` / ``"nsw"``: per-shard results merge under the
 sharded exact-top-k semantics over whatever candidates the shards
 surface, and a faulted shard degrades exactly as exact inner shards do.
@@ -102,14 +108,16 @@ def candidate_dist(space: RelationSpace, src_indices: np.ndarray,
         return out
     safe = np.where(valid, cand_ids, 0)
     src_w = space.src_weights[src_indices]                 # (B, M)
+    # the (B, R) gathers use ``np.take``: the same bytes as 2-D fancy
+    # indexing, an order of magnitude faster at these index shapes
     total = np.zeros(cand_ids.shape)
     for m, kappa in enumerate(space.kappas):
         x = space.src_embeddings[m][src_indices]           # (B, d)
-        y = space.dst_embeddings[m][safe]                  # (B, R, d)
+        y = np.take(space.dst_embeddings[m], safe, axis=0)  # (B, R, d)
         # pairwise_mobius_norm expansion on aligned rows
         inner = -np.einsum("bd,brd->br", x, y)
         x2 = space.src_norm2[m][src_indices][:, None]
-        y2 = space.dst_norm2[m][safe]
+        y2 = np.take(space.dst_norm2[m], safe)
         coeff_a = 1.0 - 2.0 * kappa * inner - kappa * y2
         coeff_b = 1.0 + kappa * x2
         denom = 1.0 - 2.0 * kappa * inner + kappa * kappa * x2 * y2
@@ -118,7 +126,7 @@ def candidate_dist(space: RelationSpace, src_indices: np.ndarray,
                              + 2.0 * coeff_a * coeff_b * inner
                              + coeff_b * coeff_b * y2, 0.0)
         norm = np.sqrt(squared) / np.abs(denom)
-        weights = src_w[:, m:m + 1] + space.dst_weights[safe, m]
+        weights = src_w[:, m:m + 1] + np.take(space.dst_weights[:, m], safe)
         total += weights * (2.0 * artan_k_numpy(norm, kappa))
     return np.where(valid, total, np.inf)
 
@@ -168,12 +176,14 @@ class IVFBackend(SearchBackend):
     Build: project every target into the concatenated tangent space,
     train a ``num_lists``-centroid k-means coarse quantiser over it
     (blocked assignment, memory bounded at any catalog size), and
-    bucket the targets into inverted lists.  Search: rank the lists by
-    centroid distance to the query's tangent vector, scan the nearest
-    ``nprobe`` lists (more when fewer than ``k`` candidates fall out —
-    every query always gets a full top-k), prune the pool to the
-    ``rerank_k`` tangent-nearest and re-rank those with the true
-    attention-weighted geodesic metric.
+    bucket the targets into inverted lists, stored as one float32
+    matrix grouped by list.  Search: rank the lists by centroid
+    distance to the query's tangent vector, scan the nearest ``nprobe``
+    lists (more when fewer than ``k`` candidates fall out — every query
+    always gets a full top-k) into a pool of float32 tangent distances
+    tagged with their list, prune the pool to the ``rerank_k``
+    tangent-nearest, resolve only those survivors' ids and re-rank
+    them in float64 with the true attention-weighted geodesic metric.
 
     Dials: ``nprobe`` trades recall for scan fraction, ``rerank_k``
     bounds the exact-metric work per query (0 re-ranks every scanned
@@ -209,8 +219,9 @@ class IVFBackend(SearchBackend):
         self._list_sizes: Optional[np.ndarray] = None
         self._offsets: Optional[np.ndarray] = None
         self._grouped_ids: Optional[np.ndarray] = None
-        self._grouped_tangent: Optional[np.ndarray] = None
-        self._grouped_norm2: Optional[np.ndarray] = None
+        self._grouped_tangent32: Optional[np.ndarray] = None
+        self._grouped_norm2_32: Optional[np.ndarray] = None
+        self._row_tags: Optional[np.ndarray] = None
         self._dst_tangent: Optional[np.ndarray] = None
         self._src_tangent: Optional[np.ndarray] = None
         self._exact: Optional[MNNSearcher] = None
@@ -234,14 +245,20 @@ class IVFBackend(SearchBackend):
         assign = assign_to_centroids(self._dst_tangent, self._centroids)
         counts = np.bincount(assign, minlength=self.resolved_lists)
         order = np.argsort(assign, kind="stable")   # grouped, ascending ids
-        # inverted lists as contiguous slices of one grouped tangent
-        # matrix: the scan is then one BLAS matmul per probed list
-        # instead of 3-D fancy-index gathers
+        # inverted lists as contiguous slices of one grouped float32
+        # tangent matrix: the scan is then one sgemm per probed list
+        # instead of 3-D fancy-index gathers.  float32 is enough because
+        # the scan only prunes; the re-rank recomputes in float64
         self._offsets = np.concatenate([[0], np.cumsum(counts)])
         self._grouped_ids = order.astype(np.int64)
-        self._grouped_tangent = np.ascontiguousarray(self._dst_tangent[order])
-        self._grouped_norm2 = np.sum(self._grouped_tangent ** 2, axis=1)
+        self._grouped_tangent32 = self._dst_tangent[order].astype(np.float32)
+        self._grouped_norm2_32 = np.sum(self._grouped_tangent32 ** 2, axis=1)
         self._list_sizes = counts
+        # one row's run of list tags (the smallest unsigned dtype that
+        # names every list) plus a trailing 0 for its padding
+        self._row_tags = np.append(
+            np.arange(self.resolved_lists), 0).astype(
+                np.min_scalar_type(self.resolved_lists - 1))
         return self
 
     @property
@@ -259,9 +276,9 @@ class IVFBackend(SearchBackend):
         src_indices = np.asarray(src_indices, dtype=np.int64)
         space = self.space
         k, same = self._clamp_k(space, k, exclude_self)
-        if k < 1:
-            return (np.zeros((src_indices.size, 0), dtype=np.int64),
-                    np.zeros((src_indices.size, 0)))
+        if k < 1 or src_indices.size == 0:
+            return (np.zeros((src_indices.size, max(k, 0)), dtype=np.int64),
+                    np.zeros((src_indices.size, max(k, 0))))
         if self.is_exact_dial:
             # full probe + uncapped re-rank scans every candidate under
             # the true metric — exactly the MNN search, so serve it
@@ -271,6 +288,20 @@ class IVFBackend(SearchBackend):
             return self._exact.search(src_indices, k,
                                       exclude_self=exclude_self)
         fetch = min(k + 1, space.num_targets) if same else k
+        cand, tangent_d2 = self._scan(src_indices, fetch)
+        return _rank_candidates(space, src_indices, cand, tangent_d2,
+                                k, same, self.rerank_k, self.manifold_rerank)
+
+    def _scan(self, src_indices: np.ndarray, fetch: int
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Probe, scan and prune: the survivors' ids and tangent d2.
+
+        Returns ``(B, P)`` arrays, ``P = max(rerank_k, fetch)`` capped
+        at the widest row's pool (the whole pool when ``rerank_k`` is
+        0), in the ``cand``/``tangent_d2`` form ``_rank_candidates``
+        takes.  The pool is scoped to this call, so it is freed before
+        the re-rank allocates.
+        """
         lists = self.resolved_lists
         b = src_indices.size
         q = self._src_tangent[src_indices]                 # (B, D)
@@ -288,32 +319,57 @@ class IVFBackend(SearchBackend):
         ranks = np.empty((b, lists), dtype=np.int64)
         ranks[rows[:, None], probe_order] = np.arange(lists)[None, :]
         probed = ranks < probes[:, None]                   # (B, L)
-        # a row holds its probed lists back to back, in list order
+        # a row holds its probed lists back to back, in list order;
+        # starts[r, l] is the column where list l begins in row r
         sizes = np.where(probed, self._list_sizes[None, :], 0)
         ends = np.cumsum(sizes, axis=1)
+        starts = ends - sizes
         width = max(int(ends[:, -1].max()), 1)
-        cand = np.zeros((b, width), dtype=np.int64)
-        tangent_d2 = np.full((b, width), np.inf)
-        cand_flat, d2_flat = cand.ravel(), tangent_d2.ravel()   # views
-        # flat position where each (query row, list) block starts
-        starts = ends - sizes + (rows * width)[:, None]
-        q_m2 = -2.0 * q
+        # the pool holds no ids: each slot is a float32 tangent distance
+        # plus the tag of the list it came from (padding: tag 0, d2
+        # +inf), and only the survivors of the prune get their ids back
+        # (grouped offset + column - the list's first column in that row)
+        tangent_d2 = np.full((b, width), np.inf, dtype=np.float32)
+        d2_flat = tangent_d2.ravel()                       # view
+        tag_runs = np.concatenate([sizes, width - ends[:, -1:]], axis=1)
+        tags = np.repeat(np.tile(self._row_tags, b),
+                         tag_runs.ravel()).reshape(b, width)
+        q32 = q.astype(np.float32)
+        # the scan's (row, list) pairs grouped by list, with each pair's
+        # query terms and flat pool position gathered once, so every
+        # list below reads contiguous slices
+        pair_l, pair_r = np.nonzero(probed.T)
+        bounds = np.searchsorted(pair_l, np.arange(lists + 1)).tolist()
+        pair_q = -2.0 * q32[pair_r]
+        pair_qn = np.sum(q32 * q32, axis=1)[pair_r]
+        pair_flat = starts[pair_r, pair_l] + pair_r * width
+        offsets = self._offsets.tolist()
         within = np.arange(int(self._list_sizes.max()))
-        # list-major scan: one contiguous-block BLAS matmul per probed
-        # list, scattered into each probing query's candidate row
-        # through one flat index shared by both pools
+        # list-major scan: one contiguous-block sgemm per probed list,
+        # scattered into each probing query's row of the pool
         for l in range(lists):
-            rr = np.nonzero(probed[:, l])[0]
-            lo, hi = self._offsets[l], self._offsets[l + 1]
-            if rr.size == 0 or hi == lo:
+            a, z = bounds[l], bounds[l + 1]
+            lo, hi = offsets[l], offsets[l + 1]
+            if a == z or hi == lo:
                 continue
-            flat = starts[rr, l][:, None] + within[:hi - lo]
-            cand_flat[flat] = self._grouped_ids[lo:hi]
-            block = q_m2[rr] @ self._grouped_tangent[lo:hi].T
-            block += q_norm2[rr, None] + self._grouped_norm2[lo:hi]
-            d2_flat[flat] = block
-        return _rank_candidates(space, src_indices, cand, tangent_d2,
-                                k, same, self.rerank_k, self.manifold_rerank)
+            block = pair_q[a:z] @ self._grouped_tangent32[lo:hi].T
+            block += pair_qn[a:z, None] + self._grouped_norm2_32[lo:hi]
+            d2_flat[pair_flat[a:z, None] + within[:hi - lo]] = block
+        keep_n = width
+        if self.rerank_k > 0:
+            keep_n = min(max(self.rerank_k, fetch), width)
+        cols = np.broadcast_to(np.arange(width), (b, width))
+        if keep_n < width:
+            cols = np.argpartition(tangent_d2, kth=keep_n - 1,
+                                   axis=1)[:, :keep_n]
+        keep = cols + (rows * width)[:, None]              # flat
+        kept_d2 = np.take(tangent_d2, keep)
+        kept_tag = np.take(tags, keep)
+        grouped = (np.take(self._offsets, kept_tag) + cols
+                   - np.take(starts, kept_tag + (rows * lists)[:, None]))
+        cand = np.take(self._grouped_ids,
+                       np.where(kept_d2 < np.inf, grouped, 0))
+        return cand, kept_d2.astype(np.float64)
 
 
 class NSWBackend(SearchBackend):

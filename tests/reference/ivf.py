@@ -1,10 +1,12 @@
 """IVF pruned search one query at a time, from the build's own lists.
 
-The semantic baseline ``IVFBackend.search`` (list-major BLAS scan,
-flat-index scatter, shared prune → re-rank tail) is asserted against:
-per query, rank the lists by centroid distance, take the probed lists'
-members in list order, keep the tangent-nearest ``rerank_k`` and sort
-them by the true metric through ``RelationSpace.pair_distance``.
+The semantic baseline ``IVFBackend.search`` (list-major float32 scan
+into a list-tagged pool, ids resolved for the survivors only, shared
+re-rank tail) is asserted against: per query, rank the lists by
+centroid distance, take the probed lists' members in list order, keep
+the ``rerank_k`` nearest under the same float32 norm-trick tangent
+distance and sort them by the true metric through
+``RelationSpace.pair_distance``.
 """
 
 from typing import Tuple
@@ -33,7 +35,11 @@ def ivf_search_looped(backend: IVFBackend, src_indices, k: int,
             backend._grouped_ids[backend._offsets[l]:backend._offsets[l + 1]]
             for l in sorted(order[:probes])])
         if backend.rerank_k > 0:
-            d2 = ((backend._dst_tangent[pool] - q) ** 2).sum(axis=1)
+            # the scan's float32 norm-trick distance
+            q32 = q.astype(np.float32)
+            t32 = backend._dst_tangent[pool].astype(np.float32)
+            d2 = t32 @ (-2.0 * q32) + (np.sum(q32 * q32)
+                                       + np.sum(t32 * t32, axis=1))
             keep = max(backend.rerank_k, fetch)
             pool = pool[np.argsort(d2, kind="stable")[:keep]]
         if same:

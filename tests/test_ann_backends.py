@@ -8,6 +8,8 @@ ShardedBackend including degraded search under injected shard faults,
 and IndexSet build/persist round-trips that carry the backend dials.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,81 @@ class TestNSWBackend:
     def test_search_before_build_raises(self):
         with pytest.raises(RuntimeError):
             NSWBackend().search(SRC, k=3)
+
+
+#: dials that make each registered backend prune (not the exact dial)
+_REGISTRY_KWARGS = {"ivf": {"num_lists": 16, "nprobe": 4, "rerank_k": 40},
+                    "nsw": {"rerank_k": 40}}
+
+
+class TestEveryRegisteredBackend:
+    @pytest.fixture(scope="class")
+    def batch_space(self):
+        rng = np.random.default_rng(7)
+        points = [0.3 * rng.standard_normal((300, 4)) for _ in range(2)]
+        weights = rng.uniform(0.4, 0.6, size=(300, 2))
+        return RelationSpace(relation=Relation.Q2Q, src_embeddings=points,
+                             dst_embeddings=points, src_weights=weights,
+                             dst_weights=weights, kappas=[-0.5, 0.4])
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_empty_source_batch(self, space, name):
+        backend = make_backend(name, **_REGISTRY_KWARGS.get(name, {}))
+        ids, dists = backend.build(space).search(
+            np.array([], dtype=np.int64), 7)
+        assert ids.shape == dists.shape == (0, 7)
+        assert ids.dtype == np.int64 and dists.dtype == np.float64
+
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_key_alone_matches_its_row_in_a_batch(self, batch_space, name,
+                                                  exclude_self):
+        """A key's result does not depend on the batch it is searched in.
+
+        The exact scorers (``exact`` and ``sharded`` over exact shards)
+        take their final distances from a BLAS matmul, whose rounding
+        depends on the row count (OpenBLAS picks gemv for one row and
+        shape-dependent gemm kernels otherwise), so only their ids are
+        held bit for bit (a key's distance to itself is the square root
+        of a rounding residue, ~1e-8, hence the absolute tolerance).
+        IVF and NSW use BLAS only to prune and re-rank element-wise,
+        and PQ sums table lookups.
+        """
+        backend = make_backend(
+            name, **_REGISTRY_KWARGS.get(name, {})).build(batch_space)
+        keys = np.arange(256)
+        ids, dists = backend.search(keys, 10, exclude_self=exclude_self)
+        for key in keys:
+            one_ids, one_dists = backend.search(keys[key:key + 1], 10,
+                                                exclude_self=exclude_self)
+            assert np.array_equal(one_ids[0], ids[key])
+            if name in ("exact", "sharded"):
+                assert np.allclose(one_dists[0], dists[key],
+                                   rtol=1e-12, atol=1e-7)
+            else:
+                assert np.array_equal(one_dists[0], dists[key])
+
+
+class TestIVFSearchMemory:
+    #: tracemalloc peak of one 256-key search below, in bytes: 0.75x the
+    #: 9 222 966 bytes of the int64-id / float64-distance pool it
+    #: replaced (the float32 tagged pool measures ~6.0 MB)
+    PEAK_BYTES = 6_917_000
+
+    def test_256_key_search_peak_under_bound(self):
+        space = _space(num_sources=256, num_targets=3600, dim=4, seed=0)
+        backend = IVFBackend(nprobe=16, rerank_k=80).build(space)
+        keys = np.arange(256)
+        backend.search(keys, 20)   # fills the space's cached norms
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            backend.search(keys, 20)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert backend.resolved_lists == 60
+        assert peak <= self.PEAK_BYTES
 
 
 class TestShardedComposition:
