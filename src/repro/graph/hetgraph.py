@@ -10,7 +10,7 @@ encoder's typed neighbour aggregation (paper Eq. 5).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class _CSR:
         indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         return cls(indptr, dst.astype(np.int64), weights.astype(np.float64))
 
-    def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
@@ -102,7 +98,6 @@ class HetGraph:
         self.category_tree = category_tree
         self._adj: Dict[AdjKey, _CSR] = {}
         self._merged: Dict[Tuple[NodeType, NodeType], _CSR] = {}
-        self._by_category: Dict[NodeType, Dict[int, np.ndarray]] = {}
         self._alias: Dict[AdjKey, CSRAliasTables] = {}
         self._pools: Dict[NodeType, CategoryPools] = {}
         for node_type, cats in self.categories.items():
@@ -179,27 +174,6 @@ class HetGraph:
                 continue
             total += csr.nnz
         return total
-
-    def neighbors(self, node_type: NodeType, index: int,
-                  edge_type: Optional[EdgeType] = None,
-                  dst_type: Optional[NodeType] = None
-                  ) -> Tuple[np.ndarray, np.ndarray, List[NodeType]]:
-        """Neighbour ids, weights and their types for one node."""
-        ids, weights, types = [], [], []
-        for (s, e, d), csr in self._adj.items():
-            if s != node_type:
-                continue
-            if edge_type is not None and e != edge_type:
-                continue
-            if dst_type is not None and d != dst_type:
-                continue
-            row_ids, row_w = csr.row(index)
-            ids.append(row_ids)
-            weights.append(row_w)
-            types.extend([d] * row_ids.size)
-        if not ids:
-            return (np.empty(0, dtype=np.int64), np.empty(0), [])
-        return np.concatenate(ids), np.concatenate(weights), types
 
     def _merged_csr(self, src_type: NodeType, dst_type: NodeType) -> _CSR:
         """Union of all edge types between two node types (cached)."""
@@ -308,21 +282,6 @@ class HetGraph:
                 continue
             total += np.diff(csr.indptr)
         return total
-
-    def nodes_in_category(self, node_type: NodeType, category: int) -> np.ndarray:
-        """Node ids of a type belonging to a category (cached)."""
-        by_cat = self._by_category.get(node_type)
-        if by_cat is None:
-            cats = self.categories[node_type]
-            by_cat = {}
-            order = np.argsort(cats, kind="stable")
-            sorted_cats = cats[order]
-            boundaries = np.flatnonzero(np.diff(sorted_cats)) + 1
-            for chunk in np.split(order, boundaries):
-                if chunk.size:
-                    by_cat[int(cats[chunk[0]])] = chunk
-            self._by_category[node_type] = by_cat
-        return by_cat.get(int(category), np.empty(0, dtype=np.int64))
 
     def stats(self) -> Dict[str, int]:
         """Node/edge counts in the shape of paper Table V."""

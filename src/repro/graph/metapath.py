@@ -7,17 +7,22 @@ must share a category (paper: "we also require the sampled positive
 node pairs to be in the same category"); for queries whose category is
 an internal tree node, "same" means one category lies on the other's
 root path.
+
+Walks run in blocks: every walk of a meta-path advances one level per
+batched alias draw, and the pairs come out as relation-homogeneous
+:class:`PairBlock` index arrays.  The per-walk reference this plane is
+tested against lives in ``tests/reference/sampling.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.hetgraph import HetGraph
-from repro.graph.schema import EdgeType, NodeRef, NodeType, Relation, relation_of
+from repro.graph.schema import EdgeType, NodeType, Relation, relation_of
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,22 +60,17 @@ TABLE_III_META_PATHS: Tuple[MetaPath, ...] = (
               (EdgeType.CO_BID, NodeType.AD))),
 )
 
-
-@dataclasses.dataclass(frozen=True)
-class PositivePair:
-    """A positive training pair with its relation label."""
-
-    source: NodeRef
-    target: NodeRef
-    relation: Relation
+#: consecutive walk rounds without a single pair before a consumer of
+#: the walker gives up (a walker that cannot produce pairs would
+#: otherwise spin forever)
+MAX_EMPTY_ROUNDS = 64
 
 
 @dataclasses.dataclass
 class PairBlock:
-    """Positive pairs of one relation as aligned index arrays.
+    """Positive pairs ``<src, dst>`` of one relation as aligned arrays.
 
-    The struct-of-arrays twin of a ``List[PositivePair]``: the batched
-    walker emits these, the batched negative sampler consumes them.
+    The walker emits these; the negative sampler consumes them.
     """
 
     relation: Relation
@@ -79,14 +79,6 @@ class PairBlock:
 
     def __len__(self) -> int:
         return int(self.src_idx.size)
-
-    def to_pairs(self) -> List[PositivePair]:
-        """Materialise :class:`PositivePair` objects (tests / interop)."""
-        src_type = self.relation.source_type
-        dst_type = self.relation.target_type
-        return [PositivePair(NodeRef(src_type, int(s)),
-                             NodeRef(dst_type, int(d)), self.relation)
-                for s, d in zip(self.src_idx, self.dst_idx)]
 
 
 class MetaPathWalker:
@@ -108,92 +100,6 @@ class MetaPathWalker:
         self.graph = graph
         self.meta_paths = tuple(meta_paths or TABLE_III_META_PATHS)
         self.enforce_category = enforce_category
-        # start-node pools: nodes with at least one edge of the first step
-        self._start_pools = {}
-        for path in self.meta_paths:
-            degree = np.zeros(graph.num_nodes[path.start], dtype=np.int64)
-            edge_type, dst_type = path.steps[0]
-            for (s, e, d), csr in graph._adj.items():
-                if s == path.start and e == edge_type and d == dst_type:
-                    degree += np.diff(csr.indptr)
-            self._start_pools[path.name] = np.flatnonzero(degree > 0)
-
-    def _same_category(self, a: NodeRef, b: NodeRef) -> bool:
-        tree = self.graph.category_tree
-        cat_a = int(self.graph.categories[a.node_type][a.index])
-        cat_b = int(self.graph.categories[b.node_type][b.index])
-        if cat_a == cat_b:
-            return True
-        lca = tree.lowest_common_ancestor(cat_a, cat_b)
-        return lca == cat_a or lca == cat_b
-
-    def _step(self, rng: np.random.Generator, node_type: NodeType, index: int,
-              edge_type: EdgeType, dst_type: NodeType) -> Optional[int]:
-        ids, weights, _ = self.graph.neighbors(node_type, index,
-                                               edge_type=edge_type,
-                                               dst_type=dst_type)
-        if ids.size == 0:
-            return None
-        probs = weights / weights.sum()
-        return int(rng.choice(ids, p=probs))
-
-    def walk(self, rng: np.random.Generator, path: MetaPath,
-             start: Optional[int] = None) -> Optional[List[NodeRef]]:
-        """One walk along ``path``; None if it dead-ends or has no start."""
-        pool = self._start_pools[path.name]
-        if start is None:
-            if pool.size == 0:
-                return None
-            start = int(pool[rng.integers(pool.size)])
-        trail = [NodeRef(path.start, start)]
-        current_type, current = path.start, start
-        for edge_type, dst_type in path.steps:
-            nxt = self._step(rng, current_type, current, edge_type, dst_type)
-            if nxt is None:
-                return None
-            trail.append(NodeRef(dst_type, nxt))
-            current_type, current = dst_type, nxt
-        return trail
-
-    def extract_pairs(self, trail: List[NodeRef]) -> List[PositivePair]:
-        """Sliding-window positives anchored at the walk start (Table III)."""
-        pairs = []
-        anchor = trail[0]
-        for node in trail[1:]:
-            if node == anchor:
-                continue
-            if self.enforce_category and not self._same_category(anchor, node):
-                continue
-            try:
-                relation = relation_of(anchor.node_type, node.node_type)
-            except (KeyError, ValueError):
-                continue
-            pairs.append(PositivePair(anchor, node, relation))
-        return pairs
-
-    def sample_pairs(self, rng: np.random.Generator,
-                     num_walks: int) -> List[PositivePair]:
-        """Run ``num_walks`` walks, cycling meta-paths, collecting pairs."""
-        pairs: List[PositivePair] = []
-        for i in range(num_walks):
-            path = self.meta_paths[i % len(self.meta_paths)]
-            trail = self.walk(rng, path)
-            if trail is not None:
-                pairs.extend(self.extract_pairs(trail))
-        return pairs
-
-    def iter_pairs(self, rng: np.random.Generator) -> Iterator[PositivePair]:
-        """Endless stream of positive pairs."""
-        i = 0
-        while True:
-            path = self.meta_paths[i % len(self.meta_paths)]
-            i += 1
-            trail = self.walk(rng, path)
-            if trail is None:
-                continue
-            yield from self.extract_pairs(trail)
-
-    # -- batched plane ------------------------------------------------------
 
     def _tables_for(self, path: MetaPath):
         """Alias tables per step of a path.
@@ -216,11 +122,15 @@ class MetaPathWalker:
 
         Returns ``(levels, alive)``: ``levels[l]`` holds the node index
         of every walk at level ``l`` and ``alive`` marks walks that
-        completed all steps.  Dead-ended walks are discarded whole,
-        matching the looped :meth:`walk` returning ``None``.
+        completed all steps.  Dead-ended walks are discarded whole.
+        Without ``starts``, walks start uniformly at the nodes that have
+        an edge of the first step, read from the same alias tables the
+        walk draws from, so edges added after construction count.
         """
+        tables = self._tables_for(path)
         if starts is None:
-            pool = self._start_pools[path.name]
+            pool = (np.flatnonzero(tables[0].lens > 0) if tables[0] is not None
+                    else np.empty(0, dtype=np.int64))
             if pool.size == 0:
                 dead = np.full(size, -1, dtype=np.int64)
                 return ([dead] * (path.length + 1),
@@ -231,7 +141,7 @@ class MetaPathWalker:
         levels = [starts]
         alive = np.ones(starts.size, dtype=bool)
         current = starts
-        for table in self._tables_for(path):
+        for table in tables:
             if table is None:
                 nxt = np.full(current.size, -1, dtype=np.int64)
             else:
@@ -244,7 +154,13 @@ class MetaPathWalker:
 
     def extract_pair_blocks(self, path: MetaPath, levels: List[np.ndarray],
                             alive: np.ndarray) -> List[PairBlock]:
-        """Vectorised :meth:`extract_pairs` over a batch of walks."""
+        """Sliding-window positives anchored at each walk's start.
+
+        Level ``l`` pairs with the anchor unless the walk died, the
+        level repeats the anchor, the two types have no relation, or
+        (with ``enforce_category``) the two categories are not on one
+        root path.
+        """
         blocks: List[PairBlock] = []
         if not alive.any():
             return blocks
@@ -276,12 +192,11 @@ class MetaPathWalker:
 
     def sample_pair_blocks(self, rng: np.random.Generator,
                            num_walks: int) -> List[PairBlock]:
-        """Batched :meth:`sample_pairs`: walks split across meta-paths.
+        """``num_walks`` walks split across meta-paths, as pair blocks.
 
-        Each path gets the same share it would get from the looped
-        cycling order, but all its walks advance together — one alias
-        draw and one dead-end mask per level instead of one
-        ``rng.choice`` per node.
+        Path ``i`` gets the share it would get from cycling the paths
+        walk by walk, and all its walks advance together: one alias
+        draw and one dead-end mask per level.
         """
         num_paths = len(self.meta_paths)
         blocks: List[PairBlock] = []
@@ -293,11 +208,3 @@ class MetaPathWalker:
             levels, alive = self.walk_batch(rng, path, share)
             blocks.extend(self.extract_pair_blocks(path, levels, alive))
         return blocks
-
-    def sample_pairs_batched(self, rng: np.random.Generator,
-                             num_walks: int) -> List[PositivePair]:
-        """:meth:`sample_pairs` through the batched plane (parity helper)."""
-        pairs: List[PositivePair] = []
-        for block in self.sample_pair_blocks(rng, num_walks):
-            pairs.extend(block.to_pairs())
-        return pairs

@@ -7,48 +7,33 @@ Given a positive pair, negatives are nodes of the *target* type:
 - **easy** negatives come from other categories.
 
 The paper uses K = 6 negatives per positive at an easy:hard ratio of
-2:1, sampled by the alias method for O(1) draws (§V-A).  Two
-implementations live here: the looped reference (``sample`` /
-``sample_batch``, one pair at a time) and the array-native plane
-(``sample_arrays``), which draws a whole relation-homogeneous batch
-with oversample-and-mask rejection for easy negatives and one indexed
-gather into per-category pools for hard ones, producing a
-:class:`SampleBatch` instead of a list of dataclasses.
+2:1, sampled by the alias method for O(1) draws (§V-A).
+:meth:`NegativeSampler.sample_arrays` draws a whole relation-homogeneous
+batch at once — oversample-and-mask rejection for easy negatives, one
+indexed gather into per-category pools for hard ones — and returns a
+:class:`SampleBatch`.  The per-pair reference it is tested against
+lives in ``tests/reference/sampling.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict
 
 import numpy as np
 
 from repro.graph.alias import AliasSampler
 from repro.graph.hetgraph import HetGraph
-from repro.graph.metapath import PositivePair
-from repro.graph.schema import NodeRef, NodeType, Relation
-
-
-@dataclasses.dataclass
-class TrainingSample:
-    """``<x_src, x_pos, {x_neg_i}>`` with the relation label (paper §IV-B-3)."""
-
-    source: NodeRef
-    positive: NodeRef
-    negatives: List[NodeRef]
-    relation: Relation
+from repro.graph.schema import NodeType, Relation
 
 
 @dataclasses.dataclass
 class SampleBatch:
     """A relation-homogeneous training batch as aligned index arrays.
 
-    The struct-of-arrays twin of ``List[TrainingSample]`` and the data
-    contract between the sampling plane and ``AMCAD.loss``:
+    The data contract between the samplers and ``AMCAD.loss``:
     ``src_idx``/``pos_idx`` are ``(B,)`` node indices, ``neg_idx`` is
-    ``(B, K)``, and every node is typed by ``relation``.  Iterating a
-    batch yields :class:`TrainingSample` views, so reference-path
-    consumers keep working.
+    ``(B, K)``, and every node is typed by ``relation``.
     """
 
     relation: Relation
@@ -73,41 +58,6 @@ class SampleBatch:
     def num_negatives(self) -> int:
         return int(self.neg_idx.shape[1])
 
-    def __iter__(self) -> Iterator[TrainingSample]:
-        src_type = self.relation.source_type
-        tgt_type = self.relation.target_type
-        for s, p, negs in zip(self.src_idx, self.pos_idx, self.neg_idx):
-            yield TrainingSample(
-                source=NodeRef(src_type, int(s)),
-                positive=NodeRef(tgt_type, int(p)),
-                negatives=[NodeRef(tgt_type, int(n)) for n in negs],
-                relation=self.relation)
-
-
-def as_sample_batches(
-        samples: Union["SampleBatch", Sequence[TrainingSample]]
-) -> List[SampleBatch]:
-    """Normalise a loss input to relation-homogeneous batches.
-
-    A :class:`SampleBatch` passes through; a sequence of
-    :class:`TrainingSample` is grouped per relation in first-seen
-    order, exactly as the looped loss did.
-    """
-    if isinstance(samples, SampleBatch):
-        return [samples]
-    by_relation: Dict[Relation, List[TrainingSample]] = {}
-    for sample in samples:
-        by_relation.setdefault(sample.relation, []).append(sample)
-    batches = []
-    for relation, group in by_relation.items():
-        batches.append(SampleBatch(
-            relation=relation,
-            src_idx=np.array([s.source.index for s in group]),
-            pos_idx=np.array([s.positive.index for s in group]),
-            neg_idx=np.array([[n.index for n in s.negatives]
-                              for s in group])))
-    return batches
-
 
 class NegativeSampler:
     """Samples hard and easy negatives for positive pairs.
@@ -127,13 +77,12 @@ class NegativeSampler:
     """
 
     #: rejection-round cap for easy draws landing in the positive's
-    #: category (matches the looped path's ``50 * count`` attempt cap)
+    #: category (a single-category graph keeps its last draws)
     MAX_REJECTION_ROUNDS = 50
 
     def __init__(self, graph: HetGraph, num_negatives: int = 6,
                  easy_ratio: float = 2.0 / 3.0,
-                 degree_smoothing: float = 0.75,
-                 seed: Optional[int] = None):
+                 degree_smoothing: float = 0.75):
         if num_negatives < 1:
             raise ValueError("need at least one negative sample")
         easy_ratio = float(easy_ratio)
@@ -164,54 +113,6 @@ class NegativeSampler:
         n_easy = int(round(self.num_negatives * self.easy_ratio))
         return n_easy, self.num_negatives - n_easy
 
-    # -- looped reference ---------------------------------------------------
-
-    def _sample_easy(self, rng: np.random.Generator, node_type: NodeType,
-                     category: int, count: int) -> List[int]:
-        """Degree-weighted draws outside the positive's category."""
-        sampler = self._global_samplers[node_type]
-        cats = self.graph.categories[node_type]
-        out: List[int] = []
-        attempts = 0
-        while len(out) < count and attempts < 50 * count:
-            idx = int(sampler.sample(rng))
-            attempts += 1
-            if int(cats[idx]) != category:
-                out.append(idx)
-        while len(out) < count:  # degenerate single-category graphs
-            out.append(int(sampler.sample(rng)))
-        return out
-
-    def _sample_hard(self, rng: np.random.Generator, node_type: NodeType,
-                     category: int, exclude: int, count: int) -> List[int]:
-        """Uniform draws inside the positive's category, excluding it."""
-        pool = self.graph.nodes_in_category(node_type, category)
-        pool = pool[pool != exclude]
-        if pool.size == 0:
-            return self._sample_easy(rng, node_type, -1, count)
-        picks = rng.integers(pool.size, size=count)
-        return [int(pool[p]) for p in picks]
-
-    def sample(self, rng: np.random.Generator,
-               pair: PositivePair) -> TrainingSample:
-        """Attach K negatives to a positive pair."""
-        target_type = pair.target.node_type
-        category = int(self.graph.categories[target_type][pair.target.index])
-        n_easy, n_hard = self._split
-        negatives = [NodeRef(target_type, idx) for idx in
-                     self._sample_easy(rng, target_type, category, n_easy)]
-        negatives += [NodeRef(target_type, idx) for idx in
-                      self._sample_hard(rng, target_type, category,
-                                        pair.target.index, n_hard)]
-        return TrainingSample(source=pair.source, positive=pair.target,
-                              negatives=negatives, relation=pair.relation)
-
-    def sample_batch(self, rng: np.random.Generator,
-                     pairs: Sequence[PositivePair]) -> List[TrainingSample]:
-        return [self.sample(rng, pair) for pair in pairs]
-
-    # -- array-native plane -------------------------------------------------
-
     def sample_arrays(self, rng: np.random.Generator, relation: Relation,
                       src_idx: np.ndarray,
                       pos_idx: np.ndarray) -> SampleBatch:
@@ -220,7 +121,7 @@ class NegativeSampler:
         Easy negatives: draw from the degree-smoothed alias table, then
         redraw only the entries that landed in their positive's
         category (oversample-and-mask rejection; degenerate graphs keep
-        the last draws, as the looped path does).  Hard negatives: one
+        the last draws).  Hard negatives: one
         ``rng.random`` block indexed into the per-category pools, with
         the positive excluded by rank shifting.
         """

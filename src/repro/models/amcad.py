@@ -31,7 +31,7 @@ from repro.geometry.manifold import UnifiedManifold
 from repro.geometry.product import ProductManifold
 from repro.geometry.stereographic import fermi_dirac
 from repro.graph.hetgraph import HetGraph
-from repro.graph.sampling import SampleBatch, TrainingSample, as_sample_batches
+from repro.graph.sampling import SampleBatch
 from repro.graph.schema import NodeType, Relation
 from repro.models.encoder import NodeEncoder
 from repro.models.plan import (
@@ -246,14 +246,15 @@ class AMCAD:
         neg_points = [ops.gather(p, inv_tgt[batch:]) for p in points]
         return src_points, pos_points, neg_points
 
-    def loss(self, samples: Union[SampleBatch, Sequence[TrainingSample]],
+    def loss(self, samples: Union[SampleBatch, Sequence[SampleBatch]],
              rng: Optional[np.random.Generator] = None,
              plans: Optional[Dict[NodeType, EncodePlan]] = None) -> Tensor:
         """Triplet loss over a batch (paper Eq. 15 + Eq. 16 regulariser).
 
-        Accepts a :class:`SampleBatch` from the array-native sampling
-        plane directly, or a sequence of :class:`TrainingSample` from
-        the per-pair graph API (grouped per relation).  The
+        Accepts one :class:`SampleBatch` or a sequence of them.  Each
+        batch is one relation group; the loss is the summed hinge of
+        every group over the total number of negatives, so an empty
+        sequence gives 0.  Per group, the
         ``src``/``pos``/``neg`` index sets are merged into one
         deduplicated encode per endpoint role and the rows are gathered
         back out.  ``plans`` optionally supplies pre-built
@@ -270,7 +271,8 @@ class AMCAD:
         total = None
         count = 0
 
-        for group in as_sample_batches(samples):
+        groups = [samples] if isinstance(samples, SampleBatch) else samples
+        for group in groups:
             relation = group.relation
             src_idx = group.src_idx
             pos_idx = group.pos_idx

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.graph.alias import AliasSampler, CSRAliasTables
 from repro.graph.hetgraph import HetGraph
-from repro.graph.metapath import MetaPathWalker
+from repro.graph.metapath import MAX_EMPTY_ROUNDS, MetaPathWalker
 from repro.graph.schema import NodeType
 
 
@@ -225,7 +225,8 @@ class MetapathPairGenerator:
 
     Runs on the walker's batched plane: blocks of walks advance with
     vectorised alias draws and the typed pairs are mapped into the
-    global id space array-wise.
+    global id space array-wise.  ``MAX_EMPTY_ROUNDS`` blocks in a row
+    without a pair raise ``RuntimeError``, as in the trainer.
     """
 
     BLOCK_WALKS = 120
@@ -237,8 +238,13 @@ class MetapathPairGenerator:
 
     def pairs(self, num_pairs: int) -> Iterator[Tuple[int, int]]:
         produced = 0
+        empty_rounds = 0
         while produced < num_pairs:
             blocks = self.walker.sample_pair_blocks(self.rng, self.BLOCK_WALKS)
+            empty_rounds = 0 if blocks else empty_rounds + 1
+            if empty_rounds == MAX_EMPTY_ROUNDS:
+                raise RuntimeError("meta-path walker produced no pairs in "
+                                   "%d walk rounds" % MAX_EMPTY_ROUNDS)
             for block in blocks:
                 src = self.ids.to_global(block.relation.source_type,
                                          block.src_idx)

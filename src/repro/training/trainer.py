@@ -39,16 +39,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.common import atomic_savez, drop_retired_planes
-from repro.graph.metapath import MetaPathWalker
+from repro.graph.metapath import MAX_EMPTY_ROUNDS, MetaPathWalker
 from repro.graph.sampling import NegativeSampler, SampleBatch
 from repro.graph.schema import Relation
 from repro.models.amcad import AMCAD
 from repro.models.plan import NeighborDrawCache
 from repro.training.optim import AdaGrad
-
-#: consecutive walk rounds without a single pair before the sampler
-#: gives up (a walker that cannot produce pairs would otherwise spin)
-MAX_EMPTY_ROUNDS = 64
 
 
 @dataclasses.dataclass
@@ -200,8 +196,8 @@ class Trainer:
         refill advances ``_walks_per_round`` walks per meta-path level
         with batched alias draws, and the returned batch is a
         :class:`SampleBatch` ready for the vectorised negative sampler
-        and loss.  :data:`MAX_EMPTY_ROUNDS` refills in a row without a
-        pair raise ``RuntimeError``.
+        and loss.  :data:`~repro.graph.metapath.MAX_EMPTY_ROUNDS` refills
+        in a row without a pair raise ``RuntimeError``.
         """
         target = self.config.batch_size
         empty_rounds = 0

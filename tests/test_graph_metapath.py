@@ -11,6 +11,7 @@ from repro.graph import (
     TABLE_III_META_PATHS,
 )
 from repro.graph.schema import EdgeType, NodeRef, relation_of
+from reference.sampling import neighbors
 
 
 class TestSchemaHelpers:
@@ -48,74 +49,85 @@ class TestWalker:
     def walker(self, train_graph):
         return MetaPathWalker(train_graph)
 
-    def test_walk_follows_types(self, walker, rng):
+    @pytest.fixture(scope="class")
+    def blocks(self, walker):
+        return walker.sample_pair_blocks(np.random.default_rng(9), 3000)
+
+    def test_walk_follows_types(self, walker, train_graph, rng):
         path = TABLE_III_META_PATHS[1]  # q -click-> i -co_click-> i
-        for _ in range(20):
-            trail = walker.walk(rng, path)
-            if trail is None:
-                continue
-            assert trail[0].node_type == NodeType.QUERY
-            assert trail[1].node_type == NodeType.ITEM
-            assert trail[2].node_type == NodeType.ITEM
-            return
-        pytest.skip("graph too sparse for this meta-path")
+        levels, alive = walker.walk_batch(rng, path, 40)
+        assert alive.any()
+        types = [path.start] + [dst_type for _edge, dst_type in path.steps]
+        assert len(levels) == len(types) == 3
+        for level, node_type in zip(levels, types):
+            assert np.all((level[alive] >= 0)
+                          & (level[alive] < train_graph.num_nodes[node_type]))
 
     def test_walk_steps_are_edges(self, walker, train_graph, rng):
+        """Walks from explicit ``starts`` follow the path's edges."""
         path = TABLE_III_META_PATHS[1]
-        trail = None
-        for _ in range(50):
-            trail = walker.walk(rng, path)
-            if trail is not None:
-                break
-        assert trail is not None
-        for (step, (edge_type, dst_type)) in zip(
-                range(len(trail) - 1), path.steps):
-            src = trail[step]
-            dst = trail[step + 1]
-            ids, __w, __t = train_graph.neighbors(
-                src.node_type, src.index, edge_type=edge_type,
-                dst_type=dst_type)
-            assert dst.index in ids.tolist()
+        starts = np.arange(train_graph.num_nodes[NodeType.QUERY])
+        levels, alive = walker.walk_batch(rng, path, starts.size,
+                                          starts=starts)
+        assert alive.any()
+        np.testing.assert_array_equal(levels[0], starts)
+        current_type = path.start
+        for level_from, level_to, (edge_type, dst_type) in zip(
+                levels, levels[1:], path.steps):
+            for src, dst in list(zip(level_from[alive],
+                                     level_to[alive]))[:25]:
+                ids, __w, __t = neighbors(train_graph, current_type, int(src),
+                                          edge_type=edge_type,
+                                          dst_type=dst_type)
+                assert int(dst) in ids.tolist()
+            current_type = dst_type
 
-    def test_pairs_have_correct_relations(self, walker, rng):
-        pairs = walker.sample_pairs(rng, 200)
-        assert pairs
-        for pair in pairs:
-            assert pair.relation == relation_of(pair.source.node_type,
-                                                pair.target.node_type)
+    def test_pairs_have_correct_relations(self, train_graph, blocks):
+        assert blocks
+        for block in blocks:
+            relation = block.relation
+            assert relation == relation_of(relation.source_type,
+                                           relation.target_type)
+            assert block.src_idx.max() < train_graph.num_nodes[
+                relation.source_type]
+            assert block.dst_idx.max() < train_graph.num_nodes[
+                relation.target_type]
 
-    def test_pairs_share_category(self, walker, train_graph, rng):
+    def test_pairs_share_category(self, train_graph, blocks):
         tree = train_graph.category_tree
-        pairs = walker.sample_pairs(rng, 200)
-        for pair in pairs:
-            cat_s = int(train_graph.categories[pair.source.node_type]
-                        [pair.source.index])
-            cat_t = int(train_graph.categories[pair.target.node_type]
-                        [pair.target.index])
-            lca = tree.lowest_common_ancestor(cat_s, cat_t)
-            assert lca in (cat_s, cat_t)
+        for block in blocks:
+            relation = block.relation
+            for s, t in zip(block.src_idx[:40], block.dst_idx[:40]):
+                cat_s = int(train_graph.categories[relation.source_type][s])
+                cat_t = int(train_graph.categories[relation.target_type][t])
+                lca = tree.lowest_common_ancestor(cat_s, cat_t)
+                assert lca in (cat_s, cat_t)
 
-    def test_category_constraint_can_be_disabled(self, train_graph, rng):
-        walker = MetaPathWalker(train_graph, enforce_category=False)
-        pairs = walker.sample_pairs(rng, 100)
-        assert pairs  # may include cross-category pairs; just runs
+    def test_category_constraint_can_be_disabled(self, train_graph):
+        """The filter draws nothing, so the same seed walks the same
+        walks and the unfiltered blocks hold at least as many pairs."""
+        def count(enforce):
+            walker = MetaPathWalker(train_graph, enforce_category=enforce)
+            return sum(len(b) for b in walker.sample_pair_blocks(
+                np.random.default_rng(4), 600))
 
-    def test_iter_pairs_is_endless(self, walker, rng):
-        stream = walker.iter_pairs(rng)
-        collected = [next(stream) for _ in range(300)]
-        assert len(collected) == 300
+        assert count(False) >= count(True) > 0
 
     def test_unreachable_metapath_returns_none(self, train_graph, rng):
-        # a meta-path needing ad->ad co_click, which the builder never makes
-        impossible = MetaPath("bad", NodeType.AD,
-                              ((EdgeType.CO_CLICK, NodeType.AD),
-                               (EdgeType.CO_CLICK, NodeType.AD)))
-        walker = MetaPathWalker(train_graph, meta_paths=[impossible])
-        results = [walker.walk(rng, impossible) for _ in range(10)]
-        # either no start pool or dead-ends quickly; never crashes
-        assert all(r is None or len(r) == 3 for r in results)
+        # a meta-path over ad->ad co_click edges, which most ads lack
+        sparse = MetaPath("bad", NodeType.AD,
+                          ((EdgeType.CO_CLICK, NodeType.AD),
+                           (EdgeType.CO_CLICK, NodeType.AD)))
+        walker = MetaPathWalker(train_graph, meta_paths=[sparse])
+        starts = np.arange(train_graph.num_nodes[NodeType.AD])
+        levels, alive = walker.walk_batch(rng, sparse, starts.size,
+                                          starts=starts)
+        # dead-ended walks are marked, not crashed on
+        assert not alive.all()
+        assert len(levels) == 3
+        assert np.all(levels[-1][~alive] == -1)
+        walker.sample_pair_blocks(rng, 10)
 
-    def test_pair_relations_cover_all_six(self, walker, rng):
-        pairs = walker.sample_pairs(rng, 3000)
-        relations = {p.relation for p in pairs}
+    def test_pair_relations_cover_all_six(self, blocks):
+        relations = {block.relation for block in blocks}
         assert len(relations) >= 5  # sparse graphs may miss one

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.graph.metapath import MAX_EMPTY_ROUNDS
 from repro.graph.schema import NodeType, Relation
 from repro.models import SKIPGRAM_BASELINES, make_baseline
-from repro.models.baselines.walks import GlobalIdSpace, _flat_adjacency
+from repro.models.baselines.walks import (
+    GlobalIdSpace,
+    MetapathPairGenerator,
+    _flat_adjacency,
+)
 
 
 class TestGlobalIdSpace:
@@ -62,6 +67,24 @@ class TestGenerators:
         for center, context in model.generator.pairs(40):
             # sources of Table III meta-paths are queries or items
             assert center < n_q + train_graph.num_nodes[NodeType.ITEM]
+
+    def test_metapath2vec_barren_walker_raises(self, train_graph):
+        """Regression: ``pairs`` walked forever when no path yields a
+        pair (e.g. a graph with no edges)."""
+        class BarrenWalker:
+            calls = 0
+
+            def sample_pair_blocks(self, rng, num_walks):
+                self.calls += 1
+                # bound the stub so a loop without a guard fails here
+                assert self.calls < 10000, "generator kept walking"
+                return []
+
+        generator = MetapathPairGenerator(train_graph, seed=0)
+        generator.walker = BarrenWalker()
+        with pytest.raises(RuntimeError, match="no pairs in 64 walk rounds"):
+            list(generator.pairs(10))
+        assert generator.walker.calls == MAX_EMPTY_ROUNDS
 
     def test_unknown_baseline_rejected(self, train_graph):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from repro.autodiff import ops
 from repro.autodiff.tensor import no_grad
 from repro.geometry.product import ProductManifold
+from repro.graph import MetaPathWalker, NegativeSampler
 from repro.graph.schema import NodeType, Relation
 from repro.models.amcad import AMCAD, AMCADConfig
 from repro.models.encoder import NodeEncoder
@@ -140,16 +141,23 @@ class TestEdgeScorer:
         assert np.allclose(dxy.data, dyx.data, atol=1e-9)
 
 
+def _sample_batches(graph, rng, num_walks, per_relation):
+    """One ``SampleBatch`` per relation the walks reached."""
+    walker = MetaPathWalker(graph)
+    sampler = NegativeSampler(graph)
+    return [sampler.sample_arrays(rng, block.relation,
+                                  block.src_idx[:per_relation],
+                                  block.dst_idx[:per_relation])
+            for block in walker.sample_pair_blocks(rng, num_walks)]
+
+
 class TestGradientFlow:
     def test_all_parameter_groups_receive_gradients(self, train_graph):
-        from repro.graph import MetaPathWalker, NegativeSampler
         model = AMCAD(train_graph, AMCADConfig(num_subspaces=2, subspace_dim=4,
                                                seed=3))
         rng = np.random.default_rng(0)
-        walker = MetaPathWalker(train_graph)
-        sampler = NegativeSampler(train_graph)
-        pairs = walker.sample_pairs(rng, 400)
-        samples = sampler.sample_batch(rng, pairs[:64])
+        samples = _sample_batches(train_graph, rng, 400, 11)
+        assert len({batch.relation for batch in samples}) > 1
         loss = model.loss(samples, rng=rng)
         loss.backward()
         groups = {
@@ -171,12 +179,8 @@ class TestGradientFlow:
             assert got, "no gradient reached %s" % name
 
     def test_loss_is_finite_scalar(self, model, train_graph):
-        from repro.graph import MetaPathWalker, NegativeSampler
         rng = np.random.default_rng(1)
-        walker = MetaPathWalker(train_graph)
-        sampler = NegativeSampler(train_graph)
-        pairs = walker.sample_pairs(rng, 100)
-        samples = sampler.sample_batch(rng, pairs[:16])
+        samples = _sample_batches(train_graph, rng, 100, 16)[0]
         loss = model.loss(samples, rng=rng)
         assert loss.size == 1
         assert np.isfinite(loss.item())

@@ -215,8 +215,12 @@ class TestTrainer:
                            subspace_dim=4, seed=0)
         trainer = Trainer(model, TrainerConfig(steps=3, batch_size=16, seed=1))
         batch = trainer._next_batch()
-        relations = {s.relation for s in batch}
-        assert len(relations) == 1
+        # one relation types every row: its indices fit that relation
+        num_nodes = train_graph.num_nodes
+        assert len(batch) == 16
+        assert batch.src_idx.max() < num_nodes[batch.relation.source_type]
+        assert batch.pos_idx.max() < num_nodes[batch.relation.target_type]
+        assert batch.neg_idx.max() < num_nodes[batch.relation.target_type]
 
     def test_curvatures_stay_in_bounds(self, train_graph):
         model = make_model("amcad", train_graph, num_subspaces=2,

@@ -119,8 +119,7 @@ class TestGradientAccumulation:
                        for p in accum.parameters()]
 
         reference = model0()
-        merged = [sample for batch in batches for sample in batch]
-        loss = reference.loss(merged)
+        loss = reference.loss(batches)
         loss.backward()
         assert accum_loss == pytest.approx(loss.item(), abs=1e-12)
         ref_grads = [None if p.grad is None else p.grad.copy()
