@@ -1,14 +1,13 @@
-"""ANN recall/latency frontier: IVF and NSW vs exact MNN search.
+"""ANN recall/latency frontier: IVF vs exact MNN search.
 
 The paper ships exact MNN search because product quantisation cannot
 express its attention-weighted mixed-curvature metric (§IV-C-1).  The
-``"ivf"`` and ``"nsw"`` backends exploit the structure PQ cannot:
-coarse candidate generation in the flat ``logmap0`` tangent space, true
-manifold metric only on the survivors.  This bench maps that trade:
+``"ivf"`` backend exploits the structure PQ cannot: coarse candidate
+generation in the flat ``logmap0`` tangent space, true manifold metric
+only on the survivors.  This bench maps that trade:
 
-- **recall@k vs ExactBackend** and **queries/sec** for both backends
-  across their dials (``nprobe``/``rerank_k`` for IVF, ``ef_search``
-  for NSW) at scaled-up synthetic catalogs;
+- **recall@k vs ExactBackend** and **queries/sec** for IVF across its
+  dials (``nprobe``/``rerank_k``) at scaled-up synthetic catalogs;
 - the **mixed-curvature twist** measured explicitly: every dial point
   is also run with ``manifold_rerank=False`` (tangent-space-only
   ranking), so the recall the true-metric re-rank buys over pure flat
@@ -24,11 +23,10 @@ manifold metric only on the survivors.  This bench maps that trade:
 Run directly (``PYTHONPATH=src python benchmarks/bench_ann_recall.py
 [--scale X] [--out PATH]``); results land in ``BENCH_ann_recall.json``
 at the repo root.  Gates: sharded/unsharded bit-identity always; at
-CI smoke scales (< 1.0) recall@10 >= 0.95 for both backends at their
-default dials on the smallest catalog (near-exact regime — a wiring
-check, not a frontier claim); at full scale, a dial point per backend
-with recall@10 >= 0.95 **and** >= 3x exact's queries/sec on the
-largest catalog.
+CI smoke scales (< 1.0) recall@10 >= 0.95 for IVF at its default dial
+on the smallest catalog (near-exact regime — a wiring check, not a
+frontier claim); at full scale, an IVF dial point with recall@10 >=
+0.95 **and** >= 3x exact's queries/sec on the largest catalog.
 """
 
 from __future__ import annotations
@@ -53,12 +51,6 @@ BASE_CATALOGS = (4000, 24000)
 NUM_SHARDS = 3
 #: (nprobe, rerank_k) sweep for IVF — (16, 0) is the config default
 IVF_DIALS = ((4, 100), (8, 100), (16, 100), (16, 0), (32, 100), (64, 200))
-#: (ef_search, rerank_k, expand_hops) sweep for NSW — rerank_k > 0
-#: switches on neighbourhood widening, expand_hops deepens it
-NSW_DIALS = ((16, 0, 1), (32, 0, 1), (48, 0, 1),
-             (16, 150, 2), (16, 200, 2), (16, 300, 2), (24, 200, 2))
-#: frontier NSW graphs get a denser graph than the class default
-NSW_MAX_DEGREE = 16
 
 
 def make_space(num_targets: int, num_queries: int, seed: int,
@@ -155,29 +147,6 @@ def measure_catalog(num_targets: int, num_queries: int, seed: int) -> dict:
                                                "rerank_k": 0},
                               "points": points}
 
-    # NSW: a default-construction graph (the config-default dial) plus
-    # a denser frontier graph swept over ef_search
-    start = time.perf_counter()
-    nsw_default = BACKENDS["nsw"]().build(space)
-    nsw_default_build = time.perf_counter() - start
-    default_point = measure_dial(
-        nsw_default, queries, K, gt_ids, exact,
-        {"ef_search": nsw_default.ef_search, "rerank_k": 0})
-    default_point["max_degree"] = nsw_default.max_degree
-    start = time.perf_counter()
-    nsw = BACKENDS["nsw"](max_degree=NSW_MAX_DEGREE).build(space)
-    nsw_build = time.perf_counter() - start
-    points = [measure_dial(nsw, queries, K, gt_ids, exact,
-                           {"ef_search": ef, "rerank_k": rerank,
-                            "expand_hops": hops})
-              for ef, rerank, hops in NSW_DIALS]
-    for point in points:
-        point["max_degree"] = NSW_MAX_DEGREE
-    out["backends"]["nsw"] = {"build_seconds": nsw_build,
-                              "default_build_seconds": nsw_default_build,
-                              "default_dial": default_point,
-                              "points": [default_point] + points}
-
     # sharded composition at the full-coverage dial: every list probed
     # and every candidate re-ranked means every ivf inner backend
     # reduces to exact search over its shard slice, so swapping the
@@ -207,7 +176,7 @@ def measure_catalog(num_targets: int, num_queries: int, seed: int) -> dict:
 def main(argv=None) -> int:
     parser = bench_parser(
         "ann_recall",
-        "IVF/NSW recall-latency frontier vs exact mixed-curvature search")
+        "IVF recall-latency frontier vs exact mixed-curvature search")
     args = parser.parse_args(argv)
 
     catalogs = sorted({max(200, int(base * args.scale))
@@ -248,29 +217,24 @@ def main(argv=None) -> int:
             failed = True
     if args.scale < 1.0:
         smallest = results[0]
-        for name in ("ivf", "nsw"):
-            info = smallest["backends"][name]
-            if name == "ivf":
-                default = next(p for p in info["points"]
-                               if p["nprobe"] == info["default_dial"]["nprobe"]
-                               and p["rerank_k"] == 0)
-            else:
-                default = info["default_dial"]
-            if default["recall"] < 0.95:
-                print("FAIL: %s recall@%d %.3f < 0.95 at the default dial "
-                      "(catalog %d)" % (name, K, default["recall"],
-                                        smallest["num_targets"]))
-                failed = True
+        info = smallest["backends"]["ivf"]
+        default = next(p for p in info["points"]
+                       if p["nprobe"] == info["default_dial"]["nprobe"]
+                       and p["rerank_k"] == 0)
+        if default["recall"] < 0.95:
+            print("FAIL: ivf recall@%d %.3f < 0.95 at the default dial "
+                  "(catalog %d)" % (K, default["recall"],
+                                    smallest["num_targets"]))
+            failed = True
     else:
         largest = results[-1]
-        for name in ("ivf", "nsw"):
-            points = largest["backends"][name]["points"]
-            if not any(p["recall"] >= 0.95 and p["speedup_vs_exact"] >= 3.0
-                       for p in points):
-                print("FAIL: %s has no dial point with recall@%d >= 0.95 "
-                      "and >= 3x exact queries/sec at catalog %d"
-                      % (name, K, largest["num_targets"]))
-                failed = True
+        points = largest["backends"]["ivf"]["points"]
+        if not any(p["recall"] >= 0.95 and p["speedup_vs_exact"] >= 3.0
+                   for p in points):
+            print("FAIL: ivf has no dial point with recall@%d >= 0.95 "
+                  "and >= 3x exact queries/sec at catalog %d"
+                  % (K, largest["num_targets"]))
+            failed = True
     return 1 if failed else 0
 
 

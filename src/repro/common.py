@@ -11,7 +11,8 @@ later write of the same path sweeps up.
 Published artifacts are immutable, so everything that reads a config
 (``TrainerConfig``, ``PipelineConfig.from_dict``, ``load_model``,
 ``make_backend``, ``IndexSet``, ``ServingEngine``) drops the keys of
-retired planes through :func:`drop_retired_planes`.
+retired planes through :func:`drop_retired_planes`, which also maps a
+retired backend name to the backend that replaced it.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ _RETIRED_PLANES = {
         "num_workers": (_number(), "a number"),
         "shard_parallelism": (_number(1), "a number >= 1"),
         "shard_timeout_ms": (_number(0), "a number >= 0"),
+        # the NSW graph backend's beam width
+        "ef_search": (_number(1), "a number >= 1"),
     },
     "backend": {
         "num_workers": (_number(), "a number"),
@@ -139,6 +142,12 @@ _RETIRED_PLANES = {
         "shard_timeout": (lambda value: value is None
                           or (_number()(value) and value > 0),
                           "null or a number > 0"),
+        # the NSW graph backend's constructor-only kwargs
+        "max_degree": (_number(1), "a number >= 1"),
+        "ef_construction": (_number(1), "a number >= 1"),
+        "ef_search": (_number(1), "a number >= 1"),
+        "insert_chunk": (_number(1), "a number >= 1"),
+        "expand_hops": (_number(0), "a number >= 0"),
     },
     "engine": {
         "shard_parallelism": (_number(), "a number"),
@@ -146,13 +155,44 @@ _RETIRED_PLANES = {
 }
 
 
+#: retired search backend -> the backend a published config or index
+#: header naming it loads as (its stored indices still serve unchanged;
+#: a rebuild builds the replacement)
+_RETIRED_BACKENDS = {"nsw": "ivf"}
+
+#: ``section -> keys`` whose value is a search-backend name
+_BACKEND_NAME_KEYS = {
+    "index": ("backend", "inner_backend"),
+    "backend": ("inner_backend",),
+}
+
+#: ``section -> keys`` whose value is a dict of backend constructor kwargs
+_BACKEND_KWARGS_KEYS = {
+    "index": ("backend_kwargs",),
+    "backend": ("inner_kwargs",),
+}
+
+
+def current_backend(name):
+    """The backend a (possibly retired) backend name loads as."""
+    return _RETIRED_BACKENDS.get(name, name)
+
+
 def is_retired_key(section: str, key: str) -> bool:
     return key in _RETIRED_PLANES.get(section, {})
 
 
 def drop_retired_planes(section: str, given: dict) -> dict:
-    """``given`` without the retired plane keys of ``section``."""
+    """``given`` without the retired plane keys of ``section``, with
+    any retired backend name replaced by its successor, and with nested
+    backend kwargs cleaned the same way."""
     given = dict(given)
+    for key in _BACKEND_NAME_KEYS.get(section, ()):
+        if isinstance(given.get(key), str):
+            given[key] = current_backend(given[key])
+    for key in _BACKEND_KWARGS_KEYS.get(section, ()):
+        if isinstance(given.get(key), dict):
+            given[key] = drop_retired_planes("backend", given[key])
     for key, (accepts, accepted) in _RETIRED_PLANES.get(section, {}).items():
         if key not in given:
             continue

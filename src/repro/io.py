@@ -29,7 +29,7 @@ from typing import Dict, Union
 
 import numpy as np
 
-from repro.common import atomic_savez, drop_retired_planes
+from repro.common import atomic_savez, current_backend, drop_retired_planes
 from repro.graph.hetgraph import HetGraph
 from repro.graph.schema import Relation
 from repro.models.amcad import AMCAD, AMCADConfig
@@ -173,6 +173,7 @@ def load_index_set(path: PathLike) -> StoredIndexSet:
     shard_bounds = {Relation(key): [(int(a), int(b)) for a, b in bounds]
                     for key, bounds in header.get("shard_bounds",
                                                   {}).items()}
-    return StoredIndexSet(indices, backend=header.get("backend"),
+    return StoredIndexSet(indices,
+                          backend=current_backend(header.get("backend")),
                           shard_bounds=shard_bounds,
                           backend_params=header.get("backend_params"))

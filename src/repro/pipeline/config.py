@@ -151,7 +151,7 @@ class IndexConfig:
     #: the serving engine's micro-batch fan-out width)
     num_shards: int = 2
     #: backend each shard delegates to (``"exact"``, ``"pq"``,
-    #: ``"ivf"``, ``"nsw"``)
+    #: ``"ivf"``)
     inner_backend: str = "exact"
     #: retries per failed shard search before it is excluded
     shard_retries: int = 0
@@ -161,8 +161,6 @@ class IndexConfig:
     num_lists: int = 0
     #: IVF lists scanned per query — the IVF recall/latency dial
     nprobe: int = 16
-    #: NSW beam width per query — the graph recall/latency dial
-    ef_search: int = 48
     #: candidates re-ranked with the true manifold metric after the
     #: tangent-space prune (ANN backends; 0 = re-rank every candidate)
     rerank_k: int = 0
@@ -170,6 +168,9 @@ class IndexConfig:
     def __post_init__(self):
         if self.top_k < 1:
             raise ValueError("index.top_k must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("index.batch_size must be >= 1, got %d"
+                             % self.batch_size)
         if self.backend not in BACKENDS:
             raise ValueError("index.backend %r is not registered; choose "
                              "one of: %s"
@@ -195,9 +196,6 @@ class IndexConfig:
         if self.nprobe < 1:
             raise ValueError("index.nprobe must be >= 1, got %d"
                              % self.nprobe)
-        if self.ef_search < 1:
-            raise ValueError("index.ef_search must be >= 1, got %d"
-                             % self.ef_search)
         if self.rerank_k < 0:
             raise ValueError("index.rerank_k must be >= 0 (0 = re-rank "
                              "every candidate), got %d" % self.rerank_k)
@@ -219,16 +217,14 @@ class IndexConfig:
         if backend == "ivf":
             return {"num_lists": self.num_lists, "nprobe": self.nprobe,
                     "rerank_k": self.rerank_k}
-        if backend == "nsw":
-            return {"ef_search": self.ef_search, "rerank_k": self.rerank_k}
         return {}
 
     def resolved_backend_kwargs(self) -> Dict[str, Any]:
         """Constructor kwargs for the configured backend.
 
         For ``backend="sharded"`` the shard keys are folded in; for the
-        ANN backends (``"ivf"``/``"nsw"``, directly or as the inner
-        backend of a sharded index) the recall/latency dials are folded
+        ANN backend (``"ivf"``, directly or as the inner backend of a
+        sharded index) the recall/latency dials are folded
         in (explicit ``backend_kwargs`` entries win, so power users can
         still set e.g. ``inner_kwargs`` or override the shard count).
         """
@@ -387,6 +383,9 @@ class EvalConfig:
             raise ValueError("eval.auc_samples must be >= 0")
         if any(k < 1 for k in self.ranking_ks):
             raise ValueError("eval.ranking_ks must be positive")
+        if self.max_queries < 1:
+            raise ValueError("eval.max_queries must be >= 1, got %d"
+                             % self.max_queries)
         if self.ab_control is not None:
             # reuse the model-name validation
             ModelConfig(name=self.ab_control)

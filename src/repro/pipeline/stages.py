@@ -271,11 +271,9 @@ class IndexStage(Stage):
             info["inner_backend"] = cfg.inner_backend
             info["summary"] += " [%d shards x %s]" % (cfg.num_shards,
                                                       cfg.inner_backend)
-        ann = cfg.backend if cfg.backend in ("ivf", "nsw") else (
-            cfg.inner_backend if cfg.backend == "sharded"
-            and cfg.inner_backend in ("ivf", "nsw") else None)
-        if ann is not None:
-            dials = cfg._ann_dial_kwargs(ann)
+        dials = cfg._ann_dial_kwargs(
+            cfg.inner_backend if cfg.backend == "sharded" else cfg.backend)
+        if dials:
             info.update(dials)
             info["summary"] += " [%s]" % ", ".join(
                 "%s=%s" % (k, v) for k, v in sorted(dials.items()))

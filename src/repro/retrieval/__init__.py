@@ -14,11 +14,11 @@ Reproduces the deployment half of AMCAD (paper §IV-C, Fig. 6):
   :class:`PQBackend` wrapping product quantisation,
   :class:`ShardedBackend` partitioning the target space over per-shard
   inner backends with an exact top-k merge);
-- :mod:`repro.retrieval.ann` — pruned ANN backends over the same
-  metric (:class:`IVFBackend` inverted-file lists, :class:`NSWBackend`
-  small-world graph): coarse candidate generation in the flat
-  ``logmap0`` tangent space, exact re-rank with the attention-weighted
-  manifold metric — the recall/latency dial the exact search lacks;
+- :mod:`repro.retrieval.ann` — the pruned ANN backend over the same
+  metric (:class:`IVFBackend` inverted-file lists): coarse candidate
+  generation in the flat ``logmap0`` tangent space, exact re-rank with
+  the attention-weighted manifold metric — the recall/latency dial the
+  exact search lacks;
 - :mod:`repro.retrieval.index` — the six inverted indices
   (Q2Q/Q2I/I2Q/I2I/Q2A/I2A) built offline through a backend factory,
   with ``save``/``load`` persistence for model-free serving;
@@ -40,7 +40,7 @@ from repro.retrieval.backend import (
     make_backend,
     resolve_backend_factory,
 )
-from repro.retrieval.ann import IVFBackend, NSWBackend
+from repro.retrieval.ann import IVFBackend
 from repro.retrieval.mnn import MNNSearcher, RelationSpace
 from repro.retrieval.index import IndexSet, InvertedIndex
 from repro.retrieval.two_layer import (
@@ -58,7 +58,6 @@ __all__ = [
     "PQBackend",
     "ShardedBackend",
     "IVFBackend",
-    "NSWBackend",
     "make_backend",
     "resolve_backend_factory",
     "RelationSpace",

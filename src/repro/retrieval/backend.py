@@ -358,8 +358,9 @@ def make_backend(name: str, **kwargs) -> SearchBackend:
     """Instantiate a registered backend by name.
 
     Retired constructor kwargs that published configs and index headers
-    carry (``num_workers``, ``parallelism``, ``shard_timeout``) are
-    dropped here.
+    carry (the thread pools' ``num_workers``, ``parallelism`` and
+    ``shard_timeout``, the graph backend's beam and degree settings) are
+    dropped here, and a retired ``inner_backend`` name is replaced.
     """
     try:
         cls = BACKENDS[name]

@@ -123,6 +123,9 @@ class IndexSet:
                  backend_kwargs: Optional[dict] = None):
         if num_workers is not None:
             drop_retired_planes("index", {"num_workers": num_workers})
+        if int(batch_size) < 1:
+            raise ValueError("batch_size must be >= 1, got %d"
+                             % int(batch_size))
         self.model = model
         self.top_k = int(top_k)
         self.batch_size = int(batch_size)
@@ -134,7 +137,7 @@ class IndexSet:
                                             if isinstance(backend, str)
                                             else None)
         #: JSON-serialisable constructor arguments of the backend (ANN
-        #: dials like ``nprobe``/``ef_search``, shard layout, inner
+        #: dials like ``nprobe``/``rerank_k``, shard layout, inner
         #: backend spec) — persisted by :meth:`save` so a reloaded set
         #: knows the dial it was built at
         self.backend_params: Dict[str, object] = _json_clean(kwargs)

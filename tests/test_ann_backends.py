@@ -1,4 +1,4 @@
-"""Tests for the tangent-prune ANN backends (IVF and NSW).
+"""Tests for the tangent-prune ANN backend (IVF).
 
 Covers the contract every registered backend owes (`SearchBackend`
 shapes, sorted metric-true distances, self-exclusion), the exactness
@@ -19,7 +19,6 @@ from repro.retrieval import (
     ExactBackend,
     IndexSet,
     IVFBackend,
-    NSWBackend,
     make_backend,
 )
 from repro.retrieval.ann import candidate_dist, tangent_projection
@@ -197,85 +196,8 @@ class TestIVFBackend:
             IVFBackend().search(SRC, k=3)
 
 
-class TestNSWBackend:
-    def test_contract_and_recall(self, space):
-        backend = NSWBackend(ef_search=48).build(space)
-        ids, dists = backend.search(SRC, k=10)
-        _assert_contract(ids, dists, 10, space.num_targets)
-        exact_ids, __ = ExactBackend().build(space).search(SRC, k=10)
-        assert recall_at_k(ids, exact_ids, 10) >= 0.8
-
-    def test_widening_beats_bare_beam(self, space):
-        exact_ids, __ = ExactBackend().build(space).search(SRC, k=10)
-        backend = NSWBackend(ef_search=16).build(space)
-        bare_ids, __ = backend.search(SRC, k=10)
-        backend.rerank_k = 150
-        backend.expand_hops = 2
-        wide_ids, wide_dists = backend.search(SRC, k=10)
-        _assert_contract(wide_ids, wide_dists, 10, space.num_targets)
-        assert (recall_at_k(wide_ids, exact_ids, 10)
-                >= recall_at_k(bare_ids, exact_ids, 10))
-        assert recall_at_k(wide_ids, exact_ids, 10) >= 0.9
-
-    def test_expand_hops_zero_reranks_bare_beam(self, space):
-        """rerank_k > 0 with expand_hops=0 must not widen."""
-        backend = NSWBackend(ef_search=32, rerank_k=150,
-                             expand_hops=0).build(space)
-        ids, dists = backend.search(SRC, k=10)
-        _assert_contract(ids, dists, 10, space.num_targets)
-
-    def test_exclude_self(self, same_type_space):
-        backend = NSWBackend(ef_search=32).build(same_type_space)
-        src = np.arange(20)
-        ids, __ = backend.search(src, k=5, exclude_self=True)
-        assert not np.any(ids == src[:, None])
-
-    def test_severed_graph_falls_back_to_full_scan(self, space):
-        """The disconnected-component safety net serves exact results."""
-        backend = NSWBackend(ef_search=space.num_targets).build(space)
-        backend._adj[:] = -1
-        backend._deg[:] = 0
-        ids, dists = backend.search(SRC, k=10)
-        exact_ids, exact_dists = ExactBackend().build(space).search(
-            SRC, k=10)
-        assert np.array_equal(ids, exact_ids)
-        assert np.allclose(dists, exact_dists)
-
-    def test_build_is_deterministic(self, space):
-        a = NSWBackend(ef_search=32, seed=5).build(space)
-        b = NSWBackend(ef_search=32, seed=5).build(space)
-        assert np.array_equal(a._adj, b._adj)
-        ids_a, dists_a = a.search(SRC, k=10)
-        ids_b, dists_b = b.search(SRC, k=10)
-        assert np.array_equal(ids_a, ids_b)
-        assert np.array_equal(dists_a, dists_b)
-
-    def test_tiny_catalogs(self):
-        for n in (1, 2, 5):
-            tiny = _space(num_targets=n)
-            backend = NSWBackend(max_degree=2, ef_search=4).build(tiny)
-            ids, dists = backend.search(SRC, k=min(3, n))
-            assert ids.shape == (SRC.size, min(3, n))
-            assert np.all(np.isfinite(dists))
-
-    def test_invalid_configuration_raises(self):
-        with pytest.raises(ValueError, match="max_degree"):
-            NSWBackend(max_degree=0)
-        with pytest.raises(ValueError, match="ef_construction"):
-            NSWBackend(ef_construction=0)
-        with pytest.raises(ValueError, match="ef_search"):
-            NSWBackend(ef_search=0)
-        with pytest.raises(ValueError, match="expand_hops"):
-            NSWBackend(expand_hops=-1)
-
-    def test_search_before_build_raises(self):
-        with pytest.raises(RuntimeError):
-            NSWBackend().search(SRC, k=3)
-
-
 #: dials that make each registered backend prune (not the exact dial)
-_REGISTRY_KWARGS = {"ivf": {"num_lists": 16, "nprobe": 4, "rerank_k": 40},
-                    "nsw": {"rerank_k": 40}}
+_REGISTRY_KWARGS = {"ivf": {"num_lists": 16, "nprobe": 4, "rerank_k": 40}}
 
 
 class TestEveryRegisteredBackend:
@@ -308,8 +230,8 @@ class TestEveryRegisteredBackend:
         shape-dependent gemm kernels otherwise), so only their ids are
         held bit for bit (a key's distance to itself is the square root
         of a rounding residue, ~1e-8, hence the absolute tolerance).
-        IVF and NSW use BLAS only to prune and re-rank element-wise,
-        and PQ sums table lookups.
+        IVF uses BLAS only to prune and re-ranks element-wise, and PQ
+        sums table lookups.
         """
         backend = make_backend(
             name, **_REGISTRY_KWARGS.get(name, {})).build(batch_space)
@@ -374,14 +296,6 @@ class TestShardedComposition:
         assert np.array_equal(ids_a, ids_b)
         assert np.allclose(dists_a, dists_b, rtol=1e-9, atol=1e-12)
 
-    def test_sharded_nsw_contract(self, space):
-        backend = make_backend(
-            "sharded", num_shards=3, inner_backend="nsw",
-            inner_kwargs={"ef_search": 32, "max_degree": 8}).build(space)
-        assert all(isinstance(s, NSWBackend) for s in backend.shards)
-        ids, dists = backend.search(SRC, k=10)
-        _assert_contract(ids, dists, 10, space.num_targets)
-
     def test_dead_shard_degrades_like_exact_inner(self, space):
         """A faulted ivf shard degrades identically to a faulted exact
         shard: healthy-shard merge, search flagged degraded."""
@@ -434,9 +348,8 @@ class TestIndexSetANN:
             built.shard_bounds[Relation.Q2A]
 
     def test_ivf_backend_instances_built(self, model):
-        built = IndexSet(model, top_k=5, backend="nsw",
-                         backend_kwargs={"ef_search": 16,
-                                         "max_degree": 4}).build(
+        built = IndexSet(model, top_k=5, backend="ivf",
+                         backend_kwargs={"nprobe": 3}).build(
             [Relation.Q2A])
-        assert isinstance(built.backends[Relation.Q2A], NSWBackend)
-        assert built.backends[Relation.Q2A].ef_search == 16
+        assert isinstance(built.backends[Relation.Q2A], IVFBackend)
+        assert built.backends[Relation.Q2A].nprobe == 3

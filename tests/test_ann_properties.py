@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.schema import Relation
-from repro.retrieval import ExactBackend, IVFBackend, NSWBackend
+from repro.retrieval import ExactBackend, IVFBackend
 from repro.retrieval.mnn import RelationSpace
 from repro.retrieval.quantization import recall_at_k
 
@@ -106,22 +106,3 @@ class TestIVFInvariants:
         ids_b, dists_b = ExactBackend().build(space).search(np.arange(8), k)
         assert np.array_equal(ids_a, ids_b)
         assert np.array_equal(dists_a, dists_b)
-
-
-class TestNSWInvariants:
-    @given(spaces, st.integers(1, 10), st.integers(2, 8),
-           st.sampled_from([0, 20]), st.integers(0, 2))
-    @settings(max_examples=25, deadline=None)
-    def test_results_sorted_unique_in_range(self, space, k, max_degree,
-                                            rerank_k, expand_hops):
-        backend = NSWBackend(max_degree=max_degree, ef_search=12,
-                             rerank_k=rerank_k,
-                             expand_hops=expand_hops).build(space)
-        k = min(k, space.num_targets)
-        ids, dists = backend.search(np.arange(8), k)
-        assert ids.shape == dists.shape == (8, k)
-        assert ids.min() >= 0 and ids.max() < space.num_targets
-        for row in ids:
-            assert np.unique(row).size == row.size
-        assert np.all(np.isfinite(dists))
-        assert np.all(np.diff(dists, axis=1) >= -1e-12)

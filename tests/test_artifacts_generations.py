@@ -268,3 +268,108 @@ class TestPipelineGenerations:
         out = capsys.readouterr().out
         assert "serving generation 000001" in out
         assert "query 3" in out
+
+
+def _rewrite_index_header(path, **changes):
+    """Rewrite an ``indices.npz`` header in place, arrays untouched."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    header = json.loads(bytes(arrays["header"]).decode("utf-8"))
+    header.update(changes)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"),
+                                     dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+#: constructor-only kwargs of the retired NSW graph backend, as the
+#: configs and index headers published while it existed carry them
+NSW_KWARGS = {"max_degree": 8, "ef_construction": 32, "insert_chunk": 64,
+              "expand_hops": 2}
+
+
+def _nsw_words(section):
+    """The NSW backend name and kwargs a config or header part names."""
+    text = json.dumps(section)
+    return [w for w in ("nsw", "ef_search", *NSW_KWARGS)
+            if '"%s"' % w in text]
+
+
+class TestRetiredNSWBackend:
+    """Stores published while ``"nsw"`` was a backend keep loading: each
+    serves its own indices unchanged, and a rebuild builds IVF."""
+
+    @pytest.mark.parametrize("layout", ["nsw", "sharded-over-nsw"])
+    def test_store_naming_nsw_loads_serves_and_rebuilds_as_ivf(
+            self, gen_pipeline, tmp_path, layout):
+        import shutil
+        from repro.retrieval import IVFBackend, ShardedBackend
+        store = ArtifactStore(shutil.copytree(gen_pipeline.store.root,
+                                              tmp_path / "old"))
+        payload = json.loads(store.path(ArtifactStore.CONFIG).read_text())
+        if layout == "nsw":
+            payload["index"].update(backend="nsw", ef_search=48,
+                                    backend_kwargs=dict(NSW_KWARGS))
+            header = {"backend": "nsw", "backend_params": dict(
+                NSW_KWARGS, ef_search=48, rerank_k=0)}
+        else:
+            inner = dict(NSW_KWARGS, ef_search=32, rerank_k=0)
+            payload["index"].update(
+                backend="sharded", num_shards=2, inner_backend="nsw",
+                ef_search=32, backend_kwargs={"inner_backend": "nsw",
+                                              "inner_kwargs": inner})
+            header = {"backend": "sharded", "backend_params": {
+                "num_shards": 2, "inner_backend": "nsw",
+                "inner_kwargs": inner}}
+        store.path(ArtifactStore.CONFIG).write_text(json.dumps(payload))
+        _rewrite_index_header(store.path(ArtifactStore.INDICES), **header)
+        generation = store.publish_generation()
+
+        served = Pipeline.from_artifacts(store.root)
+        assert served.serving_generation == generation
+        store.verify_generation(generation)
+        index = served.config.index
+        assert (index.backend, index.inner_backend) == (
+            ("ivf", "exact") if layout == "nsw" else ("sharded", "ivf"))
+        assert _nsw_words(served.config.to_dict()["index"]) == []
+        stored = served.ctx.index_set
+        assert stored.backend_name == header["backend"].replace("nsw", "ivf")
+        # the header's own kwargs still construct a backend: IVF
+        backend = stored.backend_factory()
+        if layout == "nsw":
+            assert isinstance(backend, IVFBackend)
+        else:
+            assert isinstance(backend, ShardedBackend)
+            assert backend.inner_backend == "ivf"
+
+        # the stored indices serve bit-identical to the unrewritten store
+        queries = [3, 14, 15, 40]
+        original = Pipeline.from_artifacts(gen_pipeline.store.root)
+        for got, want in zip(served.serve(queries, k=5),
+                             original.serve(queries, k=5)):
+            np.testing.assert_array_equal(got.ads, want.ads)
+            np.testing.assert_array_equal(got.scores, want.scores)
+
+        info = served.rebuild_indices()
+        for built in served.ctx.index_set.backends.values():
+            shards = built.shards if layout != "nsw" else [built]
+            assert all(isinstance(s, IVFBackend) for s in shards)
+        directory = store.generation_dir(info["generation"])
+        config = json.loads((directory / ArtifactStore.CONFIG).read_text())
+        assert _nsw_words(config["index"]) == []
+        with np.load(directory / ArtifactStore.INDICES) as archive:
+            rebuilt = json.loads(bytes(archive["header"]).decode("utf-8"))
+        assert rebuilt["backend"] == header["backend"].replace("nsw", "ivf")
+        assert _nsw_words(rebuilt) == []
+
+    def test_retired_nsw_overrides(self, gen_pipeline):
+        """``--set`` of an NSW key is dropped at any value the backend
+        accepted and rejected by name otherwise."""
+        config = gen_pipeline.config
+        assert config.with_overrides(["index.ef_search=48"]) == config
+        assert config.with_overrides(
+            ["index.backend=nsw"]).index.backend == "ivf"
+        assert config.with_overrides(
+            ["index.backend_kwargs.max_degree=12"]) == config
+        with pytest.raises(ValueError,
+                           match=r"backend\.max_degree=0.*retired"):
+            config.with_overrides(["index.backend_kwargs.max_degree=0"])

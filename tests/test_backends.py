@@ -274,6 +274,11 @@ class TestIndexSetBackends:
         with pytest.raises(ValueError, match=r"index\.num_workers.*retired"):
             IndexSet(model, num_workers="four")
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, model, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            IndexSet(model, top_k=5, batch_size=batch_size)
+
     def test_custom_factory(self, model):
         index_set = IndexSet(
             model, top_k=5,
@@ -338,7 +343,6 @@ class TestIndexSetPersistence:
         "pq": {"codebook_size": 16},
         "sharded": {"num_shards": 3},
         "ivf": {"num_lists": 4, "nprobe": 2},
-        "nsw": {"ef_search": 16, "max_degree": 4},
     }
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))

@@ -25,7 +25,7 @@ import pytest
 from repro.autodiff.tensor import Tensor, is_grad_enabled, no_grad
 from repro.graph.schema import NodeType, Relation
 from repro.models import NeighborDrawCache, build_full_graph_plan, make_model
-from repro.retrieval import IndexSet
+from repro.retrieval import BACKENDS, IndexSet
 from repro.retrieval.mnn import RelationSpace
 
 
@@ -174,8 +174,7 @@ class TestEmptyTargetVocabulary:
         assert [e.shape for e in space.dst_embeddings] == [(0, 4), (0, 4)]
         assert space.dst_weights.shape == (0, 2)
 
-    @pytest.mark.parametrize("backend",
-                             ["exact", "ivf", "pq", "nsw", "sharded"])
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_index_over_empty_targets(self, hollow, backend):
         index_set = IndexSet(hollow, top_k=5, backend=backend).build(
             [Relation.Q2A, Relation.I2A])

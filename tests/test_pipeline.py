@@ -179,6 +179,7 @@ class TestConfig:
         ("index", "shard_parallelism", 0),
         ("index", "shard_timeout_ms", -1),
         ("index", "num_workers", "two"),
+        ("index", "ef_search", 0),
     ])
     def test_retired_plane_values_rejected_by_name(self, section, key, value):
         with pytest.raises(ValueError,
@@ -225,6 +226,19 @@ class TestConfig:
     def test_override_revalidates(self):
         with pytest.raises(ValueError, match="steps"):
             tiny_config().with_overrides(["training.steps=0"])
+
+    @pytest.mark.parametrize("key,value", [
+        ("index.batch_size", 0), ("index.batch_size", -1),
+        ("eval.max_queries", 0), ("eval.max_queries", -1),
+    ])
+    def test_sizes_below_one_rejected_by_name(self, key, value):
+        """A non-positive index batch or eval query cap fails on load,
+        not as a zero range step or a bogus publish in a later stage."""
+        section, name = key.split(".")
+        with pytest.raises(ValueError, match=r"%s must be >= 1" % key):
+            PipelineConfig.from_dict({section: {name: value}})
+        with pytest.raises(ValueError, match=r"%s must be >= 1" % key):
+            tiny_config().with_overrides(["%s=%d" % (key, value)])
 
     def test_shard_keys_validated(self):
         with pytest.raises(ValueError, match="num_shards"):
