@@ -16,7 +16,7 @@ import pytest
 from repro.bench import scaled_steps, write_report
 from repro.graph.schema import Relation
 from repro.models import make_model
-from repro.retrieval import IndexSet, MNNSearcher
+from repro.retrieval import ExactBackend, IndexSet
 from repro.retrieval.mnn import RelationSpace
 from repro.training import Trainer, TrainerConfig
 
@@ -38,7 +38,7 @@ def test_mnn_index_build_throughput(benchmark, bench_data):
         # the largest single index (Q2I), searched in full
         space = RelationSpace.from_model(model, Relation.Q2I)
         src = np.arange(space.num_sources)
-        searcher = MNNSearcher(space, block_size=256)
+        searcher = ExactBackend(block_size=256).build(space)
         start = time.perf_counter()
         searcher.search(src, k=50)
         search_seconds = time.perf_counter() - start

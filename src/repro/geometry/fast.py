@@ -78,28 +78,9 @@ def logmap0_numpy(x: np.ndarray, kappa: float) -> np.ndarray:
     return out2.reshape(x.shape)
 
 
-def pairwise_dist(x: np.ndarray, y: np.ndarray, kappa: float,
-                  block_rows: int = 0) -> np.ndarray:
-    """Geodesic distance matrix ``d_κ(x_i, y_j)``, shape ``(B, N)``.
-
-    ``block_rows > 0`` streams the query rows in blocks of that size —
-    the blocked-merge idiom of ``ExactBackend`` — so the ``(B, N)``
-    scalar intermediates of the norm expansion are bounded at
-    ``(block_rows, N)`` regardless of batch size.  Each row's result is
-    independent of the blocking (equal up to the shape-dependent
-    accumulation order of the numpy path's BLAS inner products).
-    """
-    x = _as_2d(x)
-    y = _as_2d(y)
-    fn = _kernels.impl("pairwise_dist")
-    kappa = float(kappa)
-    if block_rows and 0 < block_rows < x.shape[0]:
-        out = np.empty((x.shape[0], y.shape[0]))
-        for start in range(0, x.shape[0], block_rows):
-            stop = min(start + block_rows, x.shape[0])
-            out[start:stop] = fn(x[start:stop], y, kappa)
-        return out
-    return fn(x, y, kappa)
+def pairwise_dist(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:
+    """Geodesic distance matrix ``d_κ(x_i, y_j)``, shape ``(B, N)``."""
+    return _kernels.impl("pairwise_dist")(_as_2d(x), _as_2d(y), float(kappa))
 
 
 def rowwise_dist(x: np.ndarray, y: np.ndarray, kappa: float) -> np.ndarray:

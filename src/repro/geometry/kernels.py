@@ -199,36 +199,18 @@ def _np_radial_bwd(grad, v, r, f, aux, kappa, kind):
     return grad_v, grad_k
 
 
-def _np_pairwise_mobius_norm(x, y, kappa):
-    """``‖-x_i ⊕κ y_j‖`` for all (i, j) pairs, shape ``(B, N)``.
+def mobius_norm(inner, x2, y2, kappa):
+    """``‖-x ⊕κ y‖`` from ``inner = ⟨-x, y⟩``, ``x2 = ‖x‖²``, ``y2 = ‖y‖²``.
 
     Expansion: with ``a = -x``, the Möbius sum is
     ``(A·a + B·y) / D`` where ``A = 1 - 2κ⟨a,y⟩ - κ‖y‖²``,
     ``B = 1 + κ‖a‖²`` and ``D = 1 - 2κ⟨a,y⟩ + κ²‖a‖²‖y‖²``; hence
-    ``‖·‖² = (A²‖a‖² + 2AB⟨a,y⟩ + B²‖y‖²) / D²``, and only ``(B, N)``
-    scalars are formed, never the ``(B, N, d)`` Möbius sums.
+    ``‖·‖² = (A²‖a‖² + 2AB⟨a,y⟩ + B²‖y‖²) / D²``, and only scalars of
+    the broadcast shape of the three inputs are formed, never the
+    ``d``-wide Möbius sums.  The pairwise and rowwise distance kernels
+    and the ANN re-rank (``repro.retrieval.ann.candidate_dist``) all
+    evaluate their norms here.
     """
-    inner = -(x @ y.T)                      # ⟨-x, y⟩, (B, N)
-    x2 = np.sum(x * x, axis=1)[:, None]     # ‖-x‖² = ‖x‖², (B, 1)
-    y2 = np.sum(y * y, axis=1)[None, :]     # (1, N)
-    coeff_a = 1.0 - 2.0 * kappa * inner - kappa * y2
-    coeff_b = 1.0 + kappa * x2
-    denom = 1.0 - 2.0 * kappa * inner + kappa * kappa * x2 * y2
-    denom = np.where(np.abs(denom) < 1e-15, 1e-15, denom)
-    squared = (coeff_a * coeff_a * x2 + 2.0 * coeff_a * coeff_b * inner
-               + coeff_b * coeff_b * y2)
-    squared = np.maximum(squared, 0.0)
-    return np.sqrt(squared) / np.abs(denom)
-
-
-def _np_pairwise_dist(x, y, kappa):
-    return 2.0 * _np_artan_k(_np_pairwise_mobius_norm(x, y, kappa), kappa)
-
-
-def _np_rowwise_dist(x, y, kappa):
-    inner = -np.sum(x * y, axis=1)
-    x2 = np.sum(x * x, axis=1)
-    y2 = np.sum(y * y, axis=1)
     coeff_a = 1.0 - 2.0 * kappa * inner - kappa * y2
     coeff_b = 1.0 + kappa * x2
     denom = 1.0 - 2.0 * kappa * inner + kappa * kappa * x2 * y2
@@ -236,7 +218,19 @@ def _np_rowwise_dist(x, y, kappa):
     squared = np.maximum(coeff_a * coeff_a * x2
                          + 2.0 * coeff_a * coeff_b * inner
                          + coeff_b * coeff_b * y2, 0.0)
-    norm = np.sqrt(squared) / np.abs(denom)
+    return np.sqrt(squared) / np.abs(denom)
+
+
+def _np_pairwise_dist(x, y, kappa):
+    # every (i, j) pair: (B, N) inner products, (B, 1) and (1, N) norms
+    norm = mobius_norm(-(x @ y.T), np.sum(x * x, axis=1)[:, None],
+                       np.sum(y * y, axis=1)[None, :], kappa)
+    return 2.0 * _np_artan_k(norm, kappa)
+
+
+def _np_rowwise_dist(x, y, kappa):
+    norm = mobius_norm(-np.sum(x * y, axis=1), np.sum(x * x, axis=1),
+                       np.sum(y * y, axis=1), kappa)
     return 2.0 * _np_artan_k(norm, kappa)
 
 

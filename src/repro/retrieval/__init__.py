@@ -2,15 +2,17 @@
 
 Reproduces the deployment half of AMCAD (paper §IV-C, Fig. 6):
 
-- :mod:`repro.retrieval.mnn` — Mixed-curvature Nearest Neighbour
-  search.  The paper notes product quantisation cannot handle the
+- :mod:`repro.retrieval.mnn` — the :class:`RelationSpace` every
+  Mixed-curvature Nearest Neighbour search runs over: projected
+  embeddings, precomputed node weights and edge curvatures per
+  relation;
+- :mod:`repro.retrieval.backend` — the :class:`SearchBackend` seam all
+  search strategies plug into (:class:`ExactBackend`, the MNN search
+  itself: the paper notes product quantisation cannot handle the
   attention-weighted metric, so MNN is exact brute force distributed
   over workers with data-level (OpenMP) and instruction-level (SIMD)
-  parallelism; here that is chunked numpy (vector units) on one
-  thread, with block results streamed into a bounded top-k merge (the
-  worker fleet would be processes, not in-process threads);
-- :mod:`repro.retrieval.backend` — the :class:`SearchBackend` seam all
-  search strategies plug into (:class:`ExactBackend` wrapping MNN,
+  parallelism; here that is blocked numpy (vector units) on one
+  thread, with block results streamed into a bounded top-k merge;
   :class:`PQBackend` wrapping product quantisation,
   :class:`ShardedBackend` partitioning the target space over per-shard
   inner backends with an exact top-k merge);
@@ -41,7 +43,7 @@ from repro.retrieval.backend import (
     resolve_backend_factory,
 )
 from repro.retrieval.ann import IVFBackend
-from repro.retrieval.mnn import MNNSearcher, RelationSpace
+from repro.retrieval.mnn import RelationSpace
 from repro.retrieval.index import IndexSet, InvertedIndex
 from repro.retrieval.two_layer import (
     BatchExpansion,
@@ -61,7 +63,6 @@ __all__ = [
     "make_backend",
     "resolve_backend_factory",
     "RelationSpace",
-    "MNNSearcher",
     "InvertedIndex",
     "IndexSet",
     "BatchExpansion",

@@ -8,7 +8,7 @@ here exploits the structure PQ cannot: every κ-stereographic subspace is
 *flattened* by ``logmap0`` into a Euclidean tangent space at the
 origin, where classic ANN machinery applies, and the candidates that
 survive the flat prune are re-scored with the true attention-weighted
-geodesic metric — the same per-pair formula the exact searcher uses.
+geodesic metric — the same per-pair formula the exact scan uses.
 The resulting two-phase split is the recall/latency dial:
 
     tangent-space prune (cheap, metric-blind, dialled by ``nprobe``)
@@ -19,8 +19,10 @@ over the tangent projections partitions the targets into ``num_lists``
 inverted lists; a query scans its ``nprobe`` nearest lists (expanding
 automatically until ``k`` candidates exist) and re-ranks.  ``nprobe >=
 num_lists`` with an uncapped re-rank degenerates to the exact search
-and is served by the MNN searcher itself, so it is *bit-identical* to
-:class:`~repro.retrieval.backend.ExactBackend`.
+and is served by an :class:`~repro.retrieval.backend.ExactBackend`, so
+it is *bit-identical* to one.  The re-rank and the exact scan share one
+distance formula (:func:`~repro.geometry.kernels.mobius_norm`) and one
+top-k tail (``SearchBackend._top_k``).
 
 One numeric rule holds: **prune in float32, re-rank in float64.**
 Tangent distances only decide which candidates survive, so they are
@@ -45,8 +47,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.geometry.fast import artan_k_numpy, logmap0_numpy
-from repro.retrieval.backend import BACKENDS, SearchBackend
-from repro.retrieval.mnn import MNNSearcher, RelationSpace
+from repro.geometry.kernels import mobius_norm
+from repro.retrieval.backend import BACKENDS, ExactBackend, SearchBackend
+from repro.retrieval.mnn import RelationSpace
 from repro.retrieval.quantization import _kmeans, assign_to_centroids
 
 #: query rows scored per manifold re-rank block — bounds the ``(B, R, d)``
@@ -76,10 +79,12 @@ def candidate_dist(space: RelationSpace, src_indices: np.ndarray,
                    block_rows: int = 0) -> np.ndarray:
     """True mixed-metric distances for per-row candidate sets, ``(B, R)``.
 
-    Mirrors the weighted per-subspace geodesic sum of
-    :meth:`~repro.retrieval.mnn.MNNSearcher._score_block` on aligned
-    ``(query, candidate)`` pairs instead of a full pairwise block;
-    invalid (padding) entries come back ``+inf``.  ``block_rows > 0``
+    The weighted per-subspace geodesic sum of
+    :meth:`~repro.retrieval.backend.ExactBackend._score_block` on
+    aligned ``(query, candidate)`` pairs instead of a full pairwise
+    block, with the norm from the same
+    :func:`~repro.geometry.kernels.mobius_norm` expansion; invalid
+    (padding) entries come back ``+inf``.  ``block_rows > 0``
     streams the query rows in blocks of that size, bounding the
     ``(B, R, d)`` candidate gather at ``(block_rows, R, d)``; each
     row's score is independent of the blocking, so the result is
@@ -102,18 +107,9 @@ def candidate_dist(space: RelationSpace, src_indices: np.ndarray,
     for m, kappa in enumerate(space.kappas):
         x = space.src_embeddings[m][src_indices]           # (B, d)
         y = np.take(space.dst_embeddings[m], safe, axis=0)  # (B, R, d)
-        # pairwise_mobius_norm expansion on aligned rows
-        inner = -np.einsum("bd,brd->br", x, y)
-        x2 = space.src_norm2[m][src_indices][:, None]
-        y2 = np.take(space.dst_norm2[m], safe)
-        coeff_a = 1.0 - 2.0 * kappa * inner - kappa * y2
-        coeff_b = 1.0 + kappa * x2
-        denom = 1.0 - 2.0 * kappa * inner + kappa * kappa * x2 * y2
-        denom = np.where(np.abs(denom) < 1e-15, 1e-15, denom)
-        squared = np.maximum(coeff_a * coeff_a * x2
-                             + 2.0 * coeff_a * coeff_b * inner
-                             + coeff_b * coeff_b * y2, 0.0)
-        norm = np.sqrt(squared) / np.abs(denom)
+        norm = mobius_norm(-np.einsum("bd,brd->br", x, y),
+                           space.src_norm2[m][src_indices][:, None],
+                           np.take(space.dst_norm2[m], safe), kappa)
         weights = src_w[:, m:m + 1] + np.take(space.dst_weights[:, m], safe)
         total += weights * (2.0 * artan_k_numpy(norm, kappa))
     return np.where(valid, total, np.inf)
@@ -137,8 +133,8 @@ class IVFBackend(SearchBackend):
     Dials: ``nprobe`` trades recall for scan fraction, ``rerank_k``
     bounds the exact-metric work per query (0 re-ranks every scanned
     candidate).  ``nprobe >= num_lists`` with an uncapped re-rank is
-    served by the exact MNN searcher — bit-identical to
-    :class:`ExactBackend`.
+    served by an :class:`ExactBackend` over the same space, so it is
+    bit-identical to one.
     """
 
     def __init__(self, num_lists: int = 0, nprobe: int = 16,
@@ -173,7 +169,6 @@ class IVFBackend(SearchBackend):
         self._row_tags: Optional[np.ndarray] = None
         self._dst_tangent: Optional[np.ndarray] = None
         self._src_tangent: Optional[np.ndarray] = None
-        self._exact: Optional[MNNSearcher] = None
 
     def build(self, space: RelationSpace) -> "IVFBackend":
         self.space = space
@@ -231,11 +226,9 @@ class IVFBackend(SearchBackend):
         if self.is_exact_dial:
             # full probe + uncapped re-rank scans every candidate under
             # the true metric — exactly the MNN search, so serve it
-            # through the MNN searcher (bit-identical to ExactBackend)
-            if self._exact is None:
-                self._exact = MNNSearcher(space)
-            return self._exact.search(src_indices, k,
-                                      exclude_self=exclude_self)
+            # through ExactBackend itself (bit-identical by construction)
+            return ExactBackend().build(space).search(
+                src_indices, k, exclude_self=exclude_self)
         fetch = min(k + 1, space.num_targets) if same else k
         cand, tangent_d2 = self._scan(src_indices, fetch)
         # _scan already pruned the pool to the rerank_k tangent-nearest;
@@ -248,13 +241,7 @@ class IVFBackend(SearchBackend):
             scores = tangent_d2
         if same:
             scores = np.where(cand == src_indices[:, None], np.inf, scores)
-        if k < scores.shape[1]:
-            top = np.argpartition(scores, kth=k - 1, axis=1)[:, :k]
-            cand = np.take_along_axis(cand, top, axis=1)
-            scores = np.take_along_axis(scores, top, axis=1)
-        order = np.argsort(scores, axis=1, kind="stable")
-        return (np.take_along_axis(cand, order, axis=1)[:, :k],
-                np.take_along_axis(scores, order, axis=1)[:, :k])
+        return self._top_k(cand, scores, k)
 
     def _scan(self, src_indices: np.ndarray, fetch: int
               ) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,20 +1,22 @@
 """Pluggable retrieval backends behind one search interface.
 
 The deployed system (paper §IV-C-1) builds its inverted indices through
-one search engine; the reproduction historically hard-wired the exact
-:class:`~repro.retrieval.mnn.MNNSearcher` into every call site, so
-alternative strategies (PQ, and later ANN pruning or sharding) forked
-code paths.  This module defines the seam all of them plug into:
+one search engine: an exact Mixed-curvature Nearest Neighbour (MNN)
+scan.  This module defines the seam every search strategy plugs into,
+and the exact scan itself:
 
 - :class:`SearchBackend` — ``build(space)`` freezes a backend over one
   :class:`~repro.retrieval.mnn.RelationSpace`, ``search(src, k)``
-  answers batched top-k queries;
+  answers batched top-k queries; its ``_clamp_k`` preamble and
+  ``_top_k`` tail are shared by every backend;
 - :class:`ExactBackend` — the MNN brute-force search (recall 1.0 by
   construction), streaming per-block top-k merges so memory stays
   bounded at large target counts;
 - :class:`PQBackend` — product quantisation over the concatenated
   Euclidean embedding, the traditional-ANN baseline the paper argues
-  cannot express the attention-weighted mixed metric.
+  cannot express the attention-weighted mixed metric;
+- :class:`ShardedBackend` — contiguous target shards over any inner
+  backend, merged into one top-k.
 
 :class:`~repro.retrieval.index.IndexSet` takes a backend factory, so
 every one of the six relation indices is built through whichever
@@ -30,7 +32,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 import numpy as np
 
 from repro.common import drop_retired_planes
-from repro.retrieval.mnn import MNNSearcher, RelationSpace
+from repro.geometry.fast import pairwise_dist
+from repro.retrieval.mnn import RelationSpace
 from repro.retrieval.quantization import PQIndex
 from repro.testing.faults import InjectedTimeout, fault_point
 
@@ -72,40 +75,95 @@ class SearchBackend(abc.ABC):
         exclude the source row; the self row only actually exists (and
         is dropped) for same-type relations.
         """
+        if k < 0:
+            raise ValueError("k must be >= 0, got %d" % k)
         same = exclude_self and (space.relation.source_type
                                  == space.relation.target_type)
         return min(k, space.num_targets - (1 if exclude_self else 0)), same
 
+    @staticmethod
+    def _keep_k(ids: np.ndarray, dists: np.ndarray,
+                k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's ``k`` smallest ``dists`` and their ``ids``, unordered."""
+        if k < dists.shape[1]:
+            keep = np.argpartition(dists, kth=k - 1, axis=1)[:, :k]
+            ids = np.take_along_axis(ids, keep, axis=1)
+            dists = np.take_along_axis(dists, keep, axis=1)
+        return ids, dists
+
+    @classmethod
+    def _top_k(cls, ids: np.ndarray, dists: np.ndarray,
+               k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Shared search tail: :meth:`_keep_k`, then a stable ascending sort."""
+        ids, dists = cls._keep_k(ids, dists, k)
+        order = np.argsort(dists, axis=1, kind="stable")
+        return (np.take_along_axis(ids, order, axis=1),
+                np.take_along_axis(dists, order, axis=1))
+
 
 class ExactBackend(SearchBackend):
-    """Exact mixed-curvature search (MNN) behind the backend interface.
+    """Exact top-k search under the attention-weighted mixed metric (MNN).
 
-    Wraps :class:`MNNSearcher`, whose streamed per-block top-k merge
-    keeps peak memory independent of the target-set size.
+    Target rows are scored ``block_size`` at a time on the calling
+    thread and each block's top-k is merged into a running per-source
+    top-k, so peak memory is bounded by one block plus the ``(B, k)``
+    result buffer — it does not scale with the full ``(B, N)`` score
+    matrix.
     """
 
     def __init__(self, block_size: int = 2048):
+        if int(block_size) < 1:
+            raise ValueError("block_size must be >= 1, got %d"
+                             % int(block_size))
         self.block_size = int(block_size)
         self.space: Optional[RelationSpace] = None
-        self._searcher: Optional[MNNSearcher] = None
+        #: Widest candidate buffer merged during the last search — the
+        #: memory high-water mark, asserted far below N in the tests.
+        self.peak_candidate_width = 0
 
     def build(self, space: RelationSpace) -> "ExactBackend":
         self.space = space
-        self._searcher = MNNSearcher(space, block_size=self.block_size)
         return self
+
+    def _score_block(self, src_indices: np.ndarray,
+                     block: slice) -> np.ndarray:
+        """Weighted distances from given sources to one target block."""
+        space = self.space
+        total = np.zeros((src_indices.size, block.stop - block.start))
+        src_w = space.src_weights[src_indices]               # (B, M)
+        dst_w = space.dst_weights[block]                     # (W, M)
+        for m, kappa in enumerate(space.kappas):
+            dists = pairwise_dist(space.src_embeddings[m][src_indices],
+                                  space.dst_embeddings[m][block], kappa)
+            total += (src_w[:, m:m + 1] + dst_w[:, m]) * dists
+        return total
 
     def search(self, src_indices: np.ndarray, k: int,
                exclude_self: bool = False
                ) -> Tuple[np.ndarray, np.ndarray]:
         self._require_built()
-        return self._searcher.search(np.asarray(src_indices, dtype=np.int64),
-                                     k, exclude_self=exclude_self)
-
-    @property
-    def peak_candidate_width(self) -> int:
-        """Memory high-water mark of the last search (candidate columns)."""
-        return 0 if self._searcher is None else \
-            self._searcher.peak_candidate_width
+        src_indices = np.asarray(src_indices, dtype=np.int64)
+        k, same = self._clamp_k(self.space, k, exclude_self)
+        n_targets = self.space.num_targets
+        best_ids = np.empty((src_indices.size, 0), dtype=np.int64)
+        best_dists = np.empty((src_indices.size, 0))
+        self.peak_candidate_width = 0
+        for start in range(0, n_targets, self.block_size):
+            block = slice(start, min(start + self.block_size, n_targets))
+            scores = self._score_block(src_indices, block)
+            if same:
+                rows = np.nonzero((src_indices >= block.start)
+                                  & (src_indices < block.stop))[0]
+                scores[rows, src_indices[rows] - block.start] = np.inf
+            ids, dists = self._keep_k(
+                np.broadcast_to(np.arange(block.start, block.stop),
+                                scores.shape), scores, k)
+            best_ids = np.concatenate([best_ids, ids], axis=1)
+            best_dists = np.concatenate([best_dists, dists], axis=1)
+            self.peak_candidate_width = max(self.peak_candidate_width,
+                                            best_dists.shape[1])
+            best_ids, best_dists = self._keep_k(best_ids, best_dists, k)
+        return self._top_k(best_ids, best_dists, k)
 
 
 class PQBackend(SearchBackend):
@@ -195,9 +253,9 @@ class ShardedBackend(SearchBackend):
     over the healthy shards — never empty (all shards failing raises),
     never out of order, and narrower than ``k`` only when the healthy
     shards hold fewer candidates.  ``last_failed_shards`` /
-    ``last_degraded`` describe the most recent search, ``health()``
-    aggregates counters, and the optional ``on_shard_outcome(shard,
-    ok)`` callback lets a circuit breaker watch per-shard outcomes.
+    ``last_degraded`` describe the most recent search and ``health()``
+    aggregates counters.  No circuit breaker watches single shards: the
+    serving engine feeds its breaker one outcome per engine slice.
     """
 
     def __init__(self, num_shards: int = 2, inner_backend: str = "exact",
@@ -232,7 +290,6 @@ class ShardedBackend(SearchBackend):
         self.shard_errors: List[int] = []
         self.shard_timeouts: List[int] = []
         self.last_failed_shards: List[int] = []
-        self.on_shard_outcome: Optional[Callable[[int, bool], None]] = None
 
     def build(self, space: RelationSpace) -> "ShardedBackend":
         self.space = space
@@ -312,9 +369,6 @@ class ShardedBackend(SearchBackend):
             remaining = failed
 
         self.last_failed_shards = remaining
-        if self.on_shard_outcome is not None:
-            for shard in range(len(self.shards)):
-                self.on_shard_outcome(shard, shard not in remaining)
         if remaining:
             self.degraded_searches += 1
         if not results:
@@ -334,13 +388,7 @@ class ShardedBackend(SearchBackend):
             keep = np.lexsort((all_dists, is_self))[:, :k]
             all_ids = np.take_along_axis(all_ids, keep, axis=1)
             all_dists = np.take_along_axis(all_dists, keep, axis=1)
-        if k < all_dists.shape[1]:
-            keep = np.argpartition(all_dists, kth=k - 1, axis=1)[:, :k]
-            all_ids = np.take_along_axis(all_ids, keep, axis=1)
-            all_dists = np.take_along_axis(all_dists, keep, axis=1)
-        order = np.argsort(all_dists, axis=1, kind="stable")
-        return (np.take_along_axis(all_ids, order, axis=1),
-                np.take_along_axis(all_dists, order, axis=1))
+        return self._top_k(all_ids, all_dists, k)
 
 
 #: Registry of selectable backends, keyed by the name ``IndexSet`` and

@@ -1,4 +1,5 @@
-"""Mixed-curvature Nearest Neighbour (MNN) search — paper §IV-C-1.
+"""The frozen search geometry of Mixed-curvature Nearest Neighbour (MNN)
+search — paper §IV-C-1.
 
 The similarity of AMCAD is not a dot product: it is an attention-
 weighted sum of per-subspace geodesic distances in relation-specific
@@ -14,7 +15,9 @@ edge spaces (paper Eq. 14).  Two properties make exact search feasible:
 
 A :class:`RelationSpace` is the frozen inference artefact for one
 relation: projected source/target embeddings, per-node weights and edge
-curvatures, extracted from a trained model under ``no_grad``.
+curvatures, extracted from a trained model under ``no_grad``.  Every
+search backend is built over one; the exact scan itself is
+:class:`~repro.retrieval.backend.ExactBackend`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.autodiff.tensor import Tensor, no_grad
-from repro.geometry.fast import pairwise_dist, rowwise_dist
+from repro.geometry.fast import rowwise_dist
 from repro.graph.schema import NodeType, Relation
 
 
@@ -155,99 +158,3 @@ def _project_all(model, relation: Relation, node_type: NodeType,
     projected = model.scorer.project(relation, node_type, points)
     weights = model.scorer.node_weights(relation, node_type, projected)
     return [t.data for t in projected], weights.data
-
-
-class MNNSearcher:
-    """Exact top-K search under the attention-weighted mixed metric.
-
-    Candidate blocks are scored one at a time on the calling thread and
-    merged into a running per-source top-k, so peak memory is bounded
-    by one block plus the ``(B, k)`` result buffer — it does not scale
-    with the full ``(B, N)`` score matrix.
-
-    Parameters
-    ----------
-    space:
-        The frozen relation geometry.
-    block_size:
-        Candidate rows scored per vectorised block.
-    """
-
-    def __init__(self, space: RelationSpace, block_size: int = 2048):
-        self.space = space
-        self.block_size = int(block_size)
-        #: Widest candidate buffer merged during the last search — the
-        #: memory high-water mark, asserted far below N in the tests.
-        self.peak_candidate_width = 0
-
-    def _score_block(self, src_indices: np.ndarray,
-                     block: slice) -> np.ndarray:
-        """Weighted distances from given sources to one candidate block."""
-        space = self.space
-        width = block.stop - block.start
-        total = np.zeros((src_indices.size, width))
-        src_w = space.src_weights[src_indices]               # (B, M)
-        dst_w = space.dst_weights[block]                     # (W, M)
-        for m, kappa in enumerate(space.kappas):
-            dists = pairwise_dist(space.src_embeddings[m][src_indices],
-                                  space.dst_embeddings[m][block], kappa)
-            weights = src_w[:, m:m + 1] + dst_w[None, :, m][0]
-            total += weights * dists
-        return total
-
-    def _block_topk(self, src_indices: np.ndarray, block: slice, k: int,
-                    mask_self: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Score one block and reduce it to per-source top-``k``."""
-        scores = self._score_block(src_indices, block)
-        if mask_self:
-            in_block = ((src_indices >= block.start)
-                        & (src_indices < block.stop))
-            rows = np.nonzero(in_block)[0]
-            scores[rows, src_indices[rows] - block.start] = np.inf
-        width = scores.shape[1]
-        kk = min(k, width)
-        if kk < width:
-            top = np.argpartition(scores, kth=kk - 1, axis=1)[:, :kk]
-        else:
-            top = np.broadcast_to(np.arange(width),
-                                  (src_indices.size, width)).copy()
-        dists = np.take_along_axis(scores, top, axis=1)
-        return top.astype(np.int64) + block.start, dists
-
-    def search(self, src_indices: np.ndarray, k: int,
-               exclude_self: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` nearest targets per source.
-
-        Returns ``(ids, distances)`` of shape ``(B, k)``, sorted by
-        ascending distance.  ``exclude_self`` drops the diagonal for
-        same-type relations (a node is trivially nearest to itself).
-
-        Blocks are streamed: each block is reduced to block-local top-k
-        and folded into a running best-k buffer, so the full ``(B, N)``
-        matrix is never materialised.
-        """
-        src_indices = np.asarray(src_indices, dtype=np.int64)
-        n_targets = self.space.num_targets
-        k = min(k, n_targets - (1 if exclude_self else 0))
-        mask_self = exclude_self and (self.space.relation.source_type
-                                      == self.space.relation.target_type)
-        blocks = [slice(start, min(start + self.block_size, n_targets))
-                  for start in range(0, n_targets, self.block_size)]
-
-        best_ids = np.empty((src_indices.size, 0), dtype=np.int64)
-        best_dists = np.empty((src_indices.size, 0))
-        self.peak_candidate_width = 0
-        for block in blocks:
-            ids, dists = self._block_topk(src_indices, block, k, mask_self)
-            best_ids = np.concatenate([best_ids, ids], axis=1)
-            best_dists = np.concatenate([best_dists, dists], axis=1)
-            self.peak_candidate_width = max(self.peak_candidate_width,
-                                            best_dists.shape[1])
-            if best_dists.shape[1] > k:
-                keep = np.argpartition(best_dists, kth=k - 1, axis=1)[:, :k]
-                best_ids = np.take_along_axis(best_ids, keep, axis=1)
-                best_dists = np.take_along_axis(best_dists, keep, axis=1)
-
-        order = np.argsort(best_dists, axis=1, kind="stable")
-        return (np.take_along_axis(best_ids, order, axis=1),
-                np.take_along_axis(best_dists, order, axis=1))

@@ -218,6 +218,13 @@ class TestEveryRegisteredBackend:
         assert ids.shape == dists.shape == (0, 7)
         assert ids.dtype == np.int64 and dists.dtype == np.float64
 
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_negative_k_rejected(self, batch_space, name):
+        space = batch_space.slice_targets(0, 5)
+        backend = make_backend(name, **_REGISTRY_KWARGS.get(name, {}))
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            backend.build(space).search(np.arange(3), -1)
+
     @pytest.mark.parametrize("exclude_self", [False, True])
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_key_alone_matches_its_row_in_a_batch(self, batch_space, name,

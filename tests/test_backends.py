@@ -16,7 +16,7 @@ from repro.retrieval import (
     make_backend,
     resolve_backend_factory,
 )
-from repro.retrieval.mnn import MNNSearcher, RelationSpace
+from repro.retrieval.mnn import RelationSpace
 from repro.training import Trainer, TrainerConfig
 
 
@@ -108,6 +108,13 @@ class TestExactBackend:
     def test_search_before_build_raises(self):
         with pytest.raises(RuntimeError):
             ExactBackend().search(np.array([0]), k=3)
+
+    @pytest.mark.parametrize("block_size", [0, -4])
+    def test_block_size_below_one_rejected_by_name(self, block_size):
+        with pytest.raises(ValueError, match="block_size"):
+            ExactBackend(block_size=block_size)
+        with pytest.raises(ValueError, match="block_size"):
+            make_backend("exact", block_size=block_size)
 
 
 class TestPQBackend:
@@ -304,7 +311,7 @@ class TestIndexSetBackends:
     def test_exact_and_pq_backends_agree_on_easy_top1(self, model):
         """Both rank valid ids; exact is the MNN ground truth."""
         exact = IndexSet(model, top_k=5).build([Relation.Q2A])
-        searcher = MNNSearcher(exact.spaces[Relation.Q2A])
+        searcher = ExactBackend().build(exact.spaces[Relation.Q2A])
         ids, __ = searcher.search(np.array([0]), k=5)
         assert np.array_equal(exact[Relation.Q2A].lookup(0)[0], ids[0])
 

@@ -1,4 +1,4 @@
-"""Tests for MNN search, inverted indices and two-layer retrieval."""
+"""Tests for exact MNN search, inverted indices and two-layer retrieval."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ import pytest
 from repro.graph.schema import NodeType, Relation
 from repro.models import make_model
 from repro.retrieval import (
+    ExactBackend,
     IndexSet,
-    MNNSearcher,
     RetrievalResult,
     TwoLayerRetriever,
 )
@@ -59,16 +59,16 @@ class TestRelationSpace:
         assert np.all(d >= 0)
 
 
-class TestMNNSearcher:
+class TestExactSearch:
     def test_search_returns_sorted_topk(self, q2i_space):
-        searcher = MNNSearcher(q2i_space)
+        searcher = ExactBackend().build(q2i_space)
         ids, dists = searcher.search(np.array([0, 1, 2]), k=5)
         assert ids.shape == (3, 5)
         assert np.all(np.diff(dists, axis=1) >= -1e-12)
 
     def test_search_matches_exhaustive(self, q2i_space):
         """Top-1 from the searcher equals the argmin of pair distances."""
-        searcher = MNNSearcher(q2i_space, block_size=64)
+        searcher = ExactBackend(block_size=64).build(q2i_space)
         src = np.array([3])
         ids, __ = searcher.search(src, k=1)
         all_d = q2i_space.pair_distance(
@@ -78,14 +78,14 @@ class TestMNNSearcher:
 
     def test_exclude_self_for_same_type(self, model):
         space = RelationSpace.from_model(model, Relation.Q2Q)
-        searcher = MNNSearcher(space)
+        searcher = ExactBackend().build(space)
         src = np.arange(10)
         ids, __ = searcher.search(src, k=5, exclude_self=True)
         for row, query in enumerate(src):
             assert query not in ids[row]
 
     def test_k_capped_to_targets(self, q2i_space):
-        searcher = MNNSearcher(q2i_space)
+        searcher = ExactBackend().build(q2i_space)
         ids, __ = searcher.search(np.array([0]), k=10 ** 6)
         assert ids.shape[1] == q2i_space.num_targets
 
