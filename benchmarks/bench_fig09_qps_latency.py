@@ -7,7 +7,7 @@ behind a wide worker pool.
 
 Here the per-request service time is *measured* by driving the
 micro-batching :class:`ServingEngine` over the real two-layer
-retriever (batched index lookups + LRU expansion caching, like the
+retriever (batched index lookups + a cache of finished results, like the
 production iGraph path), and an Erlang-C (M/M/c) model maps offered
 load to waiting time for a serving fleet sized to saturate just above
 the sweep range — the same shape-generating mechanism as the

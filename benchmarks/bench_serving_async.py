@@ -84,8 +84,8 @@ DEADLINE_SERVICE_MULTIPLE = 40.0
 #: batched leg: loads as fractions of full-width-batch saturation
 BATCHED_LOADS = (0.1, 0.5, 0.9, 1.2)
 BATCHED_REQUESTS = 2400
-#: LRU entries, below the stream's ~360 distinct signatures: every
-#: pass keeps a miss path, as on the e2e ``serve_zipf`` stream
+#: result-cache entries, below the stream's ~360 distinct signatures:
+#: every pass keeps a miss path, as on the e2e ``serve_zipf`` stream
 BATCHED_CACHE = 256
 BATCHED_SATURATION_PASSES = 3
 
@@ -105,7 +105,7 @@ def _build_engine(seed: int = 7) -> ServingEngine:
     Trainer(model, TrainerConfig(steps=12, batch_size=32, seed=seed)).train()
     retriever = TwoLayerRetriever(IndexSet(model, top_k=15).build(),
                                   expansion_k=4, ads_per_key=4)
-    # no LRU cache: a cache that keeps warming across sweep points
+    # no result cache: a cache that keeps warming across sweep points
     # makes the service process non-stationary, so the probed
     # saturation point drifts and the calibration is meaningless
     engine = ServingEngine(retriever, max_batch_size=FLEET, cache_size=0)
@@ -242,8 +242,9 @@ def _batched(engine, traffic, scale: float) -> dict:
                                [r.preclicks for r in chunk])
         return time.perf_counter() - start
 
-    # one warm pass leaves the LRU in the state every later pass of the
-    # same stream starts from; saturation is one full-width worker
+    # one warm pass fills the cache with the stream's head; later passes
+    # start near that state, not exactly in it (admission counts keep
+    # growing and halving); saturation is one full-width worker
     full_batch_pass()
     walls = sorted(full_batch_pass()
                    for _ in range(BATCHED_SATURATION_PASSES))

@@ -1,18 +1,21 @@
 """Micro-batched serving throughput with the result cache off, natural and full.
 
 ``serve_zipf`` in ``benchmarks/e2e`` measures the engine at its
-stream's natural hit ratio (~0.88), where seven requests in eight never
-reach the retriever, so it cannot say what a *miss* costs.  This bench
+stream's natural hit ratio (~0.95), where nineteen requests in twenty
+never reach the retriever, so it cannot say what a *miss* costs.  This bench
 replays one seeded Zipf stream over the default synthetic universe, in
 32-request batches through ``ServingEngine.serve_batch``, at three
 cache states, plus one leg of single-request batches:
 
 - **cache_off**  — ``cache_size=0``: every request runs both retrieval
   layers (the miss path on its own);
-- **natural**    — the default 1024-entry LRU, warmed by one pass, at
-  whatever hit ratio the stream gives it (reported);
-- **all_hits**   — an LRU that holds every distinct signature of the
-  stream, warmed by one pass: the engine's fixed cost per request;
+- **natural**    — the default 1024-entry result cache (an LRU behind
+  a frequency-counted admission gate), warmed by one pass, at whatever
+  hit ratio the stream gives it (reported; it keeps rising a little
+  over the passes as the counts of the head grow);
+- **all_hits**   — a cache that holds every distinct signature of the
+  stream, warmed by one pass (it never fills past them, so admission
+  never refuses one): the engine's fixed cost per request;
 - **lone_miss**  — cache off, batches of one: what a request that finds
   a worker idle pays (the paced phase's p99 request).
 

@@ -299,6 +299,9 @@ class ServingConfig:
             raise ValueError("serving.k/expansion_k/ads_per_key must be >= 1")
         if self.max_batch_size < 1:
             raise ValueError("serving.max_batch_size must be >= 1")
+        if self.cache_size < 0:
+            raise ValueError("serving.cache_size must be >= 0 (0 disables "
+                             "the result cache), got %d" % self.cache_size)
         if self.measure_requests < 0:
             raise ValueError("serving.measure_requests must be >= 0")
         if self.measure_repeats < 1:

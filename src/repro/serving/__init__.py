@@ -10,8 +10,9 @@ layered front to back:
   deadline load-shedding, and per-request queue/service latency
   percentiles in :class:`AdmissionStats`;
 - :mod:`repro.serving.engine` — :class:`ServingEngine`, which
-  answers repeat requests from an exact LRU of finished results, sends
-  each micro-batch's misses through the vectorised retriever, and keeps
+  answers repeat requests from an exact cache of finished results (an
+  LRU behind a frequency-counted admission gate), sends each
+  micro-batch's misses through the vectorised retriever, and keeps
   per-worker and per-request timings;
 - :mod:`repro.serving.traffic` — :class:`TrafficGenerator`, the
   closed-loop harness replaying Zipf head-skewed queries from real

@@ -9,11 +9,15 @@ index twice.  :class:`ServingEngine` is the laptop-scale analogue:
   :meth:`~repro.retrieval.two_layer.TwoLayerRetriever.retrieve_batch`
   path, amortising the per-call numpy overhead;
 - **result cache** — the finished ranked ads are memoised per
-  ``(generation, k, query, pre-clicks)`` signature in an LRU cache, so
-  repeat traffic (head queries) costs a dict lookup and only a batch's
-  misses reach the retriever.  Exact, not approximate: a result is a
-  pure function of that signature, whatever batch it is computed in.
-  Cached results are shared between callers and therefore read-only;
+  ``(generation, k, query, pre-clicks)`` signature in an LRU cache
+  behind a frequency-counted admission gate (:class:`LRUCache`), so
+  repeat traffic (head queries) costs two dict lookups and only a
+  batch's misses reach the retriever.  A full cache admits a miss only
+  if it was looked up more often than the entry it would evict, so a
+  one-off tail signature never displaces a head one.  Exact, not
+  approximate: a result is a pure function of that signature, whatever
+  batch it is computed in.  Cached results are shared between callers
+  and therefore read-only;
 - **per-worker timing** — each micro-batch is timed and attributed to
   the least-loaded worker of a simulated fleet, producing the measured
   *batched* service times the Erlang-C
@@ -32,7 +36,8 @@ import dataclasses
 import threading
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Hashable, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -45,13 +50,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class LRUCache:
-    """Small ordered-dict LRU used for served results."""
+    """Ordered-dict LRU of served results behind a frequency-counted
+    admission gate (TinyLFU: Einziger, Friedman & Manes, ACM ToS 2017).
+
+    Every :meth:`get` counts its key.  Once the cache is full, :meth:`put`
+    evicts the least-recently-used entry only for a newcomer looked up
+    strictly more often than it; otherwise the newcomer is not cached.
+    On a Zipf stream this keeps one-off tail keys from evicting the
+    head.  Counts halve (zeros dropped) every ``AGING_PERIOD x
+    capacity`` lookups, which bounds the counter and lets popularity
+    drift.  Capacity 0 disables the cache, counting included.
+    """
+
+    #: lookups per cache entry between two halvings of every count
+    AGING_PERIOD = 10
 
     def __init__(self, capacity: int):
-        self.capacity = int(capacity)
+        capacity = int(capacity)
+        if capacity < 0:
+            raise ValueError("cache capacity must be >= 0 (0 disables the "
+                             "cache), got %d" % capacity)
+        self.capacity = capacity
         self._store: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._counts: Dict[Hashable, int] = {}
+        self._lookups = 0
+        self._age_every = self.AGING_PERIOD * capacity
 
     def get(self, key: Hashable) -> Optional[Any]:
+        if self.capacity:
+            counts = self._counts
+            counts[key] = counts.get(key, 0) + 1
+            self._lookups += 1
+            if self._lookups >= self._age_every:
+                self._age()
         try:
             self._store.move_to_end(key)
         except KeyError:
@@ -59,18 +90,29 @@ class LRUCache:
         return self._store[key]
 
     def put(self, key: Hashable, value: Any) -> None:
-        if self.capacity <= 0:
-            return
-        self._store[key] = value
-        self._store.move_to_end(key)
-        while len(self._store) > self.capacity:
-            self._store.popitem(last=False)
+        store = self._store
+        if key not in store and len(store) >= self.capacity:
+            if not store:       # capacity 0
+                return
+            victim = next(iter(store))
+            if self._counts.get(key, 0) <= self._counts.get(victim, 0):
+                return
+            del store[victim]
+        store[key] = value
+        store.move_to_end(key)
+
+    def _age(self) -> None:
+        self._lookups = 0
+        self._counts = {key: count >> 1
+                        for key, count in self._counts.items() if count > 1}
 
     def __len__(self) -> int:
         return len(self._store)
 
     def clear(self) -> None:
         self._store.clear()
+        self._counts.clear()
+        self._lookups = 0
 
 
 def percentiles(samples: Sequence[float],
@@ -162,7 +204,9 @@ class ServingEngine:
         Requests per micro-batch; incoming traffic is sliced into
         batches of at most this size.
     cache_size:
-        LRU capacity in served results (0 disables caching).
+        Result-cache capacity in served results (0 disables caching,
+        below 0 raises).  A full cache replaces its least-recently-used
+        entry only with a result looked up more often than it.
     num_workers:
         Simulated fleet width for per-worker busy-time accounting; each
         unit of fleet work (a micro-batch, or one shard slice of it)
@@ -212,7 +256,7 @@ class ServingEngine:
             worker_busy_seconds=[0.0] * self.num_workers)
         self._pending: List[Tuple[int, Sequence[int], float]] = []
         # a hot swap may come from another thread: the lock keeps the
-        # LRU's bookkeeping consistent and makes the (retriever,
+        # cache's bookkeeping consistent and makes the (retriever,
         # generation) flip one atomic pointer swap
         self._cache_lock = threading.Lock()
 

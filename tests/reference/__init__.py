@@ -9,5 +9,7 @@ reference answer however the product path is reorganised.
 ``sampling`` reads the graph's CSR adjacency and the negative
 sampler's alias tables directly: it is the per-pair walker and negative
 sampler that ``MetaPathWalker.sample_pair_blocks`` and
-``NegativeSampler.sample_arrays`` replaced, seed for seed.
+``NegativeSampler.sample_arrays`` replaced, seed for seed.  ``lru`` is
+the admission-free LRU the serving engine's result cache replaced; it
+is the miss-count baseline, not an answer oracle.
 """

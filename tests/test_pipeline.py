@@ -105,6 +105,13 @@ class TestConfig:
             PipelineConfig.from_dict(
                 {"serving": {"preclicks_per_request": -1}})
 
+    def test_negative_cache_size_rejected(self):
+        with pytest.raises(ValueError, match="serving.cache_size"):
+            PipelineConfig.from_dict({"serving": {"cache_size": -3}})
+        # 0 still disables the cache
+        assert PipelineConfig.from_dict(
+            {"serving": {"cache_size": 0}}).serving.cache_size == 0
+
     def test_admission_keys_validated(self):
         with pytest.raises(ValueError, match="admission_max_queue"):
             PipelineConfig.from_dict({"serving": {"admission_max_queue": 0}})

@@ -1,4 +1,4 @@
-"""Tests for the serving subsystem: engine, LRU cache, queue model."""
+"""Tests for the serving subsystem: engine, result cache, queue model."""
 
 import math
 
@@ -19,6 +19,8 @@ from repro.serving import (
 )
 from repro.training import Trainer, TrainerConfig
 
+from reference.lru import LRUCache as PlainLRU
+
 
 @pytest.fixture(scope="module")
 def retriever(train_graph):
@@ -36,6 +38,17 @@ def traffic(rng):
     return queries, preclicks
 
 
+def _replay(cache, keys, passes: int = 1) -> int:
+    """The engine's order per request: look up, put on a miss; misses."""
+    misses = 0
+    for _ in range(passes):
+        for key in keys:
+            if cache.get(key) is None:
+                misses += 1
+                cache.put(key, key)
+    return misses
+
+
 class TestLRUCache:
     def test_put_get(self):
         cache = LRUCache(2)
@@ -48,6 +61,7 @@ class TestLRUCache:
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")            # refresh a
+        cache.get("c")            # the engine looks up before it puts
         cache.put("c", 3)         # evicts b
         assert cache.get("b") is None
         assert cache.get("a") == 1 and cache.get("c") == 3
@@ -57,6 +71,117 @@ class TestLRUCache:
         cache = LRUCache(0)
         cache.put("a", 1)
         assert cache.get("a") is None
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity"):
+            LRUCache(-3)
+        with pytest.raises(ValueError, match="capacity"):
+            ServingEngine(None, cache_size=-1)
+
+    def test_newcomer_no_more_frequent_than_victim_not_admitted(self):
+        cache = LRUCache(2)
+        for key in "ab":
+            cache.get(key)
+            cache.put(key, key)
+        cache.get("c")            # c is looked up as often as a and b
+        cache.put("c", "c")
+        assert cache.get("c") is None
+        assert cache.get("a") == "a" and cache.get("b") == "b"
+        cache.get("c")            # now more often than the victim
+        cache.put("c", "c")
+        assert cache.get("c") == "c" and len(cache) == 2
+
+    def test_refresh_of_a_cached_key_is_not_gated(self):
+        cache = LRUCache(1)
+        cache.put("a", 1)
+        cache.put("a", 2)
+        assert cache.get("a") == 2
+
+    def test_hot_set_survives_a_cold_scan(self):
+        capacity = 16
+        cache = LRUCache(capacity)
+        hot = ["hot%d" % i for i in range(capacity)]
+        _replay(cache, hot, passes=4)
+        _replay(cache, ["cold%d" % i
+                        for i in range(LRUCache.AGING_PERIOD * capacity)])
+        assert all(cache.get(key) == key for key in hot)
+
+    def test_counter_is_bounded(self):
+        capacity = 8
+        cache = LRUCache(capacity)
+        most = 0
+        for i in range(100 * capacity):
+            if cache.get(i) is None:
+                cache.put(i, i)
+            most = max(most, len(cache._counts))
+        assert most <= LRUCache.AGING_PERIOD * capacity
+        assert len(cache) == capacity
+
+    def test_clear_resets_counts(self):
+        capacity = 4
+        cache = LRUCache(capacity)
+        _replay(cache, range(capacity), passes=3)
+        cache.clear()
+        assert len(cache) == 0 and cache._counts == {}
+        fresh = range(capacity, 2 * capacity)
+        assert _replay(cache, fresh) == capacity
+        assert all(cache.get(key) == key for key in fresh)
+        # the old keys' counts are gone: a comeback is not admitted over
+        # an entry looked up as often as it
+        cache.get(0)
+        cache.put(0, 0)
+        assert cache.get(0) is None
+
+    def test_zero_capacity_counts_nothing(self):
+        cache = LRUCache(0)
+        for key in range(50):
+            assert cache.get(key) is None
+            cache.put(key, key)
+        assert cache._counts == {} and len(cache) == 0
+
+
+def _zipf_ranks(seed: int, draws: int, ranks: int,
+                exponent: float = 1.1) -> list:
+    weights = np.arange(1, ranks + 1, dtype=np.float64) ** -exponent
+    return np.random.default_rng(seed).choice(
+        ranks, size=draws, p=weights / weights.sum()).tolist()
+
+
+class TestAdmissionAgainstPlainLRU:
+    """Admission must miss strictly less than the plain LRU it replaced
+    (``tests/reference/lru.py``) on Zipf(1.1) streams."""
+
+    @pytest.mark.parametrize("capacity", [256, 512, 1024])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fewer_misses_on_a_zipf_stream(self, seed, capacity):
+        stream = _zipf_ranks(seed, draws=6000, ranks=4000)
+        assert _replay(LRUCache(capacity), stream, passes=5) \
+            < _replay(PlainLRU(capacity), stream, passes=5)
+
+    def test_engine_serves_the_same_answers_with_fewer_misses(self,
+                                                              retriever):
+        """A cache smaller than the stream's distinct signatures."""
+        ranks = _zipf_ranks(5, draws=600, ranks=400)
+        queries = [rank % 220 for rank in ranks]
+        preclicks = [() if rank < 220 else (rank - 220,) for rank in ranks]
+        assert len(set(zip(queries, preclicks))) > 64
+
+        def serve(engine):
+            return [result for _ in range(3)
+                    for result in engine.serve(queries, preclicks, k=8)]
+
+        uncached = serve(ServingEngine(retriever, max_batch_size=16,
+                                       cache_size=0))
+        engine = ServingEngine(retriever, max_batch_size=16, cache_size=64)
+        oracle = ServingEngine(retriever, max_batch_size=16)
+        oracle.cache = PlainLRU(64)
+        served = serve(engine)
+        serve(oracle)
+        for got, want in zip(served, uncached):
+            np.testing.assert_array_equal(got.ads, want.ads)
+            np.testing.assert_array_equal(got.scores, want.scores)
+        assert len(served) == len(uncached)
+        assert engine.stats.cache_misses < oracle.stats.cache_misses
 
 
 class TestServingEngine:
