@@ -6,22 +6,22 @@ brute force with two-level parallelism).  This bench quantifies that:
 
 - ground truth = the ``ExactBackend`` (MNN) top-k under the learned
   metric;
-- PQ baseline  = the ``PQBackend`` — classic PQ/ADC over the
-  *concatenated Euclidean* embedding (the best a traditional pipeline
-  can do: it can neither apply per-subspace geodesics nor per-pair
-  attention weights);
+- PQ baseline  = ``tests/reference/pq.py``'s ``PQIndex`` — classic
+  PQ/ADC over the *concatenated Euclidean* embedding (the best a
+  traditional pipeline can do: it can neither apply per-subspace
+  geodesics nor per-pair attention weights);
 - report recall@k of PQ against the true metric, plus PQ's recall on
   plain Euclidean search as a control (showing PQ itself is fine when
   the metric matches its assumptions).
 
-Both searches run through the same pluggable
-:class:`~repro.retrieval.backend.SearchBackend` interface that
-``IndexSet`` builds indices with, and both ground truths come from
-the shared :func:`common.exact_ground_truth` /
-:func:`common.euclidean_view` helpers — one streamed exact pass per
-ranking, no materialised ``(Q, N)`` distance matrix.
+PQ is no search backend, so it is fitted on the relation's target rows
+directly.  Both ground truths come from the shared
+:func:`common.exact_ground_truth` / :func:`common.euclidean_view`
+helpers — one streamed exact pass per ranking, no materialised
+``(Q, N)`` distance matrix.
 """
 
+import pathlib
 import sys
 
 import numpy as np
@@ -30,13 +30,15 @@ import pytest
 from repro.bench import scaled_steps, write_report
 from repro.graph.schema import Relation
 from repro.models import make_model
-from repro.retrieval import make_backend
 from repro.retrieval.mnn import RelationSpace
 from repro.retrieval.quantization import recall_at_k
 from repro.training import Trainer, TrainerConfig
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
+_HERE = pathlib.Path(__file__).parent
+sys.path.insert(0, str(_HERE))
+sys.path.insert(0, str(_HERE.parent / "tests"))
 from common import euclidean_view, exact_ground_truth  # noqa: E402
+from reference.pq import PQIndex  # noqa: E402
 
 
 def test_pq_cannot_serve_mixed_metric(benchmark, bench_data):
@@ -56,9 +58,10 @@ def test_pq_cannot_serve_mixed_metric(benchmark, bench_data):
         exact_ids, __ = exact_ground_truth(space, queries, k)
 
         # PQ over concatenated embeddings (all a traditional ANN sees)
-        pq = make_backend("pq", num_blocks=4, codebook_size=32,
-                          seed=0).build(space)
-        pq_ids, __ = pq.search(queries, k=k)
+        pq = PQIndex(num_blocks=4, codebook_size=32, seed=0).fit(
+            np.concatenate(space.dst_embeddings, axis=1))
+        pq_ids, __ = pq.search(
+            np.concatenate(space.src_embeddings, axis=1)[queries], k=k)
         pq_recall = recall_at_k(pq_ids, exact_ids, k)
 
         # decomposition: how much is lost to the metric mismatch alone
@@ -77,7 +80,7 @@ def test_pq_cannot_serve_mixed_metric(benchmark, bench_data):
             "recall@%d, PQ vs true mixed metric: %.3f" % (k, pq_recall),
             "recall@%d, PQ vs exact Euclidean (control): %.3f"
             % (k, control_recall),
-            "PQ compression: %.0fx" % pq.index.compression_ratio(),
+            "PQ compression: %.0fx" % pq.compression_ratio(),
             "",
             "paper (§IV-C-1): the attention-weighted metric is 'hard to "
             "directly use' with product quantisation, motivating MNN; "

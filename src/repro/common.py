@@ -148,6 +148,9 @@ _RETIRED_PLANES = {
         "ef_search": (_number(1), "a number >= 1"),
         "insert_chunk": (_number(1), "a number >= 1"),
         "expand_hops": (_number(0), "a number >= 0"),
+        # the product-quantisation backend's codebook shape
+        "num_blocks": (_number(1), "a number >= 1"),
+        "codebook_size": (_number(1), "a number >= 1"),
     },
     "engine": {
         "shard_parallelism": (_number(), "a number"),
@@ -158,7 +161,7 @@ _RETIRED_PLANES = {
 #: retired search backend -> the backend a published config or index
 #: header naming it loads as (its stored indices still serve unchanged;
 #: a rebuild builds the replacement)
-_RETIRED_BACKENDS = {"nsw": "ivf"}
+_RETIRED_BACKENDS = {"nsw": "ivf", "pq": "ivf"}
 
 #: ``section -> keys`` whose value is a search-backend name
 _BACKEND_NAME_KEYS = {

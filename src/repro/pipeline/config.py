@@ -24,7 +24,7 @@ from repro.common import (atomic_write_text, drop_retired_planes,
 from repro.data.synthetic import SimulatorConfig
 from repro.graph.schema import Relation
 from repro.models.amcad import AMCADConfig, list_models
-from repro.retrieval.backend import BACKENDS
+from repro.retrieval.backend import BACKENDS, ShardedBackend, make_backend
 from repro.testing.faults import FaultSpec
 from repro.training.trainer import TrainerConfig
 
@@ -150,8 +150,7 @@ class IndexConfig:
     #: target-space shards per index (``backend="sharded"`` only; also
     #: the serving engine's micro-batch fan-out width)
     num_shards: int = 2
-    #: backend each shard delegates to (``"exact"``, ``"pq"``,
-    #: ``"ivf"``)
+    #: backend each shard delegates to (``"exact"`` or ``"ivf"``)
     inner_backend: str = "exact"
     #: retries per failed shard search before it is excluded
     shard_retries: int = 0
@@ -171,6 +170,10 @@ class IndexConfig:
         if self.batch_size < 1:
             raise ValueError("index.batch_size must be >= 1, got %d"
                              % self.batch_size)
+        if not isinstance(self.backend_kwargs, dict):
+            raise ValueError("index.backend_kwargs must be an object of "
+                             "backend constructor kwargs, got %r"
+                             % (self.backend_kwargs,))
         if self.backend not in BACKENDS:
             raise ValueError("index.backend %r is not registered; choose "
                              "one of: %s"
@@ -206,6 +209,17 @@ class IndexConfig:
                 raise ValueError("index.relations has unknown relation(s) "
                                  "%s; valid: %s"
                                  % (unknown, ", ".join(sorted(valid))))
+        # construct (not build) the backend, so a kwarg it rejects fails
+        # here and not after training
+        try:
+            backend = make_backend(self.backend,
+                                   **self.resolved_backend_kwargs())
+            if isinstance(backend, ShardedBackend):
+                make_backend(backend.inner_backend, **backend.inner_kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("index.backend_kwargs %r rejected by backend "
+                             "%r: %s" % (self.backend_kwargs, self.backend,
+                                         exc)) from exc
 
     def relation_list(self) -> Optional[List[Relation]]:
         if self.relations is None:
@@ -313,6 +327,9 @@ class ServingConfig:
                              "got %r" % self.target_utilisation)
         if self.target_qps <= 0:
             raise ValueError("serving.target_qps must be > 0")
+        if any(not qps > 0 for qps in self.qps_sweep):
+            raise ValueError("serving.qps_sweep entries must be > 0, got %r"
+                             % (self.qps_sweep,))
         if self.admission_max_queue < 1:
             raise ValueError("serving.admission_max_queue must be >= 1, "
                              "got %d" % self.admission_max_queue)

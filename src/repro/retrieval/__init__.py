@@ -13,7 +13,6 @@ Reproduces the deployment half of AMCAD (paper §IV-C, Fig. 6):
   over workers with data-level (OpenMP) and instruction-level (SIMD)
   parallelism; here that is blocked numpy (vector units) on one
   thread, with block results streamed into a bounded top-k merge;
-  :class:`PQBackend` wrapping product quantisation,
   :class:`ShardedBackend` partitioning the target space over per-shard
   inner backends with an exact top-k merge);
 - :mod:`repro.retrieval.ann` — the pruned ANN backend over the same
@@ -21,6 +20,9 @@ Reproduces the deployment half of AMCAD (paper §IV-C, Fig. 6):
   generation in the flat ``logmap0`` tangent space, exact re-rank with
   the attention-weighted manifold metric — the recall/latency dial the
   exact search lacks;
+- :mod:`repro.retrieval.quantization` — IVF's k-means coarse quantiser
+  and ``recall_at_k`` (product quantisation is not a backend, only the
+  recall baseline of ``benchmarks/bench_pq_vs_mnn.py``);
 - :mod:`repro.retrieval.index` — the six inverted indices
   (Q2Q/Q2I/I2Q/I2I/Q2A/I2A) built offline through a backend factory,
   with ``save``/``load`` persistence for model-free serving;
@@ -36,7 +38,6 @@ live in :mod:`repro.serving`.
 from repro.retrieval.backend import (
     BACKENDS,
     ExactBackend,
-    PQBackend,
     SearchBackend,
     ShardedBackend,
     make_backend,
@@ -57,7 +58,6 @@ __all__ = [
     "BACKENDS",
     "SearchBackend",
     "ExactBackend",
-    "PQBackend",
     "ShardedBackend",
     "IVFBackend",
     "make_backend",

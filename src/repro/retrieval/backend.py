@@ -12,15 +12,14 @@ and the exact scan itself:
 - :class:`ExactBackend` — the MNN brute-force search (recall 1.0 by
   construction), streaming per-block top-k merges so memory stays
   bounded at large target counts;
-- :class:`PQBackend` — product quantisation over the concatenated
-  Euclidean embedding, the traditional-ANN baseline the paper argues
-  cannot express the attention-weighted mixed metric;
 - :class:`ShardedBackend` — contiguous target shards over any inner
   backend, merged into one top-k.
 
 :class:`~repro.retrieval.index.IndexSet` takes a backend factory, so
 every one of the six relation indices is built through whichever
-backend the caller selects.
+backend the caller selects.  Product quantisation, which the paper
+argues cannot express the attention-weighted metric, is not a backend:
+``benchmarks/bench_pq_vs_mnn.py`` measures it as a recall baseline.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 from repro.common import drop_retired_planes
 from repro.geometry.fast import pairwise_dist
 from repro.retrieval.mnn import RelationSpace
-from repro.retrieval.quantization import PQIndex
 from repro.testing.faults import InjectedTimeout, fault_point
 
 
@@ -166,63 +164,12 @@ class ExactBackend(SearchBackend):
         return self._top_k(best_ids, best_dists, k)
 
 
-class PQBackend(SearchBackend):
-    """Product-quantisation backend over concatenated embeddings.
-
-    This is the best a traditional ANN pipeline can do against the
-    mixed-curvature metric: it sees only the flat concatenation of the
-    per-subspace coordinates and ranks by quantised Euclidean distance,
-    ignoring both the geodesic geometry and the per-pair attention
-    weights.  Returned "distances" are therefore PQ/ADC squared
-    Euclidean scores, comparable within one backend only.
-    """
-
-    def __init__(self, num_blocks: int = 4, codebook_size: int = 32,
-                 seed: int = 0):
-        self.num_blocks = int(num_blocks)
-        self.codebook_size = int(codebook_size)
-        self.seed = int(seed)
-        self.space: Optional[RelationSpace] = None
-        self.index: Optional[PQIndex] = None
-        self._src_vectors: Optional[np.ndarray] = None
-
-    def build(self, space: RelationSpace) -> "PQBackend":
-        self.space = space
-        database = np.concatenate(space.dst_embeddings, axis=1)
-        self._src_vectors = np.concatenate(space.src_embeddings, axis=1)
-        dim = database.shape[1]
-        blocks = self.num_blocks
-        while dim % blocks:  # PQ needs an even split; shrink to a divisor
-            blocks -= 1
-        self.index = PQIndex(num_blocks=blocks,
-                             codebook_size=self.codebook_size,
-                             seed=self.seed).fit(database)
-        return self
-
-    def search(self, src_indices: np.ndarray, k: int,
-               exclude_self: bool = False
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        self._require_built()
-        src_indices = np.asarray(src_indices, dtype=np.int64)
-        space = self.space
-        k, same = self._clamp_k(space, k, exclude_self)
-        fetch = min(k + 1, space.num_targets) if same else k
-        ids, dists = self.index.search(self._src_vectors[src_indices], fetch)
-        if same:
-            # drop the source row itself, keeping the remaining order
-            not_self = ids != src_indices[:, None]
-            keep = np.argsort(~not_self, axis=1, kind="stable")[:, :k]
-            ids = np.take_along_axis(ids, keep, axis=1)
-            dists = np.take_along_axis(dists, keep, axis=1)
-        return ids[:, :k], dists[:, :k]
-
-
 class ShardedBackend(SearchBackend):
     """Shard-partitioned search delegating to per-shard inner backends.
 
     The target space is split into ``num_shards`` contiguous shards;
     each shard is a :meth:`RelationSpace.slice_targets` view handed to
-    its own inner backend (``"exact"`` or ``"pq"`` from
+    its own inner backend (``"exact"`` or ``"ivf"`` from
     :data:`BACKENDS`).  Shards build one after another on the calling
     thread, and a search runs every shard in turn, maps shard-local ids
     back to global ids, and merges the per-shard top-k into a global
@@ -231,15 +178,10 @@ class ShardedBackend(SearchBackend):
     Merge semantics: every shard returns its true local top-k (one
     extra candidate when the self row must be dropped, since the self
     row lives in exactly one shard) and the global top-k is taken over
-    the union.  Whenever the inner scores are metric-true — the
-    ``"exact"`` inner backend — this merge is *exact*: results are
-    bit-identical to the monolithic :class:`ExactBackend`.  With
-    ``"pq"`` each shard trains its own codebooks on its slice, so ADC
-    scores are only calibrated within a shard; merging them globally is
-    the usual sharded-ANN approximation and can skew the merged top-k
-    toward tightly-quantising shards (recall can differ from a
-    monolithic :class:`PQBackend` — the exactness claim does not extend
-    to quantised inners).
+    the union.  Every shard scores in the same metric, so the merged
+    distances are comparable: over ``"exact"`` the merge is *exact* —
+    bit-identical to the monolithic :class:`ExactBackend` — and over
+    ``"ivf"`` each shard's own pruning is the only approximation.
 
     ``shard_bounds`` (the ``[start, stop)`` target ranges) is exposed
     so index persistence can record the shard layout.
@@ -392,10 +334,10 @@ class ShardedBackend(SearchBackend):
 
 
 #: Registry of selectable backends, keyed by the name ``IndexSet`` and
-#: the benchmarks accept ("exact", "pq", ...).
+#: the benchmarks accept ("exact", "sharded"; ``repro.retrieval.ann``
+#: adds "ivf").
 BACKENDS: Dict[str, Type[SearchBackend]] = {
     "exact": ExactBackend,
-    "pq": PQBackend,
     "sharded": ShardedBackend,
 }
 

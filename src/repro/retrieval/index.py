@@ -93,8 +93,8 @@ class IndexSet:
 
     Every index is constructed through a pluggable
     :class:`~repro.retrieval.backend.SearchBackend`, so the exact MNN
-    search and approximate strategies (PQ, future ANN variants) share
-    one build path.  A built set can be persisted with :meth:`save` and
+    search, the IVF approximation and sharded compositions share one
+    build path.  A built set can be persisted with :meth:`save` and
     reloaded with :meth:`load` into a model-free serving artefact.
 
     Parameters
@@ -110,7 +110,7 @@ class IndexSet:
         Retired (the exact backend's thread pool); any number is
         accepted and ignored.  Every build runs on the calling thread.
     backend:
-        Backend spec — a registry name (``"exact"``, ``"pq"``), a
+        Backend spec — a registry name (``"exact"``, ``"ivf"``), a
         :class:`SearchBackend` subclass, or a zero-argument factory.
     backend_kwargs:
         Constructor arguments forwarded when ``backend`` is a name or a

@@ -11,5 +11,8 @@ sampler's alias tables directly: it is the per-pair walker and negative
 sampler that ``MetaPathWalker.sample_pair_blocks`` and
 ``NegativeSampler.sample_arrays`` replaced, seed for seed.  ``lru`` is
 the admission-free LRU the serving engine's result cache replaced; it
-is the miss-count baseline, not an answer oracle.
+is the miss-count baseline, not an answer oracle.  ``pq`` is product
+quantisation, retired as a search backend because it cannot express
+the attention-weighted metric; it is the recall baseline
+``benchmarks/bench_pq_vs_mnn.py`` measures that against.
 """

@@ -237,8 +237,7 @@ class TestEveryRegisteredBackend:
         shape-dependent gemm kernels otherwise), so only their ids are
         held bit for bit (a key's distance to itself is the square root
         of a rounding residue, ~1e-8, hence the absolute tolerance).
-        IVF uses BLAS only to prune and re-ranks element-wise, and PQ
-        sums table lookups.
+        IVF uses BLAS only to prune and re-ranks element-wise.
         """
         backend = make_backend(
             name, **_REGISTRY_KWARGS.get(name, {})).build(batch_space)

@@ -286,12 +286,72 @@ def _rewrite_index_header(path, **changes):
 NSW_KWARGS = {"max_degree": 8, "ef_construction": 32, "insert_chunk": 64,
               "expand_hops": 2}
 
+#: the retired product-quantisation backend's codebook shape
+PQ_KWARGS = {"num_blocks": 2, "codebook_size": 8}
 
-def _nsw_words(section):
-    """The NSW backend name and kwargs a config or header part names."""
+
+def _words(section, words):
+    """Which of ``words`` a config or header part names as a key or value."""
     text = json.dumps(section)
-    return [w for w in ("nsw", "ef_search", *NSW_KWARGS)
-            if '"%s"' % w in text]
+    return [w for w in words if '"%s"' % w in text]
+
+
+def _check_retired_store(gen_pipeline, tmp_path, index, header, words):
+    """Publish a copy of the shared store whose config ``index`` section
+    (updated with ``index``) and ``indices.npz`` header name a retired
+    backend, then check that it loads with IVF in the retired
+    backend's place, serves its stored indices bit-identical to the
+    unrewritten store, and rebuilds as IVF with none of ``words``
+    left in the republished config or header."""
+    import shutil
+    from repro.retrieval import IVFBackend, ShardedBackend
+    sharded = header["backend"] == "sharded"
+    retired = (header["backend_params"]["inner_backend"] if sharded
+               else header["backend"])
+    store = ArtifactStore(shutil.copytree(gen_pipeline.store.root,
+                                          tmp_path / "old"))
+    payload = json.loads(store.path(ArtifactStore.CONFIG).read_text())
+    payload["index"].update(index)
+    store.path(ArtifactStore.CONFIG).write_text(json.dumps(payload))
+    _rewrite_index_header(store.path(ArtifactStore.INDICES), **header)
+    generation = store.publish_generation()
+
+    served = Pipeline.from_artifacts(store.root)
+    assert served.serving_generation == generation
+    store.verify_generation(generation)
+    config = served.config.index
+    assert (config.backend, config.inner_backend) == (
+        ("sharded", "ivf") if sharded else ("ivf", "exact"))
+    assert _words(served.config.to_dict()["index"], words) == []
+    stored = served.ctx.index_set
+    assert stored.backend_name == header["backend"].replace(retired, "ivf")
+    # the header's own kwargs still construct a backend: IVF
+    backend = stored.backend_factory()
+    if sharded:
+        assert isinstance(backend, ShardedBackend)
+        assert backend.inner_backend == "ivf"
+    else:
+        assert isinstance(backend, IVFBackend)
+
+    # the stored indices serve bit-identical to the unrewritten store
+    queries = [3, 14, 15, 40]
+    original = Pipeline.from_artifacts(gen_pipeline.store.root)
+    for got, want in zip(served.serve(queries, k=5),
+                         original.serve(queries, k=5)):
+        np.testing.assert_array_equal(got.ads, want.ads)
+        np.testing.assert_array_equal(got.scores, want.scores)
+
+    info = served.rebuild_indices()
+    for built in served.ctx.index_set.backends.values():
+        shards = built.shards if sharded else [built]
+        assert all(isinstance(s, IVFBackend) for s in shards)
+    directory = store.generation_dir(info["generation"])
+    config = json.loads((directory / ArtifactStore.CONFIG).read_text())
+    assert _words(config["index"], words) == []
+    with np.load(directory / ArtifactStore.INDICES) as archive:
+        rebuilt = json.loads(bytes(archive["header"]).decode("utf-8"))
+    assert rebuilt["backend"] == header["backend"].replace(retired, "ivf")
+    assert _words(rebuilt, words) == []
 
 
 class TestRetiredNSWBackend:
@@ -301,65 +361,22 @@ class TestRetiredNSWBackend:
     @pytest.mark.parametrize("layout", ["nsw", "sharded-over-nsw"])
     def test_store_naming_nsw_loads_serves_and_rebuilds_as_ivf(
             self, gen_pipeline, tmp_path, layout):
-        import shutil
-        from repro.retrieval import IVFBackend, ShardedBackend
-        store = ArtifactStore(shutil.copytree(gen_pipeline.store.root,
-                                              tmp_path / "old"))
-        payload = json.loads(store.path(ArtifactStore.CONFIG).read_text())
         if layout == "nsw":
-            payload["index"].update(backend="nsw", ef_search=48,
-                                    backend_kwargs=dict(NSW_KWARGS))
+            index = dict(backend="nsw", ef_search=48,
+                         backend_kwargs=dict(NSW_KWARGS))
             header = {"backend": "nsw", "backend_params": dict(
                 NSW_KWARGS, ef_search=48, rerank_k=0)}
         else:
             inner = dict(NSW_KWARGS, ef_search=32, rerank_k=0)
-            payload["index"].update(
-                backend="sharded", num_shards=2, inner_backend="nsw",
-                ef_search=32, backend_kwargs={"inner_backend": "nsw",
-                                              "inner_kwargs": inner})
+            index = dict(backend="sharded", num_shards=2,
+                         inner_backend="nsw", ef_search=32,
+                         backend_kwargs={"inner_backend": "nsw",
+                                         "inner_kwargs": inner})
             header = {"backend": "sharded", "backend_params": {
                 "num_shards": 2, "inner_backend": "nsw",
                 "inner_kwargs": inner}}
-        store.path(ArtifactStore.CONFIG).write_text(json.dumps(payload))
-        _rewrite_index_header(store.path(ArtifactStore.INDICES), **header)
-        generation = store.publish_generation()
-
-        served = Pipeline.from_artifacts(store.root)
-        assert served.serving_generation == generation
-        store.verify_generation(generation)
-        index = served.config.index
-        assert (index.backend, index.inner_backend) == (
-            ("ivf", "exact") if layout == "nsw" else ("sharded", "ivf"))
-        assert _nsw_words(served.config.to_dict()["index"]) == []
-        stored = served.ctx.index_set
-        assert stored.backend_name == header["backend"].replace("nsw", "ivf")
-        # the header's own kwargs still construct a backend: IVF
-        backend = stored.backend_factory()
-        if layout == "nsw":
-            assert isinstance(backend, IVFBackend)
-        else:
-            assert isinstance(backend, ShardedBackend)
-            assert backend.inner_backend == "ivf"
-
-        # the stored indices serve bit-identical to the unrewritten store
-        queries = [3, 14, 15, 40]
-        original = Pipeline.from_artifacts(gen_pipeline.store.root)
-        for got, want in zip(served.serve(queries, k=5),
-                             original.serve(queries, k=5)):
-            np.testing.assert_array_equal(got.ads, want.ads)
-            np.testing.assert_array_equal(got.scores, want.scores)
-
-        info = served.rebuild_indices()
-        for built in served.ctx.index_set.backends.values():
-            shards = built.shards if layout != "nsw" else [built]
-            assert all(isinstance(s, IVFBackend) for s in shards)
-        directory = store.generation_dir(info["generation"])
-        config = json.loads((directory / ArtifactStore.CONFIG).read_text())
-        assert _nsw_words(config["index"]) == []
-        with np.load(directory / ArtifactStore.INDICES) as archive:
-            rebuilt = json.loads(bytes(archive["header"]).decode("utf-8"))
-        assert rebuilt["backend"] == header["backend"].replace("nsw", "ivf")
-        assert _nsw_words(rebuilt) == []
+        _check_retired_store(gen_pipeline, tmp_path, index, header,
+                             ("nsw", "ef_search", *NSW_KWARGS))
 
     def test_retired_nsw_overrides(self, gen_pipeline):
         """``--set`` of an NSW key is dropped at any value the backend
@@ -373,3 +390,36 @@ class TestRetiredNSWBackend:
         with pytest.raises(ValueError,
                            match=r"backend\.max_degree=0.*retired"):
             config.with_overrides(["index.backend_kwargs.max_degree=0"])
+
+
+class TestRetiredPQBackend:
+    """Stores published while ``"pq"`` was a backend keep loading: each
+    serves its own indices unchanged, and a rebuild builds IVF."""
+
+    @pytest.mark.parametrize("layout", ["pq", "sharded-over-pq"])
+    def test_store_naming_pq_loads_serves_and_rebuilds_as_ivf(
+            self, gen_pipeline, tmp_path, layout):
+        if layout == "pq":
+            index = dict(backend="pq", backend_kwargs=dict(PQ_KWARGS))
+            header = {"backend": "pq", "backend_params": dict(PQ_KWARGS)}
+        else:
+            index = dict(backend="sharded", num_shards=2, inner_backend="pq",
+                         backend_kwargs={"inner_backend": "pq",
+                                         "inner_kwargs": dict(PQ_KWARGS)})
+            header = {"backend": "sharded", "backend_params": {
+                "num_shards": 2, "inner_backend": "pq",
+                "inner_kwargs": dict(PQ_KWARGS)}}
+        _check_retired_store(gen_pipeline, tmp_path, index, header,
+                             ("pq", *PQ_KWARGS))
+
+    def test_retired_pq_overrides(self, gen_pipeline):
+        """``--set`` of a PQ key is dropped at any value a PQ build
+        completed with and rejected by name otherwise."""
+        config = gen_pipeline.config
+        assert config.with_overrides(
+            ["index.backend=pq"]).index.backend == "ivf"
+        assert config.with_overrides(
+            ["index.backend_kwargs.codebook_size=8"]) == config
+        with pytest.raises(ValueError,
+                           match=r"backend\.codebook_size=0.*retired"):
+            config.with_overrides(["index.backend_kwargs.codebook_size=0"])

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.graph.schema import NodeType, Relation
+from repro.graph.schema import Relation
 from repro.models import make_model
 from repro.retrieval import (
     BACKENDS,
     ExactBackend,
     IndexSet,
-    PQBackend,
     SearchBackend,
     ShardedBackend,
     TwoLayerRetriever,
@@ -117,42 +116,6 @@ class TestExactBackend:
             make_backend("exact", block_size=block_size)
 
 
-class TestPQBackend:
-    def test_shapes_and_range(self, q2a_space):
-        backend = PQBackend(num_blocks=4, codebook_size=16).build(q2a_space)
-        ids, dists = backend.search(np.array([0, 1, 2]), k=7)
-        assert ids.shape == dists.shape == (3, 7)
-        assert ids.min() >= 0 and ids.max() < q2a_space.num_targets
-        assert np.all(np.diff(dists, axis=1) >= -1e-12)
-
-    def test_exclude_self_same_type(self, model):
-        space = RelationSpace.from_model(model, Relation.I2I)
-        backend = PQBackend(num_blocks=4, codebook_size=16).build(space)
-        src = np.arange(30)
-        ids, __ = backend.search(src, k=6, exclude_self=True)
-        assert ids.shape == (30, 6)
-        assert not np.any(ids == src[:, None])
-
-    def test_block_count_shrinks_to_divisor(self):
-        # dim 6 per subspace x2 = 12, not divisible by 5 -> falls to 4
-        space = _tall_space(num_targets=300, dim=6)
-        backend = PQBackend(num_blocks=5, codebook_size=8).build(space)
-        assert backend.index.num_blocks == 4
-
-    def test_reasonable_recall_on_own_metric(self, q2a_space):
-        """PQ should roughly track exact Euclidean search (its home turf)."""
-        from repro.retrieval.quantization import recall_at_k
-        backend = PQBackend(num_blocks=4, codebook_size=32).build(q2a_space)
-        queries = np.arange(40)
-        pq_ids, __ = backend.search(queries, k=10)
-        db = np.concatenate(q2a_space.dst_embeddings, axis=1)
-        qv = np.concatenate([e[queries] for e in q2a_space.src_embeddings],
-                            axis=1)
-        d2 = ((qv[:, None, :] - db[None, :, :]) ** 2).sum(-1)
-        flat_ids = np.argsort(d2, axis=1)[:, :10]
-        assert recall_at_k(pq_ids, flat_ids, 10) > 0.3
-
-
 class TestShardedBackend:
     @pytest.mark.parametrize("num_shards", [1, 3, 8])
     def test_identical_to_exact(self, q2a_space, num_shards):
@@ -192,16 +155,6 @@ class TestShardedBackend:
         for (_, stop), (start, _) in zip(bounds[:-1], bounds[1:]):
             assert stop == start
 
-    def test_pq_inner_backend(self, q2a_space):
-        backend = ShardedBackend(num_shards=3, inner_backend="pq",
-                                 inner_kwargs={"codebook_size": 8}).build(
-            q2a_space)
-        assert all(isinstance(s, PQBackend) for s in backend.shards)
-        ids, dists = backend.search(np.arange(6), k=5)
-        assert ids.shape == dists.shape == (6, 5)
-        assert ids.min() >= 0 and ids.max() < q2a_space.num_targets
-        assert np.all(np.diff(dists, axis=1) >= -1e-12)
-
     def test_registered_in_backends(self):
         assert BACKENDS["sharded"] is ShardedBackend
         assert isinstance(make_backend("sharded", num_shards=3),
@@ -223,7 +176,6 @@ class TestShardedBackend:
 class TestBackendFactory:
     def test_make_backend_by_name(self):
         assert isinstance(make_backend("exact"), ExactBackend)
-        assert isinstance(make_backend("pq", codebook_size=8), PQBackend)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
@@ -232,7 +184,7 @@ class TestBackendFactory:
     def test_resolve_accepts_class_and_factory(self):
         from_class = resolve_backend_factory(ExactBackend, block_size=7)()
         assert from_class.block_size == 7
-        ready = PQBackend(codebook_size=4)
+        ready = ExactBackend(block_size=4)
         from_factory = resolve_backend_factory(lambda: ready)()
         assert from_factory is ready
 
@@ -258,15 +210,6 @@ class TestBackendFactory:
 
 
 class TestIndexSetBackends:
-    def test_build_through_pq_backend(self, model, train_graph):
-        index_set = IndexSet(model, top_k=8, backend="pq",
-                             backend_kwargs={"codebook_size": 16}).build(
-            [Relation.Q2I])
-        index = index_set[Relation.Q2I]
-        assert index.ids.shape[1] == 8
-        assert index.ids.max() < train_graph.num_nodes[NodeType.ITEM]
-        assert isinstance(index_set.backends[Relation.Q2I], PQBackend)
-
     def test_default_backend_is_exact(self, model):
         index_set = IndexSet(model, top_k=5).build([Relation.Q2A])
         assert isinstance(index_set.backends[Relation.Q2A], ExactBackend)
@@ -308,8 +251,8 @@ class TestIndexSetBackends:
         IndexSet(model, top_k=5).build()     # all six relations
         assert sorted(c.value for c in calls) == ["ad", "item", "query"]
 
-    def test_exact_and_pq_backends_agree_on_easy_top1(self, model):
-        """Both rank valid ids; exact is the MNN ground truth."""
+    def test_exact_index_matches_exact_backend_top_k(self, model):
+        """A stored index row is the exact backend's top-k for its key."""
         exact = IndexSet(model, top_k=5).build([Relation.Q2A])
         searcher = ExactBackend().build(exact.spaces[Relation.Q2A])
         ids, __ = searcher.search(np.array([0]), k=5)
@@ -347,7 +290,6 @@ class TestIndexSetPersistence:
 
     _BACKEND_SPECS = {
         "exact": {},
-        "pq": {"codebook_size": 16},
         "sharded": {"num_shards": 3},
         "ivf": {"num_lists": 4, "nprobe": 2},
     }

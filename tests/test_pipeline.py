@@ -14,6 +14,7 @@ import pytest
 from repro.models import list_models, make_model
 from repro.pipeline import (
     ArtifactStore,
+    IndexConfig,
     Pipeline,
     PipelineConfig,
     PipelineContext,
@@ -97,6 +98,39 @@ class TestConfig:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="not registered"):
             PipelineConfig.from_dict({"index": {"backend": "faiss"}})
+
+    @pytest.mark.parametrize("index", [
+        {"backend_kwargs": {"bogus": 1}},
+        {"backend": "ivf", "backend_kwargs": {"kmeans_iters": 0}},
+        {"backend_kwargs": "oops"},
+        {"backend": "sharded", "inner_backend": "ivf",
+         "backend_kwargs": {"inner_kwargs": {"bogus": 1}}},
+    ], ids=["unknown-kwarg", "ivf-kmeans_iters-0", "not-an-object",
+            "sharded-inner-unknown-kwarg"])
+    def test_bad_backend_kwargs_rejected_on_load(self, index):
+        """A kwarg the configured backend (or a sharded backend's inner
+        backend) cannot be constructed with fails on load, naming
+        ``index.backend_kwargs`` — not in the index stage after training."""
+        with pytest.raises(ValueError, match=r"index\.backend_kwargs"):
+            PipelineConfig.from_dict({"index": index})
+        overrides = ["index.%s=%s" % (key, json.dumps(value))
+                     for key, value in index.items()]
+        with pytest.raises(ValueError, match=r"index\.backend_kwargs"):
+            tiny_config().with_overrides(overrides)
+
+    def test_retired_pq_kwarg_with_bad_value_rejected_on_load(self):
+        with pytest.raises(ValueError,
+                           match=r"backend\.codebook_size=0.*retired"):
+            PipelineConfig.from_dict(
+                {"index": {"backend_kwargs": {"codebook_size": 0}}})
+        with pytest.raises(ValueError,
+                           match=r"index\.backend_kwargs.*codebook_size"):
+            IndexConfig(backend_kwargs={"codebook_size": 0})
+
+    @pytest.mark.parametrize("sweep", [[-5.0], [1000.0, 0.0]])
+    def test_nonpositive_qps_sweep_rejected(self, sweep):
+        with pytest.raises(ValueError, match=r"serving\.qps_sweep"):
+            PipelineConfig.from_dict({"serving": {"qps_sweep": sweep}})
 
     def test_bad_serving_measurement_rejected(self):
         with pytest.raises(ValueError, match="measure_repeats"):
@@ -261,12 +295,12 @@ class TestConfig:
     def test_sharded_backend_accepted_and_settable(self):
         config = tiny_config().with_overrides(
             ["index.backend=sharded", "index.num_shards=4",
-             "index.inner_backend=pq", "index.shard_parallelism=2"])
+             "index.inner_backend=exact", "index.shard_parallelism=2"])
         assert config.index.backend == "sharded"
         assert config.index.num_shards == 4
         kwargs = config.index.resolved_backend_kwargs()
         # the retired shard_parallelism override is dropped, not folded in
-        assert kwargs == {"num_shards": 4, "inner_backend": "pq"}
+        assert kwargs == {"num_shards": 4, "inner_backend": "exact"}
         assert "shard_parallelism" not in config.to_dict()["index"]
         assert config.index.serving_shards == 4
         # JSON round-trip carries the shard keys

@@ -223,6 +223,19 @@ def test_run_accepts_prefetch_workers_override(cli_artifacts, tmp_path,
         train_info(cli_artifacts)["losses"]
 
 
+def test_run_rejects_bad_backend_kwargs_before_training(tmp_path):
+    """A backend kwarg the backend rejects stops `run` on load, naming
+    `index.backend_kwargs`, before any artifact (the model) is written."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(TINY_CLI))
+    artifact_dir = tmp_path / "artifacts"
+    with pytest.raises(ValueError, match=r"index\.backend_kwargs"):
+        cli.main(["run", "--config", str(config_path),
+                  "--artifacts", str(artifact_dir),
+                  "--set", 'index.backend_kwargs={"bogus": 1}', "--quiet"])
+    assert not list(tmp_path.rglob("model.npz"))
+
+
 def test_run_admission_overrides_smoke(tmp_path, capsys):
     """`run --set serving.admission_*` reaches the persisted config and
     the serve stage's closed-loop admission probe."""

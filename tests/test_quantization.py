@@ -1,13 +1,15 @@
-"""Tests for the product-quantization ANN baseline."""
+"""Tests for IVF's k-means coarse quantiser, ``recall_at_k`` and the
+product-quantisation recall baseline in ``tests/reference/pq.py``."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.retrieval.quantization import (_ASSIGN_BLOCK_ELEMENTS, PQIndex,
-                                          _kmeans, assign_to_centroids,
-                                          recall_at_k)
+from repro.retrieval.quantization import (_ASSIGN_BLOCK_ELEMENTS, _kmeans,
+                                          assign_to_centroids, recall_at_k)
+
+from reference.pq import PQIndex
 
 
 class TestAssignToCentroids:
