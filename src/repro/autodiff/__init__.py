@@ -27,10 +27,7 @@ from repro.autodiff.ops import (
     concatenate,
     exp,
     gather,
-    log,
-    logsumexp,
     matmul,
-    maximum,
     mean,
     norm,
     relu,
@@ -56,10 +53,7 @@ __all__ = [
     "concatenate",
     "exp",
     "gather",
-    "log",
-    "logsumexp",
     "matmul",
-    "maximum",
     "mean",
     "norm",
     "relu",

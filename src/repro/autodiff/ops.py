@@ -90,18 +90,6 @@ def neg(a) -> Tensor:
     return Tensor._make(-a.data, (a,), backward)
 
 
-def power(a, exponent: float) -> Tensor:
-    """Elementwise power with a constant exponent."""
-    a = ensure_tensor(a)
-    exponent = float(exponent)
-    out_data = a.data ** exponent
-
-    def backward(grad):
-        return (grad * exponent * a.data ** (exponent - 1.0),)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product supporting 1-D/2-D/batched operands."""
     a, b = ensure_tensor(a), ensure_tensor(b)
@@ -187,16 +175,6 @@ def exp(a) -> Tensor:
 
     def backward(grad):
         return (grad * out_data,)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = np.log(a.data)
-
-    def backward(grad):
-        return (grad / a.data,)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -301,19 +279,6 @@ def clip(a, lo: Optional[float], hi: Optional[float]) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise maximum; gradient routed to the winning operand."""
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    out_data = np.maximum(a.data, b.data)
-    a_wins = a.data >= b.data
-
-    def backward(grad):
-        return (_unbroadcast(grad * a_wins, a.shape),
-                _unbroadcast(grad * ~a_wins, b.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
 def where(cond, a, b) -> Tensor:
     """Select ``a`` where ``cond`` else ``b``; ``cond`` is a plain array."""
     cond = np.asarray(cond, dtype=bool)
@@ -347,17 +312,6 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = sub(a, Tensor(a.data.max(axis=axis, keepdims=True)))
     exps = exp(shifted)
     return div(exps, sum(exps, axis=axis, keepdims=True))
-
-
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable ``log(sum(exp(a)))`` along ``axis``."""
-    a = ensure_tensor(a)
-    maxes = Tensor(a.data.max(axis=axis, keepdims=True))
-    out = add(log(sum(exp(sub(a, maxes)), axis=axis, keepdims=True)), maxes)
-    if not keepdims:
-        out = reshape(out, tuple(d for i, d in enumerate(out.shape)
-                                 if i != (axis % len(out.shape))))
-    return out
 
 
 # -- indexing / shape plumbing ---------------------------------------------
@@ -418,29 +372,6 @@ def reshape(a, shape: tuple) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def transpose(a, axes=None) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = a.data.transpose(axes)
-
-    def backward(grad):
-        if axes is None:
-            return (grad.transpose(),)
-        inverse = np.argsort(axes)
-        return (grad.transpose(inverse),)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def expand_dims(a, axis: int) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = np.expand_dims(a.data, axis)
-
-    def backward(grad):
-        return (np.squeeze(grad, axis=axis),)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
 def concatenate(tensors: Sequence, axis: int = -1) -> Tensor:
     tensors = [ensure_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -467,17 +398,3 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
         return tuple(np.squeeze(p, axis=axis) for p in pieces)
 
     return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
-    if not training or rate <= 0.0:
-        return ensure_tensor(a)
-    a = ensure_tensor(a)
-    keep = 1.0 - rate
-    mask = (rng.random(a.shape) < keep) / keep
-
-    def backward(grad):
-        return (grad * mask,)
-
-    return Tensor._make(a.data * mask, (a,), backward)

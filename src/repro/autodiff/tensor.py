@@ -13,7 +13,7 @@ overhead; see :func:`no_grad`.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -97,23 +97,11 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -225,10 +213,6 @@ class Tensor:
         from repro.autodiff import ops
         return ops.neg(self)
 
-    def __pow__(self, exponent):
-        from repro.autodiff import ops
-        return ops.power(self, exponent)
-
     def __matmul__(self, other):
         from repro.autodiff import ops
         return ops.matmul(self, other)
@@ -237,27 +221,11 @@ class Tensor:
         from repro.autodiff import ops
         return ops.getitem(self, index)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        from repro.autodiff import ops
-        return ops.sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        from repro.autodiff import ops
-        return ops.mean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape):
         from repro.autodiff import ops
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return ops.reshape(self, shape)
-
-    def transpose(self, axes=None):
-        from repro.autodiff import ops
-        return ops.transpose(self, axes)
-
-    @property
-    def T(self):
-        return self.transpose()
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
@@ -284,27 +252,3 @@ def ensure_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
-
-
-def collect_parameters(obj, seen: Optional[set] = None) -> Iterable[Parameter]:
-    """Recursively yield :class:`Parameter` objects from containers/objects.
-
-    Walks dicts, lists, tuples and any object exposing a ``parameters()``
-    method or a ``__dict__``; deduplicates by identity.
-    """
-    if seen is None:
-        seen = set()
-    if id(obj) in seen:
-        return
-    seen.add(id(obj))
-    if isinstance(obj, Parameter):
-        yield obj
-    elif isinstance(obj, dict):
-        for value in obj.values():
-            yield from collect_parameters(value, seen)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            yield from collect_parameters(value, seen)
-    elif hasattr(obj, "parameters") and callable(obj.parameters) and not isinstance(obj, Tensor):
-        for value in obj.parameters():
-            yield from collect_parameters(value, seen)

@@ -120,6 +120,9 @@ _RETIRED_PLANES = {
         # the multi-process sampler: the keys only scheduled sampling
         "prefetch_workers": (_number(0), "a number >= 0"),
         "prefetch_depth": (_number(1), "a number >= 1"),
+        # the cross-step neighbour-draw cache and gradient accumulation
+        "plan_refresh": (_number(1), "a number >= 1"),
+        "accumulate_steps": (_number(1), "a number >= 1"),
     },
     "model": {
         "compute_plane": (lambda value: value == "frontier", "'frontier'"),
@@ -154,6 +157,13 @@ _RETIRED_PLANES = {
     },
     "engine": {
         "shard_parallelism": (_number(), "a number"),
+    },
+    # the count-based circuit breaker between the engine and admission
+    "serving": {
+        "breaker_window": (_number(0), "a number >= 0"),
+        "breaker_threshold": (lambda value: _number()(value)
+                              and 0 < value <= 1, "a number in (0, 1]"),
+        "breaker_probe_every": (_number(1), "a number >= 1"),
     },
 }
 

@@ -17,7 +17,6 @@ from repro.models.features import FeatureEmbedding, LRUFeatureRegistry
 from repro.models.encoder import NodeEncoder
 from repro.models.plan import (
     EncodePlan,
-    NeighborDrawCache,
     build_encode_plan,
     build_full_graph_plan,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "LRUFeatureRegistry",
     "NodeEncoder",
     "EncodePlan",
-    "NeighborDrawCache",
     "build_encode_plan",
     "build_full_graph_plan",
     "EdgeScorer",

@@ -34,11 +34,7 @@ from repro.graph.hetgraph import HetGraph
 from repro.graph.sampling import SampleBatch
 from repro.graph.schema import NodeType, Relation
 from repro.models.encoder import NodeEncoder
-from repro.models.plan import (
-    EncodePlan,
-    NeighborDrawCache,
-    build_full_graph_plan,
-)
+from repro.models.plan import EncodePlan, build_full_graph_plan
 from repro.models.scorer import EdgeScorer
 
 _SIGNATURE_KAPPA = {"H": -1.0, "E": 0.0, "S": 1.0, "U": None}
@@ -167,11 +163,9 @@ class AMCAD:
 
     def encode(self, node_type: NodeType, indices: np.ndarray,
                rng: Optional[np.random.Generator] = None,
-               plan: Optional[EncodePlan] = None,
-               use_draw_cache: bool = True) -> List[Tensor]:
+               plan: Optional[EncodePlan] = None) -> List[Tensor]:
         """Subspace points for a batch of nodes of one type."""
-        return self.encoder.encode(node_type, indices, rng=rng, plan=plan,
-                                   use_draw_cache=use_draw_cache)
+        return self.encoder.encode(node_type, indices, rng=rng, plan=plan)
 
     def pair_distance(self, relation: Relation, src_indices: np.ndarray,
                       dst_indices: np.ndarray,
@@ -232,11 +226,7 @@ class AMCAD:
         batch = group.src_idx.size
         uniq_src, inv_src = np.unique(group.src_idx, return_inverse=True)
         plan = self._resolve_plan(plans, "source", relation.source_type)
-        # use_draw_cache=False: a cross-step draw cache keys only on the
-        # node, so letting the source role read it would re-couple both
-        # endpoints of a same-type relation onto shared draws
-        points = self.encode(relation.source_type, uniq_src, rng, plan=plan,
-                             use_draw_cache=False)
+        points = self.encode(relation.source_type, uniq_src, rng, plan=plan)
         src_points = [ops.gather(p, inv_src) for p in points]
         merged = np.concatenate([group.pos_idx, group.neg_idx.ravel()])
         uniq_tgt, inv_tgt = np.unique(merged, return_inverse=True)
@@ -325,23 +315,19 @@ class AMCAD:
     # -- inference helpers ----------------------------------------------------------
 
     def build_full_plan(self, node_type: NodeType,
-                        rng: Optional[np.random.Generator] = None,
-                        draw_cache: Optional[NeighborDrawCache] = None
+                        rng: Optional[np.random.Generator] = None
                         ) -> EncodePlan:
         """One :class:`EncodePlan` covering every node of ``node_type``.
 
         The sampling phase of offline inference: per-level unique
-        frontiers over the full graph, draws captured once.  Passing a
-        :class:`NeighborDrawCache` reuses draws across refreshes
-        (GraphSAGE-style cached supports); the default is a fixed-seed
-        generator so repeated offline materialisations are
-        deterministic.
+        frontiers over the full graph, draws captured once.  The
+        default is a fixed-seed generator so repeated offline
+        materialisations are deterministic.
         """
         rng = rng or np.random.default_rng(12345)
         return build_full_graph_plan(self.graph, node_type,
                                      self.config.gcn_layers,
-                                     self.config.neighbor_samples, rng,
-                                     draw_cache=draw_cache)
+                                     self.config.neighbor_samples, rng)
 
     def encode_all(self, node_type: NodeType,
                    rng: Optional[np.random.Generator] = None,

@@ -56,7 +56,7 @@ from repro.geometry.product import ProductManifold
 from repro.graph.hetgraph import HetGraph
 from repro.graph.schema import NodeType
 from repro.models.features import FeatureEmbedding, glorot
-from repro.models.plan import EncodePlan, NeighborDrawCache, build_encode_plan
+from repro.models.plan import EncodePlan, build_encode_plan
 
 class NodeEncoder:
     """Maps typed node indices to points in per-type mixed-curvature spaces.
@@ -87,9 +87,6 @@ class NodeEncoder:
         self.gcn_layers = int(gcn_layers)
         self.neighbor_samples = int(neighbor_samples)
         self.use_fusion = bool(use_fusion)
-        #: optional :class:`NeighborDrawCache` shared across plans —
-        #: attached by the trainer when ``plan_refresh > 1``
-        self.draw_cache: Optional[NeighborDrawCache] = None
         #: truncated-backward dial: 0 = full backward; ``n >= 1`` keeps
         #: only the top ``n`` GCN rounds on the tape — lower levels run
         #: the same code under ``no_grad``, so the *forward* values are
@@ -224,23 +221,17 @@ class NodeEncoder:
     # -- frontier compute phase ---------------------------------------------------
 
     def build_plan(self, node_type: NodeType, indices: np.ndarray,
-                   rng: Optional[np.random.Generator] = None,
-                   use_draw_cache: bool = True) -> EncodePlan:
+                   rng: Optional[np.random.Generator] = None) -> EncodePlan:
         """Sampling phase: capture the receptive field of ``indices``.
 
         Pure numpy — no tape.  The resulting plan can be fed back to
         :meth:`encode` (any requested indices must be covered by its top
-        frontier), shared with the recursive oracle for parity testing,
-        and reused across steps via the attached :attr:`draw_cache`.
-        ``use_draw_cache=False`` forces fresh draws even when a cache is
-        attached — the loss uses this for the source role so cached
-        draws never couple the two endpoints of a same-type relation.
+        frontier) and shared with the recursive oracle for parity
+        testing.
         """
         rng = rng or self._rng
-        cache = self.draw_cache if use_draw_cache else None
         return build_encode_plan(self.graph, node_type, indices,
-                                 self.gcn_layers, self.neighbor_samples, rng,
-                                 draw_cache=cache)
+                                 self.gcn_layers, self.neighbor_samples, rng)
 
     def _encode_from_plan(self, plan: EncodePlan) -> List[Tensor]:
         """Compute phase: encode unique frontiers bottom-up, gather rows.
@@ -317,8 +308,7 @@ class NodeEncoder:
 
     def encode(self, node_type: NodeType, indices: np.ndarray,
                rng: Optional[np.random.Generator] = None,
-               plan: Optional[EncodePlan] = None,
-               use_draw_cache: bool = True) -> List[Tensor]:
+               plan: Optional[EncodePlan] = None) -> List[Tensor]:
         """Full node representation: one point tensor per subspace.
 
         Output: list of M tensors shaped ``(len(indices), subspace_dim)``.
@@ -327,8 +317,7 @@ class NodeEncoder:
         rng = rng or self._rng
         indices = np.asarray(indices, dtype=np.int64)
         if plan is None:
-            plan = self.build_plan(node_type, indices, rng,
-                                   use_draw_cache=use_draw_cache)
+            plan = self.build_plan(node_type, indices, rng)
         points = self._encode_from_plan(plan)
         if self.use_fusion:
             points = self.fuse(node_type, points)

@@ -20,9 +20,9 @@ neighbours each node aggregates at each GCN round — from the
   parity with it testable to machine precision.
 
 ``EncodePlan`` is deliberately dumb data — arrays only, no tensors — so
-a caller can build plans ahead and hand them to ``AMCAD.loss``, and
-draws can be reused across plans (:class:`NeighborDrawCache` reuses
-them across trainer steps).
+a caller can build plans ahead and hand them to ``AMCAD.loss``.  Every
+plan samples its draws afresh, as the paper's stochastic aggregation
+does on every step.
 """
 
 from __future__ import annotations
@@ -123,53 +123,9 @@ class EncodePlan:
                        for frontier in level.frontiers.values()))
 
 
-class NeighborDrawCache:
-    """Per-node neighbour-draw memo shared across plans (and steps).
-
-    Keyed by ``(round, src_type, dst_type)``; each entry lazily fills a
-    ``(num_nodes, k)`` draw table so a node sampled in one batch reuses
-    the same neighbours when it reappears — the "cached frontier" reuse
-    knob exposed as ``TrainerConfig.plan_refresh`` (the trainer clears
-    the cache every N steps to resample).  The key carries no encode
-    role, so the loss builds its source-role plans with the cache
-    bypassed (``use_draw_cache=False``) — otherwise both endpoints of a
-    same-type relation would share draws, the common-random-numbers
-    pathology described in ``AMCAD._encode_group``.
-    """
-
-    def __init__(self):
-        self._store: Dict[tuple, tuple] = {}
-
-    def clear(self) -> None:
-        self._store.clear()
-
-    def sample(self, rng: np.random.Generator, graph: HetGraph, layer: int,
-               src_type: NodeType, indices: np.ndarray, dst_type: NodeType,
-               k: int) -> Tuple[np.ndarray, np.ndarray]:
-        key = (layer, src_type, dst_type)
-        entry = self._store.get(key)
-        n = graph.num_nodes[src_type]
-        if entry is None or entry[0].shape[1] != k:
-            entry = (np.zeros((n, k), dtype=np.int64),
-                     np.zeros((n, k), dtype=np.float64),
-                     np.zeros(n, dtype=bool))
-            self._store[key] = entry
-        ids, mask, seen = entry
-        missing = indices[~seen[indices]]
-        if missing.size:
-            new_ids, new_mask = graph.sample_neighbors(
-                rng, src_type, missing, dst_type, k)
-            ids[missing] = new_ids
-            mask[missing] = new_mask
-            seen[missing] = True
-        return ids[indices], mask[indices]
-
-
 def build_full_graph_plan(graph: HetGraph, node_type: NodeType,
                           layers: int, neighbor_samples: int,
-                          rng: np.random.Generator,
-                          draw_cache: Optional[NeighborDrawCache] = None
-                          ) -> EncodePlan:
+                          rng: np.random.Generator) -> EncodePlan:
     """One :class:`EncodePlan` covering *every* node of ``node_type``.
 
     The offline half of the system (``encode_all``, index builds) needs
@@ -181,25 +137,18 @@ def build_full_graph_plan(graph: HetGraph, node_type: NodeType,
     (GraphSAGE-style cached supports) instead of ``N / batch`` recursive
     mini-batches.
 
-    Passing a :class:`NeighborDrawCache` makes the plan *reusable
-    across refreshes*: nodes keep their memoised draws until the caller
-    clears the cache, which is the scheduled-refresh policy the trainer
-    already applies to mini-batch plans (``training.plan_refresh``).
     The top frontier is ``arange(N)``, so
     :meth:`EncodePlan.output_map` is the identity and callers can use
     the per-level representations as vocabulary-ordered tables.
     """
     n = int(graph.num_nodes[node_type])
     return build_encode_plan(graph, node_type, np.arange(n, dtype=np.int64),
-                             layers, neighbor_samples, rng,
-                             draw_cache=draw_cache)
+                             layers, neighbor_samples, rng)
 
 
 def build_encode_plan(graph: HetGraph, node_type: NodeType,
                       indices: np.ndarray, layers: int, neighbor_samples: int,
-                      rng: np.random.Generator,
-                      draw_cache: Optional[NeighborDrawCache] = None
-                      ) -> EncodePlan:
+                      rng: np.random.Generator) -> EncodePlan:
     """Sample the GCN receptive field of ``indices`` into an :class:`EncodePlan`.
 
     Pure numpy: walks the frontier top-down (level ``layers`` … 1),
@@ -227,12 +176,8 @@ def build_encode_plan(graph: HetGraph, node_type: NodeType,
             for dst_type in NodeType:
                 if graph.num_nodes[dst_type] == 0:
                     continue
-                if draw_cache is not None:
-                    neigh, mask = draw_cache.sample(
-                        rng, graph, l - 1, src_type, uniq, dst_type, k)
-                else:
-                    neigh, mask = graph.sample_neighbors(
-                        rng, src_type, uniq, dst_type, k)
+                neigh, mask = graph.sample_neighbors(
+                    rng, src_type, uniq, dst_type, k)
                 blocks.append(NeighborBlock(src_type, dst_type, neigh, mask))
                 if mask.sum() > 0:
                     below.setdefault(dst_type, []).append(np.unique(neigh))

@@ -175,6 +175,10 @@ def _parse_requests(args, num_queries: int, num_items: int):
 
 
 def _cmd_serve(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise SystemExit("--k must be >= 1, got %d" % args.k)
+    if args.requests < 0:
+        raise SystemExit("--requests must be >= 0, got %d" % args.requests)
     pipeline = Pipeline.from_artifacts(args.artifacts,
                                        generation=args.generation)
     # faults.* is allowed alongside serving.*: injecting serving-time
@@ -228,16 +232,14 @@ def _serve_admitted(pipeline, args, queries, preclicks) -> int:
     stats = controller.stats
     latency = stats.latency_percentiles()
     print("admitted %d/%d request(s) at %.0f qps (shed %d: %d queue-full, "
-          "%d deadline, %d breaker)"
+          "%d deadline)"
           % (stats.served, stats.offered, args.qps, stats.shed,
-             stats.shed_queue, stats.shed_deadline, stats.shed_breaker))
+             stats.shed_queue, stats.shed_deadline))
     engine_stats = pipeline.engine.stats
     if engine_stats.degraded:
         print("DEGRADED: %d request(s) got empty results after %d slice "
               "error(s)" % (engine_stats.degraded_requests,
                             engine_stats.slice_errors))
-    if controller.breaker is not None:
-        print("breaker: %s" % controller.breaker.summary())
     print("latency p50/p95/p99: %.3f / %.3f / %.3f ms  (queue deadline "
           "%.0f ms, max batch %d)"
           % (1000.0 * latency["p50"], 1000.0 * latency["p95"],

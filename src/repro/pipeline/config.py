@@ -301,12 +301,6 @@ class ServingConfig:
     #: retries per raising engine shard slice before it degrades to
     #: empty results for its requests
     slice_retries: int = 0
-    #: circuit-breaker outcome window (0 disables the breaker)
-    breaker_window: int = 0
-    #: error rate over the window that trips the breaker open
-    breaker_threshold: float = 0.5
-    #: while open, every Nth admission passes as a half-open probe
-    breaker_probe_every: int = 8
 
     def __post_init__(self):
         if self.k < 1 or self.expansion_k < 1 or self.ads_per_key < 1:
@@ -346,24 +340,6 @@ class ServingConfig:
         if self.slice_retries < 0:
             raise ValueError("serving.slice_retries must be >= 0, got %d"
                              % self.slice_retries)
-        if self.breaker_window < 0:
-            raise ValueError("serving.breaker_window must be >= 0, got %d"
-                             % self.breaker_window)
-        if not 0.0 < self.breaker_threshold <= 1.0:
-            raise ValueError("serving.breaker_threshold must be in (0, 1], "
-                             "got %r" % self.breaker_threshold)
-        if self.breaker_probe_every < 1:
-            raise ValueError("serving.breaker_probe_every must be >= 1, "
-                             "got %d" % self.breaker_probe_every)
-
-    def make_breaker(self):
-        """A configured :class:`CircuitBreaker`, or ``None`` when disabled."""
-        if self.breaker_window < 1:
-            return None
-        from repro.serving.breaker import CircuitBreaker
-        return CircuitBreaker(window=self.breaker_window,
-                              threshold=self.breaker_threshold,
-                              probe_every=self.breaker_probe_every)
 
     def admission_kwargs(self) -> Dict[str, Any]:
         """Constructor kwargs for an ``AdmissionController`` over the engine.

@@ -91,8 +91,7 @@ class PipelineContext:
             self.retriever, max_batch_size=serving.max_batch_size,
             cache_size=serving.cache_size,
             num_shards=self.config.index.serving_shards,
-            slice_retries=serving.slice_retries,
-            breaker=serving.make_breaker(), generation=generation)
+            slice_retries=serving.slice_retries, generation=generation)
 
 
 class Stage:
@@ -192,7 +191,6 @@ class TrainStage(Stage):
             "losses": [float(x) for x in report.losses],
             "final_loss": report.final_loss,
             "mean_tail_loss": report.mean_tail_loss,
-            "accumulate_steps": cfg.training.accumulate_steps,
             "backward_depth": cfg.training.backward_depth,
             "summary": "%s: %d steps, final loss %.3f (tail mean %.3f)"
                        % (cfg.model.name, report.steps, report.final_loss,

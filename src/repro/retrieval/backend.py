@@ -196,8 +196,7 @@ class ShardedBackend(SearchBackend):
     never out of order, and narrower than ``k`` only when the healthy
     shards hold fewer candidates.  ``last_failed_shards`` /
     ``last_degraded`` describe the most recent search and ``health()``
-    aggregates counters.  No circuit breaker watches single shards: the
-    serving engine feeds its breaker one outcome per engine slice.
+    aggregates counters.
     """
 
     def __init__(self, num_shards: int = 2, inner_backend: str = "exact",

@@ -9,11 +9,12 @@ layered front to back:
   worker is free), paid/organic priority lanes, backpressure +
   deadline load-shedding, and per-request queue/service latency
   percentiles in :class:`AdmissionStats`;
-- :mod:`repro.serving.engine` — :class:`ServingEngine`, which
-  answers repeat requests from an exact cache of finished results (an
-  LRU behind a frequency-counted admission gate), sends each
-  micro-batch's misses through the vectorised retriever, and keeps
-  per-worker and per-request timings;
+- :mod:`repro.serving.engine` — :class:`ServingEngine`, which serves
+  request streams and admission-formed batches, answers repeat
+  requests from an exact cache of finished results (an LRU behind a
+  frequency-counted admission gate), sends each micro-batch's misses
+  through the vectorised retriever, and keeps per-worker and
+  per-request timings;
 - :mod:`repro.serving.traffic` — :class:`TrafficGenerator`, the
   closed-loop harness replaying Zipf head-skewed queries from real
   behaviour-log sessions over Poisson/bursty/diurnal arrivals, and

@@ -41,7 +41,8 @@ The engine contract is one method: ``serve_batch(queries, preclicks,
 k) -> (results, wall_seconds)`` — satisfied by the real
 :class:`~repro.serving.engine.ServingEngine` and by the synthetic
 :class:`~repro.serving.traffic.SyntheticService` used for pure-virtual
-calibration runs.
+calibration runs.  A request is shed for one of two reasons only: a
+full queue at arrival or an expired deadline at dispatch.
 """
 
 from __future__ import annotations
@@ -91,8 +92,6 @@ class AdmissionStats:
     shed_queue: int = 0
     #: shed at dispatch: every worker busy past the request's deadline
     shed_deadline: int = 0
-    #: shed at arrival: the circuit breaker is open (downstream faulty)
-    shed_breaker: int = 0
     offered_by_lane: Dict[str, int] = dataclasses.field(
         default_factory=_lane_counter)
     shed_by_lane: Dict[str, int] = dataclasses.field(
@@ -108,7 +107,7 @@ class AdmissionStats:
 
     @property
     def shed(self) -> int:
-        return self.shed_queue + self.shed_deadline + self.shed_breaker
+        return self.shed_queue + self.shed_deadline
 
     @property
     def shed_rate(self) -> float:
@@ -151,7 +150,6 @@ class AdmissionStats:
             "shed": self.shed,
             "shed_queue": self.shed_queue,
             "shed_deadline": self.shed_deadline,
-            "shed_breaker": self.shed_breaker,
             "shed_rate": self.shed_rate,
             "shed_by_lane": dict(self.shed_by_lane),
             "mean_batch_size": self.mean_batch_size,
@@ -193,7 +191,7 @@ class AdmissionController:
         arrivals shed once depth reaches ``max_queue * (1 -
         priority_share)``.
     k:
-        Ads returned per request.
+        Ads returned per request (>= 1).
     keep_results:
         Retain ``(request, result)`` pairs in dispatch order on
         ``self.results`` (off by default: the traffic harness only
@@ -206,8 +204,7 @@ class AdmissionController:
                  num_workers: int = 1,
                  priority_share: float = 0.0,
                  k: int = 20,
-                 keep_results: bool = False,
-                 breaker=None):
+                 keep_results: bool = False):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1, got %d" % max_queue)
         if not deadline_ms > 0:
@@ -221,6 +218,8 @@ class AdmissionController:
             max_batch = getattr(engine, "max_batch_size", 32)
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1, got %d" % max_batch)
+        if k < 1:
+            raise ValueError("k must be >= 1, got %d" % k)
         self.engine = engine
         self.max_queue = int(max_queue)
         self.deadline = float(deadline_ms) / 1000.0
@@ -228,10 +227,6 @@ class AdmissionController:
         self.num_workers = int(num_workers)
         self.priority_share = float(priority_share)
         self.k = int(k)
-        # defaults to the engine's breaker so the loop closes by itself:
-        # engine slice failures trip it, admission sheds on it
-        self.breaker = breaker if breaker is not None \
-            else getattr(engine, "breaker", None)
         self.stats = AdmissionStats()
         self.results: List[Tuple[AdmissionRequest, Any]] = []
         self._keep_results = bool(keep_results)
@@ -275,12 +270,6 @@ class AdmissionController:
         stats = self.stats
         stats.offered += 1
         stats.offered_by_lane[lane] += 1
-        if self.breaker is not None and not self.breaker.allow():
-            # downstream is tripped: shed at the door (half-open probes
-            # pass through so recovery is observed)
-            stats.shed_breaker += 1
-            stats.shed_by_lane[lane] += 1
-            return False
         cap = self.max_queue if lane == "paid" else self._organic_cap
         if self._depth >= cap:
             stats.shed_queue += 1

@@ -28,6 +28,12 @@ index twice.  :class:`ServingEngine` is the laptop-scale analogue:
   as one unit of fleet work and the batch's *wall* latency is the
   slowest slice — so the measured service times reflect a sharded
   fleet rather than one monolithic worker.
+
+Requests enter one of two ways: a stream that :meth:`ServingEngine.serve`
+slices into micro-batches, or a batch the
+:class:`~repro.serving.admission.AdmissionController` already formed
+(:meth:`ServingEngine.serve_batch`).  Queueing single requests is the
+admission layer's job.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from typing import (TYPE_CHECKING, Any, Dict, Hashable, List, Optional,
 import numpy as np
 
 from repro.common import drop_retired_planes
-from repro.serving.breaker import CircuitBreaker
 from repro.testing.faults import fault_point
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -115,6 +120,13 @@ class LRUCache:
         self._lookups = 0
 
 
+def _check_k(k: int) -> None:
+    """Reject a non-positive ad count before any slice runs, where a
+    slice's retry loop would turn the error into degraded results."""
+    if k < 1:
+        raise ValueError("k (ads per request) must be >= 1, got %r" % (k,))
+
+
 def percentiles(samples: Sequence[float],
                 points: Sequence[float] = (50.0, 95.0, 99.0)) -> dict:
     """``{"p50": ..., "p95": ..., "p99": ...}`` over latency samples.
@@ -147,9 +159,8 @@ class EngineStats:
     #: Wall latency per micro-batch: the slowest shard slice when the
     #: batch fans out, the full batch time otherwise.
     batch_wall_seconds: List[float] = dataclasses.field(default_factory=list)
-    #: Wall latency per *request*: time from its arrival (``submit``
-    #: timestamp, or the start of its micro-batch on the bulk paths) to
-    #: the end of the micro-batch that served it.
+    #: Wall latency per *request*: time from the start of its
+    #: micro-batch to the end of it.
     request_wall_seconds: List[float] = dataclasses.field(default_factory=list)
     #: fault-path counters: slice attempts that raised, requests served
     #: with an empty degraded result after retries ran out, and hot
@@ -225,10 +236,6 @@ class ServingEngine:
         ``"engine.slice"`` fault fires); a slice that exhausts them is
         served *degraded* — empty results for its requests, counted on
         :class:`EngineStats` — instead of failing the batch.
-    breaker:
-        Optional :class:`~repro.serving.breaker.CircuitBreaker` fed one
-        outcome per slice attempt; the admission layer consults it to
-        shed at the door while error rates spike.
     generation:
         Artifact generation the initial retriever came from (tags the
         result-cache keys; see :meth:`swap_retriever`).
@@ -239,7 +246,6 @@ class ServingEngine:
                  num_workers: int = 1, num_shards: int = 1,
                  shard_parallelism: Optional[int] = None,
                  slice_retries: int = 0,
-                 breaker: Optional[CircuitBreaker] = None,
                  generation: int = 0):
         if shard_parallelism is not None:
             drop_retired_planes("engine",
@@ -250,11 +256,9 @@ class ServingEngine:
         self.num_workers = max(int(num_workers), 1)
         self.num_shards = max(int(num_shards), 1)
         self.slice_retries = max(int(slice_retries), 0)
-        self.breaker = breaker
         self.generation = int(generation)
         self.stats = EngineStats(
             worker_busy_seconds=[0.0] * self.num_workers)
-        self._pending: List[Tuple[int, Sequence[int], float]] = []
         # a hot swap may come from another thread: the lock keeps the
         # cache's bookkeeping consistent and makes the (retriever,
         # generation) flip one atomic pointer swap
@@ -296,6 +300,7 @@ class ServingEngine:
               preclicks: Optional[Sequence[Sequence[int]]] = None,
               k: int = 20) -> List["RetrievalResult"]:
         """Serve a request stream, slicing it into micro-batches."""
+        _check_k(k)
         queries = np.asarray(queries, dtype=np.int64).ravel()
         if preclicks is None:
             preclicks = [()] * queries.size
@@ -308,34 +313,6 @@ class ServingEngine:
             results.extend(self._serve_batch(queries[start:stop],
                                              preclicks[start:stop], k))
         return results
-
-    # -- incremental submission ---------------------------------------------
-
-    def submit(self, query: int, preclicks: Sequence[int] = (),
-               k: int = 20) -> List["RetrievalResult"]:
-        """Queue one request; auto-flushes when a micro-batch fills.
-
-        Each submission is arrival-timestamped, so the per-request wall
-        latency recorded at flush time includes the time the request
-        spent pending — the bare-engine analogue of the admission
-        layer's queue+service latency.  Returns the flushed batch's
-        results (empty while accumulating).
-        """
-        self._pending.append((int(query), tuple(preclicks),
-                              time.perf_counter()))
-        if len(self._pending) >= self.max_batch_size:
-            return self.flush(k)
-        return []
-
-    def flush(self, k: int = 20) -> List["RetrievalResult"]:
-        """Serve whatever is pending as one micro-batch."""
-        if not self._pending:
-            return []
-        queries = np.array([q for q, _, _ in self._pending], dtype=np.int64)
-        preclicks = [p for _, p, _ in self._pending]
-        arrivals = [t for _, _, t in self._pending]
-        self._pending = []
-        return self._serve_batch(queries, preclicks, k, arrivals=arrivals)
 
     # -- pre-formed batches (the admission layer's entry point) --------------
 
@@ -351,16 +328,13 @@ class ServingEngine:
         seconds — the service-time sample the admission layer charges
         to its virtual worker.
         """
+        _check_k(k)
         queries = np.asarray(queries, dtype=np.int64).ravel()
         if len(preclicks) != queries.size:
             raise ValueError("got %d queries but %d pre-click lists"
                              % (queries.size, len(preclicks)))
         results = self._serve_batch(queries, list(preclicks), k)
         return results, self.stats.batch_wall_seconds[-1]
-
-    @property
-    def pending_requests(self) -> int:
-        return len(self._pending)
 
     # -- internals -----------------------------------------------------------
 
@@ -425,7 +399,6 @@ class ServingEngine:
         A raising attempt (real, or the ``"engine.slice"`` fault point)
         is retried up to ``slice_retries`` times; exhaustion degrades
         the slice to empty results rather than failing the batch.
-        Every attempt's outcome feeds the circuit breaker.
         """
         start = time.perf_counter()
         for attempt in range(self.slice_retries + 1):
@@ -436,11 +409,7 @@ class ServingEngine:
                                                   queries, preclicks, k)
             except Exception:
                 self.stats.slice_errors += 1
-                if self.breaker is not None:
-                    self.breaker.record(False)
                 continue
-            if self.breaker is not None:
-                self.breaker.record(True)
             return results, time.perf_counter() - start
         self.stats.degraded_requests += int(queries.size)
         return self._degraded_results(queries.size), \
@@ -448,9 +417,7 @@ class ServingEngine:
 
     def _serve_batch(self, queries: np.ndarray,
                      preclicks: Sequence[Sequence[int]],
-                     k: int,
-                     arrivals: Optional[Sequence[float]] = None
-                     ) -> List["RetrievalResult"]:
+                     k: int) -> List["RetrievalResult"]:
         batch_start = time.perf_counter()
         retriever, generation = self._snapshot()
         before_degraded = self.stats.degraded_requests
@@ -477,10 +444,7 @@ class ServingEngine:
         self.stats.batches += 1
         self.stats.requests += queries.size
         self.stats.batch_sizes.append(int(queries.size))
-        # per-request wall latency: from arrival (submit timestamp when
-        # known, the batch start otherwise) to the end of the batch
-        end = time.perf_counter()
-        if arrivals is None:
-            arrivals = [batch_start] * int(queries.size)
-        self.stats.request_wall_seconds.extend(end - t for t in arrivals)
+        # per-request wall latency: from the batch start to its end
+        wall = time.perf_counter() - batch_start
+        self.stats.request_wall_seconds.extend([wall] * int(queries.size))
         return results

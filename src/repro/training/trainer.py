@@ -13,15 +13,10 @@ with vectorised draws, and the loss receives a
 receptive field into per-level unique frontiers
 (:class:`~repro.models.plan.EncodePlan`) before touching the tape.
 
-There is one loop, :meth:`Trainer.train_step`, with three dials (all
-default off):
-
-- ``plan_refresh`` — reuse captured neighbour draws across N
-  optimiser steps;
-- ``accumulate_steps`` — K micro-batches per optimiser step,
-  loss-scaled by 1/K so the update equals one K-times-larger batch;
-- ``backward_depth`` — truncate the backward below a GCN level (full
-  forward, bounded tape).
+There is one loop, :meth:`Trainer.train_step`: every step samples
+fresh neighbour draws (the paper's stochastic aggregation) for one
+batch, and one dial, ``backward_depth`` (default off), truncates the
+backward below a GCN level (full forward, bounded tape).
 
 ``checkpoint_every`` only adds writes to that loop: a checkpointed run
 trains the same model as an un-checkpointed one.
@@ -43,7 +38,6 @@ from repro.graph.metapath import MAX_EMPTY_ROUNDS, MetaPathWalker
 from repro.graph.sampling import NegativeSampler, SampleBatch
 from repro.graph.schema import Relation
 from repro.models.amcad import AMCAD
-from repro.models.plan import NeighborDrawCache
 from repro.training.optim import AdaGrad
 
 
@@ -56,21 +50,6 @@ class TrainerConfig:
     construction, so an invalid option is rejected where the config is
     built (``TrainerConfig(...)``, ``PipelineConfig.from_dict``), not
     where it is first used.
-
-    ``plan_refresh`` controls encode-plan reuse across steps: with a
-    value N > 1, the trainer keeps a
-    :class:`~repro.models.plan.NeighborDrawCache` and attaches it to the
-    encoder while ``train()`` runs, so a node revisited within an
-    N-optimiser-step window reuses its captured neighbour draws (plans
-    are cheaper to build and the GCN sees a stable frontier).  The
-    cache is cleared — draws resampled — every N steps, and detached
-    before ``train()`` returns (inference never sees training-time
-    draws).  The default 1 resamples every step, matching the paper's
-    stochastic aggregation exactly.
-
-    ``accumulate_steps`` runs K micro-batches per optimiser step with
-    the loss scaled by 1/K, so gradients match one K·batch_size batch
-    exactly (the loss is mean-normalised; asserted in tests).
 
     ``backward_depth`` keeps only the top N GCN rounds on the tape: the
     forward is bit-identical — lower levels run the same encoder code
@@ -86,27 +65,30 @@ class TrainerConfig:
     warmup_steps: int = 10
     clip_norm: float = 5.0
     seed: int = 0
-    plan_refresh: int = 1
-    accumulate_steps: int = 1
     backward_depth: int = 0
     #: optimiser steps between resume checkpoints (0 disables).  A
     #: checkpoint holds everything the loop carries from one step to
     #: the next, so a resumed run's losses are bit-identical to the
     #: uninterrupted run's — and to a run that never checkpointed.
     checkpoint_every: int = 0
-    #: retired keys of the removed multi-process sampler; any value it
-    #: accepted is accepted and dropped (see ``drop_retired_planes``)
+    #: retired keys of the removed multi-process sampler, cross-step
+    #: draw cache and gradient accumulation; any value they accepted is
+    #: accepted and dropped (see ``drop_retired_planes``)
     prefetch_workers: dataclasses.InitVar[Optional[int]] = None
     prefetch_depth: dataclasses.InitVar[Optional[int]] = None
+    plan_refresh: dataclasses.InitVar[Optional[int]] = None
+    accumulate_steps: dataclasses.InitVar[Optional[int]] = None
 
-    def __post_init__(self, prefetch_workers=None, prefetch_depth=None):
+    def __post_init__(self, prefetch_workers=None, prefetch_depth=None,
+                      plan_refresh=None, accumulate_steps=None):
         retired = {"prefetch_workers": prefetch_workers,
-                   "prefetch_depth": prefetch_depth}
+                   "prefetch_depth": prefetch_depth,
+                   "plan_refresh": plan_refresh,
+                   "accumulate_steps": accumulate_steps}
         drop_retired_planes("training", {key: value for key, value
                                          in retired.items()
                                          if value is not None})
         for key, minimum in (("steps", 1), ("batch_size", 1),
-                             ("plan_refresh", 1), ("accumulate_steps", 1),
                              ("backward_depth", 0), ("checkpoint_every", 0)):
             if getattr(self, key) < minimum:
                 raise ValueError("training.%s must be >= %d, got %r"
@@ -114,13 +96,6 @@ class TrainerConfig:
         if self.learning_rate <= 0:
             raise ValueError("training.learning_rate must be > 0, got %r"
                              % self.learning_rate)
-        if self.checkpoint_every % self.plan_refresh != 0:
-            raise ValueError(
-                "training.checkpoint_every=%d must be a multiple of "
-                "training.plan_refresh=%d (the draw-cache window, in "
-                "optimiser steps), or a resumed run would rebuild plans "
-                "from a different draw window"
-                % (self.checkpoint_every, self.plan_refresh))
 
 
 @dataclasses.dataclass
@@ -160,12 +135,7 @@ class Trainer:
         self.config = config or TrainerConfig()
         self.checkpoint_path = checkpoint_path
         cfg = self.config
-        # drop any stale cache a previous trainer left on the encoder;
-        # train() attaches this trainer's own for the duration of a call
-        model.encoder.draw_cache = None
         model.encoder.backward_depth = cfg.backward_depth
-        self._draw_cache = (NeighborDrawCache() if cfg.plan_refresh > 1
-                            else None)
         self._steps_done = 0
         self.rng = np.random.default_rng(cfg.seed)
         self.walker = walker or MetaPathWalker(model.graph)
@@ -223,36 +193,23 @@ class Trainer:
                                    "%d walk rounds" % MAX_EMPTY_ROUNDS)
 
     def train_step(self) -> float:
-        """One batch: sample → loss → backward → clip → AdaGrad → clamp κ.
-
-        With ``accumulate_steps=K`` this is K sampled micro-batches and
-        one optimiser step.  Each micro loss is scaled by 1/K before its
-        backward — the tape accumulates gradients across ``backward``
-        calls, so after K micro-batches the parameter gradients equal
-        those of a single K·batch_size batch (the loss is
-        mean-normalised per batch).  The returned loss is their sum,
-        i.e. the mean micro loss, directly comparable to a K=1 step's.
-        """
-        cache = self.model.encoder.draw_cache
-        if cache is not None and self._steps_done % self.config.plan_refresh == 0:
-            cache.clear()
+        """One batch: sample → loss → backward → clip → AdaGrad → clamp κ."""
         self._steps_done += 1
-        k = self.config.accumulate_steps
         self.optimizer.zero_grad()
-        total = 0.0
-        for _ in range(k):
-            loss = self.model.loss(self._next_batch(), rng=self.rng)
-            if k > 1:
-                loss = loss / k
-            loss.backward()
-            total += loss.item()
+        loss = self.model.loss(self._next_batch(), rng=self.rng)
+        loss.backward()
         self.optimizer.step()
         self.model.constrain()
-        return total
+        return loss.item()
 
     #: 2 added the loop's leftover pair buffers; a format-1 checkpoint
     #: cannot continue the loop bit-identically and is refused
     CHECKPOINT_FORMAT = 2
+
+    #: fingerprint keys of retired dials, each at the value that ran the
+    #: loop that is left: a checkpoint carrying it resumes, and any other
+    #: value is refused as a config mismatch naming the key
+    RETIRED_FINGERPRINT = {"plan_refresh": 1, "accumulate_steps": 1}
 
     def save_checkpoint(self, path=None) -> None:
         """Atomically write a resume checkpoint (npz) to ``path``.
@@ -262,9 +219,7 @@ class Trainer:
         accumulators and step count, the trainer's step counter and
         loss history, the RNG's full bit-generator state and the
         per-relation leftover ``(src, pos)`` pair buffers, in their
-        fill order.  The ``plan_refresh`` draw cache is not stored:
-        checkpoints land on a refresh-window boundary, where the next
-        step clears it anyway.  The write goes through
+        fill order.  The write goes through
         :func:`repro.common.atomic_savez`, so a crash mid-write leaves
         the previous checkpoint intact.
         """
@@ -314,8 +269,11 @@ class Trainer:
                     "checkpoint %s has format_version %r, expected %d"
                     % (path, header.get("format_version"),
                        self.CHECKPOINT_FORMAT))
-            ours = dataclasses.asdict(self.config)
             theirs = header.get("fingerprint")
+            ours = dataclasses.asdict(self.config)
+            ours.update({key: value for key, value
+                         in self.RETIRED_FINGERPRINT.items()
+                         if key in (theirs or {})})
             if theirs != ours:
                 diff = sorted(k for k in set(ours) | set(dict(theirs or {}))
                               if ours.get(k) != (theirs or {}).get(k))
@@ -358,11 +316,6 @@ class Trainer:
         ``steps - s`` — with the same losses one uninterrupted call
         would have produced.  A call with nothing left to do raises
         ``ValueError``.
-
-        The ``plan_refresh`` draw cache is attached to the encoder only
-        while the loop runs — it is detached before returning so
-        post-training inference (index builds, evaluation) never reuses
-        frozen training-time neighbour draws.
         """
         steps = steps if steps is not None else self.config.steps
         cfg = self.config
@@ -376,22 +329,17 @@ class Trainer:
         start_step = self._steps_done
         losses: List[float] = []
         checkpoints_written = 0
-        self.model.encoder.draw_cache = self._draw_cache
         start = time.perf_counter()
-        try:
-            for step in range(start_step, steps):
-                losses.append(self.train_step())
-                self.loss_history.append(losses[-1])
-                if log_every and (step + 1) % log_every == 0:
-                    print("step %4d  loss %.4f  |grad| %.3f" %
-                          (step + 1, losses[-1],
-                           self.optimizer.last_grad_norm))
-                if (checkpointing and step + 1 < steps
-                        and (step + 1) % cfg.checkpoint_every == 0):
-                    self.save_checkpoint()
-                    checkpoints_written += 1
-        finally:
-            self.model.encoder.draw_cache = None
+        for step in range(start_step, steps):
+            losses.append(self.train_step())
+            self.loss_history.append(losses[-1])
+            if log_every and (step + 1) % log_every == 0:
+                print("step %4d  loss %.4f  |grad| %.3f" %
+                      (step + 1, losses[-1], self.optimizer.last_grad_norm))
+            if (checkpointing and step + 1 < steps
+                    and (step + 1) % cfg.checkpoint_every == 0):
+                self.save_checkpoint()
+                checkpoints_written += 1
         elapsed = time.perf_counter() - start
         if checkpointing:
             # a completed run leaves no checkpoint behind: rerunning the
@@ -400,7 +348,6 @@ class Trainer:
                 os.remove(self.checkpoint_path)
         return TrainingReport(
             losses=losses, wall_seconds=elapsed, steps=steps - start_step,
-            samples_seen=((steps - start_step) * cfg.batch_size
-                          * cfg.accumulate_steps),
+            samples_seen=(steps - start_step) * cfg.batch_size,
             resumed_from_step=start_step,
             checkpoints_written=checkpoints_written)

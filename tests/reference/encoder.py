@@ -83,8 +83,7 @@ class RecursiveAMCAD(AMCAD):
     ``pos ∪ neg`` target set, neither deduplicated.
     """
 
-    def encode(self, node_type, indices, rng=None, plan=None,
-               use_draw_cache=True):
+    def encode(self, node_type, indices, rng=None, plan=None):
         return encode_recursive(self.encoder, node_type, indices,
                                 rng or self.rng, plan)
 

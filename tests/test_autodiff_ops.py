@@ -53,10 +53,6 @@ class TestArithmeticGradients:
         b = Parameter(rng.normal(size=(3,)) + 3.0)
         finite_difference_check(lambda: ops.sum(a / b), [a, b])
 
-    def test_power(self, rng):
-        a = Parameter(np.abs(rng.normal(size=(3,))) + 0.5)
-        finite_difference_check(lambda: ops.sum(a ** 3.0), [a])
-
     def test_neg(self, rng):
         a = Parameter(rng.normal(size=(3,)))
         finite_difference_check(lambda: ops.sum(-a), [a])
@@ -123,10 +119,6 @@ class TestNonlinearityGradients:
         a = Parameter(rng.normal(size=(4,)))
         finite_difference_check(lambda: ops.sum(op(a)), [a])
 
-    def test_log(self, rng):
-        a = Parameter(np.abs(rng.normal(size=(4,))) + 0.5)
-        finite_difference_check(lambda: ops.sum(ops.log(a)), [a])
-
     def test_sqrt(self, rng):
         a = Parameter(np.abs(rng.normal(size=(4,))) + 0.5)
         finite_difference_check(lambda: ops.sum(ops.sqrt(a)), [a])
@@ -166,13 +158,6 @@ class TestClipWhereMaximum:
         ops.sum(ops.where(cond, a, b)).backward()
         assert np.allclose(a.grad, [1.0, 0.0])
         assert np.allclose(b.grad, [0.0, 1.0])
-
-    def test_maximum_routes_gradient(self):
-        a = Parameter(np.array([1.0, 5.0]))
-        b = Parameter(np.array([3.0, 4.0]))
-        ops.sum(ops.maximum(a, b)).backward()
-        assert np.allclose(a.grad, [0.0, 1.0])
-        assert np.allclose(b.grad, [1.0, 0.0])
 
 
 class TestSoftmaxNorm:
@@ -237,12 +222,6 @@ class TestIndexingShapes:
         finite_difference_check(
             lambda: ops.sum(ops.reshape(a, (3, 4)) * 2.0), [a])
 
-    def test_transpose_gradient(self, rng):
-        a = Parameter(rng.normal(size=(2, 3)))
-        mask = rng.normal(size=(3, 2))
-        finite_difference_check(
-            lambda: ops.sum(ops.transpose(a) * Tensor(mask)), [a])
-
     def test_concatenate_gradient(self, rng):
         a = Parameter(rng.normal(size=(2, 2)))
         b = Parameter(rng.normal(size=(2, 3)))
@@ -257,39 +236,3 @@ class TestIndexingShapes:
         mask = rng.normal(size=(2, 3))
         finite_difference_check(
             lambda: ops.sum(ops.stack([a, b], axis=0) * Tensor(mask)), [a, b])
-
-    def test_expand_dims(self, rng):
-        a = Parameter(rng.normal(size=(3,)))
-        out = ops.expand_dims(a, 0)
-        assert out.shape == (1, 3)
-        ops.sum(out).backward()
-        assert np.allclose(a.grad, 1.0)
-
-
-class TestDropout:
-    def test_identity_when_not_training(self, rng):
-        a = Tensor(rng.normal(size=(4,)))
-        out = ops.dropout(a, 0.5, rng, training=False)
-        assert np.allclose(out.data, a.data)
-
-    def test_scales_kept_values(self):
-        rng = np.random.default_rng(0)
-        a = Tensor(np.ones(1000))
-        out = ops.dropout(a, 0.5, rng, training=True)
-        kept = out.data[out.data > 0]
-        assert np.allclose(kept, 2.0)
-        # roughly half survive
-        assert 300 < kept.size < 700
-
-
-class TestLogsumexp:
-    def test_matches_naive(self, rng):
-        a = Tensor(rng.normal(size=(4, 5)))
-        out = ops.logsumexp(a, axis=-1, keepdims=True)
-        naive = np.log(np.exp(a.data).sum(axis=-1, keepdims=True))
-        assert np.allclose(out.data, naive, atol=1e-10)
-
-    def test_stable_for_large_values(self):
-        a = Tensor(np.array([[1000.0, 999.0]]))
-        out = ops.logsumexp(a, axis=-1, keepdims=True)
-        assert np.isfinite(out.data).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, Parameter, no_grad, ops
-from repro.autodiff.tensor import collect_parameters, ensure_tensor, is_grad_enabled
+from repro.autodiff.tensor import ensure_tensor, is_grad_enabled
 
 
 class TestTensorBasics:
@@ -19,12 +19,6 @@ class TestTensorBasics:
 
     def test_plain_tensor_does_not_require_grad(self):
         assert not Tensor(np.zeros(3)).requires_grad
-
-    def test_detach_cuts_graph(self):
-        p = Parameter(np.ones(3))
-        d = (p * 2.0).detach()
-        assert not d.requires_grad
-        assert np.allclose(d.data, 2.0)
 
     def test_item_on_scalar(self):
         assert Tensor(3.5).item() == 3.5
@@ -112,24 +106,3 @@ class TestNoGrad:
         except RuntimeError:
             pass
         assert is_grad_enabled()
-
-
-class TestCollectParameters:
-    def test_collects_from_nested_containers(self):
-        p1, p2 = Parameter(np.ones(1)), Parameter(np.ones(1))
-        found = list(collect_parameters({"a": [p1, (p2,)], "b": 3}))
-        assert set(map(id, found)) == {id(p1), id(p2)}
-
-    def test_deduplicates_by_identity(self):
-        p = Parameter(np.ones(1))
-        found = list(collect_parameters([p, p, {"again": p}]))
-        assert len(found) == 1
-
-    def test_collects_from_objects_with_parameters_method(self):
-        p = Parameter(np.ones(1))
-
-        class Holder:
-            def parameters(self):
-                return [p]
-
-        assert list(collect_parameters(Holder())) == [p]

@@ -21,8 +21,7 @@ from repro.graph.sampling import SampleBatch
 from repro.graph.schema import NodeType, Relation
 from repro.models import make_model
 from repro.models.encoder import NodeEncoder
-from repro.models.plan import NeighborDrawCache, build_encode_plan
-from repro.pipeline.config import PipelineConfig
+from repro.models.plan import build_encode_plan
 from repro.training import Trainer, TrainerConfig
 
 from reference.encoder import RecursiveAMCAD
@@ -221,66 +220,6 @@ class TestEncodePlan:
         # dedup frontier must stay below that on a multi-layer plan
         per_node = (1 + 3 * plan.neighbor_samples) ** plan.layers
         assert plan.num_encoded() < 3 * per_node
-
-
-class TestDrawCache:
-    def test_draws_are_reused_until_cleared(self, train_graph):
-        cache = NeighborDrawCache()
-        indices = np.arange(10)
-        first = cache.sample(np.random.default_rng(0), train_graph, 0,
-                             NodeType.QUERY, indices, NodeType.ITEM, 4)
-        second = cache.sample(np.random.default_rng(99), train_graph, 0,
-                              NodeType.QUERY, indices, NodeType.ITEM, 4)
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
-        cache.clear()
-        third = cache.sample(np.random.default_rng(99), train_graph, 0,
-                             NodeType.QUERY, indices, NodeType.ITEM, 4)
-        assert not np.array_equal(first[0], third[0])
-
-    def test_trainer_plan_refresh_scopes_cache_to_the_loop(self, train_graph):
-        model = make_model("amcad", train_graph, num_subspaces=1,
-                           subspace_dim=4, seed=0)
-        trainer = Trainer(model, TrainerConfig(steps=3, batch_size=8, seed=0,
-                                               plan_refresh=2))
-        seen = []
-        original = trainer.model.loss
-        trainer.model.loss = lambda *a, **k: (
-            seen.append(model.encoder.draw_cache), original(*a, **k))[1]
-        report = trainer.train()
-        assert len(report.losses) == 3
-        assert np.isfinite(report.losses).all()
-        # attached during every step, detached once the loop returns
-        assert all(cache is not None for cache in seen)
-        assert model.encoder.draw_cache is None
-
-    def test_plan_refresh_validated(self, train_graph):
-        model = make_model("amcad", train_graph, num_subspaces=1,
-                           subspace_dim=4, seed=0)
-        with pytest.raises(ValueError, match="plan_refresh"):
-            Trainer(model, TrainerConfig(plan_refresh=0))
-
-    def test_trainer_detaches_stale_cache(self, train_graph):
-        model = make_model("amcad", train_graph, num_subspaces=1,
-                           subspace_dim=4, seed=0)
-        model.encoder.draw_cache = NeighborDrawCache()   # leftover state
-        Trainer(model, TrainerConfig(plan_refresh=1))
-        assert model.encoder.draw_cache is None
-
-    def test_source_role_bypasses_cache(self, train_graph):
-        model = make_model("amcad", train_graph, num_subspaces=1,
-                           subspace_dim=4, seed=0)
-        model.encoder.draw_cache = NeighborDrawCache()
-        indices = np.arange(6)
-        plan_a = model.encoder.build_plan(NodeType.QUERY, indices,
-                                          np.random.default_rng(0))
-        plan_b = model.encoder.build_plan(NodeType.QUERY, indices,
-                                          np.random.default_rng(1),
-                                          use_draw_cache=False)
-        level = plan_a.layers
-        block_a = plan_a.levels[level].blocks[NodeType.QUERY][0]
-        block_b = plan_b.levels[level].blocks[NodeType.QUERY][0]
-        assert not np.array_equal(block_a.neigh_ids, block_b.neigh_ids)
 
 
 class TestGatherGradcheck:
@@ -565,10 +504,3 @@ class TestValidationAndConfig:
 
         with pytest.raises(ValueError, match="brand.*ad|ad.*brand"):
             NodeEncoder._vocab_sizes(Stub())
-
-    def test_plan_refresh_override_forwarded_and_validated(self):
-        flipped = PipelineConfig().with_overrides(["training.plan_refresh=4"])
-        assert flipped.training.plan_refresh == 4
-        assert flipped.training.trainer_config().plan_refresh == 4
-        with pytest.raises(ValueError, match="plan_refresh"):
-            PipelineConfig().with_overrides(["training.plan_refresh=0"])

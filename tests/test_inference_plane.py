@@ -10,11 +10,10 @@ Covers:
   hyperbolic clip branch;
 - a tape-free index build: no tensor made during ``IndexSet.build``
   records parents, and the grad switch is back on after a failed build;
-- ``AMCAD.encode_all`` row order on full and partial plans, the
-  NeighborDrawCache refresh policy, and the empty-vocabulary shape
-  regressions (dims must come from the manifold factors, not the
-  config; a relation space and an index over an empty target
-  vocabulary keep their M subspaces).
+- ``AMCAD.encode_all`` row order on full and partial plans, and the
+  empty-vocabulary shape regressions (dims must come from the manifold
+  factors, not the config; a relation space and an index over an empty
+  target vocabulary keep their M subspaces).
 """
 
 import copy
@@ -24,7 +23,7 @@ import pytest
 
 from repro.autodiff.tensor import Tensor, is_grad_enabled, no_grad
 from repro.graph.schema import NodeType, Relation
-from repro.models import NeighborDrawCache, build_full_graph_plan, make_model
+from repro.models import make_model
 from repro.retrieval import BACKENDS, IndexSet
 from repro.retrieval.mnn import RelationSpace
 
@@ -61,25 +60,6 @@ class TestFullGraphPlan:
         arrays = shallow.encode_all(NodeType.AD)
         n = train_graph.num_nodes[NodeType.AD]
         assert all(a.shape == (n, 4) for a in arrays)
-
-    def test_draw_cache_reuse_across_refreshes(self, model, train_graph):
-        """With a shared cache, repeated plans replay identical draws."""
-        cache = NeighborDrawCache()
-        rng = np.random.default_rng(3)
-        first = build_full_graph_plan(train_graph, NodeType.QUERY, 2, 4,
-                                      rng, draw_cache=cache)
-        second = build_full_graph_plan(train_graph, NodeType.QUERY, 2, 4,
-                                       rng, draw_cache=cache)
-        a = model.encode_all(NodeType.QUERY, plan=first)
-        b = model.encode_all(NodeType.QUERY, plan=second)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        # a cleared cache resamples: embeddings move
-        cache.clear()
-        third = build_full_graph_plan(train_graph, NodeType.QUERY, 2, 4,
-                                      rng, draw_cache=cache)
-        c = model.encode_all(NodeType.QUERY, plan=third)
-        assert any(not np.array_equal(x, z) for x, z in zip(a, c))
 
 
 def _assert_no_grad_changes_nothing(model, node_type):

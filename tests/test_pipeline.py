@@ -182,17 +182,30 @@ class TestConfig:
         """Configs published before the planes were retired keep loading."""
         config = PipelineConfig.from_dict(
             {"training": {"data_plane": "batched", "steps": 7,
-                          "prefetch_workers": 2, "prefetch_depth": 3},
-             "model": {"compute_plane": "frontier", "kernels": "compiled"}})
+                          "prefetch_workers": 2, "prefetch_depth": 3,
+                          "plan_refresh": 4, "accumulate_steps": 2},
+             "model": {"compute_plane": "frontier", "kernels": "compiled"},
+             "serving": {"breaker_window": 8, "breaker_threshold": 0.5,
+                         "breaker_probe_every": 8}})
         assert config.training.steps == 7
         dumped = config.to_dict()
-        for key in ("data_plane", "prefetch_workers", "prefetch_depth"):
+        for key in ("data_plane", "prefetch_workers", "prefetch_depth",
+                    "plan_refresh", "accumulate_steps"):
             assert key not in dumped["training"]
         for key in ("compute_plane", "kernels"):
             assert key not in dumped["model"]
+        for key in ("breaker_window", "breaker_threshold",
+                    "breaker_probe_every"):
+            assert key not in dumped["serving"]
         assert PipelineConfig.from_dict(dumped) == config
         # a CLI-style override of a retired key is dropped the same way
-        assert config.with_overrides(["training.prefetch_workers=4"]) == config
+        for assignment in ("training.prefetch_workers=4",
+                           "training.plan_refresh=4",
+                           "training.accumulate_steps=1",
+                           "serving.breaker_window=0",
+                           "serving.breaker_threshold=1",
+                           "serving.breaker_probe_every=3"):
+            assert config.with_overrides([assignment]) == config
         for mode in ("auto", "numpy", "compiled"):
             assert config.with_overrides(["model.kernels=%s" % mode]) == config
 
@@ -221,6 +234,12 @@ class TestConfig:
         ("index", "shard_timeout_ms", -1),
         ("index", "num_workers", "two"),
         ("index", "ef_search", 0),
+        ("training", "plan_refresh", 0),
+        ("training", "accumulate_steps", 0),
+        ("serving", "breaker_window", -1),
+        ("serving", "breaker_threshold", 0),
+        ("serving", "breaker_threshold", 1.5),
+        ("serving", "breaker_probe_every", 0),
     ])
     def test_retired_plane_values_rejected_by_name(self, section, key, value):
         with pytest.raises(ValueError,
@@ -441,14 +460,18 @@ class TestFromArtifacts:
                                             tmp_path / "old"))
         payload = json.loads(old.path(ArtifactStore.CONFIG).read_text())
         payload["training"].update(data_plane="batched", prefetch_workers=2,
-                                   prefetch_depth=2)
+                                   prefetch_depth=2, plan_refresh=4,
+                                   accumulate_steps=2)
         payload["model"].update(compute_plane="frontier", kernels="compiled")
+        payload["serving"].update(breaker_window=8, breaker_threshold=0.5,
+                                  breaker_probe_every=8)
         old.path(ArtifactStore.CONFIG).write_text(json.dumps(payload))
         generation = old.publish_generation()
         served = Pipeline.from_artifacts(old.root)
         assert served.serving_generation == generation
         assert served.config.training == run_pipeline.config.training
         assert served.config.model == run_pipeline.config.model
+        assert served.config.serving == run_pipeline.config.serving
         fresh = run_pipeline.retriever.retrieve_batch([3, 14], [[2], []], k=5)
         for a, b in zip(fresh, served.serve([3, 14], [[2], []], k=5)):
             np.testing.assert_array_equal(a.ads, b.ads)

@@ -97,6 +97,22 @@ def test_serve_qps_rejects_nonpositive(cli_artifacts):
                   "--requests", "2", "--qps", "0"])
 
 
+@pytest.mark.parametrize("extra", [["--k", "0"], ["--k", "-1"],
+                                   ["--k", "0", "--qps", "200"],
+                                   ["--k", "-1", "--qps", "200"]])
+def test_serve_rejects_k_below_one(cli_artifacts, extra):
+    """`--k 0` used to print "(no ads)" and exit 0, bulk or admitted."""
+    with pytest.raises(SystemExit, match="--k must be >= 1"):
+        cli.main(["serve", "--artifacts", str(cli_artifacts),
+                  "--requests", "2"] + extra)
+
+
+def test_serve_rejects_negative_requests(cli_artifacts):
+    with pytest.raises(SystemExit, match="--requests must be >= 0"):
+        cli.main(["serve", "--artifacts", str(cli_artifacts),
+                  "--requests", "-1"])
+
+
 def test_serve_rejects_non_serving_overrides(cli_artifacts):
     with pytest.raises(SystemExit, match="serving.* overrides"):
         cli.main(["serve", "--artifacts", str(cli_artifacts),

@@ -192,6 +192,11 @@ class TestAdmissionQueue:
         with pytest.raises(ValueError, match="max_batch"):
             AdmissionController(engine, max_batch=0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            AdmissionController(det_service(), k=k)
+
     def test_max_batch_adopts_engine_width(self):
         ctrl = AdmissionController(det_service(max_batch=7))
         assert ctrl.max_batch == 7

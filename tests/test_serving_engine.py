@@ -231,28 +231,27 @@ class TestServingEngine:
         assert all(t > 0 for t in engine.stats.worker_busy_seconds)
         assert engine.stats.service_seconds > 0
 
-    def test_submit_flush_cycle(self, retriever, traffic):
-        queries, preclicks = traffic
-        engine = ServingEngine(retriever, max_batch_size=3)
-        out = []
-        for query, items in zip(queries[:7], preclicks[:7]):
-            out.extend(engine.submit(int(query), items, k=5))
-        assert engine.pending_requests == 1     # 7 = 3 + 3 + 1 pending
-        out.extend(engine.flush(k=5))
-        assert engine.pending_requests == 0
-        direct = retriever.retrieve_batch(queries[:7], preclicks[:7], k=5)
-        assert len(out) == 7
-        for a, b in zip(out, direct):
-            assert np.array_equal(a.ads, b.ads)
-
-    def test_flush_empty_is_noop(self, retriever):
-        engine = ServingEngine(retriever)
-        assert engine.flush() == []
-
     def test_length_mismatch_raises(self, retriever):
         engine = ServingEngine(retriever)
         with pytest.raises(ValueError):
             engine.serve([0, 1], [[2]])
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected_before_any_slice(self, retriever, traffic,
+                                                   k):
+        """A non-positive ``k`` used to serve empty ads and cache them;
+        it is rejected by name before a slice's retries could turn the
+        error into degraded results."""
+        queries, preclicks = traffic
+        engine = ServingEngine(retriever, max_batch_size=4, num_shards=2,
+                               slice_retries=1)
+        with pytest.raises(ValueError, match=r"k \(ads per request\)"):
+            engine.serve(queries[:4], preclicks[:4], k=k)
+        with pytest.raises(ValueError, match=r"k \(ads per request\)"):
+            engine.serve_batch(queries[:4], preclicks[:4], k=k)
+        assert engine.stats.requests == 0
+        assert engine.stats.slice_errors == 0
+        assert len(engine.cache) == 0
 
 
 class _WithLayerTwo:
@@ -537,16 +536,6 @@ class TestRequestLatency:
         assert all(t > 0 for t in engine.stats.request_wall_seconds)
         pcts = engine.stats.latency_percentiles()
         assert 0 < pcts["p50"] <= pcts["p95"] <= pcts["p99"]
-
-    def test_submit_latency_includes_pending_wait(self, retriever, traffic):
-        queries, preclicks = traffic
-        engine = ServingEngine(retriever, max_batch_size=3)
-        for query, items in zip(queries[:3], preclicks[:3]):
-            engine.submit(int(query), items)
-        samples = engine.stats.request_wall_seconds
-        assert len(samples) == 3
-        # within the batch, earlier submissions waited longer
-        assert samples[0] >= samples[1] >= samples[2] > 0
 
     def test_serve_batch_returns_measured_wall(self, retriever, traffic):
         queries, preclicks = traffic

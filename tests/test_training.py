@@ -98,20 +98,14 @@ class TestAdaGrad:
     ("steps", dict(steps=0)),
     ("batch_size", dict(batch_size=0)),
     ("learning_rate", dict(learning_rate=0.0)),
+    # the next four are retired keys: dropped at any value they accepted,
+    # named otherwise
     ("plan_refresh", dict(plan_refresh=0)),
-    # retired keys: dropped at any value they accepted, named otherwise
     ("prefetch_workers", dict(prefetch_workers=-1)),
     ("prefetch_depth", dict(prefetch_depth=0)),
     ("accumulate_steps", dict(accumulate_steps=0)),
     ("backward_depth", dict(backward_depth=-1)),
     ("checkpoint_every", dict(checkpoint_every=-1)),
-    # the refresh window counts optimiser steps, not micro-batches
-    ("plan_refresh", dict(checkpoint_every=2, accumulate_steps=2,
-                          plan_refresh=4)),
-    # checkpoints must land on a refresh-window boundary
-    ("checkpoint_every", dict(checkpoint_every=3, plan_refresh=2)),
-    ("checkpoint_every", dict(checkpoint_every=2, accumulate_steps=3,
-                              plan_refresh=4)),
 ])
 def test_trainer_config_rejects_invalid_values(key, kwargs):
     """The one validator every route to a trainer goes through."""
@@ -155,22 +149,17 @@ class TestTrainer:
             trainer.train(1)
         assert walker.calls == 64
 
-    @pytest.mark.parametrize("plan_refresh,split_at",
-                             [(1, 3), (3, 3), (3, 4)])
-    def test_split_train_calls_equal_one_call(self, train_graph,
-                                              plan_refresh, split_at):
+    @pytest.mark.parametrize("split_at", [3, 4])
+    def test_split_train_calls_equal_one_call(self, train_graph, split_at):
         """Regression: a second ``train()`` call used to switch to a
-        different sample stream.  Split mid-window (3, 4), the draw
-        cache carries over from one call to the next."""
+        different sample stream."""
         def trainer():
             model = make_model("amcad", train_graph, num_subspaces=2,
                                subspace_dim=4, seed=0)
-            return Trainer(model, TrainerConfig(batch_size=16, seed=0,
-                                                plan_refresh=plan_refresh))
+            return Trainer(model, TrainerConfig(batch_size=16, seed=0))
 
         split = trainer()
         first = split.train(split_at).losses
-        assert split.model.encoder.draw_cache is None   # detached between
         losses = first + split.train(8).losses
         assert losses == trainer().train(8).losses
 

@@ -1,10 +1,9 @@
-"""The training loop's dials: accumulation and the backward dial.
+"""The training loop's plain-data contracts and its backward dial.
 
 Covers:
 
 - ``SampleBatch``/``EncodePlan`` are plain data: pickle round-trips
   them with no custom state hooks;
-- gradient accumulation's exact equivalence to one large batch;
 - the ``backward_depth`` dial: bit-identical forward, exact upper-level
   gradients, no lower-level gradients.
 """
@@ -92,60 +91,6 @@ class TestPickleRoundTrip:
         np.testing.assert_array_equal(ids, ref_ids)
         np.testing.assert_array_equal(mask, ref_mask)
         assert clone.num_encoded() == plan.num_encoded()
-
-
-class TestGradientAccumulation:
-    def test_two_micro_batches_equal_one_large_batch(self, train_graph):
-        """K=2 accumulation == one concatenated batch, to fp round-off.
-
-        ``gcn_layers=0`` removes neighbour draws, so both sides see the
-        exact same computation modulo summation order; the loss is
-        mean-normalised per batch, which the 1/K scaling composes with
-        exactly.
-        """
-        def model0():
-            return make_model("amcad", train_graph, subspace_dim=4, seed=0,
-                              gcn_layers=0)
-
-        accum = model0()
-        trainer = Trainer(accum, TrainerConfig(steps=1, batch_size=16, seed=0,
-                                               accumulate_steps=2))
-        batches = [trainer._next_batch() for _ in range(2)]
-        micro = iter(batches)
-        trainer._next_batch = lambda: next(micro)
-        accum_loss = trainer.train_step()
-        assert next(micro, None) is None    # one optimiser step, two micro
-        accum_grads = [None if p.grad is None else p.grad.copy()
-                       for p in accum.parameters()]
-
-        reference = model0()
-        loss = reference.loss(batches)
-        loss.backward()
-        assert accum_loss == pytest.approx(loss.item(), abs=1e-12)
-        ref_grads = [None if p.grad is None else p.grad.copy()
-                     for p in reference.parameters()]
-        checked = 0
-        for got, want in zip(accum_grads, ref_grads):
-            if got is None or want is None:
-                assert got is None and want is None
-                continue
-            np.testing.assert_allclose(got, want, atol=1e-12)
-            checked += 1
-        assert checked > 0
-
-    def test_accumulation_scales_samples_seen(self, train_graph):
-        model = make_model("amcad", train_graph, subspace_dim=4, gcn_layers=0)
-        config = TrainerConfig(steps=2, batch_size=8, seed=0,
-                               accumulate_steps=3)
-        report = Trainer(model, config).train()
-        assert report.steps == 2
-        assert report.samples_seen == 2 * 8 * 3
-        assert len(report.losses) == 2
-
-    def test_accumulate_steps_validated(self, train_graph):
-        model = make_model("amcad", train_graph, subspace_dim=4, gcn_layers=0)
-        with pytest.raises(ValueError, match="accumulate_steps"):
-            Trainer(model, TrainerConfig(accumulate_steps=0))
 
 
 class TestBackwardDepth:
