@@ -35,7 +35,7 @@ def test_fig07_embedding_structure(benchmark, bench_data):
         Trainer(model, TrainerConfig(steps=scaled_steps(300), batch_size=64,
                                      learning_rate=0.05, seed=2)).train()
 
-        kappas = model.node_manifolds[NodeType.QUERY].kappas()
+        kappas = model.node_kappas[NodeType.QUERY].data.tolist()
         hyper = int(np.argmin(kappas))
 
         # descriptive: radius by category depth in the hyperbolic subspace

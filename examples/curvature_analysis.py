@@ -45,7 +45,7 @@ def main():
                                     ", ".join(labels)))
 
     # radial hierarchy in the most hyperbolic query subspace
-    kappas = model.node_manifolds[NodeType.QUERY].kappas()
+    kappas = model.node_kappas[NodeType.QUERY].data.tolist()
     hyper = int(np.argmin(kappas))
     embeddings = model.encode_all(NodeType.QUERY)
     radii = np.linalg.norm(embeddings[hyper], axis=-1)

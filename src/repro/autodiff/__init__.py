@@ -13,32 +13,27 @@ that the model needs:
 - :class:`Parameter` — a trainable tensor.
 - :func:`no_grad` — context manager disabling tape recording.
 - the functional namespace (``repro.autodiff.ops``) with broadcasting
-  arithmetic, `matmul`, reductions, the trigonometric/hyperbolic family
-  needed by stereographic geometry, `softmax`, `gather`, `where`,
-  `concatenate` and friends.
+  arithmetic, `matmul`, reductions, `exp`/`tanh`/`sigmoid`/`relu`,
+  `softmax`, `gather` and shape plumbing (`concatenate`, `transpose`,
+  `broadcast_to`, slicing).  The trig/clip/where micro-ops a composed
+  geometry chain needs live with that chain, the kernels' gradcheck
+  oracle in ``tests/reference/``: the geometry of ``src/`` is fused
+  kernels (``repro.geometry.kernels``).
 """
 
 from repro.autodiff.tensor import Parameter, Tensor, is_grad_enabled, no_grad
 from repro.autodiff import ops
 from repro.autodiff.ops import (
-    arctan,
-    arctanh,
-    clip,
     concatenate,
     exp,
     gather,
     matmul,
     mean,
-    norm,
     relu,
     sigmoid,
     softmax,
-    sqrt,
-    stack,
     sum as sum_,
-    tan,
     tanh,
-    where,
 )
 
 __all__ = [
@@ -47,22 +42,14 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "ops",
-    "arctan",
-    "arctanh",
-    "clip",
     "concatenate",
     "exp",
     "gather",
     "matmul",
     "mean",
-    "norm",
     "relu",
     "sigmoid",
     "softmax",
-    "sqrt",
-    "stack",
     "sum_",
-    "tan",
     "tanh",
-    "where",
 ]

@@ -6,16 +6,19 @@ propagates gradients to its parents.  Broadcasting follows numpy
 semantics; gradients of broadcast operands are summed back to the
 original shape (:func:`_unbroadcast`).
 
-The operation set is the minimum closure needed by the AMCAD model:
-arithmetic, ``matmul``, reductions, the trig/hyperbolic family used by
-the κ-stereographic operations of paper Table II, ``softmax`` for the
-edge-level subspace attention, ``gather`` for sparse feature-embedding
-lookup, plus shape plumbing (``concatenate``, ``stack``, slicing).
+The operation set is the minimum closure needed by the AMCAD model
+around its fused geometry kernels (:mod:`repro.geometry.kernels`):
+arithmetic, ``matmul``, reductions, ``tanh`` for the curved activation,
+``softmax`` for the edge-level subspace attention, ``gather`` for
+sparse feature-embedding lookup and row routing of ``(M, n, d)``
+blocks, plus shape plumbing (``concatenate``, ``transpose``,
+``broadcast_to``, slicing).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -81,15 +84,6 @@ def div(a, b) -> Tensor:
     return Tensor._make(out_data, (a, b), backward)
 
 
-def neg(a) -> Tensor:
-    a = ensure_tensor(a)
-
-    def backward(grad):
-        return (-grad,)
-
-    return Tensor._make(-a.data, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product supporting 1-D/2-D/batched operands."""
     a, b = ensure_tensor(a), ensure_tensor(b)
@@ -149,8 +143,24 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
+def _sum_slots(x: np.ndarray) -> np.ndarray:
+    """``x`` summed over its second-to-last axis, one slot at a time.
+
+    That is the order numpy's reduction over a non-innermost axis adds
+    in, so the values are the same; for the handful of slots of a
+    neighbour block it is several times faster than the strided reduce.
+    """
+    if x.shape[-2] == 0:
+        return np.zeros(x.shape[:-2] + x.shape[-1:])
+    total = x[..., 0, :]
+    for slot in range(1, x.shape[-2]):
+        total = total + x[..., slot, :]
+    return total
+
+
 def masked_mean(a, mask: np.ndarray) -> Tensor:
-    """Mean of ``a (B, k, d)`` over the slots where ``mask (B, k)`` is 1.
+    """Mean of ``a (..., B, k, d)`` over the slots where ``mask (B, k)``
+    is 1, for every leading slice (the factor axis of a stacked block).
 
     One tape node for the ``mul → sum → div`` chain of masked pooling;
     an all-masked row yields zeros (its denominator is clamped to 1).
@@ -158,10 +168,10 @@ def masked_mean(a, mask: np.ndarray) -> Tensor:
     a = ensure_tensor(a)
     mask_t = mask[..., None]
     denom = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-    out_data = np.sum(a.data * mask_t, axis=1) / denom
+    out_data = _sum_slots(a.data * mask_t) / denom
 
     def backward(grad):
-        return ((grad / denom)[:, None, :] * mask_t,)
+        return ((grad / denom)[..., None, :] * mask_t,)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -179,52 +189,12 @@ def exp(a) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def sqrt(a) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(grad):
-        return (grad * 0.5 / np.maximum(out_data, 1e-15),)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
 def tanh(a) -> Tensor:
     a = ensure_tensor(a)
     out_data = np.tanh(a.data)
 
     def backward(grad):
         return (grad * (1.0 - out_data * out_data),)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def tan(a) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = np.tan(a.data)
-
-    def backward(grad):
-        return (grad * (1.0 + out_data * out_data),)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def arctan(a) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = np.arctan(a.data)
-
-    def backward(grad):
-        return (grad / (1.0 + a.data * a.data),)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def arctanh(a) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = np.arctanh(a.data)
-
-    def backward(grad):
-        return (grad / np.maximum(1.0 - a.data * a.data, 1e-15),)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -249,61 +219,7 @@ def relu(a) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def abs_(a) -> Tensor:
-    a = ensure_tensor(a)
-    out_data = np.abs(a.data)
-
-    def backward(grad):
-        return (grad * np.sign(a.data),)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def clip(a, lo: Optional[float], hi: Optional[float]) -> Tensor:
-    """Clamp values; the gradient is masked to zero outside the bounds.
-
-    This is the numerically safe clamp used for the arguments of ``tan``
-    and ``arctanh`` in the stereographic operations (mirroring geoopt).
-    """
-    a = ensure_tensor(a)
-    out_data = np.clip(a.data, lo, hi)
-    inside = np.ones_like(a.data, dtype=bool)
-    if lo is not None:
-        inside &= a.data >= lo
-    if hi is not None:
-        inside &= a.data <= hi
-
-    def backward(grad):
-        return (grad * inside,)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def where(cond, a, b) -> Tensor:
-    """Select ``a`` where ``cond`` else ``b``; ``cond`` is a plain array."""
-    cond = np.asarray(cond, dtype=bool)
-    a, b = ensure_tensor(a), ensure_tensor(b)
-    out_data = np.where(cond, a.data, b.data)
-
-    def backward(grad):
-        return (_unbroadcast(np.where(cond, grad, 0.0), a.shape),
-                _unbroadcast(np.where(cond, 0.0, grad), b.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
 # -- compositions ----------------------------------------------------------
-
-
-def norm(a, axis: int = -1, keepdims: bool = True, eps: float = 1e-15) -> Tensor:
-    """Euclidean norm along ``axis`` with a numerically safe gradient.
-
-    Implemented as ``sqrt(sum(a**2) + eps)`` so the gradient at the
-    origin is finite — important because gyrovector formulas divide by
-    norms of vectors that can legitimately be zero.
-    """
-    squared = sum(mul(a, a), axis=axis, keepdims=keepdims)
-    return sqrt(add(squared, eps))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -317,37 +233,55 @@ def softmax(a, axis: int = -1) -> Tensor:
 # -- indexing / shape plumbing ---------------------------------------------
 
 
+def _scatter_rows(shape: tuple, index: np.ndarray,
+                  grad: np.ndarray) -> np.ndarray:
+    """``zeros(shape)`` with ``grad`` added at rows ``index`` of the
+    second-to-last axis of every leading slice, repeats summed.
+
+    One ``np.bincount`` over the flattened ``(slice·rows + row)·d + col``
+    positions, several times faster than the buffered ``np.add.at``;
+    each bin sums its contributions in index order, per slice.
+    """
+    *lead, rows, cols = shape
+    slices = math.prod(lead)
+    flat_rows = (np.arange(slices).reshape(-1, 1) * rows
+                 + index.reshape(1, -1) % rows)
+    flat = flat_rows.reshape(-1, 1) * cols + np.arange(cols)
+    return np.bincount(flat.ravel(), weights=grad.ravel(),
+                       minlength=slices * rows * cols).reshape(shape)
+
+
 def _scatter_add(shape: tuple, key, grad: np.ndarray) -> np.ndarray:
     """``zeros(shape)`` with ``grad`` added at ``[key]``, repeats summed.
 
-    An integer-array row index into a 2-D table — every gather of the
-    encode plane — is one ``np.bincount`` over the flattened
-    ``row·d + col`` positions, several times faster than the buffered
-    ``np.add.at``; any other key keeps ``np.add.at``.
+    An integer-array row index into a 2-D table is
+    :func:`_scatter_rows`; any other key keeps ``np.add.at``.
     """
     if (len(shape) == 2 and isinstance(key, np.ndarray)
             and key.dtype.kind in "iu"):
-        rows, cols = shape
-        flat = (key.reshape(-1, 1) % rows) * cols + np.arange(cols)
-        return np.bincount(flat.ravel(), weights=grad.ravel(),
-                           minlength=rows * cols).reshape(shape)
+        return _scatter_rows(shape, key, grad)
     out = np.zeros(shape)
     np.add.at(out, key, grad)
     return out
 
 
 def gather(table, index) -> Tensor:
-    """Row lookup ``table[index]`` with scatter-add backward.
+    """Row lookup with scatter-add backward.
 
-    This is the embedding-lookup primitive: gradients of repeated rows
-    are accumulated (see :func:`_scatter_add`).
+    ``index`` selects rows of the second-to-last axis — ``table[index]``
+    for a 2-D table, the same rows of every factor for a stacked
+    ``(M, n, d)`` block.  This is the embedding-lookup primitive:
+    gradients of repeated rows are accumulated (see
+    :func:`_scatter_rows`).
     """
     table = ensure_tensor(table)
     index = np.asarray(index)
-    out_data = table.data[index]
+    if table.data.ndim < 2:
+        return getitem(table, index)
+    out_data = np.take(table.data, index, axis=-2)
 
     def backward(grad):
-        return (_scatter_add(table.shape, index, grad),)
+        return (_scatter_rows(table.shape, index, grad),)
 
     return Tensor._make(out_data, (table,), backward)
 
@@ -372,6 +306,30 @@ def reshape(a, shape: tuple) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
+def transpose(a, axes: Sequence[int]) -> Tensor:
+    """Axis permutation (a contiguous copy, like the concatenation it
+    replaces in the attention input)."""
+    a = ensure_tensor(a)
+    axes = tuple(axes)
+    out_data = np.ascontiguousarray(np.transpose(a.data, axes))
+
+    def backward(grad):
+        return (np.transpose(grad, np.argsort(axes)),)
+
+    return Tensor._make(out_data, (a,), backward)
+
+
+def broadcast_to(a, shape: tuple) -> Tensor:
+    """``a`` broadcast to ``shape``; the gradient is summed back."""
+    a = ensure_tensor(a)
+    out_data = np.broadcast_to(a.data, shape)
+
+    def backward(grad):
+        return (_unbroadcast(grad, a.shape),)
+
+    return Tensor._make(out_data, (a,), backward)
+
+
 def concatenate(tensors: Sequence, axis: int = -1) -> Tensor:
     tensors = [ensure_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -385,16 +343,5 @@ def concatenate(tensors: Sequence, axis: int = -1) -> Tensor:
             slicer[axis] = slice(offsets[i], offsets[i + 1])
             pieces.append(grad[tuple(slicer)])
         return tuple(pieces)
-
-    return Tensor._make(out_data, tuple(tensors), backward)
-
-
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    tensors = [ensure_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad):
-        pieces = np.split(grad, len(tensors), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in pieces)
 
     return Tensor._make(out_data, tuple(tensors), backward)

@@ -205,14 +205,6 @@ class Tensor:
         from repro.autodiff import ops
         return ops.div(self, other)
 
-    def __rtruediv__(self, other):
-        from repro.autodiff import ops
-        return ops.div(other, self)
-
-    def __neg__(self):
-        from repro.autodiff import ops
-        return ops.neg(self)
-
     def __matmul__(self, other):
         from repro.autodiff import ops
         return ops.matmul(self, other)

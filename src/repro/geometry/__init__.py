@@ -1,49 +1,34 @@
 """Constant-curvature and mixed-curvature geometry (paper §III, Table II).
 
-Implements the unified κ-stereographic model ``U^n_κ`` whose curvature
-smoothly interpolates hyperbolic (κ<0), Euclidean (κ=0) and spherical
-(κ>0) geometry, plus the Cartesian-product *mixed-curvature* space of
-paper §III-B.  All operations are differentiable through
-:mod:`repro.autodiff`, including with respect to κ itself — this is what
-makes the "adaptive" part of AMCAD possible.
+The unified κ-stereographic model ``U^n_κ`` smoothly interpolates
+hyperbolic (κ<0), Euclidean (κ=0) and spherical (κ>0) geometry; the
+mixed-curvature space of paper §III-B is a product of M such factors,
+held as ``(M, n, d)`` point blocks with one ``(M,)`` curvature vector
+(:class:`~repro.geometry.kernels.Curvature`).  Every operation in
+:mod:`repro.geometry.kernels` runs once over all M factors and is
+differentiable through :mod:`repro.autodiff`, including with respect to
+each factor's κ — this is what makes the "adaptive" part of AMCAD
+possible.
 """
 
-from repro.geometry.stereographic import (
-    artan_k,
-    conformal_factor,
-    dist_k,
+from repro.geometry.kernels import (
+    Curvature,
+    activation,
+    dist,
     expmap0,
     logmap0,
+    matvec,
     mobius_add,
-    mobius_matvec,
     project,
-    tan_k,
 )
-from repro.geometry.fast import fused_dist, fused_expmap0, fused_logmap0
-from repro.geometry.manifold import (
-    Euclidean,
-    Hyperbolic,
-    Spherical,
-    UnifiedManifold,
-)
-from repro.geometry.product import ProductManifold
 
 __all__ = [
-    "tan_k",
-    "artan_k",
-    "mobius_add",
-    "mobius_matvec",
+    "Curvature",
+    "activation",
+    "dist",
     "expmap0",
     "logmap0",
-    "dist_k",
+    "matvec",
+    "mobius_add",
     "project",
-    "conformal_factor",
-    "fused_expmap0",
-    "fused_logmap0",
-    "fused_dist",
-    "UnifiedManifold",
-    "Euclidean",
-    "Hyperbolic",
-    "Spherical",
-    "ProductManifold",
 ]

@@ -4,7 +4,8 @@ The deployed system trains offline, ships embeddings to index builders
 and serves from stored indices (paper Fig. 3); this module provides the
 laptop equivalent: ``.npz``-based save/load with a JSON config header.
 
-Model checkpoints store the configuration plus every parameter tensor
+Model checkpoints store the configuration plus one array per subspace
+of every parameter (:meth:`~repro.models.amcad.AMCAD.checkpoint_arrays`)
 in deterministic construction order, so loading requires only the same
 graph (the entity universe defines the table shapes):
 
@@ -43,12 +44,12 @@ _FORMAT_VERSION = 1
 def save_model(model: AMCAD, path: PathLike) -> pathlib.Path:
     """Write an AMCAD checkpoint (config JSON + parameter arrays)."""
     path = pathlib.Path(path)
-    params = list(model.parameters())
-    arrays = {"param_%06d" % i: p.data for i, p in enumerate(params)}
+    stored = model.checkpoint_arrays()
+    arrays = {"param_%06d" % i: a for i, a in enumerate(stored)}
     header = {
         "format_version": _FORMAT_VERSION,
         "config": dataclasses.asdict(model.config),
-        "num_parameters": len(params),
+        "num_parameters": len(stored),
     }
     arrays["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)
@@ -71,19 +72,19 @@ def load_model(path: PathLike, graph: HetGraph) -> AMCAD:
         # carry the surviving plane by name
         config = AMCADConfig(**drop_retired_planes("model", header["config"]))
         model = AMCAD(graph, config)
-        params = list(model.parameters())
-        if len(params) != header["num_parameters"]:
+        views = model.checkpoint_arrays()
+        if len(views) != header["num_parameters"]:
             raise ValueError(
                 "checkpoint has %d parameters but the rebuilt model has %d "
                 "— was it saved for a different graph/universe?"
-                % (header["num_parameters"], len(params)))
-        for i, param in enumerate(params):
+                % (header["num_parameters"], len(views)))
+        for i, view in enumerate(views):
             stored = archive["param_%06d" % i]
-            if stored.shape != param.data.shape:
+            if stored.shape != view.shape:
                 raise ValueError(
                     "parameter %d shape mismatch: checkpoint %r vs model %r"
-                    % (i, stored.shape, param.data.shape))
-            param.data[...] = stored
+                    % (i, stored.shape, view.shape))
+            view[...] = stored
     return model
 
 

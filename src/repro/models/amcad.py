@@ -20,22 +20,22 @@ benchmark harness.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from repro.autodiff import ops
-from repro.autodiff.tensor import Parameter, Tensor, no_grad
+from repro.autodiff.tensor import Parameter, Tensor, ensure_tensor, no_grad
 from repro.common import drop_retired_planes
-from repro.geometry.manifold import UnifiedManifold
-from repro.geometry.product import ProductManifold
-from repro.geometry.stereographic import fermi_dirac
+from repro.geometry import kernels as geo
+from repro.geometry.kernels import Curvature
 from repro.graph.hetgraph import HetGraph
 from repro.graph.sampling import SampleBatch
 from repro.graph.schema import NodeType, Relation
 from repro.models.encoder import NodeEncoder
 from repro.models.plan import EncodePlan, build_full_graph_plan
-from repro.models.scorer import EdgeScorer
+from repro.models.scorer import EdgeScorer, adaptive_kappas
 
 _SIGNATURE_KAPPA = {"H": -1.0, "E": 0.0, "S": 1.0, "U": None}
 
@@ -46,6 +46,15 @@ MODEL_VARIANTS = (
     "hyperml", "hgcn", "gil", "m2gnn",
     "amcad-mixed", "amcad-curv", "amcad-fusion", "amcad-proj", "amcad-comb",
 )
+
+
+def fermi_dirac(distance, radius: float = 1.0,
+                temperature: float = 5.0) -> Tensor:
+    """Fermi–Dirac link probability ``σ(t·(r − d))`` (paper Eq. 15 context).
+
+    The paper sets radius ``r = 1`` and temperature ``t = 5``.
+    """
+    return ops.sigmoid(temperature * (radius - ensure_tensor(distance)))
 
 
 def list_models() -> List[str]:
@@ -127,35 +136,27 @@ class AMCAD:
         rng = np.random.default_rng(cfg.seed)
         self.rng = rng
 
+        # one (M,) curvature vector per node type: trainable entries
+        # start from spread initial values (see ``adaptive_kappas``), a
+        # fixed signature's entries are frozen at their geometry's κ
         signature = cfg.resolved_signature()
-        self.node_manifolds: Dict[NodeType, ProductManifold] = {}
-        for node_type in NodeType:
-            factors = []
-            for m, kappa in enumerate(signature):
-                if kappa is None:
-                    # spread trainable initialisations so subspaces start
-                    # from distinct, strongly curved geometries — the
-                    # curvatures then adapt from informative starting
-                    # points instead of crawling away from flatness
-                    if len(signature) == 1:
-                        init = 0.0
-                    else:
-                        init = np.linspace(-1.0, 1.0, len(signature))[m]
-                    factors.append(UnifiedManifold(cfg.subspace_dim, kappa=init,
-                                                   trainable=True))
-                else:
-                    factors.append(UnifiedManifold(cfg.subspace_dim, kappa=kappa,
-                                                   trainable=False))
-            self.node_manifolds[node_type] = ProductManifold(factors)
+        spread = adaptive_kappas(len(signature))
+        trainable = [kappa is None for kappa in signature]
+        initial = [spread[m] if kappa is None else kappa
+                   for m, kappa in enumerate(signature)]
+        self.node_kappas: Dict[NodeType, Curvature] = {
+            node_type: Curvature(initial, trainable) for node_type in NodeType}
 
         self.encoder = NodeEncoder(
-            graph, self.node_manifolds, feature_dim=cfg.feature_dim,
-            gcn_layers=cfg.gcn_layers, neighbor_samples=cfg.neighbor_samples,
-            use_fusion=cfg.use_fusion, rng=rng)
+            graph, self.node_kappas, subspace_dim=cfg.subspace_dim,
+            feature_dim=cfg.feature_dim, gcn_layers=cfg.gcn_layers,
+            neighbor_samples=cfg.neighbor_samples, use_fusion=cfg.use_fusion,
+            rng=rng)
         adaptive_edges = cfg.adaptive_edge_curvature and cfg.space in (
             "adaptive", "unified")
         self.scorer = EdgeScorer(
-            self.node_manifolds, adaptive_curvature=adaptive_edges,
+            self.node_kappas, cfg.subspace_dim,
+            adaptive_curvature=adaptive_edges,
             share_edge_space=cfg.share_edge_space, attention=cfg.attention,
             rng=rng)
 
@@ -163,8 +164,8 @@ class AMCAD:
 
     def encode(self, node_type: NodeType, indices: np.ndarray,
                rng: Optional[np.random.Generator] = None,
-               plan: Optional[EncodePlan] = None) -> List[Tensor]:
-        """Subspace points for a batch of nodes of one type."""
+               plan: Optional[EncodePlan] = None) -> Tensor:
+        """``(M, batch, d)`` subspace points for nodes of one type."""
         return self.encoder.encode(node_type, indices, rng=rng, plan=plan)
 
     def pair_distance(self, relation: Relation, src_indices: np.ndarray,
@@ -204,8 +205,7 @@ class AMCAD:
         return plans.get(node_type)
 
     def _encode_group(self, group: SampleBatch, rng: np.random.Generator,
-                      plans) -> Tuple[List[Tensor], List[Tensor],
-                                      List[Tensor]]:
+                      plans) -> Tuple[Tensor, Tensor, Tensor]:
         """Dedup encoding: one unique encode per endpoint role, gathered.
 
         The flattened ``(B, K)`` negative block overlaps heavily with the
@@ -227,13 +227,13 @@ class AMCAD:
         uniq_src, inv_src = np.unique(group.src_idx, return_inverse=True)
         plan = self._resolve_plan(plans, "source", relation.source_type)
         points = self.encode(relation.source_type, uniq_src, rng, plan=plan)
-        src_points = [ops.gather(p, inv_src) for p in points]
+        src_points = ops.gather(points, inv_src)
         merged = np.concatenate([group.pos_idx, group.neg_idx.ravel()])
         uniq_tgt, inv_tgt = np.unique(merged, return_inverse=True)
         plan = self._resolve_plan(plans, "target", relation.target_type)
         points = self.encode(relation.target_type, uniq_tgt, rng, plan=plan)
-        pos_points = [ops.gather(p, inv_tgt[:batch]) for p in points]
-        neg_points = [ops.gather(p, inv_tgt[batch:]) for p in points]
+        pos_points = ops.gather(points, inv_tgt[:batch])
+        neg_points = ops.gather(points, inv_tgt[batch:])
         return src_points, pos_points, neg_points
 
     def loss(self, samples: Union[SampleBatch, Sequence[SampleBatch]],
@@ -274,7 +274,7 @@ class AMCAD:
 
             # repeat source points K times to align with flattened negatives
             rep = np.repeat(np.arange(batch), k)
-            src_rep = [p[rep] for p in src_points]
+            src_rep = ops.gather(src_points, rep)
 
             pos_dist = self.scorer.distance(
                 relation, src_points, relation.source_type,
@@ -298,11 +298,9 @@ class AMCAD:
                 for points, node_type in ((src_points, relation.source_type),
                                           (pos_points, relation.target_type),
                                           (neg_points, relation.target_type)):
-                    manifold = self.node_manifolds[node_type]
-                    origin_like = [Tensor(np.zeros(p.shape)) for p in points]
-                    dists = [factor.dist(p, o) for factor, p, o in
-                             zip(manifold.factors, points, origin_like)]
-                    term = ops.sum(ops.concatenate(dists, axis=-1))
+                    term = ops.sum(geo.dist(points,
+                                            Tensor(np.zeros(points.shape)),
+                                            self.node_kappas[node_type]))
                     reg = term if reg is None else reg + term
                 group_loss = group_loss + cfg.regularization * reg
 
@@ -338,22 +336,38 @@ class AMCAD:
         compute phase on it under ``no_grad`` — ``gcn_layers + 1``
         vocabulary passes instead of ``N / batch_size`` recursive
         mini-batches, and no tape.  Returns M arrays of shape
-        ``(N, d_m)`` in vocabulary order; handed a partial ``plan``,
-        rows follow ``plan.indices`` instead (the same contract as
-        :meth:`encode` with a plan).
+        ``(N, d)`` in vocabulary order — views of one stacked
+        ``(M, N, d)`` block; handed a partial ``plan``, rows follow
+        ``plan.indices`` instead (the same contract as :meth:`encode`
+        with a plan).
         """
-        manifold = self.node_manifolds[node_type]
         if self.graph.num_nodes[node_type] == 0:
-            return [np.zeros((0, factor.dim)) for factor in manifold.factors]
+            return [np.zeros((0, self.encoder.subspace_dim))
+                    for _ in range(self.encoder.num_subspaces)]
         if plan is None:
             plan = self.build_full_plan(node_type, rng)
         with no_grad():
             points = self.encoder.encode(node_type, plan.indices, plan=plan)
-        return [p.data for p in points]
+        return list(points.data)
 
     def parameters(self) -> Iterable[Parameter]:
         yield from self.encoder.parameters()
         yield from self.scorer.parameters()
+
+    def checkpoint_arrays(self, array_of: Callable[[Parameter], np.ndarray]
+                          = lambda param: param.data) -> List[np.ndarray]:
+        """The stored arrays of ``model.npz``, as views into
+        ``array_of(parameter)``.
+
+        One array per subspace of each stacked parameter and one 0-d
+        array per trainable curvature, in the order the file numbers
+        them (``param_%06d``) — the layout of the per-subspace
+        parameters the stacked ones replaced, so published checkpoints
+        keep loading.  Writing into a view writes the parameter.
+        """
+        return [array_of(param)[index] for param, index in
+                self.encoder.checkpoint_layout()
+                + self.scorer.checkpoint_layout()]
 
     def constrain(self) -> None:
         """Clamp all trainable curvatures after an optimiser step."""
@@ -363,11 +377,11 @@ class AMCAD:
     def curvature_report(self) -> Dict[str, List[float]]:
         """Learned curvatures per node type and edge space (for analysis)."""
         report: Dict[str, List[float]] = {}
-        for node_type, manifold in self.node_manifolds.items():
-            report["node:%s" % node_type.value] = manifold.kappas()
-        for key, manifold in self.scorer.edge_manifolds.items():
+        for node_type, kappa in self.node_kappas.items():
+            report["node:%s" % node_type.value] = kappa.data.tolist()
+        for key, kappa in self.scorer.edge_kappas.items():
             name = key if isinstance(key, str) else key.value
-            report["edge:%s" % name] = manifold.kappas()
+            report["edge:%s" % name] = kappa.data.tolist()
         return report
 
 

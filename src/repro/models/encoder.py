@@ -15,9 +15,12 @@ Three stages:
    each subspace so subspaces co-adapt instead of training in
    isolation.
 
-Each node type owns its own product manifold, i.e. its own set of
-curvatures ``κ_{m,t}`` — queries can become hyperbolic while ads go
-spherical, which is exactly the heterogeneity argument of the paper.
+Each node type owns its own curvature vector ``κ_{·,t}`` of shape
+``(M,)`` — queries can become hyperbolic while ads go spherical, which
+is exactly the heterogeneity argument of the paper.  Every block of
+points or tangents is one ``(M, n, d)`` tensor with the subspace axis
+leading, and every weight and Möbius bias is stacked the same way, so
+each stage is one tape node per operation for all M subspaces.
 
 Context encoding is a two-phase dedup-encode-gather design.  A
 pure-numpy sampling phase builds an
@@ -46,13 +49,14 @@ curvature actually adapt.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.autodiff import ops
 from repro.autodiff.tensor import Parameter, Tensor, no_grad
-from repro.geometry.product import ProductManifold
+from repro.geometry import kernels as geo
+from repro.geometry.kernels import Curvature
 from repro.graph.hetgraph import HetGraph
 from repro.graph.schema import NodeType
 from repro.models.features import FeatureEmbedding, glorot
@@ -65,8 +69,10 @@ class NodeEncoder:
     ----------
     graph:
         Supplies features and neighbour sampling.
-    manifolds:
-        ``node type -> ProductManifold`` (all with M factors of equal dim).
+    kappas:
+        ``node type -> Curvature`` (all of the same length M).
+    subspace_dim:
+        d, the width of each subspace.
     feature_dim:
         Width of each feature-field embedding.
     gcn_layers:
@@ -77,13 +83,13 @@ class NodeEncoder:
         Enable the space-fusion stage (ablation ``- fusion``).
     """
 
-    def __init__(self, graph: HetGraph,
-                 manifolds: Dict[NodeType, ProductManifold],
-                 feature_dim: int = 8, gcn_layers: int = 1,
-                 neighbor_samples: int = 4, use_fusion: bool = True,
+    def __init__(self, graph: HetGraph, kappas: Dict[NodeType, Curvature],
+                 subspace_dim: int, feature_dim: int = 8,
+                 gcn_layers: int = 1, neighbor_samples: int = 4,
+                 use_fusion: bool = True,
                  rng: Optional[np.random.Generator] = None):
         self.graph = graph
-        self.manifolds = manifolds
+        self.kappas = kappas
         self.gcn_layers = int(gcn_layers)
         self.neighbor_samples = int(neighbor_samples)
         self.use_fusion = bool(use_fusion)
@@ -97,46 +103,54 @@ class NodeEncoder:
         rng = rng or np.random.default_rng(0)
         self._rng = rng
 
-        reference = next(iter(manifolds.values()))
-        self.num_subspaces = len(reference)
-        self.subspace_dim = reference.factors[0].dim
-        for manifold in manifolds.values():
-            if len(manifold) != self.num_subspaces:
+        self.num_subspaces = next(iter(kappas.values())).shape[0]
+        self.subspace_dim = int(subspace_dim)
+        if self.subspace_dim < 1:
+            raise ValueError("subspace_dim must be >= 1, got %d"
+                             % self.subspace_dim)
+        for kappa in kappas.values():
+            if kappa.shape != (self.num_subspaces,):
                 raise ValueError("all node types must use the same number of subspaces")
+        M, d = self.num_subspaces, self.subspace_dim
 
         self.embeddings: Dict[NodeType, FeatureEmbedding] = {}
         vocab_sizes = self._vocab_sizes(graph)
         for node_type, sizes in vocab_sizes.items():
             self.embeddings[node_type] = FeatureEmbedding(
-                node_type, sizes, feature_dim, self.num_subspaces,
-                self.subspace_dim, rng)
+                node_type, sizes, feature_dim, M, d, rng)
 
-        # GCN weights W^{m,t,l}: (2d -> d), paper Eq. 6
-        self.gcn_weights: Dict[tuple, Parameter] = {}
+        # every stacked parameter draws its M subspaces in turn, in the
+        # order the per-subspace parameters were once drawn, so initial
+        # values do not depend on the stacking
+
+        # GCN weights W^{·,t,l}: (M, 2d, d), paper Eq. 6
+        self.gcn_weights: Dict[Tuple[NodeType, int], Parameter] = {}
         for node_type in self.embeddings:
             for layer in range(self.gcn_layers):
-                for m in range(self.num_subspaces):
-                    self.gcn_weights[(node_type, layer, m)] = Parameter(
-                        glorot(rng, 2 * self.subspace_dim, self.subspace_dim))
+                self.gcn_weights[(node_type, layer)] = Parameter(np.stack(
+                    [glorot(rng, 2 * d, d) for _ in range(M)]))
 
-        # fusion weights W1^{m,t}: (2d -> d), paper Eq. 8
-        self.fusion_weights: Dict[tuple, Parameter] = {}
+        # fusion weights W1^{·,t}: (M, 2d, d), paper Eq. 8
+        self.fusion_weights: Dict[NodeType, Parameter] = {}
         if self.use_fusion:
             for node_type in self.embeddings:
-                for m in range(self.num_subspaces):
-                    self.fusion_weights[(node_type, m)] = Parameter(
-                        glorot(rng, 2 * self.subspace_dim, self.subspace_dim))
+                self.fusion_weights[node_type] = Parameter(np.stack(
+                    [glorot(rng, 2 * d, d) for _ in range(M)]))
 
-        # Möbius biases (tangent parameters, see module docstring)
-        self.inductive_bias: Dict[tuple, Parameter] = {}
-        self.gcn_bias: Dict[tuple, Parameter] = {}
+        # Möbius biases (tangent parameters, see module docstring),
+        # (M, 1, d) so they broadcast over a block's rows
+        self.inductive_bias: Dict[NodeType, Parameter] = {}
+        self.gcn_bias: Dict[Tuple[NodeType, int], Parameter] = {}
         for node_type in self.embeddings:
-            for m in range(self.num_subspaces):
-                self.inductive_bias[(node_type, m)] = Parameter(
-                    rng.normal(scale=0.05, size=self.subspace_dim))
+            inductive, gcn = [], [[] for _ in range(self.gcn_layers)]
+            for _ in range(M):
+                inductive.append(rng.normal(scale=0.05, size=(1, d)))
                 for layer in range(self.gcn_layers):
-                    self.gcn_bias[(node_type, layer, m)] = Parameter(
-                        rng.normal(scale=0.05, size=self.subspace_dim))
+                    gcn[layer].append(rng.normal(scale=0.05, size=(1, d)))
+            self.inductive_bias[node_type] = Parameter(np.stack(inductive))
+            for layer in range(self.gcn_layers):
+                self.gcn_bias[(node_type, layer)] = Parameter(
+                    np.stack(gcn[layer]))
 
     @staticmethod
     def _vocab_sizes(graph: HetGraph) -> Dict[NodeType, Dict[str, int]]:
@@ -156,67 +170,48 @@ class NodeEncoder:
 
     # -- stage 1: inductive learning (Eq. 4) ------------------------------------
 
-    def inductive(self, node_type: NodeType, indices: np.ndarray) -> List[Tensor]:
+    def inductive(self, node_type: NodeType, indices: np.ndarray) -> Tensor:
         """Initial subspace points from features only (Eq. 4 + Möbius bias)."""
+        kappa = self.kappas[node_type]
         tangents = self.embeddings[node_type].forward(
             self.graph.features[node_type], indices)
-        manifold = self.manifolds[node_type]
-        out = []
-        for m, (factor, tangent) in enumerate(zip(manifold.factors, tangents)):
-            point = factor.expmap0(tangent)
-            bias_point = factor.expmap0(self.inductive_bias[(node_type, m)])
-            out.append(factor.project(factor.mobius_add(point, bias_point)))
-        return out
+        point = geo.expmap0(tangents, kappa)
+        bias_point = geo.expmap0(self.inductive_bias[node_type], kappa)
+        return geo.project(geo.mobius_add(point, bias_point, kappa), kappa)
 
     # -- stage 2: context encoding (Eq. 5-6) -------------------------------------
     #
-    # `pool` turns one block of neighbour tangents into per-subspace
-    # masked means, `gcn_update` applies the curved linear round; the
-    # compute phase feeds them rows gathered from the tangents of the
-    # unique frontier encoded one level below (``logmap0`` is row-wise,
-    # so it runs once per frontier, not once per gathered block).
+    # `pool` turns one block of neighbour tangents into masked means,
+    # `gcn_update` applies the curved linear round; the compute phase
+    # feeds them rows gathered from the tangents of the unique frontier
+    # encoded one level below (``logmap0`` is row-wise, so it runs once
+    # per frontier, not once per gathered block).
+
+    def tangents(self, node_type: NodeType, points: Tensor) -> Tensor:
+        """``log_0`` of points of one node type, every subspace at once."""
+        return geo.logmap0(points, self.kappas[node_type])
 
     @staticmethod
-    def _accumulate(neighbor_sums: list, pooled: list) -> None:
-        """Add one neighbour type's pooled tangents into the running sums."""
-        for m, term in enumerate(pooled):
-            if neighbor_sums[m] is None:
-                neighbor_sums[m] = term
-            else:
-                neighbor_sums[m] = neighbor_sums[m] + term
-
-    def tangents(self, node_type: NodeType,
-                 points: List[Tensor]) -> List[Tensor]:
-        """Per-subspace ``log_0`` of points of one node type."""
-        return [factor.logmap0(point) for factor, point in
-                zip(self.manifolds[node_type].factors, points)]
-
-    @staticmethod
-    def pool(neigh_tangents: List[Tensor], mask: np.ndarray) -> List[Tensor]:
-        """Masked-mean pooling of pre-gathered ``(B, k, d)`` tangent blocks."""
-        return [ops.masked_mean(tangent, mask) for tangent in neigh_tangents]
+    def pool(neigh_tangents: Tensor, mask: np.ndarray) -> Tensor:
+        """Masked-mean pooling of pre-gathered ``(M, B, k, d)`` tangents."""
+        return ops.masked_mean(neigh_tangents, mask)
 
     def gcn_update(self, node_type: NodeType, layer: int,
-                   self_tangents: List[Tensor],
-                   neighbor_sums: List[Optional[Tensor]],
-                   batch: int) -> List[Tensor]:
-        """One GCN round (Eq. 5-6) given pooled neighbour tangent sums."""
-        updated: List[Tensor] = []
-        for m in range(self.num_subspaces):
-            factor = self.manifolds[node_type].factors[m]
-            agg = neighbor_sums[m]
-            if agg is None:
-                agg = Tensor(np.zeros((batch, self.subspace_dim)))
-            combined = ops.concatenate([agg, self_tangents[m]], axis=-1)  # Eq. 5
-            weight = self.gcn_weights[(node_type, layer, m)]
-            # Eq. 6: exp -> Mobius matvec (+ Mobius bias) -> curved activation
-            point = factor.expmap0(combined)
-            point = factor.matvec(weight, point)
-            bias_point = factor.expmap0(self.gcn_bias[(node_type, layer, m)])
-            point = factor.mobius_add(point, bias_point)
-            point = factor.activation(point, ops.tanh)
-            updated.append(factor.project(point))
-        return updated
+                   self_tangents: Tensor, neighbor_sum: Optional[Tensor],
+                   batch: int) -> Tensor:
+        """One GCN round (Eq. 5-6) given the pooled neighbour tangent sum."""
+        kappa = self.kappas[node_type]
+        if neighbor_sum is None:
+            neighbor_sum = Tensor(np.zeros((self.num_subspaces, batch,
+                                            self.subspace_dim)))
+        combined = ops.concatenate([neighbor_sum, self_tangents],
+                                   axis=-1)                       # Eq. 5
+        # Eq. 6: exp -> Mobius matvec (+ Mobius bias) -> curved activation
+        point = geo.expmap0(combined, kappa)
+        point = geo.matvec(self.gcn_weights[(node_type, layer)], point, kappa)
+        bias_point = geo.expmap0(self.gcn_bias[(node_type, layer)], kappa)
+        point = geo.mobius_add(point, bias_point, kappa)
+        return geo.project(geo.activation(point, kappa), kappa)
 
     # -- frontier compute phase ---------------------------------------------------
 
@@ -233,7 +228,7 @@ class NodeEncoder:
         return build_encode_plan(self.graph, node_type, indices,
                                  self.gcn_layers, self.neighbor_samples, rng)
 
-    def _encode_from_plan(self, plan: EncodePlan) -> List[Tensor]:
+    def _encode_from_plan(self, plan: EncodePlan) -> Tensor:
         """Compute phase: encode unique frontiers bottom-up, gather rows.
 
         Every node appears exactly once per level; upper levels address
@@ -249,17 +244,17 @@ class NodeEncoder:
         level (GCN round ``l`` weights are used only at level ``l+1``),
         so parameters above the boundary receive exactly the gradients
         of the full backward while those at or below it receive none;
-        only the per-subspace curvatures, which appear at every level,
-        see partial gradients.  One of those is the ``logmap0`` of the
-        level-``cut`` reps: it is first asked for by level ``cut + 1``,
-        so it is taken on the tape.
+        only the curvatures, which appear at every level, see partial
+        gradients.  One of those is the ``logmap0`` of the level-``cut``
+        reps: it is first asked for by level ``cut + 1``, so it is taken
+        on the tape.
         """
         depth = int(self.backward_depth or 0)
         cut = plan.layers - depth if 0 < depth <= plan.layers else -1
-        reps: Dict[tuple, List[Tensor]] = {}
-        tangents: Dict[tuple, List[Tensor]] = {}
+        reps: Dict[tuple, Tensor] = {}
+        tangents: Dict[tuple, Tensor] = {}
 
-        def tangents_of(l: int, t: NodeType) -> List[Tensor]:
+        def tangents_of(l: int, t: NodeType) -> Tensor:
             if (l, t) not in tangents:
                 tangents[(l, t)] = self.tangents(t, reps[(l, t)])
             return tangents[(l, t)]
@@ -273,45 +268,42 @@ class NodeEncoder:
                     if l == 0:
                         reps[(0, t)] = self.inductive(t, uniq)
                         continue
-                    self_tangents = [ops.gather(tan, level.self_maps[t])
-                                     for tan in tangents_of(l - 1, t)]
-                    neighbor_sums: List[Optional[Tensor]] = \
-                        [None] * self.num_subspaces
+                    self_tangents = ops.gather(tangents_of(l - 1, t),
+                                               level.self_maps[t])
+                    neighbor_sum: Optional[Tensor] = None
                     for block in level.blocks[t]:
                         if block.gather is None:  # all-masked: contributes 0
                             continue
                         below = tangents_of(l - 1, block.dst_type)
                         rows = block.gather.reshape(block.mask.shape)
-                        self._accumulate(neighbor_sums, self.pool(
-                            [ops.gather(tan, rows) for tan in below],
-                            block.mask))
+                        pooled = self.pool(ops.gather(below, rows),
+                                           block.mask)
+                        neighbor_sum = (pooled if neighbor_sum is None
+                                        else neighbor_sum + pooled)
                     reps[(l, t)] = self.gcn_update(t, l - 1, self_tangents,
-                                                   neighbor_sums, uniq.size)
+                                                   neighbor_sum, uniq.size)
         return reps[(plan.layers, plan.node_type)]
 
     # -- stage 3: space fusion (Eq. 7-8) --------------------------------------------
 
-    def fuse(self, node_type: NodeType, points: List[Tensor]) -> List[Tensor]:
-        manifold = self.manifolds[node_type]
+    def fuse(self, node_type: NodeType, points: Tensor) -> Tensor:
+        kappa = self.kappas[node_type]
         tangents = self.tangents(node_type, points)
-        stacked = ops.stack(tangents, axis=0)
-        fused = ops.mean(stacked, axis=0)                     # Eq. 7
-        out: List[Tensor] = []
-        for m, factor in enumerate(manifold.factors):
-            combined = ops.concatenate([fused, tangents[m]], axis=-1)
-            weight = self.fusion_weights[(node_type, m)]
-            point = factor.expmap0(ops.matmul(combined, weight))  # Eq. 8
-            out.append(factor.project(point))
-        return out
+        fused = ops.mean(tangents, axis=0, keepdims=True)          # Eq. 7
+        combined = ops.concatenate(
+            [ops.broadcast_to(fused, tangents.shape), tangents], axis=-1)
+        point = geo.expmap0(ops.matmul(combined,
+                                       self.fusion_weights[node_type]),
+                            kappa)                                 # Eq. 8
+        return geo.project(point, kappa)
 
     # -- public entry point ----------------------------------------------------------
 
     def encode(self, node_type: NodeType, indices: np.ndarray,
                rng: Optional[np.random.Generator] = None,
-               plan: Optional[EncodePlan] = None) -> List[Tensor]:
-        """Full node representation: one point tensor per subspace.
+               plan: Optional[EncodePlan] = None) -> Tensor:
+        """Full node representation, ``(M, len(indices), subspace_dim)``.
 
-        Output: list of M tensors shaped ``(len(indices), subspace_dim)``.
         A fresh :class:`EncodePlan` is built unless one is supplied.
         """
         rng = rng or self._rng
@@ -322,10 +314,10 @@ class NodeEncoder:
         if self.use_fusion:
             points = self.fuse(node_type, points)
         out_map = plan.output_map(indices)
-        if (out_map.size == points[0].shape[0]
+        if (out_map.size == points.shape[1]
                 and np.array_equal(out_map, np.arange(out_map.size))):
             return points    # already unique and in frontier order
-        return [ops.gather(p, out_map) for p in points]
+        return ops.gather(points, out_map)
 
     def parameters(self) -> Iterable[Parameter]:
         for embedding in self.embeddings.values():
@@ -334,10 +326,36 @@ class NodeEncoder:
         yield from self.fusion_weights.values()
         yield from self.inductive_bias.values()
         yield from self.gcn_bias.values()
-        for manifold in self.manifolds.values():
-            yield from manifold.parameters()
+        for kappa in self.kappas.values():
+            if kappa.requires_grad:
+                yield kappa
+
+    def checkpoint_layout(self) -> List[Tuple[Parameter, tuple]]:
+        """``(parameter, index)`` per stored per-subspace array, in the
+        order :func:`repro.io.save_model` numbers them."""
+        layout = []
+        for embedding in self.embeddings.values():
+            layout += embedding.checkpoint_layout()
+        per_subspace = range(self.num_subspaces)
+        for params, suffix in ((self.gcn_weights, ()),
+                               (self.fusion_weights, ()),
+                               (self.inductive_bias, (0,))):
+            layout += [(p, (m,) + suffix) for p in params.values()
+                       for m in per_subspace]
+        # the per-subspace GCN biases were drawn (and stored) layer-minor
+        layout += [(self.gcn_bias[(t, layer)], (m, 0))
+                   for t in self.embeddings for m in per_subspace
+                   for layer in range(self.gcn_layers)]
+        return layout + curvature_layout(self.kappas.values())
 
     def constrain(self) -> None:
         """Clamp all curvatures to their stability ranges."""
-        for manifold in self.manifolds.values():
-            manifold.constrain()
+        for kappa in self.kappas.values():
+            kappa.constrain()
+
+
+def curvature_layout(kappas: Iterable[Curvature]
+                     ) -> List[Tuple[Parameter, tuple]]:
+    """One 0-d entry per trainable factor of each curvature vector."""
+    return [(kappa, (m, Ellipsis)) for kappa in kappas
+            for m in np.flatnonzero(kappa.trainable)]

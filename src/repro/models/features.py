@@ -4,9 +4,12 @@ Every node type ``t`` has the feature fields of paper Table IV (id,
 category, terms, …).  For each mixed-curvature subspace ``m`` the
 encoder keeps a *separate* embedding table per field — the paper's
 ``e^{m,t}_j`` — so each subspace can learn geometry-specific feature
-representations.  Field embeddings are concatenated and linearly
-projected to the subspace dimension in tangent space; the exponential
-map into the subspace happens in the encoder.
+representations.  The M tables of one field are stacked as one
+``(M, vocab, dim)`` parameter, so a lookup is one gather for all
+subspaces.  Field embeddings are concatenated and linearly projected
+to the subspace dimension in tangent space (one ``(M, F·dim, d)``
+projection); the exponential map into the subspaces happens in the
+encoder.
 
 Multi-slot fields (title terms, bid words) are mean-pooled over their
 non-PAD slots.
@@ -62,44 +65,50 @@ class FeatureEmbedding:
         self.feature_dim = int(feature_dim)
         self.num_subspaces = int(num_subspaces)
         self.subspace_dim = int(subspace_dim)
-        self.tables: Dict[Tuple[int, str], Parameter] = {}
-        for m in range(num_subspaces):
+        # drawn in the per-subspace order (subspace-major, then field)
+        # so a model's initial values do not depend on the stacking
+        draws: Dict[str, List[np.ndarray]] = {f: [] for f in self.fields}
+        for _ in range(num_subspaces):
             for field in self.fields:
-                init = rng.normal(scale=0.1,
-                                  size=(vocab_sizes[field], feature_dim))
-                self.tables[(m, field)] = Parameter(init)
+                draws[field].append(rng.normal(
+                    scale=0.1, size=(vocab_sizes[field], feature_dim)))
+        #: ``field -> (M, vocab, feature_dim)`` table
+        self.tables: Dict[str, Parameter] = {
+            field: Parameter(np.stack(draws[field])) for field in self.fields}
         concat_dim = feature_dim * len(self.fields)
-        self.projections: List[Parameter] = [
-            Parameter(glorot(rng, concat_dim, subspace_dim))
-            for _ in range(num_subspaces)
-        ]
+        #: ``(M, F·feature_dim, subspace_dim)``
+        self.projection = Parameter(np.stack([
+            glorot(rng, concat_dim, subspace_dim)
+            for _ in range(num_subspaces)]))
 
-    def _embed_field(self, m: int, field: str, values: np.ndarray) -> Tensor:
+    def _embed_field(self, field: str, values: np.ndarray) -> Tensor:
         """Look up one field; multi-slot fields are masked-mean pooled."""
-        table = self.tables[(m, field)]
+        table = self.tables[field]
         values = np.asarray(values)
         if values.ndim == 1:
             return ops.gather(table, values)
         mask = (values != PAD).astype(np.float64)
         safe = np.where(values == PAD, 0, values)
-        embedded = ops.gather(table, safe)            # (batch, slots, dim)
+        embedded = ops.gather(table, safe)         # (M, batch, slots, dim)
         return ops.masked_mean(embedded, mask)
 
     def forward(self, features: Dict[str, np.ndarray],
-                indices: np.ndarray) -> List[Tensor]:
-        """Tangent-space embeddings, one ``(batch, subspace_dim)`` per subspace."""
+                indices: np.ndarray) -> Tensor:
+        """Tangent-space embeddings, ``(M, batch, subspace_dim)``."""
         indices = np.asarray(indices, dtype=np.int64)
-        out: List[Tensor] = []
-        for m in range(self.num_subspaces):
-            pieces = [self._embed_field(m, field, features[field][indices])
-                      for field in self.fields]
-            concat = ops.concatenate(pieces, axis=-1)
-            out.append(ops.matmul(concat, self.projections[m]))
-        return out
+        pieces = [self._embed_field(field, features[field][indices])
+                  for field in self.fields]
+        return ops.matmul(ops.concatenate(pieces, axis=-1), self.projection)
+
+    def checkpoint_layout(self) -> List[Tuple[Parameter, tuple]]:
+        """``(parameter, index)`` per stored per-subspace array."""
+        return ([(self.tables[field], (m,)) for m in range(self.num_subspaces)
+                 for field in self.fields]
+                + [(self.projection, (m,)) for m in range(self.num_subspaces)])
 
     def parameters(self) -> Iterable[Parameter]:
         yield from self.tables.values()
-        yield from self.projections
+        yield self.projection
 
 
 class LRUFeatureRegistry:
@@ -107,7 +116,9 @@ class LRUFeatureRegistry:
 
     Tracks the last step each feature id of each table was seen and
     evicts stale rows — re-initialising their embeddings — so the model
-    does not grow unboundedly across incremental training days.
+    does not grow unboundedly across incremental training days.  A row
+    is a slot of the second-to-last axis: a stacked ``(M, vocab, dim)``
+    table evicts a feature id from all M subspaces at once.
     """
 
     def __init__(self, horizon_steps: int, reinit_scale: float = 0.1,
@@ -122,12 +133,17 @@ class LRUFeatureRegistry:
         self._tables: Dict[int, Parameter] = {}
         self.evicted_total = 0
 
+    @staticmethod
+    def _slices(table: Parameter) -> int:
+        """Rows per feature id: the size of the leading (subspace) axes."""
+        return int(np.prod(table.shape[:-2], dtype=np.int64))
+
     def register(self, table: Parameter) -> None:
         """Track a feature table."""
         key = id(table)
         if key not in self._tables:
             self._tables[key] = table
-            self._last_seen[key] = np.full(table.shape[0], -1, dtype=np.int64)
+            self._last_seen[key] = np.full(table.shape[-2], -1, dtype=np.int64)
 
     def touch(self, table: Parameter, indices: np.ndarray) -> None:
         """Record feature ids observed at the current step."""
@@ -138,7 +154,7 @@ class LRUFeatureRegistry:
         flat = flat[flat != PAD]
         self._last_seen[key][flat] = self.step
         # sync in case the table was resized (not supported — guard)
-        if self._last_seen[key].shape[0] != table.shape[0]:
+        if self._last_seen[key].shape[0] != table.shape[-2]:
             raise RuntimeError("feature table resized after registration")
 
     def advance(self, steps: int = 1) -> None:
@@ -157,10 +173,11 @@ class LRUFeatureRegistry:
             stale = (last >= 0) & (last < threshold)
             count = int(stale.sum())
             if count:
-                table.data[stale] = self.rng.normal(
-                    scale=self.reinit_scale, size=(count, table.shape[1]))
+                table.data[..., stale, :] = self.rng.normal(
+                    scale=self.reinit_scale,
+                    size=table.shape[:-2] + (count, table.shape[-1]))
                 last[stale] = -1
-                evicted += count
+                evicted += count * self._slices(table)
         self.evicted_total += evicted
         return evicted
 
@@ -168,4 +185,5 @@ class LRUFeatureRegistry:
     def active_rows(self) -> int:
         """Rows currently holding learned (recently seen) embeddings."""
         return int(np.sum([int((last >= 0).sum())
-                           for last in self._last_seen.values()]))
+                           * self._slices(self._tables[key])
+                           for key, last in self._last_seen.items()]))

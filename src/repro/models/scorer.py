@@ -14,6 +14,12 @@ Two stages:
    retrieval — paper's own deployment trick), and the final distance is
    the weight-distance inner product.
 
+Every relation-specific edge space holds one ``(M,)`` curvature vector,
+and the projection weights and biases of a (space, node type) pair are
+stacked over the subspace axis, so a projection is one tape node per
+operation for all M subspaces and the per-subspace distances come out
+of one kernel call as a ``(batch, M)`` block.
+
 Ablation switches: ``share_edge_space`` collapses all relations into one
 edge space (``- proj``); ``attention='global'`` replaces pairwise
 attention with a single learned weight vector per relation (M2GNN-style);
@@ -28,11 +34,27 @@ import numpy as np
 
 from repro.autodiff import ops
 from repro.autodiff.tensor import Parameter, Tensor
-from repro.geometry.product import ProductManifold
+from repro.geometry import kernels as geo
+from repro.geometry.kernels import Curvature
 from repro.graph.schema import NodeType, Relation
+from repro.models.encoder import curvature_layout
 from repro.models.features import glorot
 
 _SHARED = "shared"
+
+
+def adaptive_kappas(num_subspaces: int) -> np.ndarray:
+    """Initial curvatures of M trainable subspaces.
+
+    Spread over ``[-1, 1]`` so subspaces start from distinct, strongly
+    curved geometries and adapt from there (flat starts were observed
+    to under-perform: the κ gradient is small relative to weight
+    gradients, so subspaces initialised near zero stay nearly Euclidean
+    for a long time); a single subspace starts flat.
+    """
+    if num_subspaces == 1:
+        return np.zeros(1)
+    return np.linspace(-1.0, 1.0, num_subspaces)
 
 
 class EdgeScorer:
@@ -40,12 +62,15 @@ class EdgeScorer:
 
     Parameters
     ----------
-    node_manifolds:
-        The per-type product manifolds of the node encoder.
+    node_kappas:
+        The per-type curvature vectors of the node encoder.
+    subspace_dim:
+        d, the width of each subspace.
     relations:
         Relations to support (default: all six of paper Fig. 6).
     adaptive_curvature:
-        Whether edge-space curvatures are trainable.
+        Whether edge-space curvatures are trainable; frozen edge spaces
+        copy the first node type's initial curvatures.
     share_edge_space:
         Ablation ``- proj``: one edge space for every relation.
     attention:
@@ -53,7 +78,8 @@ class EdgeScorer:
         ``'uniform'`` (ablation ``- comb``).
     """
 
-    def __init__(self, node_manifolds: Dict[NodeType, ProductManifold],
+    def __init__(self, node_kappas: Dict[NodeType, Curvature],
+                 subspace_dim: int,
                  relations: Optional[List[Relation]] = None,
                  adaptive_curvature: bool = True,
                  share_edge_space: bool = False,
@@ -62,81 +88,77 @@ class EdgeScorer:
         if attention not in ("pair", "global", "uniform"):
             raise ValueError("unknown attention mode %r" % attention)
         rng = rng or np.random.default_rng(1)
-        self.node_manifolds = node_manifolds
+        self.node_kappas = node_kappas
         self.relations = list(relations or list(Relation))
         self.share_edge_space = bool(share_edge_space)
         self.attention = attention
 
-        reference = next(iter(node_manifolds.values()))
-        self.num_subspaces = len(reference)
-        self.subspace_dim = reference.factors[0].dim
+        reference = next(iter(node_kappas.values()))
+        self.num_subspaces = M = reference.shape[0]
+        self.subspace_dim = d = int(subspace_dim)
 
-        # edge spaces: κ_{m,r} (paper Eq. 9-10)
+        # edge spaces: κ_{·,r} (paper Eq. 9-10)
         keys = [_SHARED] if share_edge_space else list(self.relations)
-        self.edge_manifolds: Dict[object, ProductManifold] = {}
+        self.edge_kappas: Dict[object, Curvature] = {}
         for key in keys:
             if adaptive_curvature:
-                manifold = ProductManifold.adaptive(self.num_subspaces,
-                                                    self.subspace_dim)
+                self.edge_kappas[key] = Curvature(adaptive_kappas(M),
+                                                  [True] * M)
             else:
-                # frozen copies of the (initial) node-space curvatures
-                from repro.geometry.manifold import UnifiedManifold
-                manifold = ProductManifold([
-                    UnifiedManifold(factor.dim, kappa=factor.kappa_value,
-                                    trainable=False)
-                    for factor in reference.factors])
-            self.edge_manifolds[key] = manifold
+                self.edge_kappas[key] = Curvature(reference.data.copy(),
+                                                  [False] * M)
 
-        # projection weights W2^{m,t,r}: (d -> d), plus Möbius biases
-        # (see the NodeEncoder module docstring for why biases are needed)
+        # projection weights W2^{·,t,r}: (M, d, d), plus (M, 1, d)
+        # Möbius biases (see the NodeEncoder module docstring for why
+        # biases are needed); drawn subspace by subspace
         self.proj_weights: Dict[tuple, Parameter] = {}
         self.proj_bias: Dict[tuple, Parameter] = {}
         for key in keys:
-            for node_type in node_manifolds:
-                for m in range(self.num_subspaces):
-                    self.proj_weights[(key, node_type, m)] = Parameter(
-                        glorot(rng, self.subspace_dim, self.subspace_dim))
-                    self.proj_bias[(key, node_type, m)] = Parameter(
-                        rng.normal(scale=0.05, size=self.subspace_dim))
+            for node_type in node_kappas:
+                weights, biases = [], []
+                for _ in range(M):
+                    weights.append(glorot(rng, d, d))
+                    biases.append(rng.normal(scale=0.05, size=(1, d)))
+                self.proj_weights[(key, node_type)] = Parameter(
+                    np.stack(weights))
+                self.proj_bias[(key, node_type)] = Parameter(np.stack(biases))
 
         # attention weights W^t: (M*d -> M) (paper Eq. 12)
         self.att_weights: Dict[NodeType, Parameter] = {}
         if attention == "pair":
-            for node_type in node_manifolds:
+            for node_type in node_kappas:
                 self.att_weights[node_type] = Parameter(
-                    glorot(rng, self.num_subspaces * self.subspace_dim,
-                           self.num_subspaces))
+                    glorot(rng, M * d, M))
         self.global_logits: Dict[object, Parameter] = {}
         if attention == "global":
             for key in keys:
-                self.global_logits[key] = Parameter(
-                    np.zeros(self.num_subspaces))
+                self.global_logits[key] = Parameter(np.zeros(M))
 
     # -- internals --------------------------------------------------------------
 
     def _edge_key(self, relation: Relation):
         return _SHARED if self.share_edge_space else relation
 
+    def edge_kappa(self, relation: Relation) -> Curvature:
+        """The curvature vector of ``relation``'s edge space."""
+        return self.edge_kappas[self._edge_key(relation)]
+
     def project(self, relation: Relation, node_type: NodeType,
-                points: List[Tensor]) -> List[Tensor]:
-        """Edge-space projection of per-subspace points (paper Eq. 9)."""
+                points: Tensor) -> Tensor:
+        """Edge-space projection of ``(M, n, d)`` points (paper Eq. 9)."""
         key = self._edge_key(relation)
-        edge_manifold = self.edge_manifolds[key]
-        node_manifold = self.node_manifolds[node_type]
-        projected: List[Tensor] = []
-        for m, point in enumerate(points):
-            weight = self.proj_weights[(key, node_type, m)]
-            node_factor = node_manifold.factors[m]
-            edge_factor = edge_manifold.factors[m]
-            mapped = node_factor.matvec(weight, point)
-            bias_point = node_factor.expmap0(self.proj_bias[(key, node_type, m)])
-            mapped = node_factor.mobius_add(mapped, bias_point)
-            mapped = node_factor.activation(mapped, ops.tanh, target=edge_factor)
-            projected.append(edge_factor.project(mapped))
-        return projected
+        node_kappa = self.node_kappas[node_type]
+        edge_kappa = self.edge_kappas[key]
+        mapped = geo.matvec(self.proj_weights[(key, node_type)], points,
+                            node_kappa)
+        bias_point = geo.expmap0(self.proj_bias[(key, node_type)],
+                                 node_kappa)
+        mapped = geo.mobius_add(mapped, bias_point, node_kappa)
+        mapped = geo.activation(mapped, node_kappa, edge_kappa)
+        return geo.project(mapped, edge_kappa)
 
     def node_weights(self, relation: Relation, node_type: NodeType,
-                     projected: List[Tensor]) -> Tensor:
+                     projected: Tensor) -> Tensor:
         """Node-level subspace attention ``w'`` (paper Eq. 12–13).
 
         Returns shape ``(batch, M)``; rows sum to 1 in ``'pair'`` mode,
@@ -144,9 +166,12 @@ class EdgeScorer:
         1 with constant entries in ``'uniform'`` mode.  Pair weights are
         ``w = w'(x) + w'(y)``, so each side contributes half.
         """
-        batch = projected[0].shape[0]
+        batch = projected.shape[1]
         if self.attention == "pair":
-            concat = ops.concatenate(projected, axis=-1)
+            # (M, n, d) -> (n, M*d): each row's subspaces side by side
+            concat = ops.reshape(ops.transpose(projected, (1, 0, 2)),
+                                 (batch, self.num_subspaces
+                                  * self.subspace_dim))
             logits = ops.matmul(concat, self.att_weights[node_type])
             return ops.softmax(logits, axis=-1)
         if self.attention == "global":
@@ -157,19 +182,17 @@ class EdgeScorer:
         uniform = np.full((batch, self.num_subspaces), 1.0 / self.num_subspaces)
         return Tensor(uniform)
 
-    def sub_distances(self, relation: Relation, src_projected: List[Tensor],
-                      dst_projected: List[Tensor]) -> Tensor:
+    def sub_distances(self, relation: Relation, src_projected: Tensor,
+                      dst_projected: Tensor) -> Tensor:
         """Per-subspace edge-space distances, shape ``(batch, M)`` (Eq. 10)."""
-        edge_manifold = self.edge_manifolds[self._edge_key(relation)]
-        dists = [factor.dist(x, y) for factor, x, y in
-                 zip(edge_manifold.factors, src_projected, dst_projected)]
-        return ops.concatenate(dists, axis=-1)
+        return geo.dist(src_projected, dst_projected,
+                        self.edge_kappa(relation))
 
     # -- public API ---------------------------------------------------------------
 
     def distance(self, relation: Relation,
-                 src_points: List[Tensor], src_type: NodeType,
-                 dst_points: List[Tensor], dst_type: NodeType) -> Tensor:
+                 src_points: Tensor, src_type: NodeType,
+                 dst_points: Tensor, dst_type: NodeType) -> Tensor:
         """Attention-combined mixed-curvature distance (paper Eq. 14).
 
         Returns shape ``(batch,)`` — smaller means more likely linked.
@@ -188,9 +211,21 @@ class EdgeScorer:
         yield from self.proj_bias.values()
         yield from self.att_weights.values()
         yield from self.global_logits.values()
-        for manifold in self.edge_manifolds.values():
-            yield from manifold.parameters()
+        for kappa in self.edge_kappas.values():
+            if kappa.requires_grad:
+                yield kappa
+
+    def checkpoint_layout(self) -> List[Tuple[Parameter, tuple]]:
+        """``(parameter, index)`` per stored per-subspace array."""
+        per_subspace = range(self.num_subspaces)
+        return ([(p, (m,)) for p in self.proj_weights.values()
+                 for m in per_subspace]
+                + [(p, (m, 0)) for p in self.proj_bias.values()
+                   for m in per_subspace]
+                + [(p, ()) for p in self.att_weights.values()]
+                + [(p, ()) for p in self.global_logits.values()]
+                + curvature_layout(self.edge_kappas.values()))
 
     def constrain(self) -> None:
-        for manifold in self.edge_manifolds.values():
-            manifold.constrain()
+        for kappa in self.edge_kappas.values():
+            kappa.constrain()

@@ -46,8 +46,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.geometry.fast import artan_k_numpy, logmap0_numpy
-from repro.geometry.kernels import mobius_norm
+from repro.geometry.kernels import artan_k_numpy, logmap0_numpy, mobius_norm
 from repro.retrieval.backend import BACKENDS, ExactBackend, SearchBackend
 from repro.retrieval.mnn import RelationSpace
 from repro.retrieval.quantization import _kmeans, assign_to_centroids

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 import numpy as np
 
 from repro.common import drop_retired_planes
-from repro.geometry.fast import pairwise_dist
+from repro.geometry.kernels import pairwise_dist
 from repro.retrieval.mnn import RelationSpace
 from repro.testing.faults import InjectedTimeout, fault_point
 

@@ -9,7 +9,7 @@ edge spaces (paper Eq. 14).  Two properties make exact search feasible:
   node-level attention weights can be *pre-computed* once per node
   before any search happens — this is the paper's own deployment trick;
 - the per-subspace distance matrix reduces to inner products
-  (:func:`repro.geometry.fast.pairwise_dist`), so a candidate block is
+  (:func:`repro.geometry.kernels.pairwise_dist`), so a candidate block is
   scored entirely inside vectorised numpy (the SIMD level); the
   paper's worker level (OpenMP) is not reproduced in-process.
 
@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.autodiff.tensor import Tensor, no_grad
-from repro.geometry.fast import rowwise_dist
+from repro.geometry.kernels import rowwise_dist
 from repro.graph.schema import NodeType, Relation
 
 
@@ -98,9 +98,7 @@ class RelationSpace:
             else:
                 dst_proj, dst_w = _project_all(model, relation, dst_type,
                                                encode_cache)
-            manifold = model.scorer.edge_manifolds[
-                model.scorer._edge_key(relation)]
-            kappas = manifold.kappas()
+            kappas = model.scorer.edge_kappa(relation).data.tolist()
         return cls(relation=relation, src_embeddings=src_proj,
                    dst_embeddings=dst_proj, src_weights=src_w,
                    dst_weights=dst_w, kappas=kappas)
@@ -143,7 +141,8 @@ def _project_all(model, relation: Relation, node_type: NodeType,
 
     The model's ``encode_all`` encodes the whole vocabulary through one
     full-graph :class:`~repro.models.plan.EncodePlan` and the scorer
-    projects it in a single vectorised call.  An empty vocabulary gives
+    projects every subspace in one vectorised call; the per-subspace
+    arrays returned are views of its ``(M, N, d)`` output.  An empty vocabulary gives
     M arrays of ``(0, d_m)`` and ``(0, M)`` weights.  The encode is
     deterministic (fixed seed policy), so ``encode_cache`` can safely
     share it across relations.
@@ -154,7 +153,7 @@ def _project_all(model, relation: Relation, node_type: NodeType,
         encoded = model.encode_all(node_type, np.random.default_rng(2024))
         if encode_cache is not None:
             encode_cache[node_type] = encoded
-    points = [Tensor(p) for p in encoded]
-    projected = model.scorer.project(relation, node_type, points)
+    projected = model.scorer.project(relation, node_type,
+                                     Tensor(np.stack(encoded)))
     weights = model.scorer.node_weights(relation, node_type, projected)
-    return [t.data for t in projected], weights.data
+    return list(projected.data), weights.data

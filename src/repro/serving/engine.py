@@ -250,12 +250,20 @@ class ServingEngine:
         if shard_parallelism is not None:
             drop_retired_planes("engine",
                                 {"shard_parallelism": shard_parallelism})
+        for key, value, minimum in (
+                ("max_batch_size", max_batch_size, 1),
+                ("num_workers", num_workers, 1),
+                ("num_shards", num_shards, 1),
+                ("slice_retries", slice_retries, 0)):
+            if int(value) < minimum:
+                raise ValueError("%s must be >= %d, got %r"
+                                 % (key, minimum, value))
         self.retriever = retriever
-        self.max_batch_size = max(int(max_batch_size), 1)
+        self.max_batch_size = int(max_batch_size)
         self.cache = LRUCache(cache_size)
-        self.num_workers = max(int(num_workers), 1)
-        self.num_shards = max(int(num_shards), 1)
-        self.slice_retries = max(int(slice_retries), 0)
+        self.num_workers = int(num_workers)
+        self.num_shards = int(num_shards)
+        self.slice_retries = int(slice_retries)
         self.generation = int(generation)
         self.stats = EngineStats(
             worker_busy_seconds=[0.0] * self.num_workers)

@@ -73,12 +73,7 @@ class IncrementalTrainer:
             degree = graph.degree(node_type)
             active = np.flatnonzero(degree > 0)
             fields = graph.features[node_type]
-            for (m, field), table in embedding.tables.items():
-                if m != 0:
-                    # all subspace copies of a field share the id stream;
-                    # touching once per field is enough, but tables are
-                    # registered per subspace so touch each
-                    pass
+            for field, table in embedding.tables.items():
                 self.registry.touch(table, np.asarray(fields[field])[active])
 
     def train_day(self, log: BehaviorLog) -> DayResult:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import time
@@ -71,23 +72,8 @@ class TrainerConfig:
     #: the next, so a resumed run's losses are bit-identical to the
     #: uninterrupted run's — and to a run that never checkpointed.
     checkpoint_every: int = 0
-    #: retired keys of the removed multi-process sampler, cross-step
-    #: draw cache and gradient accumulation; any value they accepted is
-    #: accepted and dropped (see ``drop_retired_planes``)
-    prefetch_workers: dataclasses.InitVar[Optional[int]] = None
-    prefetch_depth: dataclasses.InitVar[Optional[int]] = None
-    plan_refresh: dataclasses.InitVar[Optional[int]] = None
-    accumulate_steps: dataclasses.InitVar[Optional[int]] = None
 
-    def __post_init__(self, prefetch_workers=None, prefetch_depth=None,
-                      plan_refresh=None, accumulate_steps=None):
-        retired = {"prefetch_workers": prefetch_workers,
-                   "prefetch_depth": prefetch_depth,
-                   "plan_refresh": plan_refresh,
-                   "accumulate_steps": accumulate_steps}
-        drop_retired_planes("training", {key: value for key, value
-                                         in retired.items()
-                                         if value is not None})
+    def __post_init__(self):
         for key, minimum in (("steps", 1), ("batch_size", 1),
                              ("backward_depth", 0), ("checkpoint_every", 0)):
             if getattr(self, key) < minimum:
@@ -96,6 +82,36 @@ class TrainerConfig:
         if self.learning_rate <= 0:
             raise ValueError("training.learning_rate must be > 0, got %r"
                              % self.learning_rate)
+
+    def __getattr__(self, name):
+        # only reached for names the instance and class do not have
+        if name in _RETIRED_TRAINING_KEYS:
+            raise AttributeError(
+                "TrainerConfig.%s was retired with its plane; the key is "
+                "accepted (and dropped) on construction only" % name)
+        raise AttributeError("%r object has no attribute %r"
+                             % (type(self).__name__, name))
+
+
+#: keys of the removed multi-process sampler, cross-step draw cache and
+#: gradient accumulation: the constructor accepts any value they
+#: accepted and drops it (see ``drop_retired_planes``); they are not
+#: fields, so reading one raises
+_RETIRED_TRAINING_KEYS = ("prefetch_workers", "prefetch_depth",
+                          "plan_refresh", "accumulate_steps")
+_dataclass_init = TrainerConfig.__init__
+
+
+@functools.wraps(_dataclass_init)
+def _init_dropping_retired(self, *args, **kwargs):
+    retired = {key: kwargs.pop(key) for key in _RETIRED_TRAINING_KEYS
+               if key in kwargs}
+    drop_retired_planes("training", {key: value for key, value
+                                     in retired.items() if value is not None})
+    _dataclass_init(self, *args, **kwargs)
+
+
+TrainerConfig.__init__ = _init_dropping_retired
 
 
 @dataclasses.dataclass
@@ -211,6 +227,16 @@ class Trainer:
     #: value is refused as a config mismatch naming the key
     RETIRED_FINGERPRINT = {"plan_refresh": 1, "accumulate_steps": 1}
 
+    def _checkpoint_arrays(self):
+        """Parameter and AdaGrad-accumulator views, one pair per array
+        of the model's checkpoint layout (``AMCAD.checkpoint_arrays``)."""
+        accumulators = {id(param): accumulator for param, accumulator
+                        in zip(self.optimizer.parameters,
+                               self.optimizer._accumulators)}
+        return (self.model.checkpoint_arrays(),
+                self.model.checkpoint_arrays(
+                    lambda param: accumulators[id(param)]))
+
     def save_checkpoint(self, path=None) -> None:
         """Atomically write a resume checkpoint (npz) to ``path``.
 
@@ -237,9 +263,9 @@ class Trainer:
         }
         arrays = {"header": np.frombuffer(
             json.dumps(header).encode("utf-8"), dtype=np.uint8)}
-        for i, param in enumerate(self.optimizer.parameters):
-            arrays["param_%06d" % i] = param.data
-        for i, accumulator in enumerate(self.optimizer._accumulators):
+        params, accumulators = self._checkpoint_arrays()
+        for i, (param, accumulator) in enumerate(zip(params, accumulators)):
+            arrays["param_%06d" % i] = param
             arrays["accum_%06d" % i] = accumulator
         for relation, chunks in self._array_buffers.items():
             for j, name in enumerate(("src", "pos")):
@@ -281,16 +307,15 @@ class Trainer:
                     "checkpoint %s was written under a different config "
                     "(mismatched: %s); resuming would diverge from the "
                     "uninterrupted run" % (path, ", ".join(diff) or "?"))
-            params = self.optimizer.parameters
-            for i, param in enumerate(params):
+            params, accumulators = self._checkpoint_arrays()
+            for i, (param, accumulator) in enumerate(zip(params,
+                                                         accumulators)):
                 stored = data["param_%06d" % i]
-                if stored.shape != param.data.shape:
+                if stored.shape != param.shape:
                     raise ValueError(
                         "checkpoint %s parameter %d has shape %s, model "
-                        "expects %s" % (path, i, stored.shape,
-                                        param.data.shape))
-                param.data[...] = stored
-            for i, accumulator in enumerate(self.optimizer._accumulators):
+                        "expects %s" % (path, i, stored.shape, param.shape))
+                param[...] = stored
                 accumulator[...] = data["accum_%06d" % i]
             buffers = {}
             for value in header["buffers"]:

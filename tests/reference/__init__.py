@@ -15,4 +15,8 @@ is the miss-count baseline, not an answer oracle.  ``pq`` is product
 quantisation, retired as a search backend because it cannot express
 the attention-weighted metric; it is the recall baseline
 ``benchmarks/bench_pq_vs_mnn.py`` measures that against.
+``stereographic`` is the κ-stereographic geometry composed from
+autodiff micro-ops (``ops`` holds the ones only it uses), one scalar κ
+at a time: the gradcheck oracle of every fused, subspace-stacked kernel
+in ``repro.geometry.kernels``.
 """

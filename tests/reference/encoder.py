@@ -8,7 +8,7 @@ function when both replay the neighbour draws captured in an
 equal on every parameter — on a strictly smaller tape.
 """
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,13 +21,13 @@ from repro.models.plan import EncodePlan
 
 def _aggregate(encoder: NodeEncoder, node_type: NodeType,
                indices: np.ndarray, layer: int, rng: np.random.Generator,
-               plan: Optional[EncodePlan]) -> List[Tensor]:
+               plan: Optional[EncodePlan]) -> Tensor:
     """One recursive GCN round; with ``plan``, replays captured draws."""
     self_points = _encode_layer(encoder, node_type, indices, layer, rng, plan)
     batch = len(indices)
 
-    # tangent aggregation per subspace, summed over neighbour types
-    neighbor_sums: List[Optional[Tensor]] = [None] * encoder.num_subspaces
+    # tangent aggregation, summed over neighbour types
+    neighbor_sum: Optional[Tensor] = None
     for other_type in NodeType:
         if encoder.graph.num_nodes[other_type] == 0:
             continue
@@ -44,20 +44,20 @@ def _aggregate(encoder: NodeEncoder, node_type: NodeType,
                                      layer, rng, plan)
         # log-map every gathered point (the product encoder maps each
         # unique frontier once and gathers the tangents instead)
+        tangents = encoder.tangents(other_type, neigh_points)
         pooled = encoder.pool(
-            [t.reshape(mask.shape + (-1,))
-             for t in encoder.tangents(other_type, neigh_points)], mask)
-        for m, term in enumerate(pooled):
-            neighbor_sums[m] = (term if neighbor_sums[m] is None
-                                else neighbor_sums[m] + term)
+            tangents.reshape((encoder.num_subspaces,) + mask.shape + (-1,)),
+            mask)
+        neighbor_sum = (pooled if neighbor_sum is None
+                        else neighbor_sum + pooled)
     return encoder.gcn_update(node_type, layer,
                               encoder.tangents(node_type, self_points),
-                              neighbor_sums, batch)
+                              neighbor_sum, batch)
 
 
 def _encode_layer(encoder: NodeEncoder, node_type: NodeType,
                   indices: np.ndarray, layer: int, rng: np.random.Generator,
-                  plan: Optional[EncodePlan]) -> List[Tensor]:
+                  plan: Optional[EncodePlan]) -> Tensor:
     if layer == 0:
         return encoder.inductive(node_type, indices)
     return _aggregate(encoder, node_type, indices, layer - 1, rng, plan)
@@ -65,7 +65,7 @@ def _encode_layer(encoder: NodeEncoder, node_type: NodeType,
 
 def encode_recursive(encoder: NodeEncoder, node_type: NodeType,
                      indices: np.ndarray, rng: np.random.Generator,
-                     plan: Optional[EncodePlan] = None) -> List[Tensor]:
+                     plan: Optional[EncodePlan] = None) -> Tensor:
     """``encoder.encode`` by recursion; a ``plan`` replays its draws."""
     indices = np.asarray(indices, dtype=np.int64)
     points = _encode_layer(encoder, node_type, indices, encoder.gcn_layers,
@@ -98,6 +98,6 @@ class RecursiveAMCAD(AMCAD):
         plan = self._resolve_plan(plans, "target", relation.target_type)
         tgt_points = self.encode(relation.target_type, tgt_idx, rng,
                                  plan=plan)
-        pos_points = [p[:batch] for p in tgt_points]
-        neg_points = [p[batch:] for p in tgt_points]
+        pos_points = tgt_points[:, :batch]
+        neg_points = tgt_points[:, batch:]
         return src_points, pos_points, neg_points

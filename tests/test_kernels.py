@@ -3,7 +3,7 @@
 Every primitive in :mod:`repro.geometry.kernels` has one numpy
 implementation.  The parity classes check it — forward values and the
 hand-derived VJPs, including ∂/∂κ — against the composed micro-op chain
-of :mod:`repro.geometry.stereographic`, the independent oracle, over
+of ``tests/reference/stereographic.py``, the independent oracle, over
 all three curvature regimes and both sides of the κ≈0 branch
 threshold, for empty, single-row and batched shapes.  The registry
 tests pin the kernel names the end-to-end tracer wraps and the retired
@@ -15,12 +15,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.autodiff import Parameter, Tensor
-from repro.geometry import fast, kernels
-from repro.geometry import stereographic as stereo
+from repro.geometry import kernels
 from repro.geometry.kernels import KIND_ARTAN, KIND_TAN
 from repro.graph.schema import Relation
 from repro.retrieval.ann import candidate_dist
 from repro.retrieval.mnn import RelationSpace
+
+from reference import stereographic as stereo
 
 _TOL = kernels._KAPPA_ZERO_TOL
 
@@ -194,7 +195,8 @@ class TestPairwiseParity:
             got = kernels.mobius_norm(-(x @ y.T),
                                       np.sum(x * x, axis=1)[:, None],
                                       np.sum(y * y, axis=1)[None, :], kappa)
-            want = np.linalg.norm(stereo.mobius_add(-xs, ys, kappa).data,
+            want = np.linalg.norm(stereo.mobius_add(Tensor(-xs.data), ys,
+                                                    kappa).data,
                                   axis=-1)
         _check([got], [want])
 
@@ -222,7 +224,7 @@ class TestDistParity:
         x = rng.normal(scale=0.3, size=(n, d))
         y = rng.normal(scale=0.3, size=(n, d))
         grad = rng.normal(size=n)
-        # fused_dist hands the kernel a = -x, b = y
+        # dist hands the kernel a = -x, b = y
         fwd = kernels.impl("dist_fwd")(-x, y, kappa)
         g_a, g_b, g_k = kernels.impl("dist_bwd")(grad, -x, y, *fwd[1:], kappa)
         value, (g_x, g_y, g_kappa) = _composed(stereo.dist_k, [x, y], kappa,
@@ -231,7 +233,7 @@ class TestDistParity:
 
 
 class TestPublicApi:
-    """fast.py entry points: dtype coercion and blocking."""
+    """Plain-array entry points: dtype coercion and blocking."""
 
     @pytest.mark.parametrize("kappa", [-1.0, 0.0, 0.7])
     def test_float32_inputs_upcast_to_float64(self, kappa):
@@ -240,13 +242,13 @@ class TestPublicApi:
         y64 = rng.normal(scale=0.3, size=(6, 3))
         x32 = x64.astype(np.float32)
         y32 = y64.astype(np.float32)
-        got = fast.pairwise_dist(x32, y32, kappa)
+        got = kernels.pairwise_dist(x32, y32, kappa)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(
-            got, fast.pairwise_dist(x32.astype(np.float64),
+            got, kernels.pairwise_dist(x32.astype(np.float64),
                                     y32.astype(np.float64), kappa))
-        assert fast.artan_k_numpy(x32, kappa).dtype == np.float64
-        assert fast.rowwise_dist(x32, x32, kappa).dtype == np.float64
+        assert kernels.artan_k_numpy(x32, kappa).dtype == np.float64
+        assert kernels.rowwise_dist(x32, x32, kappa).dtype == np.float64
 
     def test_candidate_dist_block_rows_identical(self):
         rng = np.random.default_rng(11)
@@ -291,7 +293,7 @@ class TestForwardCaching:
         rng = np.random.default_rng(0)
         v = Parameter(rng.normal(scale=0.3, size=(5, 4)))
         k = Parameter(np.asarray(-0.9))
-        out = fast.fused_expmap0(v, k)
+        out = kernels.expmap0(v, k)
         out.backward(rng.normal(size=(5, 4)))
         assert calls["n"] == 1
 
@@ -300,7 +302,7 @@ class TestForwardCaching:
         rng = np.random.default_rng(1)
         x = Parameter(rng.normal(scale=0.2, size=(5, 4)))
         k = Parameter(np.asarray(-0.9))
-        out = fast.fused_logmap0(x, k)
+        out = kernels.logmap0(x, k)
         out.backward(rng.normal(size=(5, 4)))
         assert calls["n"] == 1
 
@@ -310,6 +312,123 @@ class TestForwardCaching:
         x = Parameter(rng.normal(scale=0.25, size=(6, 4)))
         y = Parameter(rng.normal(scale=0.25, size=(6, 4)))
         k = Parameter(np.asarray(0.7))
-        out = fast.fused_dist(x, y, k)
+        out = kernels.dist(x, y, k)
         out.backward(rng.normal(size=(6, 1)))
         assert calls["n"] == 1
+
+
+#: per-factor curvatures mixed inside one κ vector: every regime and
+#: both sides of the Taylor threshold (|κ| ≤ 1e-5 is the Taylor branch)
+SWEEP_VALUES = (-1.0, -2e-5, -5e-6, 0.0, 5e-6, 2e-5, 1.0)
+SWEEP_VECTORS = (SWEEP_VALUES, SWEEP_VALUES[::-1], (1.0, -1.0),
+                 (-2e-5, 2e-5), (5e-6, -1.0, 2e-5), (-5e-6,))
+
+
+def _sweep_rows(kappa: float, d: int, rng) -> np.ndarray:
+    """Rows of one factor: interior, zero, denormal and huge norms, and
+    rows either side of ``project``'s boundary (its hyperbolic radius,
+    or radius 1 for a factor without one)."""
+    unit = rng.normal(size=(3, d))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    radius = ((1.0 - 4e-3) / np.sqrt(-kappa + kernels._EPS)
+              if kappa < -_TOL else 1.0)
+    return np.concatenate([
+        rng.normal(scale=0.3, size=(2, d)),
+        np.zeros((1, d)),
+        np.full((1, d), 1e-310),
+        np.full((1, d), 1e6),
+        unit * (radius * np.array([0.5, 0.999, 1.5]))[:, None]])
+
+
+def _sweep_block(kappas, d, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([_sweep_rows(k, d, rng) for k in kappas])
+
+
+#: tape wiring -> (composed scalar-κ oracle, number of point inputs)
+_SWEEP_OPS = {
+    "expmap0": (kernels.expmap0, stereo.expmap0, 1),
+    "logmap0": (kernels.logmap0, stereo.logmap0, 1),
+    "dist": (kernels.dist, stereo.dist_k, 2),
+    "mobius_add": (kernels.mobius_add, stereo.mobius_add, 2),
+    "project": (kernels.project, stereo.project, 1),
+}
+
+
+def _grads(out, upstream, *params):
+    out.backward(upstream)
+    return [np.zeros(p.shape) if p.grad is None else p.grad for p in params]
+
+
+class TestMixedCurvatureSweep:
+    """Edge sweep of the stacked kernels: one κ vector mixing regimes,
+    boundary rows, huge/denormal norms and float32 inputs.  Outputs are
+    finite, each factor's slice is bit-equal to the one-factor call with
+    a scalar κ, and every gradient — each factor's ∂κ included — matches
+    the composed chain."""
+
+    @pytest.mark.parametrize("name", sorted(_SWEEP_OPS))
+    @pytest.mark.parametrize("kappas", SWEEP_VECTORS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tape_kernels(self, name, kappas, dtype):
+        fused, composed, arity = _SWEEP_OPS[name]
+        d = 3
+        blocks = [_sweep_block(kappas, d, seed).astype(dtype)
+                  for seed in range(arity)]
+        kappa = Parameter(np.asarray(kappas))
+        points = [Parameter(b) for b in blocks]
+        out = fused(*points, kappa)
+        assert np.all(np.isfinite(out.data))
+        upstream = np.random.default_rng(9).normal(size=out.shape)
+        grads = _grads(out, upstream, *points, kappa)
+        for g in grads:
+            assert np.all(np.isfinite(g))
+
+        factor_axis = -1 if name == "dist" else 0
+        for m, k in enumerate(kappas):
+            up = np.take(upstream, m, axis=factor_axis)
+            if name == "dist":
+                up = up[:, None]
+            # bit-equal to the same kernel on this factor alone
+            alone_k = Parameter(np.asarray(k))
+            alone = [Parameter(b[m]) for b in blocks]
+            one = fused(*alone, alone_k)
+            np.testing.assert_array_equal(
+                np.take(out.data, [m], axis=factor_axis).reshape(
+                    one.shape), one.data)
+            one_grads = _grads(one, up, *alone, alone_k)
+            for g, want in zip(grads[:-1], one_grads[:-1]):
+                np.testing.assert_array_equal(g[m], want)
+            assert grads[-1][m] == one_grads[-1]
+            # gradcheck against the composed chain
+            ref_k = Parameter(np.asarray(k))
+            ref = [Parameter(b[m].astype(np.float64)) for b in blocks]
+            value = composed(*ref, ref_k)
+            np.testing.assert_allclose(one.data, value.data, rtol=1e-9,
+                                       atol=1e-9)
+            for got, want in zip(one_grads, _grads(value, up, *ref, ref_k)):
+                np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
+
+    @pytest.mark.parametrize("kappas", SWEEP_VECTORS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_artan_k(self, kappas, dtype):
+        rng = np.random.default_rng(3)
+        x = np.abs(np.stack([np.concatenate([
+            rng.normal(scale=0.5, size=4), [0.0, 1e-310, 1e6, 0.9999]])
+            for _ in kappas])).astype(dtype)
+        out = kernels.impl("artan_k")(x, np.asarray(kappas))
+        assert out.shape == x.shape and np.all(np.isfinite(out))
+        for m, k in enumerate(kappas):
+            np.testing.assert_array_equal(
+                out[m], kernels.impl("artan_k")(x[m], k))
+
+    @pytest.mark.parametrize("kappa", SWEEP_VALUES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pairwise_and_rowwise(self, kappa, dtype):
+        x = _sweep_block([kappa], 3, 0)[0].astype(dtype)
+        y = _sweep_block([kappa], 3, 1)[0].astype(dtype)
+        pairwise = kernels.pairwise_dist(x, y, kappa)
+        rowwise = kernels.rowwise_dist(x, y, kappa)
+        assert np.all(np.isfinite(pairwise)) and np.all(np.isfinite(rowwise))
+        np.testing.assert_allclose(np.diag(pairwise), rowwise, rtol=1e-9,
+                                   atol=1e-9)

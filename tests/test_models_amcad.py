@@ -43,30 +43,30 @@ class TestFactory:
     ])
     def test_constant_variants(self, train_graph, name, expected_kappas):
         model = make_model(name, train_graph, num_subspaces=2, subspace_dim=4)
-        assert model.node_manifolds[NodeType.QUERY].kappas() == expected_kappas
+        kappa = model.node_kappas[NodeType.QUERY]
+        assert kappa.data.tolist() == expected_kappas
         # frozen spaces expose no curvature parameters
-        kappas = [f.kappa for f in model.node_manifolds[NodeType.QUERY].factors]
-        assert not any(k.requires_grad for k in kappas)
+        assert not kappa.requires_grad and not kappa.trainable.any()
+        assert not any(p is kappa for p in model.parameters())
 
     def test_full_amcad_has_trainable_curvatures(self, train_graph):
         model = make_model("amcad", train_graph, num_subspaces=2,
                            subspace_dim=4)
-        kappas = [f.kappa for f in model.node_manifolds[NodeType.QUERY].factors]
-        assert all(k.requires_grad for k in kappas)
+        kappa = model.node_kappas[NodeType.QUERY]
+        assert kappa.requires_grad and kappa.trainable.all()
         # initialised spread across negative and positive curvature
-        values = model.node_manifolds[NodeType.QUERY].kappas()
+        values = kappa.data.tolist()
         assert values[0] < 0 < values[1]
 
     def test_amcad_u_single_wide_subspace(self, train_graph):
         model = make_model("amcad_u", train_graph, num_subspaces=2,
                            subspace_dim=4)
-        manifold = model.node_manifolds[NodeType.QUERY]
-        assert len(manifold) == 1
-        assert manifold.factors[0].dim == 8  # 2 x 4 total budget
+        assert model.node_kappas[NodeType.QUERY].shape == (1,)
+        assert model.encoder.subspace_dim == 8  # 2 x 4 total budget
 
     def test_product_variant(self, train_graph):
         model = make_model("product:HS", train_graph, subspace_dim=4)
-        assert model.node_manifolds[NodeType.QUERY].kappas() == [-1.0, 1.0]
+        assert model.node_kappas[NodeType.QUERY].data.tolist() == [-1.0, 1.0]
         assert model.config.attention == "uniform"
         assert model.config.share_edge_space
 
@@ -78,13 +78,11 @@ class TestFactory:
     def test_hgcn_single_hyperbolic(self, train_graph):
         model = make_model("hgcn", train_graph, num_subspaces=2,
                            subspace_dim=4)
-        manifold = model.node_manifolds[NodeType.QUERY]
-        assert len(manifold) == 1
-        assert manifold.kappas()[0] == -1.0
+        assert model.node_kappas[NodeType.QUERY].data.tolist() == [-1.0]
 
     def test_gil_euclidean_hyperbolic(self, train_graph):
         model = make_model("gil", train_graph, subspace_dim=4)
-        kappas = model.node_manifolds[NodeType.QUERY].kappas()
+        kappas = model.node_kappas[NodeType.QUERY].data.tolist()
         assert kappas == [0.0, -1.0]
 
     def test_m2gnn_global_attention(self, train_graph):
@@ -93,8 +91,8 @@ class TestFactory:
         assert model.config.attention == "global"
 
     @pytest.mark.parametrize("name,check", [
-        ("amcad-mixed", lambda m: len(m.node_manifolds[NodeType.QUERY]) == 1),
-        ("amcad-curv", lambda m: m.node_manifolds[NodeType.QUERY].kappas()
+        ("amcad-mixed", lambda m: m.node_kappas[NodeType.QUERY].size == 1),
+        ("amcad-curv", lambda m: m.node_kappas[NodeType.QUERY].data.tolist()
          == [0.0, 0.0]),
         ("amcad-fusion", lambda m: not m.config.use_fusion),
         ("amcad-proj", lambda m: m.config.share_edge_space),
@@ -137,11 +135,12 @@ class TestModelBehaviour:
         assert any(k.startswith("edge:") for k in report)
 
     def test_constrain_clamps(self, model):
-        factor = model.node_manifolds[NodeType.QUERY].factors[0]
-        factor.kappa.data[...] = 99.0
+        kappa = model.node_kappas[NodeType.QUERY]
+        saved = kappa.data.copy()
+        kappa.data[0] = 99.0
         model.constrain()
-        assert factor.kappa_value <= factor.kappa_bounds[1]
-        factor.kappa.data[...] = -1.0  # restore
+        assert kappa.data[0] == kappa.bounds[1]
+        kappa.data[...] = saved  # restore
 
     def test_parameter_count_positive(self, model):
         params = list(model.parameters())

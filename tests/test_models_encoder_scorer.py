@@ -5,12 +5,12 @@ import pytest
 
 from repro.autodiff import ops
 from repro.autodiff.tensor import no_grad
-from repro.geometry.product import ProductManifold
+from repro.geometry.kernels import Curvature
 from repro.graph import MetaPathWalker, NegativeSampler
 from repro.graph.schema import NodeType, Relation
 from repro.models.amcad import AMCAD, AMCADConfig
 from repro.models.encoder import NodeEncoder
-from repro.models.scorer import EdgeScorer
+from repro.models.scorer import EdgeScorer, adaptive_kappas
 
 
 @pytest.fixture(scope="module")
@@ -22,16 +22,16 @@ def model(train_graph):
 class TestNodeEncoder:
     def test_encode_shapes(self, model, rng):
         points = model.encode(NodeType.QUERY, np.array([0, 1, 2]), rng)
-        assert len(points) == 2
-        assert all(p.shape == (3, 4) for p in points)
+        assert points.shape == (2, 3, 4)
 
     def test_inductive_points_on_manifold(self, model):
         points = model.encoder.inductive(NodeType.ITEM, np.array([0, 1]))
-        for factor, point in zip(
-                model.node_manifolds[NodeType.ITEM].factors, points):
-            if factor.kappa_value < 0:
-                radius = 1.0 / np.sqrt(-factor.kappa_value)
-                assert np.all(np.linalg.norm(point.data, axis=-1) <= radius)
+        kappas = model.node_kappas[NodeType.ITEM].data
+        assert (kappas < 0).any()
+        for kappa, point in zip(kappas, points.data):
+            if kappa < 0:
+                radius = 1.0 / np.sqrt(-kappa)
+                assert np.all(np.linalg.norm(point, axis=-1) <= radius)
 
     def test_gcn_uses_neighbors(self, train_graph, rng):
         """Zeroing GCN weights changes encoding vs inductive-only."""
@@ -40,7 +40,7 @@ class TestNodeEncoder:
         idx = np.array([0, 1, 2, 3])
         with_gcn = m.encode(NodeType.QUERY, idx, np.random.default_rng(0))
         inductive = m.encoder.inductive(NodeType.QUERY, idx)
-        assert not np.allclose(with_gcn[0].data, inductive[0].data)
+        assert not np.allclose(with_gcn.data, inductive.data)
 
     def test_zero_gcn_layers_is_inductive_plus_fusion(self, train_graph):
         cfg = AMCADConfig(num_subspaces=1, subspace_dim=4, gcn_layers=0,
@@ -49,7 +49,7 @@ class TestNodeEncoder:
         idx = np.array([5, 6])
         out = m.encode(NodeType.AD, idx, np.random.default_rng(0))
         ind = m.encoder.inductive(NodeType.AD, idx)
-        assert np.allclose(out[0].data, ind[0].data)
+        assert np.allclose(out.data, ind.data)
 
     def test_fusion_mixes_subspaces(self, train_graph):
         base = AMCADConfig(num_subspaces=2, subspace_dim=4, seed=0)
@@ -60,23 +60,21 @@ class TestNodeEncoder:
         idx = np.array([0, 1])
         a = with_fusion.encode(NodeType.QUERY, idx, np.random.default_rng(0))
         b = without.encode(NodeType.QUERY, idx, np.random.default_rng(0))
-        assert not np.allclose(a[0].data, b[0].data)
+        assert not np.allclose(a.data[0], b.data[0])
 
     def test_determinism_given_rng(self, model):
         a = model.encode(NodeType.ITEM, np.array([0, 1]),
                          np.random.default_rng(7))
         b = model.encode(NodeType.ITEM, np.array([0, 1]),
                          np.random.default_rng(7))
-        assert np.allclose(a[0].data, b[0].data)
+        assert np.allclose(a.data, b.data)
 
     def test_mismatched_subspace_counts_rejected(self, train_graph, rng):
-        manifolds = {
-            NodeType.QUERY: ProductManifold.adaptive(2, 4),
-            NodeType.ITEM: ProductManifold.adaptive(3, 4),
-            NodeType.AD: ProductManifold.adaptive(2, 4),
-        }
+        kappas = {t: Curvature(adaptive_kappas(m), [True] * m)
+                  for t, m in ((NodeType.QUERY, 2), (NodeType.ITEM, 3),
+                               (NodeType.AD, 2))}
         with pytest.raises(ValueError):
-            NodeEncoder(train_graph, manifolds, rng=rng)
+            NodeEncoder(train_graph, kappas, subspace_dim=4, rng=rng)
 
 
 class TestEdgeScorer:
@@ -115,15 +113,15 @@ class TestEdgeScorer:
 
     def test_unknown_attention_mode_rejected(self, model):
         with pytest.raises(ValueError):
-            EdgeScorer(model.node_manifolds, attention="nonsense")
+            EdgeScorer(model.node_kappas, 4, attention="nonsense")
 
     def test_shared_edge_space_uses_one_manifold(self, train_graph):
         m = AMCAD(train_graph, AMCADConfig(num_subspaces=2, subspace_dim=4,
                                            share_edge_space=True, seed=0))
-        assert len(m.scorer.edge_manifolds) == 1
+        assert len(m.scorer.edge_kappas) == 1
         full = AMCAD(train_graph, AMCADConfig(num_subspaces=2, subspace_dim=4,
                                               seed=0))
-        assert len(full.scorer.edge_manifolds) == 6
+        assert len(full.scorer.edge_kappas) == 6
 
     def test_relation_specific_projection_differs(self, model, rng):
         points = model.encode(NodeType.QUERY, np.array([0, 1]), rng)
@@ -167,11 +165,8 @@ class TestGradientFlow:
             "fusion weights": list(model.encoder.fusion_weights.values()),
             "proj weights": list(model.scorer.proj_weights.values()),
             "attention": list(model.scorer.att_weights.values()),
-            "node curvatures": [f.kappa for m in model.node_manifolds.values()
-                                for f in m.factors],
-            "edge curvatures": [f.kappa
-                                for m in model.scorer.edge_manifolds.values()
-                                for f in m.factors],
+            "node curvatures": list(model.node_kappas.values()),
+            "edge curvatures": list(model.scorer.edge_kappas.values()),
         }
         for name, params in groups.items():
             got = any(p.grad is not None and np.abs(p.grad).max() > 0

@@ -27,8 +27,7 @@ FEATURES = {
 class TestFeatureEmbedding:
     def test_output_shapes(self, embedding):
         out = embedding.forward(FEATURES, np.array([0, 3, 7]))
-        assert len(out) == 2
-        assert all(o.shape == (3, 6) for o in out)
+        assert out.shape == (2, 3, 6)
 
     def test_subspaces_have_distinct_tables(self, embedding):
         out = embedding.forward(FEATURES, np.array([0, 1]))
@@ -41,10 +40,10 @@ class TestFeatureEmbedding:
         feats_b["terms"] = FEATURES["terms"].copy()
         # change a PAD entry's underlying value: output must not move
         out_a = embedding.forward(feats_a, np.array([1]))[0].data.copy()
-        table = embedding.tables[(0, "terms")]
+        table = embedding.tables["terms"]
         # row 0 of the table is arbitrary; perturb a row only referenced
         # through PAD-masked slots -> pick an unused term id
-        table.data[19] += 100.0
+        table.data[:, 19] += 100.0
         out_b = embedding.forward(feats_b, np.array([1]))[0].data
         assert np.allclose(out_a, out_b)
 
@@ -53,8 +52,8 @@ class TestFeatureEmbedding:
                                num_subspaces=1, subspace_dim=3, rng=rng)
         feats = {"terms": np.array([[0, 1, PAD]])}
         out = emb.forward(feats, np.array([0]))[0]
-        table = emb.tables[(0, "terms")].data
-        manual = (table[0] + table[1]) / 2.0 @ emb.projections[0].data
+        table = emb.tables["terms"].data[0]
+        manual = (table[0] + table[1]) / 2.0 @ emb.projection.data[0]
         assert np.allclose(out.data[0], manual, atol=1e-12)
 
     def test_gradients_reach_tables(self, embedding):
@@ -66,8 +65,10 @@ class TestFeatureEmbedding:
 
     def test_parameters_enumerated(self, embedding):
         params = list(embedding.parameters())
-        # 2 subspaces x 3 fields tables + 2 projections
-        assert len(params) == 8
+        # one (M, vocab, dim) table per field + one stacked projection
+        assert len(params) == 4
+        # stored as 2 subspaces x 3 fields tables + 2 projections
+        assert len(embedding.checkpoint_layout()) == 8
 
 
 class TestLRURegistry:

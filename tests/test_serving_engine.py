@@ -195,6 +195,14 @@ class TestServingEngine:
             assert np.array_equal(a.ads, b.ads)
             assert np.allclose(a.scores, b.scores)
 
+    @pytest.mark.parametrize("key,value", [
+        ("max_batch_size", 0), ("num_workers", -2), ("num_shards", 0),
+        ("slice_retries", -5)])
+    def test_rejects_out_of_range_sizes(self, retriever, key, value):
+        # the same values ServingConfig rejects; they used to be coerced
+        with pytest.raises(ValueError, match=key):
+            ServingEngine(retriever, **{key: value})
+
     def test_micro_batch_accounting(self, retriever, traffic):
         queries, preclicks = traffic
         engine = ServingEngine(retriever, max_batch_size=8)

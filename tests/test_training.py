@@ -217,10 +217,24 @@ class TestTrainer:
         trainer = Trainer(model, TrainerConfig(steps=15, batch_size=32,
                                                learning_rate=0.5))
         trainer.train()
-        for manifold in model.node_manifolds.values():
-            for factor in manifold.factors:
-                lo, hi = factor.kappa_bounds
-                assert lo <= factor.kappa_value <= hi
+        for kappa in model.node_kappas.values():
+            lo, hi = kappa.bounds
+            assert np.all((lo <= kappa.data) & (kappa.data <= hi))
+
+
+class TestRetiredTrainerKeys:
+    @pytest.mark.parametrize("key", ["plan_refresh", "prefetch_workers",
+                                     "prefetch_depth", "accumulate_steps"])
+    def test_reading_a_retired_key_raises(self, key):
+        from repro.pipeline import PipelineConfig
+        for config in (TrainerConfig(), PipelineConfig().training):
+            with pytest.raises(AttributeError, match="%s was retired" % key):
+                getattr(config, key)
+
+    def test_retired_keys_still_accepted_and_dropped(self):
+        config = TrainerConfig(steps=3, prefetch_workers=0, plan_refresh=1)
+        assert config == TrainerConfig(steps=3)
+        assert dataclasses.replace(config, steps=4).steps == 4
 
 
 class TestIncrementalTrainer:

@@ -146,7 +146,7 @@ class TestBackwardDepth:
         _, truncated = self._loss_and_encoder_grads(train_graph, payload, 1)
         tops = lows = 0
         for key, grad in truncated.items():
-            _, layer, _ = key
+            _, layer = key
             if layer == 0:                  # below the cut: constants
                 assert grad is None
                 if full[key] is not None:
@@ -178,8 +178,7 @@ class TestBackwardDepth:
         the node curvatures keep the ``logmap0`` share of their
         gradient."""
         def detached(inductive):
-            return lambda t, indices: [Tensor(p.data)
-                                       for p in inductive(t, indices)]
+            return lambda t, indices: Tensor(inductive(t, indices).data)
 
         cut_loss, cut = self._backward(train_graph, payload, 2)
         ref_loss, ref = self._backward(train_graph, payload, 0,
