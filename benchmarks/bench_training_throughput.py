@@ -13,7 +13,9 @@ reproduction's analogue on the default synthetic platform:
 - **steps/sec** — end-to-end ``Trainer.train`` at ``gcn_layers=0``
   (sampling-bound) and, in the ``backward_depth`` section, at
   ``gcn_layers=2`` with the backward cut at depth 0 and 1, each beside
-  the final/tail loss and next-day AUC of the model it trained.
+  the final/tail loss and next-day AUC of the model it trained and the
+  exact tape nodes and geometry kernel calls per step (host-independent
+  counts, taken on an untimed replay of the same run).
 
 Run directly (``PYTHONPATH=src python
 benchmarks/bench_training_throughput.py [--scale X] [--out PATH]``);
@@ -35,6 +37,7 @@ from common import bench_parser, write_json_out  # noqa: E402
 
 from repro.data import SimulatorConfig, SponsoredSearchSimulator
 from repro.evaluation import next_auc
+from repro.geometry import kernels
 from repro.graph import MetaPathWalker, NegativeSampler, build_graph
 from repro.models import make_model
 from repro.training import Trainer, TrainerConfig
@@ -94,13 +97,55 @@ def _measure_training(graph, steps):
     }
 
 
+def _count_work(graph, backward_depth, steps):
+    """Tape nodes and kernel calls per step of one seeded training run.
+
+    Replays the run :func:`_measure_backward_depth` times — same model,
+    seed and steps, so the same batches — with every registry kernel
+    and the model's loss wrapped to count; the counts are exact and do
+    not depend on the host.
+    """
+    model = make_model("amcad", graph, num_subspaces=2, subspace_dim=4,
+                       seed=1, gcn_layers=2)
+    trainer = Trainer(model, TrainerConfig(steps=steps, batch_size=BATCH_SIZE,
+                                           seed=1,
+                                           backward_depth=backward_depth))
+    calls, nodes = [0], [0]
+    loss_fn = model.loss
+
+    def counted_loss(*args, **kwargs):
+        loss = loss_fn(*args, **kwargs)
+        nodes[0] += loss.graph_size()
+        return loss
+
+    def counted(impl):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return impl(*args, **kwargs)
+        return call
+
+    originals = {name: k.numpy for name, k in kernels.REGISTRY.items()}
+    model.loss = counted_loss
+    try:
+        for name, kernel in kernels.REGISTRY.items():
+            kernel.numpy = counted(kernel.numpy)
+        for _ in range(steps):
+            trainer.train_step()
+    finally:
+        for name, kernel in kernels.REGISTRY.items():
+            kernel.numpy = originals[name]
+    return {"tape_nodes_per_step": nodes[0] / steps,
+            "kernel_calls_per_step": calls[0] / steps}
+
+
 def _measure_backward_depth(graph, eval_graph, steps, auc_samples):
     """``backward_depth`` at ``gcn_layers=2``: cost beside quality.
 
     Depth 1 keeps only the top GCN round on the tape.  The forward is
     the same, the backward shorter, and the model trained a different
     one, so each row reports its steps/s next to the final and tail
-    loss and the next-day AUC of what it trained.
+    loss and the next-day AUC of what it trained, and the exact tape
+    nodes and kernel calls per step of the same run.
     """
     def run(backward_depth):
         model = make_model("amcad", graph, num_subspaces=2, subspace_dim=4,
@@ -113,6 +158,7 @@ def _measure_backward_depth(graph, eval_graph, steps, auc_samples):
             "steps": report.steps,
             "wall_seconds": report.wall_seconds,
             "steps_per_sec": report.steps / report.wall_seconds,
+            **_count_work(graph, backward_depth, steps),
             "final_loss": report.final_loss,
             "mean_tail_loss": report.mean_tail_loss,
             "next_auc": next_auc(model.similarity, eval_graph,
@@ -164,9 +210,11 @@ def main(argv=None) -> int:
     print("train steps/s  %9.2f   (gcn_layers=0)"
           % training_info["steps_per_sec"])
     for row in depth_info["rows"]:
-        print("train L=2 backward_depth=%d %8.2f steps/s  final loss %.3f  "
-              "tail loss %.3f  next-day AUC %.2f"
+        print("train L=2 backward_depth=%d %8.2f steps/s  %.1f tape nodes "
+              "%.1f kernel calls/step  final loss %.3f  tail loss %.3f  "
+              "next-day AUC %.2f"
               % (row["backward_depth"], row["steps_per_sec"],
+                 row["tape_nodes_per_step"], row["kernel_calls_per_step"],
                  row["final_loss"], row["mean_tail_loss"], row["next_auc"]))
     return 0
 

@@ -171,11 +171,19 @@ class AMCAD:
     def pair_distance(self, relation: Relation, src_indices: np.ndarray,
                       dst_indices: np.ndarray,
                       rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Mixed-curvature distances for aligned (src, dst) index arrays."""
-        src_points = self.encode(relation.source_type, src_indices, rng)
-        dst_points = self.encode(relation.target_type, dst_indices, rng)
-        return self.scorer.distance(relation, src_points, relation.source_type,
-                                    dst_points, relation.target_type)
+        """Mixed-curvature distances for aligned (src, dst) index arrays.
+
+        One plan per endpoint, source first, then one encoder pass and
+        one scorer pass over both — the path :meth:`loss` takes.
+        """
+        rng = rng or self.rng
+        plans = [self.encoder.build_plan(relation.source_type, src_indices,
+                                         rng),
+                 self.encoder.build_plan(relation.target_type, dst_indices,
+                                         rng)]
+        points, src_rows, dst_rows = self._encode_roles(
+            plans, src_indices, dst_indices)
+        return self._row_distance(relation, points, src_rows, dst_rows)
 
     def similarity(self, relation: Relation, src_indices: np.ndarray,
                    dst_indices: np.ndarray,
@@ -184,6 +192,30 @@ class AMCAD:
         distance = self.pair_distance(relation, src_indices, dst_indices, rng)
         return fermi_dirac(distance, self.config.fermi_radius,
                            self.config.fermi_temperature)
+
+    def _encode_roles(self, plans: Sequence[EncodePlan],
+                      src_indices: np.ndarray, dst_indices: np.ndarray
+                      ) -> Tuple[Dict[NodeType, Tensor], np.ndarray,
+                                 np.ndarray]:
+        """One encoder pass over a source and a target plan.
+
+        Returns the points of both roles, one block per node type, and
+        the rows of ``src_indices`` / ``dst_indices`` in their type's
+        block.
+        """
+        points, (src_top, dst_top) = self.encoder.encode_plans(plans)
+        return (points, src_top[plans[0].output_map(src_indices)],
+                dst_top[plans[1].output_map(dst_indices)])
+
+    def _row_distance(self, relation: Relation,
+                      points: Dict[NodeType, Tensor], src_rows: np.ndarray,
+                      dst_rows: np.ndarray) -> Tensor:
+        """Eq. 14 over row pairs, each node type's block projected once."""
+        embedded = {t: self.scorer.embed(relation, t, block)
+                    for t, block in points.items()}
+        return self.scorer.row_distance(
+            relation, embedded[relation.source_type], src_rows,
+            embedded[relation.target_type], dst_rows)
 
     # -- loss --------------------------------------------------------------------
 
@@ -205,36 +237,39 @@ class AMCAD:
         return plans.get(node_type)
 
     def _encode_group(self, group: SampleBatch, rng: np.random.Generator,
-                      plans) -> Tuple[Tensor, Tensor, Tensor]:
-        """Dedup encoding: one unique encode per endpoint role, gathered.
+                      plans) -> Tuple[Dict[NodeType, Tensor], np.ndarray,
+                                      np.ndarray]:
+        """Both endpoint roles of a group in one encoder pass.
 
-        The flattened ``(B, K)`` negative block overlaps heavily with the
-        positives and with itself (negatives repeat across rows, walks
-        revisit hot nodes), so ``pos ∪ neg`` is merged into a single
-        deduplicated frontier encode per node type; the source set is
-        deduplicated separately.  For the four cross-type relations that
-        *is* one encode per node type.  For same-type relations
-        (``q2q``/``i2i``) the source role deliberately keeps its own
-        neighbour draws: collapsing source and target onto shared draws
-        makes ``pos_sim`` and ``neg_sim`` move on common random numbers,
-        which shrinks the variance of their difference and starves the
-        margin hinge of gradient events — measured as a ~5-point
-        next-day-AUC drop on the tiny pipeline, reproducible across
-        seeds.
+        One plan per role, source first: the source plan covers the
+        unique sources, the target plan the unique ``pos ∪ neg`` (the
+        flattened ``(B, K)`` negative block overlaps heavily with the
+        positives and with itself).  Both plans then go through one
+        pass per ``(level, node type)``: the draw-free level 0 is
+        deduplicated across roles, every level above stacks the roles'
+        rows.  For same-type relations (``q2q``/``i2i``) the source
+        role therefore keeps its own neighbour draws: collapsing source
+        and target onto shared draws makes ``pos_sim`` and ``neg_sim``
+        move on common random numbers, which shrinks the variance of
+        their difference and starves the margin hinge of gradient
+        events — measured as a ~5-point next-day-AUC drop on the tiny
+        pipeline, reproducible across seeds.
+
+        Returns the points per node type, the rows of ``src_idx`` and
+        the rows of ``pos_idx`` followed by the flattened ``neg_idx``.
         """
         relation = group.relation
-        batch = group.src_idx.size
-        uniq_src, inv_src = np.unique(group.src_idx, return_inverse=True)
-        plan = self._resolve_plan(plans, "source", relation.source_type)
-        points = self.encode(relation.source_type, uniq_src, rng, plan=plan)
-        src_points = ops.gather(points, inv_src)
-        merged = np.concatenate([group.pos_idx, group.neg_idx.ravel()])
-        uniq_tgt, inv_tgt = np.unique(merged, return_inverse=True)
-        plan = self._resolve_plan(plans, "target", relation.target_type)
-        points = self.encode(relation.target_type, uniq_tgt, rng, plan=plan)
-        pos_points = ops.gather(points, inv_tgt[:batch])
-        neg_points = ops.gather(points, inv_tgt[batch:])
-        return src_points, pos_points, neg_points
+        targets = np.concatenate([group.pos_idx, group.neg_idx.ravel()])
+        plan_list = []
+        for role, node_type, indices in (
+                ("source", relation.source_type, group.src_idx),
+                ("target", relation.target_type, targets)):
+            plan = self._resolve_plan(plans, role, node_type)
+            if plan is None:
+                plan = self.encoder.build_plan(node_type, np.unique(indices),
+                                               rng)
+            plan_list.append(plan)
+        return self._encode_roles(plan_list, group.src_idx, targets)
 
     def loss(self, samples: Union[SampleBatch, Sequence[SampleBatch]],
              rng: Optional[np.random.Generator] = None,
@@ -244,17 +279,19 @@ class AMCAD:
         Accepts one :class:`SampleBatch` or a sequence of them.  Each
         batch is one relation group; the loss is the summed hinge of
         every group over the total number of negatives, so an empty
-        sequence gives 0.  Per group, the
-        ``src``/``pos``/``neg`` index sets are merged into one
-        deduplicated encode per endpoint role and the rows are gathered
-        back out.  ``plans`` optionally supplies pre-built
+        sequence gives 0.  Per group, both endpoint roles are encoded
+        in one pass (see ``_encode_group``), the scorer projects and
+        attends each node type's unique rows once, and one distance
+        and one Fermi–Dirac call cover the positive pairs followed by
+        the negative pairs, gathered by row maps; the regulariser reads
+        the same unique rows.  ``plans`` optionally supplies pre-built
         :class:`~repro.models.plan.EncodePlan` objects whose captured
         neighbour draws the encodes replay, keyed either by
         :class:`NodeType` (the hook the recursive-oracle parity tests
         use) or by endpoint role — ``"source"`` / ``"target"`` (role
         keys win, and are the only way to give the two endpoints of a
         same-type relation distinct draws).  Without ``plans`` each
-        encode samples its own draws from ``rng``.
+        role samples its own draws from ``rng``, source first.
         """
         rng = rng or self.rng
         cfg = self.config
@@ -264,43 +301,31 @@ class AMCAD:
         groups = [samples] if isinstance(samples, SampleBatch) else samples
         for group in groups:
             relation = group.relation
-            src_idx = group.src_idx
-            pos_idx = group.pos_idx
-            neg_idx = group.neg_idx
-            batch, k = neg_idx.shape
+            batch, k = group.neg_idx.shape
+            points, src_rows, tgt_rows = self._encode_group(group, rng, plans)
 
-            src_points, pos_points, neg_points = self._encode_group(
-                group, rng, plans)
-
-            # repeat source points K times to align with flattened negatives
+            # the source row of each negative, aligned with the
+            # flattened (B, K) block: pairs are pos (B) then neg (B*K)
             rep = np.repeat(np.arange(batch), k)
-            src_rep = ops.gather(src_points, rep)
-
-            pos_dist = self.scorer.distance(
-                relation, src_points, relation.source_type,
-                pos_points, relation.target_type)
-            neg_dist = self.scorer.distance(
-                relation, src_rep, relation.source_type,
-                neg_points, relation.target_type)
-
-            pos_sim = fermi_dirac(pos_dist, cfg.fermi_radius,
-                                  cfg.fermi_temperature)
-            neg_sim = fermi_dirac(neg_dist, cfg.fermi_radius,
-                                  cfg.fermi_temperature)
-            pos_rep = pos_sim[rep]
-            hinge = ops.relu(cfg.margin + neg_sim - pos_rep)   # note below
+            dist = self._row_distance(
+                relation, points, np.concatenate([src_rows, src_rows[rep]]),
+                tgt_rows)
+            sim = fermi_dirac(dist, cfg.fermi_radius, cfg.fermi_temperature)
+            hinge = ops.relu(cfg.margin + sim[batch:] - sim[rep])
             group_loss = ops.sum(hinge)
 
             if cfg.regularization > 0:
                 # curved-space regulariser (Eq. 16): pull points toward
                 # the origin of each subspace to stay in stable zones
+                radii = {t: geo.dist(block, Tensor(np.zeros(block.shape)),
+                                     self.node_kappas[t])
+                         for t, block in points.items()}
                 reg = None
-                for points, node_type in ((src_points, relation.source_type),
-                                          (pos_points, relation.target_type),
-                                          (neg_points, relation.target_type)):
-                    term = ops.sum(geo.dist(points,
-                                            Tensor(np.zeros(points.shape)),
-                                            self.node_kappas[node_type]))
+                for rows, node_type in (
+                        (src_rows, relation.source_type),
+                        (tgt_rows[:batch], relation.target_type),
+                        (tgt_rows[batch:], relation.target_type)):
+                    term = ops.sum(ops.gather(radii[node_type], rows))
                     reg = term if reg is None else reg + term
                 group_loss = group_loss + cfg.regularization * reg
 

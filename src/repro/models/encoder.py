@@ -28,11 +28,17 @@ pure-numpy sampling phase builds an
 nodes + captured neighbour draws + gather maps); the compute phase then
 encodes each unique frontier **once**, bottom-up, and routes rows
 through ``ops.gather``.  Cost grows with the number of *unique* nodes
-in the receptive field instead of ``(k·|types|)^L``.  The per-layer
+in the receptive field instead of ``(k·|types|)^L``.  The compute phase
+takes several plans at once — a training step hands it one per
+endpoint role — and runs one pass per ``(level, node type)`` over all
+of them: the draw-free level 0 is deduplicated across plans, and every
+level above stacks the plans' rows so each keeps its own draws.  A
+GCN round's input (self rows next to the summed masked means of every
+neighbour block) is one ``ops.gather_pool`` tape node.  The per-layer
 recursion this replaced lives on as the parity oracle in
 ``tests/reference/encoder.py``, built from the public stage methods
-(:meth:`NodeEncoder.inductive`, :meth:`~NodeEncoder.pool`,
-:meth:`~NodeEncoder.gcn_update`, :meth:`~NodeEncoder.fuse`) and
+(:meth:`NodeEncoder.inductive`, :meth:`~NodeEncoder.tangents`,
+:meth:`~NodeEncoder.gcn_round`, :meth:`~NodeEncoder.fuse`) and
 replaying a plan's captured draws.
 
 Implementation note — Möbius biases.  Every curved linear stage here is
@@ -49,7 +55,7 @@ curvature actually adapt.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,32 +187,21 @@ class NodeEncoder:
 
     # -- stage 2: context encoding (Eq. 5-6) -------------------------------------
     #
-    # `pool` turns one block of neighbour tangents into masked means,
-    # `gcn_update` applies the curved linear round; the compute phase
-    # feeds them rows gathered from the tangents of the unique frontier
-    # encoded one level below (``logmap0`` is row-wise, so it runs once
-    # per frontier, not once per gathered block).
+    # The compute phase builds Eq. 5's input in one `ops.gather_pool`
+    # node from rows of the tangents of the unique frontier encoded one
+    # level below (``logmap0`` is row-wise, so it runs once per
+    # frontier, not once per gathered block) and hands it to
+    # `gcn_round`.
 
     def tangents(self, node_type: NodeType, points: Tensor) -> Tensor:
         """``log_0`` of points of one node type, every subspace at once."""
         return geo.logmap0(points, self.kappas[node_type])
 
-    @staticmethod
-    def pool(neigh_tangents: Tensor, mask: np.ndarray) -> Tensor:
-        """Masked-mean pooling of pre-gathered ``(M, B, k, d)`` tangents."""
-        return ops.masked_mean(neigh_tangents, mask)
-
-    def gcn_update(self, node_type: NodeType, layer: int,
-                   self_tangents: Tensor, neighbor_sum: Optional[Tensor],
-                   batch: int) -> Tensor:
-        """One GCN round (Eq. 5-6) given the pooled neighbour tangent sum."""
+    def gcn_round(self, node_type: NodeType, layer: int,
+                  combined: Tensor) -> Tensor:
+        """Eq. 6 on the ``[neighbour sum | self]`` tangents of Eq. 5:
+        exp → Möbius matvec (+ Möbius bias) → curved activation."""
         kappa = self.kappas[node_type]
-        if neighbor_sum is None:
-            neighbor_sum = Tensor(np.zeros((self.num_subspaces, batch,
-                                            self.subspace_dim)))
-        combined = ops.concatenate([neighbor_sum, self_tangents],
-                                   axis=-1)                       # Eq. 5
-        # Eq. 6: exp -> Mobius matvec (+ Mobius bias) -> curved activation
         point = geo.expmap0(combined, kappa)
         point = geo.matvec(self.gcn_weights[(node_type, layer)], point, kappa)
         bias_point = geo.expmap0(self.gcn_bias[(node_type, layer)], kappa)
@@ -228,14 +223,25 @@ class NodeEncoder:
         return build_encode_plan(self.graph, node_type, indices,
                                  self.gcn_layers, self.neighbor_samples, rng)
 
-    def _encode_from_plan(self, plan: EncodePlan) -> Tensor:
+    def _encode_from_plan(self, plans: Sequence[EncodePlan]
+                          ) -> Tuple[Dict[NodeType, Tensor], List[np.ndarray]]:
         """Compute phase: encode unique frontiers bottom-up, gather rows.
 
-        Every node appears exactly once per level; upper levels address
-        the tangents of the level below through ``ops.gather``, whose
-        scatter-add backward accumulates gradients of repeated rows.
-        ``logmap0`` is row-wise, so a frontier's tangents are computed
-        once and gathered.
+        One pass per ``(level, node type)`` over every plan in ``plans``
+        (both endpoint roles of a training group, or one plan for
+        :meth:`encode`).  Level 0 is draw-free, so its frontiers are
+        deduplicated across plans; above it each plan's rows are stacked
+        in plan order, so each plan keeps its own draws, and its gather
+        maps are shifted onto the stacked rows.  A plan whose block of a
+        ``(type → type)`` edge set is all-masked pools zero rows for it
+        (the mask is empty), so it adds nothing to that plan's sum.
+
+        Upper levels address the tangents of the level below through
+        ``ops.gather_pool`` (one node per ``(level, type)`` for the self
+        rows and every neighbour block), whose scatter-add backward
+        accumulates gradients of repeated rows.  ``logmap0`` is
+        row-wise, so a level's tangents are computed once per type and
+        gathered.
 
         With :attr:`backward_depth` ``n`` in ``[1, layers]`` the levels
         at or below ``cut = layers - n`` run under ``no_grad`` and enter
@@ -248,41 +254,71 @@ class NodeEncoder:
         gradients.  One of those is the ``logmap0`` of the level-``cut``
         reps: it is first asked for by level ``cut + 1``, so it is taken
         on the tape.
+
+        Returns the top level's points, one ``(M, rows, d)`` block per
+        node type, and per plan the rows of its top frontier in its
+        type's block.
         """
+        layers = plans[0].layers
+        if any(plan.layers != layers for plan in plans):
+            raise ValueError("the plans of one pass must have one depth")
         depth = int(self.backward_depth or 0)
-        cut = plan.layers - depth if 0 < depth <= plan.layers else -1
-        reps: Dict[tuple, Tensor] = {}
-        tangents: Dict[tuple, Tensor] = {}
+        cut = layers - depth if 0 < depth <= layers else -1
+        reps: Dict[NodeType, Tensor] = {}
+        # rows[p][t]: where plan p's frontier of type t sits in reps[t]
+        rows: List[Dict[NodeType, np.ndarray]] = [{} for _ in plans]
 
-        def tangents_of(l: int, t: NodeType) -> Tensor:
-            if (l, t) not in tangents:
-                tangents[(l, t)] = self.tangents(t, reps[(l, t)])
-            return tangents[(l, t)]
+        for l in range(layers + 1):
+            levels = [plan.levels[l] for plan in plans]
+            below, below_rows = reps, rows
+            below_tangents: Dict[NodeType, Tensor] = {}
 
-        for l, level in enumerate(plan.levels):
+            def tangents_of(t: NodeType) -> Tensor:
+                if t not in below_tangents:
+                    below_tangents[t] = self.tangents(t, below[t])
+                return below_tangents[t]
+
+            reps, rows = {}, [{} for _ in plans]
             with no_grad() if l <= cut else contextlib.nullcontext():
                 for t in NodeType:
-                    uniq = level.frontiers.get(t)
-                    if uniq is None:
+                    owners = [p for p, level in enumerate(levels)
+                              if t in level.frontiers]
+                    if not owners:
                         continue
                     if l == 0:
-                        reps[(0, t)] = self.inductive(t, uniq)
+                        uniq = np.unique(np.concatenate(
+                            [levels[p].frontiers[t] for p in owners]))
+                        for p in owners:
+                            rows[p][t] = np.searchsorted(
+                                uniq, levels[p].frontiers[t])
+                        reps[t] = self.inductive(t, uniq)
                         continue
-                    self_tangents = ops.gather(tangents_of(l - 1, t),
-                                               level.self_maps[t])
-                    neighbor_sum: Optional[Tensor] = None
-                    for block in level.blocks[t]:
-                        if block.gather is None:  # all-masked: contributes 0
-                            continue
-                        below = tangents_of(l - 1, block.dst_type)
-                        rows = block.gather.reshape(block.mask.shape)
-                        pooled = self.pool(ops.gather(below, rows),
-                                           block.mask)
-                        neighbor_sum = (pooled if neighbor_sum is None
-                                        else neighbor_sum + pooled)
-                    reps[(l, t)] = self.gcn_update(t, l - 1, self_tangents,
-                                                   neighbor_sum, uniq.size)
-        return reps[(plan.layers, plan.node_type)]
+                    size = 0
+                    for p in owners:
+                        n = levels[p].frontiers[t].size
+                        rows[p][t] = np.arange(size, size + n)
+                        size += n
+                    self_table = tangents_of(t)
+                    self_rows = np.concatenate(
+                        [below_rows[p][t][levels[p].self_maps[t]]
+                         for p in owners])
+                    pools = []
+                    for blocks in zip(*(levels[p].blocks[t] for p in owners)):
+                        if all(block.gather is None for block in blocks):
+                            continue                # all-masked: adds 0
+                        dst = blocks[0].dst_type
+                        mask = np.concatenate([block.mask for block in blocks])
+                        index = np.concatenate([
+                            np.zeros(block.mask.size, dtype=np.int64)
+                            if block.gather is None
+                            else below_rows[p][dst][block.gather]
+                            for p, block in zip(owners, blocks)])
+                        pools.append((tangents_of(dst),
+                                      index.reshape(mask.shape), mask))
+                    combined = ops.gather_pool(self_table, self_rows,
+                                               pools)            # Eq. 5
+                    reps[t] = self.gcn_round(t, l - 1, combined)
+        return reps, [rows[p][plan.node_type] for p, plan in enumerate(plans)]
 
     # -- stage 3: space fusion (Eq. 7-8) --------------------------------------------
 
@@ -297,7 +333,21 @@ class NodeEncoder:
                             kappa)                                 # Eq. 8
         return geo.project(point, kappa)
 
-    # -- public entry point ----------------------------------------------------------
+    # -- public entry points ---------------------------------------------------------
+
+    def encode_plans(self, plans: Sequence[EncodePlan]
+                     ) -> Tuple[Dict[NodeType, Tensor], List[np.ndarray]]:
+        """Full node representations of several plans, in one pass.
+
+        Returns one ``(M, rows, subspace_dim)`` block per top node type
+        and, per plan, the rows of its top frontier in that block;
+        compose them with :meth:`EncodePlan.output_map` to address
+        requested indices.
+        """
+        points, tops = self._encode_from_plan(plans)
+        if self.use_fusion:
+            points = {t: self.fuse(t, block) for t, block in points.items()}
+        return points, tops
 
     def encode(self, node_type: NodeType, indices: np.ndarray,
                rng: Optional[np.random.Generator] = None,
@@ -310,10 +360,9 @@ class NodeEncoder:
         indices = np.asarray(indices, dtype=np.int64)
         if plan is None:
             plan = self.build_plan(node_type, indices, rng)
-        points = self._encode_from_plan(plan)
-        if self.use_fusion:
-            points = self.fuse(node_type, points)
-        out_map = plan.output_map(indices)
+        points, (top,) = self.encode_plans([plan])
+        points = points[node_type]
+        out_map = top[plan.output_map(indices)]
         if (out_map.size == points.shape[1]
                 and np.array_equal(out_map, np.arange(out_map.size))):
             return points    # already unique and in frontier order

@@ -190,6 +190,35 @@ class EdgeScorer:
 
     # -- public API ---------------------------------------------------------------
 
+    def embed(self, relation: Relation, node_type: NodeType,
+              points: Tensor) -> Tuple[Tensor, Tensor]:
+        """Edge-space points and node-level attention of ``(M, n, d)``
+        points: :meth:`project`, then :meth:`node_weights`."""
+        projected = self.project(relation, node_type, points)
+        return projected, self.node_weights(relation, node_type, projected)
+
+    def row_distance(self, relation: Relation,
+                     src: Tuple[Tensor, Tensor], src_rows: Optional[np.ndarray],
+                     dst: Tuple[Tensor, Tensor], dst_rows: Optional[np.ndarray]
+                     ) -> Tensor:
+        """Eq. 14 between rows of two :meth:`embed` outputs.
+
+        Pair ``i`` joins row ``src_rows[i]`` of ``src`` to row
+        ``dst_rows[i]`` of ``dst`` (``None``: every row, in order), so
+        rows shared by many pairs are projected once.  Returns shape
+        ``(pairs,)``.
+        """
+        (src_proj, w_src), (dst_proj, w_dst) = src, dst
+        if src_rows is not None:
+            src_proj, w_src = (ops.gather(src_proj, src_rows),
+                               ops.gather(w_src, src_rows))
+        if dst_rows is not None:
+            dst_proj, w_dst = (ops.gather(dst_proj, dst_rows),
+                               ops.gather(w_dst, dst_rows))
+        weights = w_src + w_dst                               # Eq. 11
+        dists = self.sub_distances(relation, src_proj, dst_proj)
+        return ops.sum(dists * weights, axis=-1)              # Eq. 14
+
     def distance(self, relation: Relation,
                  src_points: Tensor, src_type: NodeType,
                  dst_points: Tensor, dst_type: NodeType) -> Tensor:
@@ -197,14 +226,9 @@ class EdgeScorer:
 
         Returns shape ``(batch,)`` — smaller means more likely linked.
         """
-        src_proj = self.project(relation, src_type, src_points)
-        dst_proj = self.project(relation, dst_type, dst_points)
-        w_src = self.node_weights(relation, src_type, src_proj)
-        w_dst = self.node_weights(relation, dst_type, dst_proj)
-        weights = w_src + w_dst                               # Eq. 11
-        dists = self.sub_distances(relation, src_proj, dst_proj)
-        combined = ops.sum(dists * weights, axis=-1)          # Eq. 14
-        return combined
+        return self.row_distance(
+            relation, self.embed(relation, src_type, src_points), None,
+            self.embed(relation, dst_type, dst_points), None)
 
     def parameters(self) -> Iterable[Parameter]:
         yield from self.proj_weights.values()

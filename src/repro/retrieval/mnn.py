@@ -153,7 +153,6 @@ def _project_all(model, relation: Relation, node_type: NodeType,
         encoded = model.encode_all(node_type, np.random.default_rng(2024))
         if encode_cache is not None:
             encode_cache[node_type] = encoded
-    projected = model.scorer.project(relation, node_type,
-                                     Tensor(np.stack(encoded)))
-    weights = model.scorer.node_weights(relation, node_type, projected)
+    projected, weights = model.scorer.embed(relation, node_type,
+                                            Tensor(np.stack(encoded)))
     return list(projected.data), weights.data

@@ -3,9 +3,12 @@ product paths are tested against.
 
 Nothing here ships in ``src/`` or is selectable by a config key; each
 oracle is built from the public stage methods of the object it mirrors
-(``NodeEncoder.inductive``/``pool``/``gcn_update``/``fuse``,
+(``NodeEncoder.inductive``/``tangents``/``gcn_round``/``fuse``,
 ``InvertedIndex.lookup``/``lookup_batch``), so it keeps computing the
 reference answer however the product path is reorganised.
+``encoder`` also holds ``TwoPassAMCAD``, the loss and scoring with one
+encoder pass per endpoint role and one scorer pass per pair kind that
+the one-pass ``AMCAD.loss`` / ``pair_distance`` replaced.
 ``sampling`` reads the graph's CSR adjacency and the negative
 sampler's alias tables directly: it is the per-pair walker and negative
 sampler that ``MetaPathWalker.sample_pair_blocks`` and

@@ -41,6 +41,21 @@ class TestArithmeticGradients:
         b = Parameter(rng.normal(size=(4,)))
         finite_difference_check(lambda: ops.sum(a + b), [a, b])
 
+    @pytest.mark.parametrize("grad_shape,shape", [
+        ((2, 1500, 4), (2, 1, 4)), ((3, 4), (4,)), ((3, 4), ()),
+        ((2, 3, 4), (3, 1)), ((2, 0, 4), (2, 1, 4)), ((0, 4), (1, 4)),
+        ((3, 4), (3, 4))])
+    def test_unbroadcast_sums_to_shape(self, rng, grad_shape, shape):
+        grad = rng.normal(size=grad_shape)
+        extra = grad.ndim - len(shape)
+        want = grad.sum(axis=tuple(range(extra)))
+        axes = tuple(i for i, dim in enumerate(shape)
+                     if dim == 1 and want.shape[i] != 1)
+        want = want.sum(axis=axes, keepdims=True).reshape(shape)
+        got = ops._unbroadcast(grad, shape)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_sub_scalar_left(self, rng):
         a = Parameter(rng.normal(size=(3,)))
         finite_difference_check(lambda: ops.sum(1.5 - a), [a])
@@ -113,6 +128,57 @@ class TestReductionGradients:
         composed.backward(upstream)
         np.testing.assert_array_equal(fused_in.grad, composed_in.grad)
         np.testing.assert_array_equal(fused_in.grad[2], 0.0)
+
+
+class TestGatherPool:
+    """The fused Eq. 5 input against the chain it replaces."""
+
+    @staticmethod
+    def _chain(self_table, self_index, blocks):
+        pooled = None
+        for table, index, mask in blocks:
+            term = ops.masked_mean(ops.gather(table, index), mask)
+            pooled = term if pooled is None else pooled + term
+        self_rows = ops.gather(self_table, self_index)
+        if pooled is None:
+            pooled = Tensor(np.zeros(self_rows.shape))
+        return ops.concatenate([pooled, self_rows], axis=-1)
+
+    @pytest.mark.parametrize("layout", ["shared", "distinct", "none",
+                                        "constant"])
+    def test_matches_composed_chain(self, rng, layout):
+        mine = rng.normal(size=(2, 6, 3))
+        other = rng.normal(size=(2, 5, 3))
+        self_index = np.array([0, 2, 2, 5])
+        mask_a = np.array([[1, 1, 0], [0, 0, 0], [1, 0, 1], [1, 1, 1]],
+                          dtype=np.float64)          # row 1: all masked
+        mask_b = np.ones((4, 3))
+        index_a = rng.integers(0, 6, size=(4, 3))
+        index_b = rng.integers(0, 5, size=(4, 3))
+        upstream = rng.normal(size=(2, 4, 6))
+
+        def run(pool):
+            a = Parameter(mine.copy())
+            b = (Tensor(other.copy()) if layout == "constant"
+                 else Parameter(other.copy()))
+            blocks = {"shared": [(a, index_a, mask_a), (b, index_b, mask_b),
+                                 (a, index_b, mask_b)],
+                      "distinct": [(b, index_b, mask_a)],
+                      "none": [],
+                      "constant": [(b, index_b, mask_a),
+                                   (a, index_a, mask_b)]}[layout]
+            out = pool(a, self_index, blocks)
+            out.backward(upstream)
+            return out, [a.grad, b.grad]
+
+        fused, grads = run(ops.gather_pool)
+        chain, want = run(self._chain)
+        np.testing.assert_array_equal(fused.data, chain.data)
+        assert fused.graph_size() <= 3
+        for got, ref in zip(grads, want):
+            assert (got is None) == (ref is None)
+            if got is not None:
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
 
 
 class TestNonlinearityGradients:

@@ -25,7 +25,7 @@ from repro.models.plan import build_encode_plan
 from repro.training import Trainer, TrainerConfig
 
 from reference import stereographic as st
-from reference.encoder import RecursiveAMCAD
+from reference.encoder import RecursiveAMCAD, TwoPassAMCAD
 
 
 def _models_pair(graph, **overrides):
@@ -134,9 +134,11 @@ class TestPlaneParity:
     def test_tape_budget_against_composed_mobius_project(self, train_graph,
                                                          monkeypatch):
         """Host-independent tape gate: the train_deep loss shape must stay
-        under 0.193x the tape the same model records when Möbius addition
+        under 0.186x the tape the same model records when Möbius addition
         and projection run factor by factor through the composed chain,
-        at equal loss and gradients (measured: 392 of 2 032 nodes)."""
+        at equal loss and gradients (measured: 212 of 1 140 nodes; 392 of
+        2 032 when each endpoint role had its own encoder and scorer
+        pass)."""
         run = self._train_deep_loss(train_graph)
         loss_f, nodes_f, grads_f = run()
         monkeypatch.setattr(kernels, "mobius_add",
@@ -145,7 +147,7 @@ class TestPlaneParity:
         loss_c, nodes_c, grads_c = run()
 
         assert loss_f == pytest.approx(loss_c, abs=1e-12)
-        assert nodes_f <= 0.193 * nodes_c
+        assert nodes_f <= 0.186 * nodes_c
         for got, want in zip(grads_f, grads_c):
             assert (got is None) == (want is None)
             if got is not None:
@@ -154,8 +156,10 @@ class TestPlaneParity:
     def test_tape_and_kernel_call_counts(self, train_graph, monkeypatch):
         """Exact counts of one loss() + backward() on the train_deep
         shape: each geometry operation is one kernel call and one tape
-        node for both subspaces (715 nodes and 516 calls when every
-        subspace was its own call)."""
+        node for both subspaces, both endpoint roles share one encoder
+        pass and one scorer pass, and each GCN round's input is one
+        ``gather_pool`` node (392 nodes and 258 calls with a pass per
+        role; 715 and 516 when every subspace was its own call)."""
         calls = []
         for name, kernel in kernels.REGISTRY.items():
             monkeypatch.setattr(kernel, "numpy",
@@ -163,8 +167,8 @@ class TestPlaneParity:
                                 calls.append(_n) or _f(*a, **k))
         run = self._train_deep_loss(train_graph)
         _, nodes, _ = run()
-        assert nodes == 392
-        assert len(calls) == 258
+        assert nodes == 212
+        assert len(calls) == 150
 
     def test_frontier_plane_is_deterministic(self, train_graph):
         def run():
@@ -174,6 +178,100 @@ class TestPlaneParity:
             return Trainer(model, config).train().losses
 
         assert run() == run()
+
+
+def _role_plans(model, batch, seed=7):
+    """Distinct per-role plans, source first, as ``AMCAD.loss`` builds them."""
+    rel = batch.relation
+    rng = np.random.default_rng(seed)
+    targets = np.concatenate([batch.pos_idx, batch.neg_idx.ravel()])
+    return {"source": model.encoder.build_plan(
+                rel.source_type, np.unique(batch.src_idx), rng),
+            "target": model.encoder.build_plan(
+                rel.target_type, np.unique(targets), rng)}
+
+
+class TestOnePass:
+    """Both endpoint roles in one encoder pass, against each role's plan
+    encoded alone and against the two-pass loss of ``TwoPassAMCAD``."""
+
+    @staticmethod
+    def _assert_rows_match_alone(model, plans):
+        points, tops = model.encoder.encode_plans(plans)
+        for plan, top in zip(plans, tops):
+            alone, (alone_top,) = model.encoder.encode_plans([plan])
+            shared = points[plan.node_type].data[:, top]
+            assert shared.shape == (2, plan.levels[-1].frontiers[
+                plan.node_type].size, 4)
+            np.testing.assert_array_equal(
+                shared, alone[plan.node_type].data[:, alone_top])
+
+    @pytest.mark.parametrize("relation,keying", [
+        (Relation.Q2Q, "role"), (Relation.Q2Q, "type"),
+        (Relation.Q2A, "role")])
+    @pytest.mark.parametrize("backward_depth", [0, 1])
+    def test_rows_bit_equal_to_each_plan_alone(self, train_graph, relation,
+                                               keying, backward_depth):
+        model, _ = _models_pair(train_graph)
+        model.encoder.backward_depth = backward_depth
+        batch = _batch(relation, np.random.default_rng(3),
+                       train_graph.num_nodes[relation.source_type],
+                       train_graph.num_nodes[relation.target_type])
+        if keying == "type":
+            plan = _shared_plans(model, batch)[relation.source_type]
+            plans = [plan, plan]
+        else:
+            plans = list(_role_plans(model, batch).values())
+        self._assert_rows_match_alone(model, plans)
+
+    def test_empty_role(self, train_graph):
+        model, _ = _models_pair(train_graph)
+        rng = np.random.default_rng(4)
+        empty = model.encoder.build_plan(NodeType.ITEM,
+                                         np.array([], dtype=np.int64), rng)
+        full = model.encoder.build_plan(NodeType.ITEM, np.arange(0, 40, 3),
+                                        rng)
+        self._assert_rows_match_alone(model, [empty, full])
+        points, tops = model.encoder.encode_plans([full, empty])
+        assert tops[1].size == 0
+        loss = model.loss(SampleBatch(Relation.Q2A, np.zeros(0), np.zeros(0),
+                                      np.zeros((0, 6))))
+        assert loss.item() == 0.0
+
+    @pytest.mark.parametrize("relation", [Relation.Q2Q, Relation.Q2A])
+    @pytest.mark.parametrize("backward_depth", [0, 1])
+    def test_loss_matches_two_pass_oracle(self, train_graph, relation,
+                                          backward_depth):
+        model, _ = _models_pair(train_graph)
+        oracle = TwoPassAMCAD(train_graph, model.config)
+        model.encoder.backward_depth = backward_depth
+        oracle.encoder.backward_depth = backward_depth
+        batch = _batch(relation, np.random.default_rng(3),
+                       train_graph.num_nodes[relation.source_type],
+                       train_graph.num_nodes[relation.target_type])
+        # no plans: both models draw from their rng, source role first
+        loss = model.loss(batch, rng=np.random.default_rng(9))
+        want = oracle.loss(batch, rng=np.random.default_rng(9))
+        assert loss.item() == want.item()
+        loss.backward()
+        want.backward()
+        for got, ref in zip(model.parameters(), oracle.parameters()):
+            assert (got.grad is None) == (ref.grad is None)
+            if got.grad is not None:
+                np.testing.assert_allclose(got.grad, ref.grad, rtol=0,
+                                           atol=1e-12)
+
+    @pytest.mark.parametrize("relation", [Relation.Q2Q, Relation.I2A])
+    def test_pair_distance_bit_equal_to_two_pass(self, train_graph,
+                                                 relation):
+        model, _ = _models_pair(train_graph)
+        oracle = TwoPassAMCAD(train_graph, model.config)
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, train_graph.num_nodes[relation.source_type], 30)
+        dst = rng.integers(0, train_graph.num_nodes[relation.target_type], 30)
+        got = model.similarity(relation, src, dst, np.random.default_rng(6))
+        want = oracle.similarity(relation, src, dst, np.random.default_rng(6))
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 class TestGraphSize:
